@@ -46,7 +46,7 @@ from .motif import (
     motif_adjacency,
     motif_signatures,
 )
-from .scoring import NodeScores, degree_scores, load_external_scores, pagerank
+from .scoring import NodeScores, load_external_scores, pagerank
 from .masking import (
     MaskConfig,
     MaskedGraph,

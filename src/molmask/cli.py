@@ -22,23 +22,22 @@ from .masking import (
     export_views,
 )
 from .molgraph import parse_smiles
-from .motif import build_vocab, decompose, motif_signatures
+from .motif import build_vocab, vocab_from_signatures
 from .scoring import load_external_scores
 from .svg import render_svg
 from .targets import (
     TARGET_KINDS,
-    argmax_targets,
-    atom_type_targets,
+    TargetResources,
+    graph_motifs,
     load_codebook,
     load_embeddings,
-    motif_targets,
-    vq_targets,
 )
 from .workbench import (
     DatasetManifest,
     build_vocab_tsv,
     ingest,
     load_vocab_tsv,
+    parallel_map,
     read_report_csv,
     run_coverage,
     run_jsd_analysis,
@@ -88,7 +87,6 @@ def _mask_config(args, strategy: str) -> MaskConfig:
         epoch=args.epoch,
         max_epoch=args.max_epoch,
         intra_motif_fraction=args.intra_frac,
-        seed=args.seed,
     )
 
 
@@ -132,19 +130,37 @@ def _split_list(raw: str, allowed: Sequence[str], what: str) -> list[str]:
     return items
 
 
-def _load_target_resources(args, records):
-    """Vocab, embeddings, codebook, logits as requested by flags."""
-    vocab = None
-    if getattr(args, "vocab", ""):
-        vocab = load_vocab_tsv(args.vocab)
-    embeddings = load_embeddings(args.embeddings) if getattr(args, "embeddings", "") else None
-    codebook = load_codebook(args.codebook) if getattr(args, "codebook", "") else None
-    logits = load_embeddings(args.logits) if getattr(args, "logits", "") else None
-    return vocab, embeddings, codebook, logits
+def _external_scores(args, strategies: Sequence[str], records):
+    """Scores from --scores when the 'external' strategy is asked for."""
+    if "external" not in strategies:
+        return None
+    if not args.scores:
+        raise _UsageError("strategy 'external' needs --scores")
+    return load_external_scores(args.scores, [rec.graph.n_atoms for rec in records])
 
 
-def _self_vocab(records):
-    return build_vocab([rec.graph for rec in records])
+def _target_resources(args, records, kinds: Sequence[str]) -> dict:
+    """TargetResources fields as the flags ask for them.
+
+    A motif kind gets the command's one motif pass over all parsed
+    records; without --vocab, the same pass builds the vocabulary.
+    """
+    vocab = load_vocab_tsv(args.vocab) if args.vocab else None
+    resources = dict(
+        embeddings=load_embeddings(args.embeddings) if args.embeddings else None,
+        codebook=load_codebook(args.codebook) if args.codebook else None,
+        logits=load_embeddings(args.logits) if args.logits else None,
+        vq_normalize=getattr(args, "vq_normalize", False),
+        motifs=None,
+    )
+    if "motif" in kinds:
+        resources["motifs"] = parallel_map(
+            graph_motifs, [rec.graph for rec in records], args.workers
+        )
+        if vocab is None:
+            vocab = vocab_from_signatures(m.signatures for m in resources["motifs"])
+    resources["vocab"] = vocab
+    return resources
 
 
 def cmd_parse_check(args) -> int:
@@ -163,19 +179,16 @@ def cmd_parse_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     if args.smiles:
-        sources = args.smiles
+        graphs = (parse_smiles(smiles) for smiles in args.smiles)
     elif args.input:
-        manifest = _manifest(args)
-        records, _ = ingest(manifest, workers=args.workers)
-        sources = [rec.graph.source_smiles for rec in records]
+        records, _ = ingest(_manifest(args), workers=args.workers)
+        graphs = (rec.graph for rec in records)
     else:
         raise _UsageError("decompose needs --smiles or --input")
-    for smiles in sources:
-        graph = parse_smiles(smiles)
-        partition = decompose(graph)
-        sigs = motif_signatures(graph, partition)
-        print(smiles)
-        for m, (atoms, sig) in enumerate(zip(partition.motifs, sigs)):
+    for graph in graphs:
+        motifs = graph_motifs(graph)
+        print(graph.source_smiles)
+        for m, (atoms, sig) in enumerate(zip(motifs.partition.motifs, motifs.signatures)):
             atom_list = ",".join(str(a) for a in atoms)
             print(f"  motif {m}: atoms {atom_list}  signature {sig}")
     return 0
@@ -183,7 +196,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_vocab_build(args) -> int:
     manifest, records, _ = _ingest_for_analysis(args)
-    vocab = _self_vocab(records)
+    vocab = build_vocab([rec.graph for rec in records])
     path = _out_path(args, "vocab.tsv")
     build_vocab_tsv(vocab, path)
     print(f"wrote {vocab.size} signatures to {path}")
@@ -206,11 +219,7 @@ def cmd_mask_sim(args) -> int:
         raise _UsageError("mask-sim needs --label-col")
     strategies = _split_list(args.strategies, STRATEGIES, "strategy")
     config = _mask_config(args, strategies[0])
-    external = None
-    if "external" in strategies:
-        if not args.scores:
-            raise _UsageError("strategy 'external' needs --scores")
-        external = load_external_scores(args.scores, [r.graph.n_atoms for r in records])
+    external = _external_scores(args, strategies, records)
     report = run_mask_sim(
         records, strategies, config,
         dataset_name=manifest.display_name, repeats=args.repeats,
@@ -227,14 +236,9 @@ def cmd_mi(args) -> int:
     if not manifest.task_columns:
         raise _UsageError("mi needs --label-col")
     kinds = _split_list(args.targets, TARGET_KINDS, "target kind")
-    vocab, embeddings, codebook, logits = _load_target_resources(args, records)
-    if "motif" in kinds and vocab is None:
-        vocab = _self_vocab(records)
     report = run_mi_analysis(
         records, kinds, dataset_name=manifest.display_name,
-        seed=args.seed, workers=args.workers, vocab=vocab,
-        embeddings=embeddings, codebook=codebook, logits=logits,
-        vq_normalize=args.vq_normalize,
+        seed=args.seed, workers=args.workers, **_target_resources(args, records, kinds),
     )
     path = _out_path(args, "mi.csv")
     write_report_csv(report, path)
@@ -248,14 +252,9 @@ def cmd_jsd(args) -> int:
         raise _UsageError("jsd needs --label-col")
     kinds = _split_list(args.targets, TARGET_KINDS, "target kind")
     taus = [float(piece) for piece in args.taus.split(",")] if args.taus else list(DEFAULT_TAUS)
-    vocab, embeddings, codebook, logits = _load_target_resources(args, records)
-    if "motif" in kinds and vocab is None:
-        vocab = _self_vocab(records)
     report = run_jsd_analysis(
         records, kinds, dataset_name=manifest.display_name, taus=taus,
-        seed=args.seed, workers=args.workers, vocab=vocab,
-        embeddings=embeddings, codebook=codebook, logits=logits,
-        vq_normalize=args.vq_normalize,
+        seed=args.seed, workers=args.workers, **_target_resources(args, records, kinds),
     )
     path = _out_path(args, "jsd.csv")
     write_report_csv(report, path)
@@ -270,14 +269,10 @@ def cmd_shuffle_control(args) -> int:
     kinds = _split_list(args.target, TARGET_KINDS, "target kind")
     if len(kinds) != 1:
         raise _UsageError("shuffle-control takes exactly one target kind")
-    vocab, embeddings, codebook, logits = _load_target_resources(args, records)
-    if kinds[0] == "motif" and vocab is None:
-        vocab = _self_vocab(records)
     report = run_shuffle_control(
         records, kinds[0], dataset_name=manifest.display_name,
         repeats=args.repeats, seed=args.seed, workers=args.workers,
-        vocab=vocab, embeddings=embeddings, codebook=codebook, logits=logits,
-        vq_normalize=args.vq_normalize,
+        **_target_resources(args, records, kinds),
     )
     path = _out_path(args, "shuffle.csv")
     write_report_csv(report, path)
@@ -288,42 +283,25 @@ def cmd_shuffle_control(args) -> int:
 def cmd_export_views(args) -> int:
     manifest, records, _ = _ingest_for_analysis(args)
     config = _mask_config(args, args.strategy)
-    graphs = [rec.graph for rec in records]
-    external = None
-    if args.strategy == "external":
-        if not args.scores:
-            raise _UsageError("strategy 'external' needs --scores")
-        external = load_external_scores(args.scores, [g.n_atoms for g in graphs])
-    plan_fn = build_plan_fn(args.strategy, config, external_scores=external)
-
+    external = _external_scores(args, [args.strategy], records)
     kind = args.target
     if kind not in TARGET_KINDS:
         raise _UsageError(f"unknown target kind {kind!r}")
-    vocab, embeddings, codebook, logits = _load_target_resources(args, records)
-    if kind == "motif" and vocab is None:
-        vocab = _self_vocab(records)
-    if kind == "vq_code" and (embeddings is None or codebook is None):
+    resources = TargetResources(**_target_resources(args, records, [kind]))
+    if kind == "vq_code" and (resources.embeddings is None or resources.codebook is None):
         raise _UsageError("target 'vq_code' needs --embeddings and --codebook")
-    if kind == "argmax_token" and logits is None:
+    if kind == "argmax_token" and resources.logits is None:
         raise _UsageError("target 'argmax_token' needs --logits")
+    partitions = None if resources.motifs is None else [m.partition for m in resources.motifs]
+    plan_fn = build_plan_fn(args.strategy, config, external_scores=external, partitions=partitions)
 
-    graph_pos = {id(g): i for i, g in enumerate(graphs)}
-
-    def target_fn(graph, plan):
-        pos = graph_pos[id(graph)]
-        if kind == "atom_type":
-            assignment = atom_type_targets(graph, plan)
-        elif kind == "motif":
-            assignment = motif_targets(graph, decompose(graph), plan, vocab)
-        elif kind == "argmax_token":
-            assignment = argmax_targets(graph, plan, logits[pos])
-        else:
-            assignment = vq_targets(graph, plan, embeddings[pos], codebook)
-        return assignment.kind, list(assignment.labels)
+    def target_fn(graph, graph_index, plan):
+        _, labels = resources.view_targets(kind, graph_index, graph, plan)
+        return kind, list(labels)
 
     path = _out_path(args, "views.jsonl")
     lines = export_views(
-        graphs, plan_fn, target_fn, path,
+        [rec.graph for rec in records], plan_fn, target_fn, path,
         draws_per_graph=args.draws_per_graph, seed=args.seed,
     )
     print(f"wrote {lines} views to {path}")

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyCounts, EmptySupport
-from .masking import PlanFn
+from .masking import DrawFn, PlanFn
 from .molgraph import MolGraph
 
 DEFAULT_TAUS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001)
@@ -24,7 +25,6 @@ DEFAULT_TAUS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001)
 class JointCounts:
     """Contingency counts N(x, y) for an integer label X and binary Y."""
 
-    x_space: str = ""
     counts: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
@@ -41,20 +41,9 @@ class JointCounts:
             self.add(x, y)
         return self
 
-    def merge(self, other: "JointCounts") -> "JointCounts":
-        """Sum two count tables; commutative, so fan-out order is moot."""
-        if self.x_space and other.x_space and self.x_space != other.x_space:
-            raise ValueError(
-                f"cannot merge label spaces {self.x_space!r} and {other.x_space!r}"
-            )
-        merged = JointCounts(x_space=self.x_space or other.x_space, counts=dict(self.counts))
-        for key, value in other.counts.items():
-            merged.counts[key] = merged.counts.get(key, 0) + value
-        return merged
-
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]], x_space: str = "") -> "JointCounts":
-        return cls(x_space=x_space).accumulate(pairs)
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "JointCounts":
+        return cls().accumulate(pairs)
 
     def table(self) -> tuple[list[int], np.ndarray]:
         """Sorted distinct x labels and the (|X|, 2) count matrix."""
@@ -110,6 +99,7 @@ class SampledMi:
     std: float
     per_repeat: tuple[float, ...]
     n_pairs: int
+    h_y: float
 
 
 def sample_pairs_for_graph(
@@ -117,7 +107,7 @@ def sample_pairs_for_graph(
     graph_index: int,
     labels: Sequence[int],
     y: int,
-    plan_fn: PlanFn,
+    draw: DrawFn,
     repeats: int,
     seed: int,
     samples_per_graph: Optional[int] = None,
@@ -128,8 +118,9 @@ def sample_pairs_for_graph(
     The generator for (repeat r, graph g) is derived from the seed by
     value, never by schedule, so any partitioning of the corpus across
     workers reproduces the same samples.  One sample = one fresh mask
-    plan from which a single masked atom is picked uniformly, so samples
-    follow the strategy's true inclusion marginal.
+    plan from ``draw`` (this graph's rng -> MaskPlan function) from which
+    a single masked atom is picked uniformly, so samples follow the
+    strategy's true inclusion marginal.
     """
     budget = graph.n_atoms if samples_per_graph is None else samples_per_graph
     out: list[list[tuple[int, int]]] = []
@@ -140,7 +131,7 @@ def sample_pairs_for_graph(
         taken: set[int] = set()
         pairs: list[tuple[int, int]] = []
         for _ in range(budget):
-            atom = _draw_atom(graph, graph_index, plan_fn, rng, taken if unique_nodes else None)
+            atom = _draw_atom(graph, draw, rng, taken if unique_nodes else None)
             if atom is None:
                 break
             if unique_nodes:
@@ -148,6 +139,32 @@ def sample_pairs_for_graph(
             pairs.append((labels[atom], y))
         out.append(pairs)
     return out
+
+
+def repeat_mi(
+    per_graph: Iterable[Sequence[Sequence[tuple[int, int]]]], repeats: int
+) -> SampledMi:
+    """Pool sampled pairs into one joint table per repeat and summarize.
+
+    ``per_graph`` yields, for each graph, its pairs of every repeat (as
+    returned by sample_pairs_for_graph).  Pooling is a commutative count
+    sum, so the order graphs arrive in is moot.  The spread over repeats
+    is the sample standard deviation; n_pairs and h_y describe repeat 0.
+    """
+    if repeats < 1:
+        raise ValueError("sampled MI needs at least one repeat")
+    per_repeat = [JointCounts() for _ in range(repeats)]
+    for repeat_pairs in per_graph:
+        for joint, pairs in zip(per_repeat, repeat_pairs):
+            joint.accumulate(pairs)
+    estimates = [mutual_information(joint) for joint in per_repeat]
+    return SampledMi(
+        mean=float(np.mean(estimates)),
+        std=float(np.std(estimates, ddof=1)) if repeats > 1 else 0.0,
+        per_repeat=tuple(estimates),
+        n_pairs=per_repeat[0].total,
+        h_y=entropy_y(per_repeat[0]),
+    )
 
 
 def sampled_mi(
@@ -159,48 +176,37 @@ def sampled_mi(
     seed: int = 0,
     samples_per_graph: Optional[int] = None,
     unique_nodes: bool = False,
-    x_space: str = "",
 ) -> SampledMi:
     """Estimate MI by sampling atoms under a masking strategy.
 
     Each repeat draws, for every graph, ``samples_per_graph`` atoms
     (default: the graph's atom count).  Draws are independent (with
     replacement); unique_nodes=True instead rejects already-sampled
-    atoms, falling back to an unsampled atom after 100 tries.  The
-    spread over repeats is the sample standard deviation.
+    atoms, falling back to an unsampled atom after 100 tries.
     """
     if not (len(graphs) == len(labels_by_graph) == len(y_by_graph)):
         raise ValueError("graphs, labels, and y must align")
-    per_repeat_joint = [JointCounts(x_space=x_space) for _ in range(repeats)]
-    for g, graph in enumerate(graphs):
-        repeat_pairs = sample_pairs_for_graph(
-            graph, g, labels_by_graph[g], y_by_graph[g], plan_fn,
-            repeats, seed, samples_per_graph, unique_nodes,
-        )
-        for r, pairs in enumerate(repeat_pairs):
-            per_repeat_joint[r].accumulate(pairs)
-    estimates = [mutual_information(joint) for joint in per_repeat_joint]
-    mean = float(np.mean(estimates))
-    std = float(np.std(estimates, ddof=1)) if repeats > 1 else 0.0
-    return SampledMi(
-        mean=mean,
-        std=std,
-        per_repeat=tuple(estimates),
-        n_pairs=per_repeat_joint[0].total if per_repeat_joint else 0,
+    return repeat_mi(
+        (
+            sample_pairs_for_graph(
+                graph, g, labels_by_graph[g], y_by_graph[g], partial(plan_fn, graph, g),
+                repeats, seed, samples_per_graph, unique_nodes,
+            )
+            for g, graph in enumerate(graphs)
+        ),
+        repeats,
     )
 
 
 def _draw_atom(
     graph: MolGraph,
-    graph_index: int,
-    plan_fn: PlanFn,
+    draw: DrawFn,
     rng: np.random.Generator,
     exclude: Optional[set[int]],
 ) -> Optional[int]:
     """One atom from one fresh mask plan; uniform among the plan's atoms."""
     for _ in range(100):
-        plan = plan_fn(graph, graph_index, rng)
-        atoms = plan.masked_atoms
+        atoms = draw(rng).masked_atoms
         pick = atoms[int(rng.integers(len(atoms)))]
         if exclude is None or pick not in exclude:
             return pick
@@ -312,7 +318,6 @@ def shuffle_control(
     pairs: Sequence[tuple[int, int]],
     repeats: int = 5,
     seed: int = 0,
-    x_space: str = "",
 ) -> ShuffleResult:
     """Permute the unit labels across the corpus, keeping Y fixed, and
     recompute MI.  What survives is finite-sample bias, not signal."""
@@ -324,7 +329,7 @@ def shuffle_control(
     for r in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         perm = rng.permutation(len(xs))
-        joint = JointCounts(x_space=x_space)
+        joint = JointCounts()
         for i, y in enumerate(ys):
             joint.add(xs[int(perm[i])], y)
         estimates.append(mutual_information(joint))

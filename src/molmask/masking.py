@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -36,7 +37,6 @@ class MaskConfig:
     epoch: Optional[int] = None
     max_epoch: int = 100
     intra_motif_fraction: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.ratio <= 1.0):
@@ -76,7 +76,6 @@ class MaskPlan:
     masked_atoms: tuple[int, ...]
     strategy: str
     masked_motifs: tuple[int, ...] = ()
-    config: Optional[MaskConfig] = None
 
     def __post_init__(self):
         if list(self.masked_atoms) != sorted(set(self.masked_atoms)):
@@ -123,7 +122,6 @@ def uniform_mask(graph: MolGraph, config: MaskConfig, rng: np.random.Generator) 
     return MaskPlan(
         masked_atoms=tuple(sorted(int(i) for i in chosen)),
         strategy="uniform",
-        config=config,
     )
 
 
@@ -153,7 +151,6 @@ def perturbed_topk(
     return MaskPlan(
         masked_atoms=tuple(sorted(int(i) for i in masked)),
         strategy=scores.source,
-        config=config,
     )
 
 
@@ -190,7 +187,6 @@ def moama_mask(
         masked_atoms=tuple(atoms),
         strategy="moama",
         masked_motifs=tuple(sorted(selected)),
-        config=config,
     )
 
 
@@ -222,7 +218,6 @@ def motifpred_mask(
         masked_atoms=tuple(sorted(masked)),
         strategy="motifpred",
         masked_motifs=tuple(sorted(selected)),
-        config=config,
     )
 
 
@@ -256,44 +251,73 @@ def apply_mask(graph: MolGraph, plan: MaskPlan) -> MaskedGraph:
     )
 
 
+DrawFn = Callable[[np.random.Generator], MaskPlan]
 PlanFn = Callable[[MolGraph, int, np.random.Generator], MaskPlan]
+
+
+def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., DrawFn]:
+    """Resolve a strategy name once, into a per-graph binder.
+
+    The binder takes (graph, scores=None, partition=None) and returns the
+    graph's rng -> MaskPlan draw function.  Per-graph work (PageRank, and
+    the motif partition unless supplied) happens at bind time, not per
+    draw.  'external' reads the supplied scores and raises ValueError
+    without them.  This is the one place where strategy names are told
+    apart.
+    """
+    if strategy == "uniform":
+        def bind(graph, scores=None, partition=None):
+            return partial(uniform_mask, graph, config)
+    elif strategy == "pagerank":
+        def bind(graph, scores=None, partition=None):
+            return partial(perturbed_topk, graph, pagerank(graph), config)
+    elif strategy == "external":
+        def bind(graph, scores=None, partition=None):
+            if scores is None:
+                raise ValueError("external strategy needs loaded scores")
+            return partial(perturbed_topk, graph, scores, config)
+    elif strategy == "moama":
+        def bind(graph, scores=None, partition=None):
+            if partition is None:
+                partition = decompose(graph)
+            adjacency = motif_adjacency(graph, partition)
+            return partial(moama_mask, graph, partition, adjacency, config)
+    elif strategy == "motifpred":
+        def bind(graph, scores=None, partition=None):
+            if partition is None:
+                partition = decompose(graph)
+            return partial(motifpred_mask, graph, partition, config)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    return bind
 
 
 def build_plan_fn(
     strategy: str,
     config: MaskConfig,
     external_scores: Optional[Sequence[NodeScores]] = None,
+    partitions: Optional[Sequence[MotifPartition]] = None,
 ) -> PlanFn:
     """Wire a strategy name to a (graph, graph_index, rng) -> MaskPlan
-    closure, computing per-graph scores and partitions lazily."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    score_cache: dict[int, NodeScores] = {}
-    part_cache: dict[int, tuple[MotifPartition, tuple[tuple[int, ...], ...]]] = {}
+    function.  Per-graph inputs are keyed by graph_index; each graph is
+    bound once, on its first draw."""
+    bind = bind_strategy(strategy, config)
+    draws: dict[int, DrawFn] = {}
 
     def plan(graph: MolGraph, graph_index: int, rng: np.random.Generator) -> MaskPlan:
-        if strategy == "uniform":
-            return uniform_mask(graph, config, rng)
-        if strategy == "pagerank":
-            if graph_index not in score_cache:
-                score_cache[graph_index] = pagerank(graph)
-            return perturbed_topk(graph, score_cache[graph_index], config, rng)
-        if strategy == "external":
-            if external_scores is None:
-                raise ValueError("external strategy needs loaded scores")
-            return perturbed_topk(graph, external_scores[graph_index], config, rng)
-        if graph_index not in part_cache:
-            partition = decompose(graph)
-            part_cache[graph_index] = (partition, motif_adjacency(graph, partition))
-        partition, adjacency = part_cache[graph_index]
-        if strategy == "moama":
-            return moama_mask(graph, partition, adjacency, config, rng)
-        return motifpred_mask(graph, partition, config, rng)
+        draw = draws.get(graph_index)
+        if draw is None:
+            draw = draws[graph_index] = bind(
+                graph,
+                None if external_scores is None else external_scores[graph_index],
+                None if partitions is None else partitions[graph_index],
+            )
+        return draw(rng)
 
     return plan
 
 
-TargetFn = Callable[[MolGraph, MaskPlan], tuple[str, list[int]]]
+TargetFn = Callable[[MolGraph, int, MaskPlan], tuple[str, list[int]]]
 
 
 def export_views(
@@ -316,7 +340,7 @@ def export_views(
             for draw in range(draws_per_graph):
                 rng = substream(seed, graph_index, draw)
                 plan = plan_fn(graph, graph_index, rng)
-                target_type, targets = target_fn(graph, plan)
+                target_type, targets = target_fn(graph, graph_index, plan)
                 record = {
                     "smiles": graph.source_smiles,
                     "masked_atoms": list(plan.masked_atoms),

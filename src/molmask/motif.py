@@ -284,14 +284,20 @@ def motif_signatures(graph: MolGraph, partition: MotifPartition | None = None) -
 
 
 def build_vocab(graphs: Iterable[MolGraph]) -> MotifVocab:
-    """Count motif signatures over a corpus and assign dense ids.
+    """Count motif signatures over a corpus and assign dense ids."""
+    return vocab_from_signatures(motif_signatures(graph) for graph in graphs)
+
+
+def vocab_from_signatures(signature_lists: Iterable[Iterable[str]]) -> MotifVocab:
+    """Count already computed motif signatures (one list per graph) and
+    assign dense ids.
 
     Ids go to frequent signatures first; equal counts order by signature
     string, so any corpus ordering yields the same vocabulary.
     """
     counts: dict[str, int] = {}
-    for graph in graphs:
-        for sig in motif_signatures(graph):
+    for sigs in signature_lists:
+        for sig in sigs:
             counts[sig] = counts.get(sig, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     ids = {sig: i for i, (sig, _) in enumerate(ranked)}

@@ -88,14 +88,6 @@ def pagerank(
     )
 
 
-def degree_scores(graph: MolGraph) -> NodeScores:
-    """Plain degree per atom; useful as a cheap guidance signal."""
-    return NodeScores(
-        values=tuple(float(graph.degree(i)) for i in range(graph.n_atoms)),
-        source="degree",
-    )
-
-
 def load_external_scores(path: str | Path, atom_counts: Sequence[int]) -> list[NodeScores]:
     """Load per-atom scores from a CSV file, one row per graph.
 

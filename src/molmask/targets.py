@@ -2,8 +2,10 @@
 
 Four target families: raw atom types, motif vocabulary ids, argmax
 tokens from externally supplied logits, and nearest-codebook (vector
-quantized) codes from externally supplied embeddings.  Whole-graph
-label helpers double as the enumeration path for exact analyses.
+quantized) codes from externally supplied embeddings.  Every kind's
+labels come from TargetResources.unit_labels, built on the whole-graph
+label helpers; exact analyses count all units, masked views select the
+hidden ones.
 """
 
 from __future__ import annotations
@@ -11,14 +13,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, ShapeMismatch
+from .errors import DataError, DimMismatch, ShapeMismatch
 from .masking import MaskPlan
 from .molgraph import MolGraph
-from .motif import MotifPartition, MotifVocab, canonical_signature
+from .motif import MotifPartition, MotifVocab, decompose, motif_signatures
 
 # Atom-type labels live in {0..118}: 0 unknown, 1..118 element numbers.
 ATOM_TYPE_SPACE = 119
@@ -54,16 +56,6 @@ def atom_labels(graph: MolGraph) -> list[int]:
     return [atom.atomic_number for atom in graph.atoms]
 
 
-def motif_labels(
-    graph: MolGraph, partition: MotifPartition, vocab: MotifVocab
-) -> list[int]:
-    """Vocabulary id of every motif; unknown signatures get the UNK id."""
-    return [
-        vocab.lookup(canonical_signature(graph, motif_atoms))
-        for motif_atoms in partition.motifs
-    ]
-
-
 def argmax_labels(logits: np.ndarray) -> list[int]:
     """Argmax token per row; ties resolve to the lower token index."""
     if logits.ndim != 2:
@@ -96,21 +88,99 @@ def vq_labels(
     return [int(i) for i in np.argmin(d2, axis=1)]
 
 
-def atom_type_targets(graph: MolGraph, plan: MaskPlan) -> TargetAssignment:
-    """Atomic-number labels of the masked atoms."""
-    labels = atom_labels(graph)
-    return TargetAssignment(
-        kind="atom_type",
-        unit_ids=plan.masked_atoms,
-        labels=tuple(labels[a] for a in plan.masked_atoms),
-        label_space=ATOM_TYPE_SPACE,
-    )
+@dataclass(frozen=True)
+class GraphMotifs:
+    """One graph's motif partition and the signature of each motif."""
+
+    partition: MotifPartition
+    signatures: tuple[str, ...]
+
+
+def graph_motifs(graph: MolGraph) -> GraphMotifs:
+    """Decompose a graph and sign each of its motifs."""
+    partition = decompose(graph)
+    return GraphMotifs(partition, tuple(motif_signatures(graph, partition)))
+
+
+def _atom_rows(
+    table: Optional[dict[int, np.ndarray]], what: str, pos: int, graph: MolGraph
+) -> np.ndarray:
+    """The per-atom rows of the graph at corpus position pos."""
+    if table is None:
+        raise DataError(f"these targets need per-atom {what}")
+    rows = table.get(pos)
+    if rows is None:
+        raise ShapeMismatch(f"no {what} for graph at corpus position {pos}")
+    if rows.ndim != 2 or rows.shape[0] != graph.n_atoms:
+        raise ShapeMismatch(
+            f"graph {pos}: {what} of shape {rows.shape} for {graph.n_atoms} atoms"
+        )
+    return rows
 
 
 def _plan_motifs(partition: MotifPartition, plan: MaskPlan) -> tuple[int, ...]:
     if plan.masked_motifs:
         return plan.masked_motifs
     return tuple(sorted({partition.motif_of[a] for a in plan.masked_atoms}))
+
+
+@dataclass(frozen=True)
+class TargetResources:
+    """What target labels are read from, besides the graph itself.
+
+    Per-graph entries are keyed by corpus position: ``motifs`` holds one
+    graph_motifs result per graph, ``embeddings`` and ``logits`` are as
+    load_embeddings returns them.
+    """
+
+    vocab: Optional[MotifVocab] = None
+    motifs: Optional[Sequence[GraphMotifs]] = None
+    embeddings: Optional[dict[int, np.ndarray]] = None
+    codebook: Optional[np.ndarray] = None
+    logits: Optional[dict[int, np.ndarray]] = None
+    vq_normalize: bool = False
+
+    def unit_labels(self, kind: str, pos: int, graph: MolGraph) -> list[int]:
+        """Label of every unit of the graph at corpus position ``pos``.
+
+        Units are atoms, or motifs for kind 'motif'; motifs outside the
+        vocabulary get its UNK id.  Raises DataError when the kind's
+        resources are absent and ShapeMismatch when the graph's rows are
+        missing or do not match its atom count.
+        """
+        if kind == "atom_type":
+            return atom_labels(graph)
+        if kind == "motif":
+            if self.vocab is None or self.motifs is None:
+                raise DataError("motif targets need a vocabulary and the corpus motifs")
+            return [self.vocab.lookup(sig) for sig in self.motifs[pos].signatures]
+        if kind == "argmax_token":
+            return argmax_labels(_atom_rows(self.logits, "logits", pos, graph))
+        if kind == "vq_code":
+            if self.codebook is None:
+                raise DataError("vq_code targets need a codebook")
+            rows = _atom_rows(self.embeddings, "embeddings", pos, graph)
+            return vq_labels(rows, self.codebook, normalize=self.vq_normalize)
+        raise DataError(f"unknown target kind {kind!r}")
+
+    def view_targets(
+        self, kind: str, pos: int, graph: MolGraph, plan: MaskPlan
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(unit ids, labels) of what a plan hides: its masked atoms, or
+        for kind 'motif' its masked motifs (derived from the masked atoms
+        when the plan names none)."""
+        labels = self.unit_labels(kind, pos, graph)
+        if kind == "motif":
+            units = _plan_motifs(self.motifs[pos].partition, plan)
+        else:
+            units = plan.masked_atoms
+        return units, tuple(labels[u] for u in units)
+
+
+def atom_type_targets(graph: MolGraph, plan: MaskPlan) -> TargetAssignment:
+    """Atomic-number labels of the masked atoms."""
+    units, labels = TargetResources().view_targets("atom_type", 0, graph, plan)
+    return TargetAssignment("atom_type", units, labels, ATOM_TYPE_SPACE)
 
 
 def motif_targets(
@@ -125,32 +195,19 @@ def motif_targets(
     (vocab.size) and are tallied in unknown_count; analyses exclude UNK
     from information measures but report the tally.
     """
-    motif_ids = _plan_motifs(partition, plan)
-    labels = [
-        vocab.lookup(canonical_signature(graph, partition.motifs[m])) for m in motif_ids
-    ]
+    motifs = GraphMotifs(partition, tuple(motif_signatures(graph, partition)))
+    resources = TargetResources(vocab=vocab, motifs=(motifs,))
+    units, labels = resources.view_targets("motif", 0, graph, plan)
     return TargetAssignment(
-        kind="motif",
-        unit_ids=motif_ids,
-        labels=tuple(labels),
-        label_space=vocab.size + 1,
-        unknown_count=sum(1 for lab in labels if lab == vocab.unk_id),
+        "motif", units, labels, vocab.size + 1, unknown_count=labels.count(vocab.unk_id)
     )
 
 
 def argmax_targets(graph: MolGraph, plan: MaskPlan, logits: np.ndarray) -> TargetAssignment:
     """Argmax-token labels of the masked atoms, from per-atom logits."""
-    if logits.ndim != 2 or logits.shape[0] != graph.n_atoms:
-        raise ShapeMismatch(
-            f"logits must be (n_atoms={graph.n_atoms}, tokens), got {logits.shape}"
-        )
-    labels = argmax_labels(logits)
-    return TargetAssignment(
-        kind="argmax_token",
-        unit_ids=plan.masked_atoms,
-        labels=tuple(labels[a] for a in plan.masked_atoms),
-        label_space=logits.shape[1],
-    )
+    resources = TargetResources(logits={0: logits})
+    units, labels = resources.view_targets("argmax_token", 0, graph, plan)
+    return TargetAssignment("argmax_token", units, labels, logits.shape[1])
 
 
 def vq_targets(
@@ -161,17 +218,11 @@ def vq_targets(
     normalize: bool = False,
 ) -> TargetAssignment:
     """Vector-quantized code labels of the masked atoms."""
-    if embeddings.ndim != 2 or embeddings.shape[0] != graph.n_atoms:
-        raise ShapeMismatch(
-            f"embeddings must be (n_atoms={graph.n_atoms}, dim), got {embeddings.shape}"
-        )
-    labels = vq_labels(embeddings, codebook, normalize=normalize)
-    return TargetAssignment(
-        kind="vq_code",
-        unit_ids=plan.masked_atoms,
-        labels=tuple(labels[a] for a in plan.masked_atoms),
-        label_space=codebook.shape[0],
+    resources = TargetResources(
+        embeddings={0: embeddings}, codebook=codebook, vq_normalize=normalize
     )
+    units, labels = resources.view_targets("vq_code", 0, graph, plan)
+    return TargetAssignment("vq_code", units, labels, codebook.shape[0])
 
 
 def load_codebook(path: str | Path) -> np.ndarray:

@@ -14,12 +14,10 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
-
-import numpy as np
 
 from ._version import __version__
 from .errors import DataError, MissingColumn, ParseError, ShapeMismatch
@@ -30,14 +28,15 @@ from .infotheory import (
     jsd_curve,
     mutual_information,
     relative_gain,
+    repeat_mi,
     sample_pairs_for_graph,
     shuffle_control,
 )
-from .masking import MaskConfig, MaskPlan, perturbed_topk, moama_mask, motifpred_mask, uniform_mask
-from .molgraph import LabeledRecord, MolGraph, parse_smiles
-from .motif import MotifVocab, coverage, decompose, motif_adjacency, motif_signatures
-from .scoring import NodeScores, pagerank
-from .targets import argmax_labels, atom_labels, vq_labels
+from .masking import MaskConfig, bind_strategy
+from .molgraph import LabeledRecord, parse_smiles
+from .motif import MotifVocab, coverage
+from .scoring import NodeScores
+from .targets import TargetResources, atom_labels, graph_motifs
 
 MI_COLUMNS = (
     "dataset", "target_kind", "strategy", "mi_bits", "h_y_bits",
@@ -187,109 +186,70 @@ def ingest(manifest: DatasetManifest, workers: int = 1) -> tuple[list[LabeledRec
     return records, stats
 
 
+def _usable_positions(records: Sequence[LabeledRecord]) -> tuple[list[int], dict[str, int]]:
+    """Corpus positions of the records usable for label analyses, and
+    what was skipped: graphs with a missing active-task label and
+    single-atom graphs."""
+    kept = []
+    skipped = {"missing_label": 0, "singleton": 0}
+    for pos, record in enumerate(records):
+        if record.label is None:
+            skipped["missing_label"] += 1
+        elif record.graph.is_singleton:
+            skipped["singleton"] += 1
+        else:
+            kept.append(pos)
+    return kept, skipped
+
+
 def analysis_records(records: Sequence[LabeledRecord]) -> tuple[list[LabeledRecord], dict[str, int]]:
     """Keep records usable for label analyses; count what was skipped.
 
     Skips graphs with a missing active-task label and single-atom
     graphs.
     """
-    kept = []
-    skipped = {"missing_label": 0, "singleton": 0}
-    for record in records:
-        if record.label is None:
-            skipped["missing_label"] += 1
-        elif record.graph.is_singleton:
-            skipped["singleton"] += 1
-        else:
-            kept.append(record)
-    return kept, skipped
+    positions, skipped = _usable_positions(records)
+    return [records[pos] for pos in positions], skipped
 
 
 def exact_joint_counts(
     records: Sequence[LabeledRecord],
     kind: str,
     *,
-    vocab: Optional[MotifVocab] = None,
-    embeddings: Optional[dict[int, np.ndarray]] = None,
-    codebook: Optional[np.ndarray] = None,
-    logits: Optional[dict[int, np.ndarray]] = None,
-    vq_normalize: bool = False,
     workers: int = 1,
+    **resources,
 ) -> tuple[JointCounts, dict[str, int]]:
     """Enumerate every unit of every usable graph into joint counts.
 
     Units are atoms for atom_type / argmax_token / vq_code and motifs
     for motif.  Motifs outside the vocabulary are excluded from the
-    counts and tallied under 'excluded_unk'.  External resources
-    (embeddings, logits) are keyed by position in ``records``.
+    counts and tallied under 'excluded_unk'.  ``resources`` are
+    TargetResources fields (vocab, motifs, embeddings, codebook, logits,
+    vq_normalize), per-graph ones keyed by position in ``records``;
+    without ``motifs``, a motif count first decomposes and signs every
+    graph, fanned out over ``workers`` processes.
     """
-    usable, skipped = analysis_records(records)
-    # Positions in the original record list, for resource lookup.
-    positions = {id(rec): i for i, rec in enumerate(records)}
-    extras = dict(skipped)
+    target = TargetResources(**resources)
+    positions, extras = _usable_positions(records)
     extras["excluded_unk"] = 0
-
+    unk = None
     if kind == "motif":
-        if vocab is None:
+        if target.vocab is None:
             raise DataError("motif analysis needs a vocabulary")
-        sig_lists = parallel_map(motif_signatures, [rec.graph for rec in usable], workers)
-        joint = JointCounts(x_space=f"motif[{vocab.size + 1}]")
-        for record, sigs in zip(usable, sig_lists):
-            y = record.label
-            for sig in sigs:
-                label = vocab.lookup(sig)
-                if label == vocab.unk_id:
-                    extras["excluded_unk"] += 1
-                    continue
-                joint.add(label, y)
-        return joint, extras
-
-    if kind == "atom_type":
-        joint = JointCounts(x_space="atom_type[119]")
-        for record in usable:
-            y = record.label
-            for z in atom_labels(record.graph):
-                joint.add(z, y)
-        return joint, extras
-
-    if kind == "argmax_token":
-        if logits is None:
-            raise DataError("argmax_token analysis needs per-atom logits")
-        space = None
-        joint = JointCounts()
-        for record in usable:
-            pos = positions[id(record)]
-            if pos not in logits:
-                raise ShapeMismatch(f"no logits for graph at corpus position {pos}")
-            rows = logits[pos]
-            if rows.shape[0] != record.graph.n_atoms:
-                raise ShapeMismatch(
-                    f"graph {pos}: {rows.shape[0]} logit rows for {record.graph.n_atoms} atoms"
-                )
-            space = rows.shape[1] if space is None else space
-            for token in argmax_labels(rows):
-                joint.add(token, record.label)
-        joint.x_space = f"argmax_token[{space or 0}]"
-        return joint, extras
-
-    if kind == "vq_code":
-        if embeddings is None or codebook is None:
-            raise DataError("vq_code analysis needs embeddings and a codebook")
-        joint = JointCounts(x_space=f"vq_code[{codebook.shape[0]}]")
-        for record in usable:
-            pos = positions[id(record)]
-            if pos not in embeddings:
-                raise ShapeMismatch(f"no embeddings for graph at corpus position {pos}")
-            rows = embeddings[pos]
-            if rows.shape[0] != record.graph.n_atoms:
-                raise ShapeMismatch(
-                    f"graph {pos}: {rows.shape[0]} embedding rows for {record.graph.n_atoms} atoms"
-                )
-            for code in vq_labels(rows, codebook, normalize=vq_normalize):
-                joint.add(code, record.label)
-        return joint, extras
-
-    raise DataError(f"unknown target kind {kind!r}")
+        if target.motifs is None:
+            target = replace(
+                target, motifs=parallel_map(graph_motifs, [rec.graph for rec in records], workers)
+            )
+        unk = target.vocab.unk_id
+    joint = JointCounts()
+    for pos in positions:
+        record = records[pos]
+        for label in target.unit_labels(kind, pos, record.graph):
+            if label == unk:
+                extras["excluded_unk"] += 1
+            else:
+                joint.add(label, record.label)
+    return joint, extras
 
 
 def run_mi_analysis(
@@ -299,23 +259,18 @@ def run_mi_analysis(
     dataset_name: str,
     seed: int = 0,
     workers: int = 1,
-    vocab: Optional[MotifVocab] = None,
-    embeddings: Optional[dict[int, np.ndarray]] = None,
-    codebook: Optional[np.ndarray] = None,
-    logits: Optional[dict[int, np.ndarray]] = None,
-    vq_normalize: bool = False,
+    **resources,
 ) -> AnalysisReport:
-    """Exact MI of each target kind against the graph label."""
+    """Exact MI of each target kind against the graph label.
+
+    ``resources`` are TargetResources fields, as for exact_joint_counts.
+    """
     chash = config_hash(
         {"analysis": "mi", "dataset": dataset_name, "kinds": list(kinds), "seed": seed}
     )
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for kind in kinds:
-        joint, _ = exact_joint_counts(
-            records, kind, vocab=vocab, embeddings=embeddings,
-            codebook=codebook, logits=logits, vq_normalize=vq_normalize,
-            workers=workers,
-        )
+        joint, _ = exact_joint_counts(records, kind, workers=workers, **resources)
         mi = mutual_information(joint)
         h_y = entropy_y(joint)
         report.rows.append((
@@ -334,13 +289,10 @@ def run_jsd_analysis(
     taus: Sequence[float] = DEFAULT_TAUS,
     seed: int = 0,
     workers: int = 1,
-    vocab: Optional[MotifVocab] = None,
-    embeddings: Optional[dict[int, np.ndarray]] = None,
-    codebook: Optional[np.ndarray] = None,
-    logits: Optional[dict[int, np.ndarray]] = None,
-    vq_normalize: bool = False,
+    **resources,
 ) -> AnalysisReport:
-    """Low-frequency JSD curves of each target kind."""
+    """Low-frequency JSD curves of each target kind; ``resources`` as
+    for run_mi_analysis."""
     chash = config_hash(
         {
             "analysis": "jsd", "dataset": dataset_name, "kinds": list(kinds),
@@ -349,11 +301,7 @@ def run_jsd_analysis(
     )
     report = AnalysisReport(kind="jsd", columns=JSD_COLUMNS)
     for kind in kinds:
-        joint, _ = exact_joint_counts(
-            records, kind, vocab=vocab, embeddings=embeddings,
-            codebook=codebook, logits=logits, vq_normalize=vq_normalize,
-            workers=workers,
-        )
+        joint, _ = exact_joint_counts(records, kind, workers=workers, **resources)
         curve = jsd_curve(joint, taus)
         for tau, value, kept, ok in zip(curve.taus, curve.values, curve.labels_kept, curve.defined):
             report.rows.append((
@@ -363,7 +311,7 @@ def run_jsd_analysis(
     return report
 
 
-def _mask_sim_worker(
+def _sample_graph(
     task: tuple,
     strategy: str,
     config: MaskConfig,
@@ -378,27 +326,10 @@ def _mask_sim_worker(
     processes freely; determinism comes from value-keyed substreams
     inside sample_pairs_for_graph.
     """
-    graph, graph_index, labels, y, scores_row = task
-    if strategy == "uniform":
-        def plan_fn(g: MolGraph, gi: int, rng) -> MaskPlan:
-            return uniform_mask(g, config, rng)
-    elif strategy in ("pagerank", "external"):
-        scores = pagerank(graph) if strategy == "pagerank" else scores_row
-        def plan_fn(g: MolGraph, gi: int, rng) -> MaskPlan:
-            return perturbed_topk(g, scores, config, rng)
-    elif strategy == "moama":
-        partition = decompose(graph)
-        adjacency = motif_adjacency(graph, partition)
-        def plan_fn(g: MolGraph, gi: int, rng) -> MaskPlan:
-            return moama_mask(g, partition, adjacency, config, rng)
-    elif strategy == "motifpred":
-        partition = decompose(graph)
-        def plan_fn(g: MolGraph, gi: int, rng) -> MaskPlan:
-            return motifpred_mask(g, partition, config, rng)
-    else:
-        raise DataError(f"unknown strategy {strategy!r}")
+    graph, graph_index, labels, y, scores = task
+    draw = bind_strategy(strategy, config)(graph, scores)
     return sample_pairs_for_graph(
-        graph, graph_index, labels, y, plan_fn,
+        graph, graph_index, labels, y, draw,
         repeats, seed, samples_per_graph, unique_nodes,
     )
 
@@ -422,7 +353,7 @@ def run_mask_sim(
     rows report the across-repeat mean and sample standard deviation.
     External scores are keyed by position in ``records``.
     """
-    usable, _ = analysis_records(records)
+    positions, _ = _usable_positions(records)
     chash = config_hash(
         {
             "analysis": "mask_sim", "dataset": dataset_name,
@@ -433,36 +364,25 @@ def run_mask_sim(
             "samples_per_graph": samples_per_graph, "unique_nodes": unique_nodes,
         }
     )
-    positions = {id(rec): i for i, rec in enumerate(records)}
-    tasks = []
-    for g, record in enumerate(usable):
-        scores_row = None
-        if external_scores is not None:
-            scores_row = external_scores[positions[id(record)]]
-        tasks.append((record.graph, g, atom_labels(record.graph), record.label, scores_row))
-
+    tasks = [
+        (
+            records[pos].graph, g, atom_labels(records[pos].graph), records[pos].label,
+            None if external_scores is None else external_scores[pos],
+        )
+        for g, pos in enumerate(positions)
+    ]
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for strategy in strategies:
-        if strategy == "external" and external_scores is None:
-            raise DataError("external strategy needs a score file")
         worker = partial(
-            _mask_sim_worker,
+            _sample_graph,
             strategy=strategy, config=config, repeats=repeats, seed=seed,
             samples_per_graph=samples_per_graph, unique_nodes=unique_nodes,
         )
-        results = parallel_map(worker, tasks, workers)
-        per_repeat = [JointCounts(x_space="atom_type[119]") for _ in range(repeats)]
-        for repeat_pairs in results:
-            for r, pairs in enumerate(repeat_pairs):
-                per_repeat[r].accumulate(pairs)
-        estimates = [mutual_information(joint) for joint in per_repeat]
-        mean = float(np.mean(estimates))
-        std = float(np.std(estimates, ddof=1)) if repeats > 1 else 0.0
-        h_y = entropy_y(per_repeat[0])
+        sampled = repeat_mi(parallel_map(worker, tasks, workers), repeats)
         report.rows.append((
             dataset_name, "atom_type", strategy,
-            mean, h_y, relative_gain(mean, h_y), per_repeat[0].total,
-            mean, std, __version__, seed, chash,
+            sampled.mean, sampled.h_y, relative_gain(sampled.mean, sampled.h_y),
+            sampled.n_pairs, sampled.mean, sampled.std, __version__, seed, chash,
         ))
     return report
 
@@ -475,29 +395,23 @@ def run_shuffle_control(
     repeats: int = 5,
     seed: int = 0,
     workers: int = 1,
-    vocab: Optional[MotifVocab] = None,
-    embeddings: Optional[dict[int, np.ndarray]] = None,
-    codebook: Optional[np.ndarray] = None,
-    logits: Optional[dict[int, np.ndarray]] = None,
-    vq_normalize: bool = False,
+    **resources,
 ) -> AnalysisReport:
-    """Original MI next to its label-shuffled control."""
+    """Original MI next to its label-shuffled control; ``resources`` as
+    for run_mi_analysis."""
     chash = config_hash(
         {
             "analysis": "shuffle", "dataset": dataset_name, "kind": kind,
             "repeats": repeats, "seed": seed,
         }
     )
-    joint, _ = exact_joint_counts(
-        records, kind, vocab=vocab, embeddings=embeddings, codebook=codebook,
-        logits=logits, vq_normalize=vq_normalize, workers=workers,
-    )
+    joint, _ = exact_joint_counts(records, kind, workers=workers, **resources)
     pairs = [
         (x, y) for (x, y), n in sorted(joint.counts.items()) for _ in range(n)
     ]
     mi = mutual_information(joint)
     h_y = entropy_y(joint)
-    shuffled = shuffle_control(pairs, repeats=repeats, seed=seed, x_space=joint.x_space)
+    shuffled = shuffle_control(pairs, repeats=repeats, seed=seed)
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     report.rows.append((
         dataset_name, kind, "exact",

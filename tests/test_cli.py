@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,19 @@ class TestAnalysisCommands:
 
 
 class TestExportViews:
+    def test_logits_missing_a_graph_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "two.csv"
+        corpus.write_text("smiles\nCCO\nc1ccccc1\n")
+        logits = tmp_path / "logits.csv"
+        logits.write_text("0,0,1.0,0.0\n0,1,0.0,1.0\n0,2,1.0,0.0\n")
+        code = run([
+            "export-views", "--input", corpus, "--strategy", "uniform",
+            "--target", "argmax_token", "--logits", logits,
+            "--output", tmp_path / "views.jsonl",
+        ])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_atom_type_views(self, cli_corpus, tmp_path, capsys):
         out = tmp_path / "views.jsonl"
         code = run([
@@ -221,3 +235,23 @@ class TestPlot:
 
     def test_missing_report(self, tmp_path, capsys):
         assert run(["plot", "--report", tmp_path / "none.csv"]) == 2
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("mi.csv", ["mi", "--label-col", "activity", "--targets", "atom_type,motif"]),
+    ("jsd.csv", ["jsd", "--label-col", "activity"]),
+    ("shuffle.csv", ["shuffle-control", "--label-col", "activity", "--target", "motif"]),
+    ("mask_sim.csv", ["mask-sim", "--label-col", "activity",
+                      "--strategies", "uniform,pagerank,moama,motifpred", "--repeats", "2"]),
+    ("views.jsonl", ["export-views", "--strategy", "moama", "--target", "motif",
+                     "--draws-per-graph", "2"]),
+])
+def test_golden_bytes(name, argv, tmp_path, capsys):
+    """Report bytes on the demo corpus match the committed reference files."""
+    out = tmp_path / name
+    assert run(["--workers", "1", *argv, "--input", DEMO_CORPUS, "--output", out]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -136,19 +136,6 @@ class TestJointCounts:
         with pytest.raises(ValueError):
             JointCounts().add(3, 2)
 
-    def test_merge_commutative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            a = counts_from_matrix(rng.integers(0, 9, size=(4, 2)))
-            b = counts_from_matrix(rng.integers(0, 9, size=(6, 2)))
-            assert a.merge(b).counts == b.merge(a).counts
-
-    def test_merge_space_mismatch(self):
-        a = JointCounts(x_space="atom_type")
-        b = JointCounts(x_space="motif")
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_table_layout(self):
         joint = JointCounts.from_pairs([(5, 1), (2, 0), (5, 1), (2, 1)])
         xs, mat = joint.table()

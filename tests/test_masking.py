@@ -365,7 +365,7 @@ class TestViews:
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1", "CC(C)O")]
         plan_fn = build_plan_fn("uniform", MaskConfig(ratio=0.34))
 
-        def target_fn(graph, plan):
+        def target_fn(graph, graph_index, plan):
             return "atom_type", [graph.atoms[i].atomic_number for i in plan.masked_atoms]
 
         path = tmp_path / "views.jsonl"
@@ -385,7 +385,7 @@ class TestViews:
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1")]
         plan_fn = build_plan_fn("motifpred", MaskConfig(ratio=0.3))
 
-        def target_fn(graph, plan):
+        def target_fn(graph, graph_index, plan):
             return "atom_type", [graph.atoms[i].atomic_number for i in plan.masked_atoms]
 
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

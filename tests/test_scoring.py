@@ -1,4 +1,4 @@
-"""Node scoring: PageRank against a dense solve, degree, external files."""
+"""Node scoring: PageRank against a dense solve, external files."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from molmask import (
     NonFiniteScore,
     ShapeMismatch,
-    degree_scores,
     load_external_scores,
     pagerank,
     parse_smiles,
@@ -82,13 +81,6 @@ class TestPagerank:
     def test_alpha_zero_is_uniform(self):
         arr = pagerank(parse_smiles("CC(C)O"), alpha=0.0).as_array()
         np.testing.assert_allclose(arr, np.full(4, 0.25), atol=1e-12)
-
-
-class TestDegreeScores:
-    def test_values(self):
-        g = parse_smiles("CC(C)(C)C")
-        assert degree_scores(g).values == (1.0, 4.0, 1.0, 1.0, 1.0)
-        assert degree_scores(g).source == "degree"
 
 
 class TestExternalScores:
