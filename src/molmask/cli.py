@@ -69,7 +69,8 @@ def _add_mask_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--strategy", default="uniform", choices=STRATEGIES)
     sub.add_argument("--ratio", type=float, default=0.15, help="mask ratio gamma")
     sub.add_argument("--beta", type=float, default=None,
-                     help="candidate bonus (default 0.25 pagerank, 0.5 external)")
+                     help="candidate bonus of the scored strategies "
+                          "(default 0.25 for pagerank, 0.5 for external)")
     sub.add_argument("--epoch", type=int, default=None, help="annealing epoch i (default: final)")
     sub.add_argument("--max-epoch", type=int, default=100, help="annealing horizon E")
     sub.add_argument("--intra-frac", type=float, default=0.5,
@@ -77,13 +78,10 @@ def _add_mask_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scores", default="", help="external per-atom score CSV")
 
 
-def _mask_config(args, strategy: str) -> MaskConfig:
-    beta = args.beta
-    if beta is None:
-        beta = 0.5 if strategy == "external" else 0.25
+def _mask_config(args) -> MaskConfig:
     return MaskConfig(
         ratio=args.ratio,
-        beta=beta,
+        beta=args.beta,
         epoch=args.epoch,
         max_epoch=args.max_epoch,
         intra_motif_fraction=args.intra_frac,
@@ -218,7 +216,7 @@ def cmd_mask_sim(args) -> int:
     if not manifest.task_columns:
         raise _UsageError("mask-sim needs --label-col")
     strategies = _split_list(args.strategies, STRATEGIES, "strategy")
-    config = _mask_config(args, strategies[0])
+    config = _mask_config(args)
     external = _external_scores(args, strategies, records)
     report = run_mask_sim(
         records, strategies, config,
@@ -282,7 +280,7 @@ def cmd_shuffle_control(args) -> int:
 
 def cmd_export_views(args) -> int:
     manifest, records, _ = _ingest_for_analysis(args)
-    config = _mask_config(args, args.strategy)
+    config = _mask_config(args)
     external = _external_scores(args, [args.strategy], records)
     kind = args.target
     if kind not in TARGET_KINDS:

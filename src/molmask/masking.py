@@ -29,11 +29,12 @@ class MaskConfig:
     """Knobs shared by every masking strategy.
 
     epoch=None means the final epoch, where the annealed candidate ratio
-    equals the target ratio exactly.
+    equals the target ratio exactly.  beta=None means the strategy's own
+    default bonus (see bind_strategy).
     """
 
     ratio: float = 0.15
-    beta: float = 0.25
+    beta: Optional[float] = None
     epoch: Optional[int] = None
     max_epoch: int = 100
     intra_motif_fraction: float = 0.5
@@ -41,7 +42,7 @@ class MaskConfig:
     def __post_init__(self):
         if not (0.0 < self.ratio <= 1.0):
             raise ValueError("mask ratio must lie in (0, 1]")
-        if self.beta < 0.0:
+        if self.beta is not None and self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
         if self.max_epoch < 1:
             raise ValueError("max_epoch must be at least 1")
@@ -142,6 +143,8 @@ def perturbed_topk(
     n = graph.n_atoms
     if len(scores) != n:
         raise OutOfRangeIndex(f"scores cover {len(scores)} atoms, graph has {n}")
+    if config.beta is None:
+        raise ValueError("perturbed_topk needs an explicit beta")
     k_final = mask_count(config.ratio, n)
     k_candidates = mask_count(config.annealed_ratio, n)
     candidates = _topk_by_score(scores.as_array(), k_candidates)
@@ -262,16 +265,21 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., DrawFn]:
     graph's rng -> MaskPlan draw function.  Per-graph work (PageRank, and
     the motif partition unless supplied) happens at bind time, not per
     draw.  'external' reads the supplied scores and raises ValueError
-    without them.  This is the one place where strategy names are told
+    without them.  Without an explicit beta, pagerank uses 0.25 and
+    external 0.5.  This is the one place where strategy names are told
     apart.
     """
     if strategy == "uniform":
         def bind(graph, scores=None, partition=None):
             return partial(uniform_mask, graph, config)
     elif strategy == "pagerank":
+        config = _beta_default(config, 0.25)
+
         def bind(graph, scores=None, partition=None):
             return partial(perturbed_topk, graph, pagerank(graph), config)
     elif strategy == "external":
+        config = _beta_default(config, 0.5)
+
         def bind(graph, scores=None, partition=None):
             if scores is None:
                 raise ValueError("external strategy needs loaded scores")
@@ -290,6 +298,10 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., DrawFn]:
     else:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     return bind
+
+
+def _beta_default(config: MaskConfig, beta: float) -> MaskConfig:
+    return config if config.beta is not None else replace(config, beta=beta)
 
 
 def build_plan_fn(

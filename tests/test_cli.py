@@ -142,6 +142,34 @@ class TestAnalysisCommands:
         ])
         assert code == 1
 
+    def test_mask_sim_beta_default_is_per_strategy(self, tmp_path, capsys):
+        corpus = tmp_path / "beta.csv"
+        corpus.write_text(
+            "smiles,activity\nCCO,0\nc1ccccc1O,1\nCC(C)CC,0\nc1ccncc1C,1\nCCCCO,0\nOC1CCCCC1,1\n"
+        )
+        scores = tmp_path / "scores.csv"
+        scores.write_text("".join(
+            ",".join(str((i * 7 + a * 3) % 5) for a in range(n)) + "\n"
+            for i, n in enumerate((3, 7, 5, 7, 5, 7))
+        ))
+
+        def external_row(strategies, *extra):
+            out = tmp_path / "sim.csv"
+            assert run([
+                "mask-sim", "--input", corpus, "--label-col", "activity",
+                "--strategies", strategies, "--repeats", "3", "--scores", scores,
+                *extra, "--output", out,
+            ]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            (row,) = [r for r in rows if r[2] == "external"]
+            return row[3], row[8]  # mi_bits, seed_std
+
+        default = external_row("external")
+        assert external_row("uniform,external") == default
+        explicit = external_row("external", "--beta", "10")
+        assert external_row("uniform,external", "--beta", "10") == explicit
+        assert explicit != default
+
     def test_shuffle_control(self, cli_corpus, tmp_path, capsys):
         out = tmp_path / "shuffle.csv"
         code = run([
