@@ -144,21 +144,18 @@ def _target_resources(args, records, kinds: Sequence[str]) -> dict:
     records; without --vocab, the same pass builds the vocabulary.
     """
     vocab = load_vocab_tsv(args.vocab) if args.vocab else None
-    resources = dict(
-        embeddings=load_embeddings(args.embeddings) if args.embeddings else None,
-        codebook=load_codebook(args.codebook) if args.codebook else None,
-        logits=load_embeddings(args.logits) if args.logits else None,
-        vq_normalize=getattr(args, "vq_normalize", False),
-        motifs=None,
-    )
+    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
+    codebook = load_codebook(args.codebook) if args.codebook else None
+    logits = load_embeddings(args.logits) if args.logits else None
+    motifs = None
     if "motif" in kinds:
-        resources["motifs"] = parallel_map(
-            graph_motifs, [rec.graph for rec in records], args.workers
-        )
+        motifs = parallel_map(graph_motifs, [rec.graph for rec in records], args.workers)
         if vocab is None:
-            vocab = vocab_from_signatures(m.signatures for m in resources["motifs"])
-    resources["vocab"] = vocab
-    return resources
+            vocab = vocab_from_signatures(m.signatures for m in motifs)
+    return dict(
+        vocab=vocab, motifs=motifs, embeddings=embeddings, codebook=codebook,
+        logits=logits, vq_normalize=getattr(args, "vq_normalize", False),
+    )
 
 
 def cmd_parse_check(args) -> int:
