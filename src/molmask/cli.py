@@ -78,14 +78,27 @@ def _add_mask_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scores", default="", help="external per-atom score CSV")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _mask_config(args) -> MaskConfig:
-    return MaskConfig(
-        ratio=args.ratio,
-        beta=args.beta,
-        epoch=args.epoch,
-        max_epoch=args.max_epoch,
-        intra_motif_fraction=args.intra_frac,
-    )
+    try:
+        return MaskConfig(
+            ratio=args.ratio,
+            beta=args.beta,
+            epoch=args.epoch,
+            max_epoch=args.max_epoch,
+            intra_motif_fraction=args.intra_frac,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _manifest(args) -> DatasetManifest:
@@ -351,7 +364,7 @@ def build_parser() -> _Parser:
     _add_dataset_flags(sub)
     _add_mask_flags(sub)
     sub.add_argument("--strategies", default="uniform", help="comma-separated strategy list")
-    sub.add_argument("--repeats", type=int, default=5)
+    sub.add_argument("--repeats", type=_positive_int, default=5)
     sub.add_argument("--output", default="")
     sub.set_defaults(func=cmd_mask_sim)
 
@@ -381,7 +394,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("shuffle-control", help="MI against a label-shuffled control")
     _add_dataset_flags(sub)
     sub.add_argument("--target", default="motif", help="one target kind")
-    sub.add_argument("--repeats", type=int, default=5)
+    sub.add_argument("--repeats", type=_positive_int, default=5)
     sub.add_argument("--vocab", default="")
     sub.add_argument("--embeddings", default="")
     sub.add_argument("--codebook", default="")
@@ -394,7 +407,7 @@ def build_parser() -> _Parser:
     _add_dataset_flags(sub)
     _add_mask_flags(sub)
     sub.add_argument("--target", default="atom_type", help="target kind for the views")
-    sub.add_argument("--draws-per-graph", type=int, default=1)
+    sub.add_argument("--draws-per-graph", type=_positive_int, default=1)
     sub.add_argument("--vocab", default="")
     sub.add_argument("--embeddings", default="")
     sub.add_argument("--codebook", default="")

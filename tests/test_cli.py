@@ -265,6 +265,38 @@ class TestPlot:
         assert run(["plot", "--report", tmp_path / "none.csv"]) == 2
 
 
+@pytest.mark.parametrize("command", ["mask-sim", "export-views"])
+@pytest.mark.parametrize("flag, value", [
+    ("--ratio", "0"),
+    ("--beta", "-1"),
+    ("--epoch", "0"),
+    ("--max-epoch", "0"),
+    ("--intra-frac", "0"),
+])
+def test_bad_mask_flag_is_usage_error(command, flag, value, cli_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command, "--input", cli_corpus, "--label-col", "activity",
+                flag, value, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("mask-sim", "--repeats", "0"),
+    ("shuffle-control", "--repeats", "0"),
+    ("export-views", "--draws-per-graph", "0"),
+    ("export-views", "--draws-per-graph", "-1"),
+])
+def test_count_flag_below_one_is_usage_error(command, flag, value, cli_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command, "--input", cli_corpus, "--label-col", "activity",
+                flag, value, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
 
