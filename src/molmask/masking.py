@@ -22,6 +22,7 @@ from .motif import MotifPartition, decompose, motif_adjacency
 from .scoring import NodeScores, pagerank
 
 STRATEGIES = ("uniform", "pagerank", "external", "moama", "motifpred")
+MOTIF_STRATEGIES = ("moama", "motifpred")
 
 
 @dataclass(frozen=True)

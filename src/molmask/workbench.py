@@ -32,9 +32,9 @@ from .infotheory import (
     sample_pairs_for_graph,
     shuffle_control,
 )
-from .masking import MaskConfig, bind_strategy
+from .masking import MOTIF_STRATEGIES, MaskConfig, bind_strategy
 from .molgraph import LabeledRecord, parse_smiles
-from .motif import MotifVocab, coverage
+from .motif import MotifVocab, coverage, decompose
 from .scoring import NodeScores
 from .targets import TargetResources, atom_labels, graph_motifs
 
@@ -313,25 +313,30 @@ def run_jsd_analysis(
 
 def _sample_graph(
     task: tuple,
-    strategy: str,
+    strategies: Sequence[str],
     config: MaskConfig,
     repeats: int,
     seed: int,
     samples_per_graph: Optional[int],
     unique_nodes: bool,
-) -> list[list[tuple[int, int]]]:
-    """Sample one graph's pairs under one strategy, for every repeat.
+) -> list[list[list[tuple[int, int]]]]:
+    """Sample one graph's pairs under every strategy, for every repeat.
 
     Self-contained per graph so the corpus can be partitioned across
     processes freely; determinism comes from value-keyed substreams
-    inside sample_pairs_for_graph.
+    inside sample_pairs_for_graph.  The graph is decomposed at most
+    once, and the motif strategies share its partition.
     """
     graph, graph_index, labels, y, scores = task
-    draw = bind_strategy(strategy, config)(graph, scores)
-    return sample_pairs_for_graph(
-        graph, graph_index, labels, y, draw,
-        repeats, seed, samples_per_graph, unique_nodes,
-    )
+    partition = decompose(graph) if set(strategies) & set(MOTIF_STRATEGIES) else None
+    return [
+        sample_pairs_for_graph(
+            graph, graph_index, labels, y,
+            bind_strategy(strategy, config)(graph, scores, partition),
+            repeats, seed, samples_per_graph, unique_nodes,
+        )
+        for strategy in strategies
+    ]
 
 
 def run_mask_sim(
@@ -351,7 +356,8 @@ def run_mask_sim(
 
     Per repeat and graph, as many atoms are sampled as the graph has;
     rows report the across-repeat mean and sample standard deviation.
-    External scores are keyed by position in ``records``.
+    The corpus fans out once, one task per graph covering every
+    strategy.  External scores are keyed by position in ``records``.
     """
     positions, _ = _usable_positions(records)
     chash = config_hash(
@@ -371,14 +377,15 @@ def run_mask_sim(
         )
         for g, pos in enumerate(positions)
     ]
+    worker = partial(
+        _sample_graph,
+        strategies=tuple(strategies), config=config, repeats=repeats, seed=seed,
+        samples_per_graph=samples_per_graph, unique_nodes=unique_nodes,
+    )
+    per_graph = parallel_map(worker, tasks, workers)
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
-    for strategy in strategies:
-        worker = partial(
-            _sample_graph,
-            strategy=strategy, config=config, repeats=repeats, seed=seed,
-            samples_per_graph=samples_per_graph, unique_nodes=unique_nodes,
-        )
-        sampled = repeat_mi(parallel_map(worker, tasks, workers), repeats)
+    for s, strategy in enumerate(strategies):
+        sampled = repeat_mi((pairs[s] for pairs in per_graph), repeats)
         report.rows.append((
             dataset_name, "atom_type", strategy,
             sampled.mean, sampled.h_y, relative_gain(sampled.mean, sampled.h_y),

@@ -309,6 +309,8 @@ DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_
                       "--strategies", "uniform,pagerank,moama,motifpred", "--repeats", "2"]),
     ("views.jsonl", ["export-views", "--strategy", "moama", "--target", "motif",
                      "--draws-per-graph", "2"]),
+    ("views_pagerank.jsonl", ["export-views", "--strategy", "pagerank", "--target", "atom_type",
+                              "--draws-per-graph", "2"]),
 ])
 def test_golden_bytes(name, argv, tmp_path, capsys):
     """Report bytes on the demo corpus match the committed reference files."""
