@@ -8,14 +8,14 @@ out in bits.  The 0 * log 0 convention is 0 throughout.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyCounts, EmptySupport
-from .masking import DrawFn, PlanFn
+from .masking import BatchDraw, PlanFn
 from .molgraph import MolGraph
 
 DEFAULT_TAUS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001)
@@ -37,8 +37,8 @@ class JointCounts:
         self.counts[(x, y)] = self.counts.get((x, y), 0) + weight
 
     def accumulate(self, pairs: Iterable[tuple[int, int]]) -> "JointCounts":
-        for x, y in pairs:
-            self.add(x, y)
+        for (x, y), n in Counter(pairs).items():
+            self.add(x, y, n)
         return self
 
     @classmethod
@@ -107,7 +107,7 @@ def sample_pairs_for_graph(
     graph_index: int,
     labels: Sequence[int],
     y: int,
-    draw: DrawFn,
+    draw: BatchDraw,
     repeats: int,
     seed: int,
     samples_per_graph: Optional[int] = None,
@@ -117,10 +117,11 @@ def sample_pairs_for_graph(
 
     The generator for (repeat r, graph g) is derived from the seed by
     value, never by schedule, so any partitioning of the corpus across
-    workers reproduces the same samples.  One sample = one fresh mask
-    plan from ``draw`` (this graph's rng -> MaskPlan function) from which
-    a single masked atom is picked uniformly, so samples follow the
-    strategy's true inclusion marginal.
+    workers reproduces the same samples.  Each (repeat, graph) cell
+    draws its masks as one batch from ``draw`` (the graph's
+    BoundStrategy.draw) and picks one masked atom per mask, uniformly,
+    so samples follow the strategy's true inclusion marginal.  One
+    sample = one mask.
     """
     budget = graph.n_atoms if samples_per_graph is None else samples_per_graph
     out: list[list[tuple[int, int]]] = []
@@ -128,17 +129,44 @@ def sample_pairs_for_graph(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(r, graph_index))
         )
-        taken: set[int] = set()
-        pairs: list[tuple[int, int]] = []
-        for _ in range(budget):
-            atom = _draw_atom(graph, draw, rng, taken if unique_nodes else None)
-            if atom is None:
-                break
-            if unique_nodes:
-                taken.add(atom)
-            pairs.append((labels[atom], y))
-        out.append(pairs)
+        if unique_nodes:
+            atoms = _unique_atoms(draw, rng, budget, graph.n_atoms)
+        else:
+            atoms = _pick_atoms(draw(rng, budget), rng)
+        out.append([(labels[a], y) for a in atoms])
     return out
+
+
+def _pick_atoms(masks: list[list[int]], rng: np.random.Generator) -> list[int]:
+    """One atom per mask, uniform among the mask's atoms."""
+    return [mask[int(u * len(mask))] for mask, u in zip(masks, rng.random(len(masks)).tolist())]
+
+
+def _unique_atoms(
+    draw: BatchDraw, rng: np.random.Generator, budget: int, n_atoms: int
+) -> list[int]:
+    """Up to ``budget`` distinct atoms.
+
+    Each sample takes the next pick (one atom of one fresh mask) that is
+    not yet taken, trying at most 100 picks; after that it takes an
+    untaken atom uniformly.  Picks come in batches of ``budget`` masks.
+    Once every atom is taken, sampling stops.
+    """
+    fallback = rng.random(budget).tolist()
+    taken: dict[int, None] = {}  # insertion-ordered set
+    picks: list[int] = []
+    for j in range(min(budget, n_atoms)):
+        for _ in range(100):
+            if not picks:
+                picks = _pick_atoms(draw(rng, budget), rng)[::-1]
+            atom = picks.pop()
+            if atom not in taken:
+                break
+        else:
+            remaining = [a for a in range(n_atoms) if a not in taken]
+            atom = remaining[int(fallback[j] * len(remaining))]
+        taken[atom] = None
+    return list(taken)
 
 
 def repeat_mi(
@@ -179,7 +207,7 @@ def sampled_mi(
 ) -> SampledMi:
     """Estimate MI by sampling atoms under a masking strategy.
 
-    Each repeat draws, for every graph, ``samples_per_graph`` atoms
+    ``plan_fn`` comes from build_plan_fn.  Each repeat draws, for every graph, ``samples_per_graph`` atoms
     (default: the graph's atom count).  Draws are independent (with
     replacement); unique_nodes=True instead rejects already-sampled
     atoms, falling back to an unsampled atom after 100 tries.
@@ -189,32 +217,13 @@ def sampled_mi(
     return repeat_mi(
         (
             sample_pairs_for_graph(
-                graph, g, labels_by_graph[g], y_by_graph[g], partial(plan_fn, graph, g),
+                graph, g, labels_by_graph[g], y_by_graph[g], plan_fn.bound(graph, g).draw,
                 repeats, seed, samples_per_graph, unique_nodes,
             )
             for g, graph in enumerate(graphs)
         ),
         repeats,
     )
-
-
-def _draw_atom(
-    graph: MolGraph,
-    draw: DrawFn,
-    rng: np.random.Generator,
-    exclude: Optional[set[int]],
-) -> Optional[int]:
-    """One atom from one fresh mask plan; uniform among the plan's atoms."""
-    for _ in range(100):
-        atoms = draw(rng).masked_atoms
-        pick = atoms[int(rng.integers(len(atoms)))]
-        if exclude is None or pick not in exclude:
-            return pick
-    if exclude is not None:
-        remaining = [a for a in range(graph.n_atoms) if a not in exclude]
-        if remaining:
-            return remaining[int(rng.integers(len(remaining)))]
-    return None
 
 
 def low_freq_conditionals(

@@ -3,6 +3,11 @@
 All strategies draw from numpy Generators handed in by the caller; the
 ``substream`` helper derives a per-(graph, draw) generator from one base
 seed so results never depend on scheduling or worker count.
+
+Each strategy has one batch draw: it returns m independent masks of a
+graph and takes its randomness in a fixed number of Generator calls,
+whatever m is.  The public per-plan functions (uniform_mask,
+perturbed_topk, moama_mask, motifpred_mask) are that draw at m = 1.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -109,22 +114,114 @@ def substream(seed: int, graph_index: int, draw_index: int = 0) -> np.random.Gen
     )
 
 
-def _topk_by_score(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores; ties go to the lower atom index."""
-    n = len(scores)
-    order = np.lexsort((np.arange(n), -scores))
-    return order[:k]
+BatchDraw = Callable[[np.random.Generator, int], list[list[int]]]
+"""(rng, m) -> m independent masks of one graph, each a sorted list of
+distinct atom indices."""
+
+
+def _top_rows(keys: np.ndarray, k: int) -> list[list[int]]:
+    """The k largest keys of each row, as sorted atom lists; ties go to
+    the lower atom index."""
+    order = (-keys).argsort(axis=1, kind="stable")
+    return [sorted(row) for row in order[:, :k].tolist()]
+
+
+def _uniform_draw(graph: MolGraph, config: MaskConfig) -> BatchDraw:
+    n = graph.n_atoms
+    k = mask_count(config.ratio, n)
+    return lambda rng, m: _top_rows(rng.random((m, n)), k)
+
+
+def _perturbed_topk_draw(graph: MolGraph, scores: NodeScores, config: MaskConfig) -> BatchDraw:
+    n = graph.n_atoms
+    if len(scores) != n:
+        raise OutOfRangeIndex(f"scores cover {len(scores)} atoms, graph has {n}")
+    if config.beta is None:
+        raise ValueError("perturbed_topk needs an explicit beta")
+    k_final = mask_count(config.ratio, n)
+    order = (-scores.as_array()).argsort(kind="stable")
+    bonus = np.zeros(n)
+    bonus[order[: mask_count(config.annealed_ratio, n)]] = config.beta
+    return lambda rng, m: _top_rows(rng.random((m, n)) + bonus, k_final)
+
+
+def _moama_draw(
+    graph: MolGraph,
+    partition: MotifPartition,
+    adjacency: Sequence[Sequence[int]],
+    config: MaskConfig,
+) -> BatchDraw:
+    k = mask_count(config.ratio, graph.n_atoms)
+    n_motifs = partition.n_motifs
+    motifs = partition.motifs
+
+    def draw(rng: np.random.Generator, m: int) -> list[list[int]]:
+        # Each step evicts the picked motif from the pool, so a mask
+        # takes at most n_motifs numbers.
+        masks = []
+        for picks in rng.random((m, n_motifs)).tolist():
+            pool = list(range(n_motifs))
+            atoms: list[int] = []
+            for u in picks:
+                motif = pool[int(u * len(pool))]
+                if atoms and len(atoms) + len(motifs[motif]) > k:
+                    break
+                atoms += motifs[motif]
+                near = adjacency[motif]
+                pool = [p for p in pool if p != motif and p not in near]
+                if not pool:
+                    break
+            atoms.sort()
+            masks.append(atoms)
+        return masks
+
+    return draw
+
+
+def _motifpred_draw(graph: MolGraph, partition: MotifPartition, config: MaskConfig) -> BatchDraw:
+    n = graph.n_atoms
+    k = mask_count(config.ratio, n)
+    n_motifs = partition.n_motifs
+    motifs = partition.motifs
+    hidden = [math.ceil(config.intra_motif_fraction * len(atoms)) for atoms in motifs]
+
+    def draw(rng: np.random.Generator, m: int) -> list[list[int]]:
+        # One number per motif orders the pool; one key per atom picks
+        # the lowest-keyed atoms inside each selected motif.
+        masks = []
+        picks_by_mask = rng.random((m, n_motifs)).tolist()
+        keys_by_mask = rng.random((m, n)).tolist()
+        for picks, keys in zip(picks_by_mask, keys_by_mask):
+            pool = list(range(n_motifs))
+            atoms: list[int] = []
+            for u in picks:
+                motif = pool.pop(int(u * len(pool)))
+                atoms += sorted(motifs[motif], key=keys.__getitem__)[: hidden[motif]]
+                if len(atoms) >= k:
+                    break
+            atoms.sort()
+            masks.append(atoms)
+        return masks
+
+    return draw
+
+
+def _plan(
+    draw: BatchDraw,
+    rng: np.random.Generator,
+    strategy: str,
+    partition: Optional[MotifPartition] = None,
+) -> MaskPlan:
+    """One mask from a batch draw (m = 1) as a MaskPlan; motif strategies
+    list the motifs their masked atoms fall in."""
+    (atoms,) = draw(rng, 1)
+    motifs = () if partition is None else tuple(sorted({partition.motif_of[a] for a in atoms}))
+    return MaskPlan(masked_atoms=tuple(atoms), strategy=strategy, masked_motifs=motifs)
 
 
 def uniform_mask(graph: MolGraph, config: MaskConfig, rng: np.random.Generator) -> MaskPlan:
     """Mask k atoms chosen uniformly without replacement."""
-    n = graph.n_atoms
-    k = mask_count(config.ratio, n)
-    chosen = rng.choice(n, size=k, replace=False)
-    return MaskPlan(
-        masked_atoms=tuple(sorted(int(i) for i in chosen)),
-        strategy="uniform",
-    )
+    return _plan(_uniform_draw(graph, config), rng, "uniform")
 
 
 def perturbed_topk(
@@ -137,25 +234,12 @@ def perturbed_topk(
 
     An annealed candidate pool (the top k(gamma_i, n) scored atoms) gets
     a bonus beta added to fresh uniform noise; the final mask is the top
-    k(gamma, n) atoms of the perturbed noise.  With beta > 1 the mask is
-    a subset of the candidate pool whenever the pool is at least as
-    large as the mask.
+    k(gamma, n) atoms of the perturbed noise.  Tied scores, and tied
+    noise, go to the lower atom index.  With beta > 1 the mask is a
+    subset of the candidate pool whenever the pool is at least as large
+    as the mask.
     """
-    n = graph.n_atoms
-    if len(scores) != n:
-        raise OutOfRangeIndex(f"scores cover {len(scores)} atoms, graph has {n}")
-    if config.beta is None:
-        raise ValueError("perturbed_topk needs an explicit beta")
-    k_final = mask_count(config.ratio, n)
-    k_candidates = mask_count(config.annealed_ratio, n)
-    candidates = _topk_by_score(scores.as_array(), k_candidates)
-    noise = rng.random(n)
-    noise[candidates] += config.beta
-    masked = _topk_by_score(noise, k_final)
-    return MaskPlan(
-        masked_atoms=tuple(sorted(int(i) for i in masked)),
-        strategy=scores.source,
-    )
+    return _plan(_perturbed_topk_draw(graph, scores, config), rng, scores.source)
 
 
 def moama_mask(
@@ -173,25 +257,7 @@ def moama_mask(
     the atom budget k(gamma, n) would be exceeded, rather than trimming
     a motif down to fit.
     """
-    k = mask_count(config.ratio, graph.n_atoms)
-    pool = list(range(partition.n_motifs))
-    selected: list[int] = []
-    masked_total = 0
-    while pool:
-        m = pool[int(rng.integers(len(pool)))]
-        size = len(partition.motifs[m])
-        if selected and masked_total + size > k:
-            break
-        selected.append(m)
-        masked_total += size
-        banned = {m, *adjacency[m]}
-        pool = [p for p in pool if p not in banned]
-    atoms = sorted(a for m in selected for a in partition.motifs[m])
-    return MaskPlan(
-        masked_atoms=tuple(atoms),
-        strategy="moama",
-        masked_motifs=tuple(sorted(selected)),
-    )
+    return _plan(_moama_draw(graph, partition, adjacency, config), rng, "moama", partition)
 
 
 def motifpred_mask(
@@ -204,25 +270,10 @@ def motifpred_mask(
 
     Motifs are drawn uniformly without replacement until the masked-atom
     budget k(gamma, n) is met; each selected motif hides
-    ceil(intra_motif_fraction * |motif|) of its atoms.  The final motif
-    may overshoot the budget.
+    ceil(intra_motif_fraction * |motif|) of its atoms, chosen uniformly.
+    The final motif may overshoot the budget.
     """
-    k = mask_count(config.ratio, graph.n_atoms)
-    pool = list(range(partition.n_motifs))
-    selected: list[int] = []
-    masked: list[int] = []
-    while pool and len(masked) < k:
-        m = pool.pop(int(rng.integers(len(pool))))
-        selected.append(m)
-        motif_atoms = partition.motifs[m]
-        n_mask = math.ceil(config.intra_motif_fraction * len(motif_atoms))
-        picks = rng.choice(len(motif_atoms), size=n_mask, replace=False)
-        masked.extend(motif_atoms[int(p)] for p in picks)
-    return MaskPlan(
-        masked_atoms=tuple(sorted(masked)),
-        strategy="motifpred",
-        masked_motifs=tuple(sorted(selected)),
-    )
+    return _plan(_motifpred_draw(graph, partition, config), rng, "motifpred", partition)
 
 
 def apply_mask(graph: MolGraph, plan: MaskPlan) -> MaskedGraph:
@@ -255,54 +306,107 @@ def apply_mask(graph: MolGraph, plan: MaskPlan) -> MaskedGraph:
     )
 
 
-DrawFn = Callable[[np.random.Generator], MaskPlan]
-PlanFn = Callable[[MolGraph, int, np.random.Generator], MaskPlan]
+class BoundStrategy(NamedTuple):
+    """One strategy bound to one graph's inputs.
+
+    ``draw(rng, m)`` returns m independent masks as an (m, n_atoms) bool
+    matrix; ``plan(rng)`` returns one MaskPlan through the strategy's
+    public function.  Both run the same draw code.
+    """
+
+    draw: BatchDraw
+    plan: Callable[[np.random.Generator], MaskPlan]
 
 
-def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., DrawFn]:
+def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrategy]:
     """Resolve a strategy name once, into a per-graph binder.
 
     The binder takes (graph, scores=None, partition=None) and returns the
-    graph's rng -> MaskPlan draw function.  Per-graph work (PageRank, and
-    the motif partition unless supplied) happens at bind time, not per
-    draw.  'external' reads the supplied scores and raises ValueError
-    without them.  Without an explicit beta, pagerank uses 0.25 and
-    external 0.5.  This is the one place where strategy names are told
-    apart.
+    graph's BoundStrategy.  Per-graph work (PageRank, and the motif
+    partition unless supplied) happens at bind time, not per draw, and
+    each (repeat, graph) cell of a sampled-MI run takes all of its masks
+    from one ``draw`` call.  'external' reads the supplied scores and
+    raises ValueError without them.  Without an explicit beta, pagerank
+    uses 0.25 and external 0.5.  This is the one place where strategy
+    names are told apart.
     """
     if strategy == "uniform":
-        def bind(graph, scores=None, partition=None):
-            return partial(uniform_mask, graph, config)
+        make, single = _uniform_draw, uniform_mask
+
+        def inputs(graph, scores, partition):
+            return graph, config
     elif strategy == "pagerank":
         config = _beta_default(config, 0.25)
+        make, single = _perturbed_topk_draw, perturbed_topk
 
-        def bind(graph, scores=None, partition=None):
-            return partial(perturbed_topk, graph, pagerank(graph), config)
+        def inputs(graph, scores, partition):
+            return graph, pagerank(graph), config
     elif strategy == "external":
         config = _beta_default(config, 0.5)
+        make, single = _perturbed_topk_draw, perturbed_topk
 
-        def bind(graph, scores=None, partition=None):
+        def inputs(graph, scores, partition):
             if scores is None:
                 raise ValueError("external strategy needs loaded scores")
-            return partial(perturbed_topk, graph, scores, config)
+            return graph, scores, config
     elif strategy == "moama":
-        def bind(graph, scores=None, partition=None):
+        make, single = _moama_draw, moama_mask
+
+        def inputs(graph, scores, partition):
             if partition is None:
                 partition = decompose(graph)
-            adjacency = motif_adjacency(graph, partition)
-            return partial(moama_mask, graph, partition, adjacency, config)
+            return graph, partition, motif_adjacency(graph, partition), config
     elif strategy == "motifpred":
-        def bind(graph, scores=None, partition=None):
-            if partition is None:
-                partition = decompose(graph)
-            return partial(motifpred_mask, graph, partition, config)
+        make, single = _motifpred_draw, motifpred_mask
+
+        def inputs(graph, scores, partition):
+            return graph, decompose(graph) if partition is None else partition, config
     else:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+
+    def bind(graph, scores=None, partition=None):
+        args = inputs(graph, scores, partition)
+        return BoundStrategy(draw=make(*args), plan=partial(single, *args))
+
     return bind
 
 
 def _beta_default(config: MaskConfig, beta: float) -> MaskConfig:
     return config if config.beta is not None else replace(config, beta=beta)
+
+
+class PlanFn:
+    """A strategy wired to a corpus's per-graph inputs.
+
+    Called as (graph, graph_index, rng) -> MaskPlan.  Per-graph inputs
+    are keyed by graph_index, and each graph is bound once, on first
+    use; ``bound`` gives that binding.
+    """
+
+    def __init__(
+        self,
+        strategy: str,
+        config: MaskConfig,
+        external_scores: Optional[Sequence[NodeScores]] = None,
+        partitions: Optional[Sequence[MotifPartition]] = None,
+    ):
+        self._bind = bind_strategy(strategy, config)
+        self._scores = external_scores
+        self._partitions = partitions
+        self._bound: dict[int, BoundStrategy] = {}
+
+    def bound(self, graph: MolGraph, graph_index: int) -> BoundStrategy:
+        bound = self._bound.get(graph_index)
+        if bound is None:
+            bound = self._bound[graph_index] = self._bind(
+                graph,
+                None if self._scores is None else self._scores[graph_index],
+                None if self._partitions is None else self._partitions[graph_index],
+            )
+        return bound
+
+    def __call__(self, graph: MolGraph, graph_index: int, rng: np.random.Generator) -> MaskPlan:
+        return self.bound(graph, graph_index).plan(rng)
 
 
 def build_plan_fn(
@@ -311,23 +415,8 @@ def build_plan_fn(
     external_scores: Optional[Sequence[NodeScores]] = None,
     partitions: Optional[Sequence[MotifPartition]] = None,
 ) -> PlanFn:
-    """Wire a strategy name to a (graph, graph_index, rng) -> MaskPlan
-    function.  Per-graph inputs are keyed by graph_index; each graph is
-    bound once, on its first draw."""
-    bind = bind_strategy(strategy, config)
-    draws: dict[int, DrawFn] = {}
-
-    def plan(graph: MolGraph, graph_index: int, rng: np.random.Generator) -> MaskPlan:
-        draw = draws.get(graph_index)
-        if draw is None:
-            draw = draws[graph_index] = bind(
-                graph,
-                None if external_scores is None else external_scores[graph_index],
-                None if partitions is None else partitions[graph_index],
-            )
-        return draw(rng)
-
-    return plan
+    """Wire a strategy name to a PlanFn over a corpus."""
+    return PlanFn(strategy, config, external_scores, partitions)
 
 
 TargetFn = Callable[[MolGraph, int, MaskPlan], tuple[str, list[int]]]

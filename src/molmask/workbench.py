@@ -332,7 +332,7 @@ def _sample_graph(
     return [
         sample_pairs_for_graph(
             graph, graph_index, labels, y,
-            bind_strategy(strategy, config)(graph, scores, partition),
+            bind_strategy(strategy, config)(graph, scores, partition).draw,
             repeats, seed, samples_per_graph, unique_nodes,
         )
         for strategy in strategies

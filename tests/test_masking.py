@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from molmask import (
+    STRATEGIES,
     MaskConfig,
     NodeScores,
     OutOfRangeIndex,
@@ -16,14 +17,115 @@ from molmask import (
     moama_mask,
     motif_adjacency,
     motifpred_mask,
+    pagerank,
     parse_smiles,
     perturbed_topk,
     read_views,
     export_views,
+    sample_pairs_for_graph,
     substream,
     uniform_mask,
 )
+from molmask.masking import bind_strategy
 from molmask.molgraph import MASK_SENTINEL
+
+
+# Reference samplers: one mask per call, one Generator call per choice.
+# They are the per-draw implementations the batched draws replaced, kept
+# as oracles for the batched draws' distributions.
+
+def ref_uniform(graph, config, rng):
+    n = graph.n_atoms
+    return sorted(int(i) for i in rng.choice(n, size=mask_count(config.ratio, n), replace=False))
+
+
+def ref_perturbed_topk(graph, scores, config, rng):
+    n = graph.n_atoms
+    values = scores.as_array()
+    candidates = np.lexsort((np.arange(n), -values))[: mask_count(config.annealed_ratio, n)]
+    noise = rng.random(n)
+    noise[candidates] += config.beta
+    return sorted(int(i) for i in np.lexsort((np.arange(n), -noise))[: mask_count(config.ratio, n)])
+
+
+def ref_moama(graph, partition, adjacency, config, rng):
+    k = mask_count(config.ratio, graph.n_atoms)
+    pool = list(range(partition.n_motifs))
+    selected, masked_total = [], 0
+    while pool:
+        m = pool[int(rng.integers(len(pool)))]
+        size = len(partition.motifs[m])
+        if selected and masked_total + size > k:
+            break
+        selected.append(m)
+        masked_total += size
+        banned = {m, *adjacency[m]}
+        pool = [p for p in pool if p not in banned]
+    return sorted(a for m in selected for a in partition.motifs[m])
+
+
+def ref_motifpred(graph, partition, config, rng):
+    k = mask_count(config.ratio, graph.n_atoms)
+    pool = list(range(partition.n_motifs))
+    masked = []
+    while pool and len(masked) < k:
+        m = pool.pop(int(rng.integers(len(pool))))
+        atoms = partition.motifs[m]
+        n_mask = math.ceil(config.intra_motif_fraction * len(atoms))
+        masked.extend(atoms[int(p)] for p in rng.choice(len(atoms), size=n_mask, replace=False))
+    return sorted(masked)
+
+
+BATCH_CONFIG = MaskConfig(ratio=0.25, epoch=30, max_epoch=100, intra_motif_fraction=0.4)
+
+
+def tied_scores(graph):
+    """External scores with many ties, so the tie rule is exercised."""
+    return NodeScores(values=tuple(float(i * 7 % 3) for i in range(graph.n_atoms)), source="external")
+
+
+def reference_fn(strategy, graph):
+    """rng -> sorted atom list under the reference sampler."""
+    if strategy == "uniform":
+        return lambda rng: ref_uniform(graph, BATCH_CONFIG, rng)
+    if strategy in ("pagerank", "external"):
+        beta = 0.25 if strategy == "pagerank" else 0.5
+        scores = pagerank(graph) if strategy == "pagerank" else tied_scores(graph)
+        config = MaskConfig(**{**BATCH_CONFIG.__dict__, "beta": beta})
+        return lambda rng: ref_perturbed_topk(graph, scores, config, rng)
+    partition = decompose(graph)
+    if strategy == "moama":
+        adjacency = motif_adjacency(graph, partition)
+        return lambda rng: ref_moama(graph, partition, adjacency, BATCH_CONFIG, rng)
+    return lambda rng: ref_motifpred(graph, partition, BATCH_CONFIG, rng)
+
+
+def batch_draw(strategy, graph):
+    return bind_strategy(strategy, BATCH_CONFIG)(graph, tied_scores(graph)).draw
+
+
+class CountingRng:
+    """A Generator proxy that counts the calls made on it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class ConstantRng:
+    """Every uniform number is the same, so every key ties."""
+
+    def random(self, size):
+        return np.full(size, 0.5)
 
 
 class TestMaskCount:
@@ -270,6 +372,120 @@ class TestMotifpredMask:
         plan = motifpred_mask(g, partition, config, np.random.default_rng(6))
         expected = sorted(a for m in plan.masked_motifs for a in partition.motifs[m])
         assert list(plan.masked_atoms) == expected
+
+
+class TestBatchDraw:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_pick_frequencies_match_reference(self, strategy, fixture_graphs):
+        # Per-atom frequency of the sampled atom (one atom of one mask),
+        # batched sampler against the per-draw reference, within four
+        # binomial standard errors of the difference.
+        n_ref, n_batch = 3000, 30000
+        graphs = [g for g in fixture_graphs if decompose(g).n_motifs >= 2]
+        assert len(graphs) >= 5
+        for gi, graph in enumerate(graphs):
+            n = graph.n_atoms
+            pairs = sample_pairs_for_graph(
+                graph, gi, list(range(n)), 0, batch_draw(strategy, graph),
+                repeats=1, seed=11, samples_per_graph=n_batch,
+            )[0]
+            batch = np.bincount([x for x, _ in pairs], minlength=n) / n_batch
+            reference = reference_fn(strategy, graph)
+            rng = np.random.default_rng(gi)
+            hits = np.zeros(n)
+            for _ in range(n_ref):
+                atoms = reference(rng)
+                hits[atoms[int(rng.integers(len(atoms)))]] += 1
+            ref = hits / n_ref
+            p = (batch + ref) / 2
+            se = np.sqrt(p * (1 - p) * (1 / n_ref + 1 / n_batch))
+            assert np.all(np.abs(batch - ref) <= 4 * se + 1e-12), (
+                strategy, graph.source_smiles, batch, ref,
+            )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rows_sorted_unique_in_range(self, strategy, fixture_graphs):
+        for gi, graph in enumerate(fixture_graphs):
+            masks = batch_draw(strategy, graph)(np.random.default_rng(gi), 40)
+            assert len(masks) == 40
+            for atoms in masks:
+                assert atoms and atoms == sorted(set(atoms))
+                assert 0 <= atoms[0] and atoms[-1] < graph.n_atoms
+
+    @pytest.mark.parametrize("strategy", ["uniform", "pagerank", "external"])
+    def test_node_level_rows_have_exactly_k(self, strategy, fixture_graphs):
+        for gi, graph in enumerate(fixture_graphs):
+            k = mask_count(BATCH_CONFIG.ratio, graph.n_atoms)
+            masks = batch_draw(strategy, graph)(np.random.default_rng(gi), 40)
+            assert all(len(atoms) == k for atoms in masks)
+
+    def test_moama_rows_are_spaced_whole_motifs(self, fixture_graphs):
+        # The cyclopropane chain at ratio 0.6 fits several motifs per
+        # mask, so adjacency and budget both bind.
+        chain = parse_smiles("C1CC1CCC1CC1CCC1CC1CCC1CC1")
+        cases = [(g, BATCH_CONFIG) for g in fixture_graphs] + [(chain, MaskConfig(ratio=0.6))]
+        multi = 0
+        for gi, (graph, config) in enumerate(cases):
+            partition = decompose(graph)
+            adjacency = motif_adjacency(graph, partition)
+            k = mask_count(config.ratio, graph.n_atoms)
+            draw = bind_strategy("moama", config)(graph).draw
+            for atoms in draw(np.random.default_rng(gi), 40):
+                chosen = {partition.motif_of[a] for a in atoms}
+                assert atoms == sorted(a for m in chosen for a in partition.motifs[m])
+                for m in chosen:
+                    assert not (chosen - {m}) & set(adjacency[m])
+                if len(chosen) > 1:
+                    multi += 1
+                    assert len(atoms) <= k
+        assert multi >= 20
+
+    def test_motifpred_rows_hide_fixed_fraction(self, fixture_graphs):
+        for gi, graph in enumerate(fixture_graphs):
+            partition = decompose(graph)
+            k = mask_count(BATCH_CONFIG.ratio, graph.n_atoms)
+            hidden = [math.ceil(0.4 * len(atoms)) for atoms in partition.motifs]
+            for atoms in batch_draw("motifpred", graph)(np.random.default_rng(gi), 40):
+                per_motif = {}
+                for a in atoms:
+                    m = partition.motif_of[a]
+                    per_motif[m] = per_motif.get(m, 0) + 1
+                assert all(count == hidden[m] for m, count in per_motif.items())
+                if len(per_motif) < partition.n_motifs:
+                    assert len(atoms) >= k
+                assert len(atoms) - k < max(hidden[m] for m in per_motif)
+
+    def test_tied_scores_prefer_low_index_in_every_row(self):
+        g = parse_smiles("CCCCCCCCCC")
+        equal = NodeScores(values=(1.0,) * 10, source="external")
+        bind = bind_strategy("external", MaskConfig(ratio=0.3, beta=10.0))
+        masks = bind(g, equal).draw(np.random.default_rng(0), 50)
+        assert all(atoms == [0, 1, 2] for atoms in masks)
+        # Tied noise as well: every key equal.
+        for strategy in ("uniform", "external"):
+            masks = bind_strategy(strategy, MaskConfig(ratio=0.3))(g, equal).draw(ConstantRng(), 5)
+            assert all(atoms == [0, 1, 2] for atoms in masks), strategy
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_generator_calls_do_not_grow_with_batch(self, strategy, fixture_graphs):
+        graph = fixture_graphs[-6]  # CC(C)CC1=CC=C(C=C1)C(C)C(=O)O, four motifs
+        draw = batch_draw(strategy, graph)
+        calls = []
+        for m in (1, 7, 60):
+            rng = CountingRng(m)
+            draw(rng, m)
+            calls.append(rng.calls)
+        assert calls[0] == calls[1] == calls[2], calls
+
+    def test_plan_is_the_first_batch_row(self, fixture_graphs):
+        # The public per-plan functions draw through the batch draw at
+        # m = 1: same stream, same mask.
+        for strategy in STRATEGIES:
+            for gi, graph in enumerate(fixture_graphs):
+                bound = bind_strategy(strategy, BATCH_CONFIG)(graph, tied_scores(graph))
+                plan = bound.plan(substream(3, gi, 0))
+                (atoms,) = bound.draw(substream(3, gi, 0), 1)
+                assert list(plan.masked_atoms) == atoms
 
 
 class TestApplyMask:
