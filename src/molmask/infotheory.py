@@ -207,10 +207,11 @@ def sampled_mi(
 ) -> SampledMi:
     """Estimate MI by sampling atoms under a masking strategy.
 
-    ``plan_fn`` comes from build_plan_fn.  Each repeat draws, for every graph, ``samples_per_graph`` atoms
-    (default: the graph's atom count).  Draws are independent (with
-    replacement); unique_nodes=True instead rejects already-sampled
-    atoms, falling back to an unsampled atom after 100 tries.
+    ``plan_fn`` comes from build_plan_fn.  Each repeat draws, for every
+    graph, ``samples_per_graph`` atoms (default: the graph's atom
+    count).  Draws are independent (with replacement); unique_nodes=True
+    instead rejects already-sampled atoms, falling back to an unsampled
+    atom after 100 tries.
     """
     if not (len(graphs) == len(labels_by_graph) == len(y_by_graph)):
         raise ValueError("graphs, labels, and y must align")

@@ -309,9 +309,9 @@ def apply_mask(graph: MolGraph, plan: MaskPlan) -> MaskedGraph:
 class BoundStrategy(NamedTuple):
     """One strategy bound to one graph's inputs.
 
-    ``draw(rng, m)`` returns m independent masks as an (m, n_atoms) bool
-    matrix; ``plan(rng)`` returns one MaskPlan through the strategy's
-    public function.  Both run the same draw code.
+    ``draw(rng, m)`` returns m independent masks, each a sorted list of
+    atom indices; ``plan(rng)`` returns one MaskPlan through the
+    strategy's public function, which is the same draw at m = 1.
     """
 
     draw: BatchDraw
@@ -328,7 +328,8 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrat
     from one ``draw`` call.  'external' reads the supplied scores and
     raises ValueError without them.  Without an explicit beta, pagerank
     uses 0.25 and external 0.5.  This is the one place where strategy
-    names are told apart.
+    names are told apart, apart from MOTIF_STRATEGIES, the ones that
+    read a motif partition.
     """
     if strategy == "uniform":
         make, single = _uniform_draw, uniform_mask
