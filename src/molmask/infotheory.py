@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class JointCounts:
         self.counts[(x, y)] = self.counts.get((x, y), 0) + weight
 
     def accumulate(self, pairs: Iterable[tuple[int, int]]) -> "JointCounts":
-        for (x, y), n in Counter(pairs).items():
-            self.add(x, y, n)
+        for x, y in pairs:
+            self.add(x, y)
         return self
 
     @classmethod
@@ -170,21 +170,23 @@ def _unique_atoms(
 
 
 def repeat_mi(
-    per_graph: Iterable[Sequence[Sequence[tuple[int, int]]]], repeats: int
+    per_graph: Iterable[Sequence[Mapping[tuple[int, int], int]]], repeats: int
 ) -> SampledMi:
     """Pool sampled pairs into one joint table per repeat and summarize.
 
-    ``per_graph`` yields, for each graph, its pairs of every repeat (as
-    returned by sample_pairs_for_graph).  Pooling is a commutative count
-    sum, so the order graphs arrive in is moot.  The spread over repeats
-    is the sample standard deviation; n_pairs and h_y describe repeat 0.
+    ``per_graph`` yields, for each graph, the (x, y) counts of every
+    repeat (Counters of the pairs sample_pairs_for_graph returns).
+    Pooling is a commutative count sum, so the order graphs arrive in is
+    moot.  The spread over repeats is the sample standard deviation;
+    n_pairs and h_y describe repeat 0.
     """
     if repeats < 1:
         raise ValueError("sampled MI needs at least one repeat")
     per_repeat = [JointCounts() for _ in range(repeats)]
-    for repeat_pairs in per_graph:
-        for joint, pairs in zip(per_repeat, repeat_pairs):
-            joint.accumulate(pairs)
+    for repeat_counts in per_graph:
+        for joint, counts in zip(per_repeat, repeat_counts):
+            for (x, y), n in counts.items():
+                joint.add(x, y, n)
     estimates = [mutual_information(joint) for joint in per_repeat]
     return SampledMi(
         mean=float(np.mean(estimates)),
@@ -217,10 +219,10 @@ def sampled_mi(
         raise ValueError("graphs, labels, and y must align")
     return repeat_mi(
         (
-            sample_pairs_for_graph(
+            [Counter(pairs) for pairs in sample_pairs_for_graph(
                 graph, g, labels_by_graph[g], y_by_graph[g], plan_fn.bound(graph, g).draw,
                 repeats, seed, samples_per_graph, unique_nodes,
-            )
+            )]
             for g, graph in enumerate(graphs)
         ),
         repeats,

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -319,8 +320,9 @@ def _sample_graph(
     seed: int,
     samples_per_graph: Optional[int],
     unique_nodes: bool,
-) -> list[list[list[tuple[int, int]]]]:
-    """Sample one graph's pairs under every strategy, for every repeat.
+) -> list[list[Counter]]:
+    """Count one graph's sampled pairs under every strategy, for every
+    repeat.
 
     Self-contained per graph so the corpus can be partitioned across
     processes freely; determinism comes from value-keyed substreams
@@ -330,11 +332,11 @@ def _sample_graph(
     graph, graph_index, labels, y, scores = task
     partition = decompose(graph) if set(strategies) & set(MOTIF_STRATEGIES) else None
     return [
-        sample_pairs_for_graph(
+        [Counter(pairs) for pairs in sample_pairs_for_graph(
             graph, graph_index, labels, y,
             bind_strategy(strategy, config)(graph, scores, partition).draw,
             repeats, seed, samples_per_graph, unique_nodes,
-        )
+        )]
         for strategy in strategies
     ]
 
@@ -385,7 +387,7 @@ def run_mask_sim(
     per_graph = parallel_map(worker, tasks, workers)
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for s, strategy in enumerate(strategies):
-        sampled = repeat_mi((pairs[s] for pairs in per_graph), repeats)
+        sampled = repeat_mi((counts[s] for counts in per_graph), repeats)
         report.rows.append((
             dataset_name, "atom_type", strategy,
             sampled.mean, sampled.h_y, relative_gain(sampled.mean, sampled.h_y),
