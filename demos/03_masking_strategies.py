@@ -10,7 +10,7 @@ from molmask import (
     MaskConfig,
     STRATEGIES,
     apply_mask,
-    build_plan_fn,
+    bind_strategy,
     mask_count,
     parse_smiles,
     pagerank,
@@ -22,13 +22,13 @@ config = MaskConfig(ratio=0.25, beta=10.0, intra_motif_fraction=0.5)
 print(f"molecule: {g.source_smiles} ({g.n_atoms} atoms)")
 print(f"mask budget at ratio 0.25: {mask_count(config.ratio, g.n_atoms)} atoms\n")
 
-# build_plan_fn wires each strategy to whatever it needs: pagerank
-# scores for perturbed top-k, the motif partition for the motif-aware
-# strategies, caller-supplied scores (one entry per graph) for external.
-scores = [pagerank(g)]
+# bind_strategy binds each strategy to one graph and whatever it needs:
+# pagerank scores for perturbed top-k, the motif partition for the
+# motif-aware strategies, caller-supplied scores for external.
+scores = pagerank(g)
 for strategy in STRATEGIES:
-    plan_fn = build_plan_fn(strategy, config, external_scores=scores)
-    plan = plan_fn(g, 0, substream(seed=0, graph_index=0, draw_index=0))
+    bound = bind_strategy(strategy, config)(g, scores)
+    plan = bound.plan(substream(seed=0, graph_index=0, draw_index=0))
     print(f"{strategy:15} masks atoms {plan.masked_atoms}")
 
 # Motif-aware strategies mask whole motifs or fixed fractions inside
@@ -37,8 +37,8 @@ for strategy in STRATEGIES:
 
 # Applying a plan swaps masked atomic numbers for a sentinel that no
 # element uses, and preserves everything else.
-plan_fn = build_plan_fn("moama", config)
-plan = plan_fn(g, 0, substream(seed=0, graph_index=0, draw_index=1))
+bound = bind_strategy("moama", config)(g)
+plan = bound.plan(substream(seed=0, graph_index=0, draw_index=1))
 view = apply_mask(g, plan)
 masked_numbers = [view.graph.atoms[i].atomic_number for i in plan.masked_atoms]
 print(f"\nmoama view: masked atoms {plan.masked_atoms} now carry atomic number "
@@ -47,7 +47,7 @@ print(f"original untouched: {[g.atoms[i].atomic_number for i in plan.masked_atom
 
 # Draws are seeded per (graph, draw) cell, so replaying a cell gives
 # the same plan no matter what was drawn before it.
-replay = plan_fn(g, 0, substream(seed=0, graph_index=0, draw_index=1))
+replay = bound.plan(substream(seed=0, graph_index=0, draw_index=1))
 print(f"replayed draw identical: {replay.masked_atoms == plan.masked_atoms}")
 
 # Score-guided strategies pick atoms by noisy top-k, and the candidate
@@ -56,6 +56,5 @@ print(f"replayed draw identical: {replay.masked_atoms == plan.masked_atoms}")
 print("\nannealed noisy top-k over pagerank scores (ratio 0.25, beta 10):")
 for epoch in (1, 25, 100):
     cfg = MaskConfig(ratio=0.25, beta=10.0, epoch=epoch, max_epoch=100)
-    plan_fn = build_plan_fn("pagerank", cfg)
-    plan = plan_fn(g, 0, substream(seed=0, graph_index=0, draw_index=2))
+    plan = bind_strategy("pagerank", cfg)(g).plan(substream(seed=0, graph_index=0, draw_index=2))
     print(f"  epoch {epoch:3}: {plan.masked_atoms}")

@@ -11,7 +11,7 @@ from molmask import (
     MaskConfig,
     argmax_targets,
     atom_type_targets,
-    build_plan_fn,
+    bind_strategy,
     build_vocab,
     decompose,
     motif_targets,
@@ -21,8 +21,7 @@ from molmask import (
 )
 
 g = parse_smiles("CC(=O)Nc1ccc(O)cc1")
-plan_fn = build_plan_fn("motifpred", MaskConfig(ratio=0.4))
-plan = plan_fn(g, 0, substream(seed=3, graph_index=0))
+plan = bind_strategy("motifpred", MaskConfig(ratio=0.4))(g).plan(substream(seed=3, graph_index=0))
 print(f"molecule: {g.source_smiles}")
 print(f"masked atoms: {plan.masked_atoms}\n")
 

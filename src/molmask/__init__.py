@@ -53,7 +53,7 @@ from .masking import (
     MaskPlan,
     STRATEGIES,
     apply_mask,
-    build_plan_fn,
+    bind_strategy,
     export_views,
     mask_count,
     moama_mask,
@@ -87,7 +87,6 @@ from .infotheory import (
     mutual_information,
     relative_gain,
     sample_pairs_for_graph,
-    sampled_mi,
     shuffle_control,
 )
 from .workbench import (

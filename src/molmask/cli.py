@@ -8,6 +8,7 @@ deterministic bytes for a fixed seed, whatever --workers says.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -15,12 +16,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .errors import DataError
 from .infotheory import DEFAULT_TAUS
-from .masking import (
-    MaskConfig,
-    STRATEGIES,
-    build_plan_fn,
-    export_views,
-)
+from .masking import MaskConfig, STRATEGIES, bind_strategy, export_views
 from .molgraph import parse_smiles
 from .motif import build_vocab, vocab_from_signatures
 from .scoring import load_external_scores
@@ -86,6 +82,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _taus(text: str) -> list[float]:
+    try:
+        taus = [float(piece) for piece in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(tau) and tau > 0 for tau in taus):
+        raise argparse.ArgumentTypeError(f"thresholds must be finite and positive, got {text!r}")
+    return taus
 
 
 def _mask_config(args) -> MaskConfig:
@@ -259,7 +265,7 @@ def cmd_jsd(args) -> int:
     if not manifest.task_columns:
         raise _UsageError("jsd needs --label-col")
     kinds = _split_list(args.targets, TARGET_KINDS, "target kind")
-    taus = [float(piece) for piece in args.taus.split(",")] if args.taus else list(DEFAULT_TAUS)
+    taus = args.taus or list(DEFAULT_TAUS)
     report = run_jsd_analysis(
         records, kinds, dataset_name=manifest.display_name, taus=taus,
         seed=args.seed, workers=args.workers, **_target_resources(args, records, kinds),
@@ -300,8 +306,15 @@ def cmd_export_views(args) -> int:
         raise _UsageError("target 'vq_code' needs --embeddings and --codebook")
     if kind == "argmax_token" and resources.logits is None:
         raise _UsageError("target 'argmax_token' needs --logits")
-    partitions = None if resources.motifs is None else [m.partition for m in resources.motifs]
-    plan_fn = build_plan_fn(args.strategy, config, external_scores=external, partitions=partitions)
+    bind = bind_strategy(args.strategy, config)
+    bound = (
+        bind(
+            rec.graph,
+            None if external is None else external[g],
+            None if resources.motifs is None else resources.motifs[g].partition,
+        )
+        for g, rec in enumerate(records)
+    )
 
     def target_fn(graph, graph_index, plan):
         _, labels = resources.view_targets(kind, graph_index, graph, plan)
@@ -309,7 +322,7 @@ def cmd_export_views(args) -> int:
 
     path = _out_path(args, "views.jsonl")
     lines = export_views(
-        [rec.graph for rec in records], plan_fn, target_fn, path,
+        [rec.graph for rec in records], bound, target_fn, path,
         draws_per_graph=args.draws_per_graph, seed=args.seed,
     )
     print(f"wrote {lines} views to {path}")
@@ -331,7 +344,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="molmask", description=__doc__)
     parser.add_argument("--version", action="version", version=f"molmask {__version__}")
     parser.add_argument("--seed", type=int, default=0, help="base seed for every random draw")
-    parser.add_argument("--workers", type=int, default=1, help="process count for corpus stages")
+    parser.add_argument("--workers", type=_positive_int, default=1,
+                        help="process count for corpus stages")
     parser.add_argument("--out-dir", default=".", help="directory for report outputs")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -382,7 +396,8 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("jsd", help="low-frequency JSD curves")
     _add_dataset_flags(sub)
     sub.add_argument("--targets", default="atom_type,motif")
-    sub.add_argument("--taus", default="", help="comma-separated thresholds (default grid)")
+    sub.add_argument("--taus", type=_taus, default=None,
+                     help="comma-separated thresholds (default grid)")
     sub.add_argument("--vocab", default="")
     sub.add_argument("--embeddings", default="")
     sub.add_argument("--codebook", default="")

@@ -8,14 +8,13 @@ out in bits.  The 0 * log 0 convention is 0 throughout.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyCounts, EmptySupport
-from .masking import BatchDraw, PlanFn
+from .masking import BatchDraw
 from .molgraph import MolGraph
 
 DEFAULT_TAUS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001)
@@ -194,38 +193,6 @@ def repeat_mi(
         per_repeat=tuple(estimates),
         n_pairs=per_repeat[0].total,
         h_y=entropy_y(per_repeat[0]),
-    )
-
-
-def sampled_mi(
-    graphs: Sequence[MolGraph],
-    labels_by_graph: Sequence[Sequence[int]],
-    y_by_graph: Sequence[int],
-    plan_fn: PlanFn,
-    repeats: int = 5,
-    seed: int = 0,
-    samples_per_graph: Optional[int] = None,
-    unique_nodes: bool = False,
-) -> SampledMi:
-    """Estimate MI by sampling atoms under a masking strategy.
-
-    ``plan_fn`` comes from build_plan_fn.  Each repeat draws, for every
-    graph, ``samples_per_graph`` atoms (default: the graph's atom
-    count).  Draws are independent (with replacement); unique_nodes=True
-    instead rejects already-sampled atoms, falling back to an unsampled
-    atom after 100 tries.
-    """
-    if not (len(graphs) == len(labels_by_graph) == len(y_by_graph)):
-        raise ValueError("graphs, labels, and y must align")
-    return repeat_mi(
-        (
-            [Counter(pairs) for pairs in sample_pairs_for_graph(
-                graph, g, labels_by_graph[g], y_by_graph[g], plan_fn.bound(graph, g).draw,
-                repeats, seed, samples_per_graph, unique_nodes,
-            )]
-            for g, graph in enumerate(graphs)
-        ),
-        repeats,
     )
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -307,15 +306,19 @@ def apply_mask(graph: MolGraph, plan: MaskPlan) -> MaskedGraph:
 
 
 class BoundStrategy(NamedTuple):
-    """One strategy bound to one graph's inputs.
+    """One strategy bound to one graph's inputs: the graph's one batch draw.
 
     ``draw(rng, m)`` returns m independent masks, each a sorted list of
-    atom indices; ``plan(rng)`` returns one MaskPlan through the
-    strategy's public function, which is the same draw at m = 1.
+    atom indices; ``plan(rng)`` is that draw at m = 1, as the MaskPlan
+    the strategy's public function returns.
     """
 
     draw: BatchDraw
-    plan: Callable[[np.random.Generator], MaskPlan]
+    strategy: str
+    partition: Optional[MotifPartition] = None
+
+    def plan(self, rng: np.random.Generator) -> MaskPlan:
+        return _plan(self.draw, rng, self.strategy, self.partition)
 
 
 def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrategy]:
@@ -332,92 +335,31 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrat
     read a motif partition.
     """
     if strategy == "uniform":
-        make, single = _uniform_draw, uniform_mask
-
-        def inputs(graph, scores, partition):
-            return graph, config
-    elif strategy == "pagerank":
-        config = _beta_default(config, 0.25)
-        make, single = _perturbed_topk_draw, perturbed_topk
-
-        def inputs(graph, scores, partition):
-            return graph, pagerank(graph), config
-    elif strategy == "external":
-        config = _beta_default(config, 0.5)
-        make, single = _perturbed_topk_draw, perturbed_topk
-
-        def inputs(graph, scores, partition):
-            if scores is None:
+        def bind(graph, scores=None, partition=None):
+            return BoundStrategy(_uniform_draw(graph, config), "uniform")
+    elif strategy in ("pagerank", "external"):
+        if config.beta is None:
+            config = replace(config, beta=0.25 if strategy == "pagerank" else 0.5)
+        def bind(graph, scores=None, partition=None):
+            if strategy == "pagerank":
+                scores = pagerank(graph)
+            elif scores is None:
                 raise ValueError("external strategy needs loaded scores")
-            return graph, scores, config
+            return BoundStrategy(_perturbed_topk_draw(graph, scores, config), scores.source)
     elif strategy == "moama":
-        make, single = _moama_draw, moama_mask
-
-        def inputs(graph, scores, partition):
+        def bind(graph, scores=None, partition=None):
             if partition is None:
                 partition = decompose(graph)
-            return graph, partition, motif_adjacency(graph, partition), config
+            draw = _moama_draw(graph, partition, motif_adjacency(graph, partition), config)
+            return BoundStrategy(draw, "moama", partition)
     elif strategy == "motifpred":
-        make, single = _motifpred_draw, motifpred_mask
-
-        def inputs(graph, scores, partition):
-            return graph, decompose(graph) if partition is None else partition, config
+        def bind(graph, scores=None, partition=None):
+            if partition is None:
+                partition = decompose(graph)
+            return BoundStrategy(_motifpred_draw(graph, partition, config), "motifpred", partition)
     else:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-
-    def bind(graph, scores=None, partition=None):
-        args = inputs(graph, scores, partition)
-        return BoundStrategy(draw=make(*args), plan=partial(single, *args))
-
     return bind
-
-
-def _beta_default(config: MaskConfig, beta: float) -> MaskConfig:
-    return config if config.beta is not None else replace(config, beta=beta)
-
-
-class PlanFn:
-    """A strategy wired to a corpus's per-graph inputs.
-
-    Called as (graph, graph_index, rng) -> MaskPlan.  Per-graph inputs
-    are keyed by graph_index, and each graph is bound once, on first
-    use; ``bound`` gives that binding.
-    """
-
-    def __init__(
-        self,
-        strategy: str,
-        config: MaskConfig,
-        external_scores: Optional[Sequence[NodeScores]] = None,
-        partitions: Optional[Sequence[MotifPartition]] = None,
-    ):
-        self._bind = bind_strategy(strategy, config)
-        self._scores = external_scores
-        self._partitions = partitions
-        self._bound: dict[int, BoundStrategy] = {}
-
-    def bound(self, graph: MolGraph, graph_index: int) -> BoundStrategy:
-        bound = self._bound.get(graph_index)
-        if bound is None:
-            bound = self._bound[graph_index] = self._bind(
-                graph,
-                None if self._scores is None else self._scores[graph_index],
-                None if self._partitions is None else self._partitions[graph_index],
-            )
-        return bound
-
-    def __call__(self, graph: MolGraph, graph_index: int, rng: np.random.Generator) -> MaskPlan:
-        return self.bound(graph, graph_index).plan(rng)
-
-
-def build_plan_fn(
-    strategy: str,
-    config: MaskConfig,
-    external_scores: Optional[Sequence[NodeScores]] = None,
-    partitions: Optional[Sequence[MotifPartition]] = None,
-) -> PlanFn:
-    """Wire a strategy name to a PlanFn over a corpus."""
-    return PlanFn(strategy, config, external_scores, partitions)
 
 
 TargetFn = Callable[[MolGraph, int, MaskPlan], tuple[str, list[int]]]
@@ -425,7 +367,7 @@ TargetFn = Callable[[MolGraph, int, MaskPlan], tuple[str, list[int]]]
 
 def export_views(
     corpus: Sequence[MolGraph],
-    plan_fn: PlanFn,
+    strategies: Iterable[BoundStrategy],
     target_fn: TargetFn,
     path: str | Path,
     draws_per_graph: int = 1,
@@ -433,16 +375,17 @@ def export_views(
 ) -> int:
     """Write masked views with their prediction targets as JSON lines.
 
-    One line per (graph, draw): smiles, masked_atoms, target_type,
+    ``strategies`` gives each graph's BoundStrategy in corpus order, so
+    a generator binds each graph only when its views are written.  One
+    line per (graph, draw): smiles, masked_atoms, target_type,
     targets, strategy, seed.  Output is byte-identical across runs with
     the same inputs and seed.  Returns the number of lines written.
     """
     lines = 0
     with open(path, "w", newline="\n") as handle:
-        for graph_index, graph in enumerate(corpus):
+        for graph_index, (graph, bound) in enumerate(zip(corpus, strategies, strict=True)):
             for draw in range(draws_per_graph):
-                rng = substream(seed, graph_index, draw)
-                plan = plan_fn(graph, graph_index, rng)
+                plan = bound.plan(substream(seed, graph_index, draw))
                 target_type, targets = target_fn(graph, graph_index, plan)
                 record = {
                     "smiles": graph.source_smiles,

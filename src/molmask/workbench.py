@@ -473,20 +473,17 @@ def write_report_csv(report: AnalysisReport, path: str | Path) -> None:
 
 
 def read_report_csv(path: str | Path) -> AnalysisReport:
-    """Load a report CSV back; kind is inferred from its columns."""
+    """Load a report CSV back; kind is given by its header, which must
+    be one of the report column sets."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
+        rows = list(csv.reader(handle))
     if not rows:
         raise DataError(f"report {path} is empty")
     columns = tuple(rows[0])
-    if "tau" in columns:
-        kind = "jsd"
-    elif "overlap_ratio" in columns:
-        kind = "coverage"
-    else:
-        kind = "mi"
-    return AnalysisReport(kind=kind, columns=columns, rows=[tuple(r) for r in rows[1:]])
+    kinds = {MI_COLUMNS: "mi", JSD_COLUMNS: "jsd", COVERAGE_COLUMNS: "coverage"}
+    if columns not in kinds:
+        raise DataError(f"{path} is not a report: its header matches no report column set")
+    return AnalysisReport(kind=kinds[columns], columns=columns, rows=[tuple(r) for r in rows[1:]])
 
 
 def build_vocab_tsv(vocab: MotifVocab, path: str | Path) -> None:
@@ -514,8 +511,11 @@ def load_vocab_tsv(path: str | Path) -> MotifVocab:
             if len(parts) != 3:
                 raise ShapeMismatch(f"{path}:{line_no}: expected 3 tab-separated fields")
             sig, idx, count = parts
-            ids[sig] = int(idx)
-            counts[sig] = int(count)
+            try:
+                ids[sig] = int(idx)
+                counts[sig] = int(count)
+            except ValueError:
+                raise ShapeMismatch(f"{path}:{line_no}: id and count must be integers") from None
     if sorted(ids.values()) != list(range(len(ids))):
         raise ShapeMismatch(f"{path}: ids must be dense 0..{len(ids) - 1}")
     return MotifVocab(ids=ids, counts=counts)

@@ -297,6 +297,36 @@ def test_count_flag_below_one_is_usage_error(command, flag, value, cli_corpus, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--workers", "0", "mi"],
+    ["--workers", "-3", "mi"],
+    ["jsd", "--taus", "abc"],
+    ["jsd", "--taus", "1.0,,0.1"],
+    ["jsd", "--taus", "nan"],
+    ["jsd", "--taus", "0"],
+    ["jsd", "--taus=-1"],
+])
+def test_bad_flag_value_is_usage_error(argv, cli_corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([*argv, "--input", cli_corpus, "--label-col", "activity", "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("vocab.tsv", "signature\tid\tcount\nfoo\tx\t3\n", ["mi", "--targets", "motif", "--vocab"]),
+    ("report.csv", "a,b\n1,2\n", ["plot", "--report"]),
+], ids=["vocab", "plot"])
+def test_malformed_input_file_is_data_error(name, text, argv, cli_corpus, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    extra = [] if argv[0] == "plot" else ["--input", cli_corpus, "--label-col", "activity"]
+    assert run([*argv, path, *extra, "--output", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
 

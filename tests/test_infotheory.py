@@ -11,7 +11,6 @@ from molmask import (
     EmptySupport,
     JointCounts,
     MaskConfig,
-    build_plan_fn,
     entropy_y,
     exact_joint_counts,
     jsd,
@@ -20,7 +19,7 @@ from molmask import (
     mutual_information,
     parse_smiles,
     relative_gain,
-    sampled_mi,
+    run_mask_sim,
     shuffle_control,
 )
 from molmask.molgraph import LabeledRecord
@@ -145,65 +144,58 @@ class TestJointCounts:
 
 
 class TestSampledMi:
-    def _corpus(self):
-        graphs = [parse_smiles(s) for s in ("CCCC", "CCCC", "OOOO", "OOOO")]
-        labels = [[a.atomic_number for a in g.atoms] for g in graphs]
-        ys = [0, 0, 1, 1]
-        return graphs, labels, ys
+    """Sampled MI through run_mask_sim, the one sampled-MI driver."""
+
+    @staticmethod
+    def _sim(smiles, ys, ratio, **kwargs):
+        records = [
+            LabeledRecord(graph=parse_smiles(s), task_labels=(y,)) for s, y in zip(smiles, ys)
+        ]
+        report = run_mask_sim(
+            records, ["uniform"], MaskConfig(ratio=ratio), dataset_name="t", **kwargs
+        )
+        (row,) = report.rows
+        return dict(zip(report.columns, row))
 
     def test_deterministic_corpus_recovers_entropy(self):
         # Atom type determines the graph label exactly, so every repeat
         # lands on MI = H(Y) = 1 bit with zero spread.
-        graphs, labels, ys = self._corpus()
-        plan_fn = build_plan_fn("uniform", MaskConfig(ratio=0.25))
-        result = sampled_mi(graphs, labels, ys, plan_fn, repeats=5, seed=0)
-        np.testing.assert_allclose(result.mean, 1.0, atol=1e-12)
-        np.testing.assert_allclose(result.std, 0.0, atol=1e-12)
-        assert result.n_pairs == 16
+        row = self._sim(("CCCC", "CCCC", "OOOO", "OOOO"), [0, 0, 1, 1], 0.25, repeats=5, seed=0)
+        np.testing.assert_allclose(row["mi_bits"], 1.0, atol=1e-12)
+        np.testing.assert_allclose(row["h_y_bits"], 1.0, atol=1e-12)
+        np.testing.assert_allclose(row["seed_std"], 0.0, atol=1e-12)
+        assert row["n_pairs"] == 16
 
     def test_unique_full_budget_equals_exact_enumeration(self):
         # Sampling every atom exactly once is enumeration: the estimate
         # must equal the exact plug-in MI for any seed.
-        graphs = [parse_smiles(s) for s in ("CCO", "CCN", "c1ccncc1", "OCCO")]
-        labels = [[a.atomic_number for a in g.atoms] for g in graphs]
+        smiles = ("CCO", "CCN", "c1ccncc1", "OCCO")
         ys = [0, 1, 1, 0]
         records = [
-            LabeledRecord(graph=g, task_labels=(y,)) for g, y in zip(graphs, ys)
+            LabeledRecord(graph=parse_smiles(s), task_labels=(y,)) for s, y in zip(smiles, ys)
         ]
         exact, _ = exact_joint_counts(records, "atom_type")
         expected = mutual_information(exact)
-        plan_fn = build_plan_fn("uniform", MaskConfig(ratio=0.3))
         for seed in (0, 1, 99):
-            result = sampled_mi(
-                graphs, labels, ys, plan_fn, repeats=3, seed=seed, unique_nodes=True
-            )
-            np.testing.assert_allclose(result.mean, expected, atol=1e-12)
-            np.testing.assert_allclose(result.std, 0.0, atol=1e-12)
+            row = self._sim(smiles, ys, 0.3, repeats=3, seed=seed, unique_nodes=True)
+            np.testing.assert_allclose(row["mi_bits"], expected, atol=1e-12)
+            np.testing.assert_allclose(row["seed_std"], 0.0, atol=1e-12)
 
     def test_reproducible_and_seed_sensitive(self):
-        graphs = [parse_smiles(s) for s in ("CCOCN", "NCCOC", "OCNCC", "CNOCC")]
-        labels = [[a.atomic_number for a in g.atoms] for g in graphs]
+        smiles = ("CCOCN", "NCCOC", "OCNCC", "CNOCC")
         ys = [0, 1, 0, 1]
-        plan_fn = build_plan_fn("uniform", MaskConfig(ratio=0.2))
-        a = sampled_mi(graphs, labels, ys, plan_fn, repeats=4, seed=5)
-        b = sampled_mi(graphs, labels, ys, plan_fn, repeats=4, seed=5)
+        a = self._sim(smiles, ys, 0.2, repeats=4, seed=5)
+        b = self._sim(smiles, ys, 0.2, repeats=4, seed=5)
         assert a == b
-        c = sampled_mi(graphs, labels, ys, plan_fn, repeats=4, seed=6)
-        assert a.per_repeat != c.per_repeat
+        c = self._sim(smiles, ys, 0.2, repeats=4, seed=6)
+        assert (a["mi_bits"], a["seed_std"]) != (c["mi_bits"], c["seed_std"])
 
     def test_samples_per_graph_override(self):
-        graphs, labels, ys = self._corpus()
-        plan_fn = build_plan_fn("uniform", MaskConfig(ratio=0.25))
-        result = sampled_mi(
-            graphs, labels, ys, plan_fn, repeats=2, seed=0, samples_per_graph=3
+        row = self._sim(
+            ("CCCC", "CCCC", "OOOO", "OOOO"), [0, 0, 1, 1], 0.25,
+            repeats=2, seed=0, samples_per_graph=3,
         )
-        assert result.n_pairs == 12
-
-    def test_alignment_checked(self):
-        graphs, labels, ys = self._corpus()
-        plan_fn = build_plan_fn("uniform", MaskConfig(ratio=0.25))
-        with pytest.raises(ValueError):
-            sampled_mi(graphs, labels[:-1], ys, plan_fn)
+        assert row["n_pairs"] == 12
 
 
 class TestShuffleControl:

@@ -1,6 +1,7 @@
 """Masking strategies: budgets, guided selection, motif masking, views."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from molmask import (
     NodeScores,
     OutOfRangeIndex,
     apply_mask,
-    build_plan_fn,
+    bind_strategy,
     decompose,
     mask_count,
     moama_mask,
@@ -26,7 +27,6 @@ from molmask import (
     substream,
     uniform_mask,
 )
-from molmask.masking import bind_strategy
 from molmask.molgraph import MASK_SENTINEL
 
 
@@ -546,46 +546,68 @@ class TestSubstream:
 
 
 class TestPlanFn:
+    """bind_strategy's per-graph bindings and their plan functions."""
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            build_plan_fn("random", MaskConfig())
+            bind_strategy("random", MaskConfig())
 
     def test_external_requires_scores(self):
-        fn = build_plan_fn("external", MaskConfig())
+        bind = bind_strategy("external", MaskConfig())
         with pytest.raises(ValueError):
-            fn(parse_smiles("CCO"), 0, np.random.default_rng(0))
+            bind(parse_smiles("CCO"))
 
     def test_all_strategies_produce_plans(self, fixture_graphs):
         config = MaskConfig(ratio=0.25)
-        external = [
-            NodeScores(values=tuple(float(i) for i in range(g.n_atoms)), source="external")
-            for g in fixture_graphs
-        ]
-        for strategy in ("uniform", "pagerank", "external", "moama", "motifpred"):
-            fn = build_plan_fn(strategy, config, external_scores=external)
+        for strategy in STRATEGIES:
+            bind = bind_strategy(strategy, config)
             for gi, g in enumerate(fixture_graphs):
-                plan = fn(g, gi, substream(0, gi, 0))
+                scores = NodeScores(
+                    values=tuple(float(i) for i in range(g.n_atoms)), source="external"
+                )
+                plan = bind(g, scores).plan(substream(0, gi, 0))
                 assert plan.masked_atoms, (strategy, g.source_smiles)
                 assert all(0 <= a < g.n_atoms for a in plan.masked_atoms)
+                # The binding's plan is the strategy's public function.
+                assert plan == public_plan(strategy, g, scores, config, substream(0, gi, 0))
 
     def test_replay_reproduces(self, fixture_graphs):
-        config = MaskConfig(ratio=0.25)
-        fn = build_plan_fn("moama", config)
-        first = [fn(g, i, substream(5, i, 0)) for i, g in enumerate(fixture_graphs)]
-        second = [fn(g, i, substream(5, i, 0)) for i, g in enumerate(fixture_graphs)]
-        assert first == second
+        bind = bind_strategy("moama", MaskConfig(ratio=0.25))
+        bound = [bind(g) for g in fixture_graphs]
+        first = [b.plan(substream(5, i, 0)) for i, b in enumerate(bound)]
+        second = [b.plan(substream(5, i, 0)) for i, b in enumerate(bound)]
+        rebound = [bind(g).plan(substream(5, i, 0)) for i, g in enumerate(fixture_graphs)]
+        assert first == second == rebound
+
+
+def public_plan(strategy, graph, scores, config, rng):
+    if strategy == "uniform":
+        return uniform_mask(graph, config, rng)
+    if strategy == "pagerank":
+        return perturbed_topk(graph, pagerank(graph), replace(config, beta=0.25), rng)
+    if strategy == "external":
+        return perturbed_topk(graph, scores, replace(config, beta=0.5), rng)
+    partition = decompose(graph)
+    if strategy == "moama":
+        return moama_mask(graph, partition, motif_adjacency(graph, partition), config, rng)
+    return motifpred_mask(graph, partition, config, rng)
+
+
+def bind_all(strategy, config, corpus):
+    bind = bind_strategy(strategy, config)
+    return (bind(graph) for graph in corpus)
 
 
 class TestViews:
     def test_round_trip(self, tmp_path):
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1", "CC(C)O")]
-        plan_fn = build_plan_fn("uniform", MaskConfig(ratio=0.34))
 
         def target_fn(graph, graph_index, plan):
             return "atom_type", [graph.atoms[i].atomic_number for i in plan.masked_atoms]
 
         path = tmp_path / "views.jsonl"
-        n = export_views(corpus, plan_fn, target_fn, path, draws_per_graph=2, seed=9)
+        bound = bind_all("uniform", MaskConfig(ratio=0.34), corpus)
+        n = export_views(corpus, bound, target_fn, path, draws_per_graph=2, seed=9)
         assert n == 6
         views = read_views(path)
         assert len(views) == 6
@@ -599,12 +621,14 @@ class TestViews:
 
     def test_byte_identical_reruns(self, tmp_path):
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1")]
-        plan_fn = build_plan_fn("motifpred", MaskConfig(ratio=0.3))
 
         def target_fn(graph, graph_index, plan):
             return "atom_type", [graph.atoms[i].atomic_number for i in plan.masked_atoms]
 
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        export_views(corpus, plan_fn, target_fn, p1, draws_per_graph=3, seed=4)
-        export_views(corpus, plan_fn, target_fn, p2, draws_per_graph=3, seed=4)
+        config = MaskConfig(ratio=0.3)
+        export_views(corpus, bind_all("motifpred", config, corpus), target_fn, p1,
+                     draws_per_graph=3, seed=4)
+        export_views(corpus, bind_all("motifpred", config, corpus), target_fn, p2,
+                     draws_per_graph=3, seed=4)
         assert p1.read_bytes() == p2.read_bytes()

@@ -319,6 +319,13 @@ class TestReportFiles:
         assert lines[0] == "a,b,c"
         assert lines[1] == "0.3333333333,nan,x"
 
+    def test_header_must_be_a_report(self, tmp_path):
+        for header in ("a,b", ",".join(MI_COLUMNS[:-1])):
+            path = tmp_path / "other.csv"
+            path.write_text(f"{header}\n1,2\n")
+            with pytest.raises(DataError):
+                read_report_csv(path)
+
     def test_empty_report_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -341,6 +348,13 @@ class TestVocabTsv:
         path = tmp_path / "vocab.tsv"
         path.write_text("signature\tid\tcount\nsig_a\t0\t3\nsig_b\t2\t1\n")
         with pytest.raises(ShapeMismatch):
+            load_vocab_tsv(path)
+
+    @pytest.mark.parametrize("row", ["foo\tx\t3", "foo\t0\t3.5"])
+    def test_non_integer_fields(self, row, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"signature\tid\tcount\nsig_a\t1\t2\n{row}\n")
+        with pytest.raises(ShapeMismatch, match=r"vocab\.tsv:3:"):
             load_vocab_tsv(path)
 
     def test_header_validation(self, tmp_path):
