@@ -23,7 +23,8 @@ print(f"molecule: {g.source_smiles} ({g.n_atoms} atoms)")
 print(f"mask budget at ratio 0.25: {mask_count(config.ratio, g.n_atoms)} atoms\n")
 
 # bind_strategy binds each strategy to one graph and whatever it needs:
-# pagerank scores for perturbed top-k, the motif partition for the
+# pagerank scores for perturbed top-k (a CLI run computes them once for
+# the whole corpus with pagerank_all), the motif partition for the
 # motif-aware strategies, caller-supplied scores for external.
 scores = pagerank(g)
 for strategy in STRATEGIES:
@@ -56,5 +57,5 @@ print(f"replayed draw identical: {replay.masked_atoms == plan.masked_atoms}")
 print("\nannealed noisy top-k over pagerank scores (ratio 0.25, beta 10):")
 for epoch in (1, 25, 100):
     cfg = MaskConfig(ratio=0.25, beta=10.0, epoch=epoch, max_epoch=100)
-    plan = bind_strategy("pagerank", cfg)(g).plan(substream(seed=0, graph_index=0, draw_index=2))
+    plan = bind_strategy("pagerank", cfg)(g, scores).plan(substream(seed=0, graph_index=0, draw_index=2))
     print(f"  epoch {epoch:3}: {plan.masked_atoms}")

@@ -46,7 +46,7 @@ from .motif import (
     motif_adjacency,
     motif_signatures,
 )
-from .scoring import NodeScores, load_external_scores, pagerank
+from .scoring import NodeScores, load_external_scores, pagerank, pagerank_all
 from .masking import (
     MaskConfig,
     MaskedGraph,
@@ -60,6 +60,7 @@ from .masking import (
     motifpred_mask,
     perturbed_topk,
     read_views,
+    strategy_scores,
     substream,
     uniform_mask,
 )

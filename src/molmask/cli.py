@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .errors import DataError
 from .infotheory import DEFAULT_TAUS
-from .masking import MaskConfig, STRATEGIES, bind_strategy, export_views
+from .masking import MaskConfig, STRATEGIES, bind_strategy, export_views, strategy_scores
 from .molgraph import parse_smiles
 from .motif import build_vocab, vocab_from_signatures
 from .scoring import load_external_scores
@@ -148,8 +148,11 @@ def _split_list(raw: str, allowed: Sequence[str], what: str) -> list[str]:
 
 
 def _external_scores(args, strategies: Sequence[str], records):
-    """Scores from --scores when the 'external' strategy is asked for."""
+    """Scores from --scores when the 'external' strategy is asked for;
+    --scores without it is a usage error."""
     if "external" not in strategies:
+        if args.scores:
+            raise _UsageError("--scores is read only by the 'external' strategy")
         return None
     if not args.scores:
         raise _UsageError("strategy 'external' needs --scores")
@@ -306,14 +309,16 @@ def cmd_export_views(args) -> int:
         raise _UsageError("target 'vq_code' needs --embeddings and --codebook")
     if kind == "argmax_token" and resources.logits is None:
         raise _UsageError("target 'argmax_token' needs --logits")
+    graphs = [rec.graph for rec in records]
+    scores = strategy_scores([args.strategy], graphs, external).get(args.strategy)
     bind = bind_strategy(args.strategy, config)
     bound = (
         bind(
-            rec.graph,
-            None if external is None else external[g],
+            graph,
+            None if scores is None else scores[g],
             None if resources.motifs is None else resources.motifs[g].partition,
         )
-        for g, rec in enumerate(records)
+        for g, graph in enumerate(graphs)
     )
 
     def target_fn(graph, graph_index, plan):
@@ -322,7 +327,7 @@ def cmd_export_views(args) -> int:
 
     path = _out_path(args, "views.jsonl")
     lines = export_views(
-        [rec.graph for rec in records], bound, target_fn, path,
+        graphs, bound, target_fn, path,
         draws_per_graph=args.draws_per_graph, seed=args.seed,
     )
     print(f"wrote {lines} views to {path}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import OutOfRangeIndex
 from .molgraph import MASK_SENTINEL, MolGraph
 from .motif import MotifPartition, decompose, motif_adjacency
-from .scoring import NodeScores, pagerank
+from .scoring import NodeScores, pagerank_all
 
 STRATEGIES = ("uniform", "pagerank", "external", "moama", "motifpred")
 MOTIF_STRATEGIES = ("moama", "motifpred")
@@ -325,14 +326,15 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrat
     """Resolve a strategy name once, into a per-graph binder.
 
     The binder takes (graph, scores=None, partition=None) and returns the
-    graph's BoundStrategy.  Per-graph work (PageRank, and the motif
-    partition unless supplied) happens at bind time, not per draw, and
-    each (repeat, graph) cell of a sampled-MI run takes all of its masks
-    from one ``draw`` call.  'external' reads the supplied scores and
-    raises ValueError without them.  Without an explicit beta, pagerank
-    uses 0.25 and external 0.5.  This is the one place where strategy
-    names are told apart, apart from MOTIF_STRATEGIES, the ones that
-    read a motif partition.
+    graph's BoundStrategy.  Per-graph work (the motif partition, unless
+    supplied) happens at bind time, not per draw, and each (repeat,
+    graph) cell of a sampled-MI run takes all of its masks from one
+    ``draw`` call.  'pagerank' and 'external' read the supplied scores
+    (see strategy_scores) and raise ValueError without them.  Without an
+    explicit beta, pagerank uses 0.25 and external 0.5.  This is the one
+    place where strategy names are told apart, apart from
+    MOTIF_STRATEGIES, the ones that read a motif partition, and
+    strategy_scores, which supplies the scores.
     """
     if strategy == "uniform":
         def bind(graph, scores=None, partition=None):
@@ -341,11 +343,9 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrat
         if config.beta is None:
             config = replace(config, beta=0.25 if strategy == "pagerank" else 0.5)
         def bind(graph, scores=None, partition=None):
-            if strategy == "pagerank":
-                scores = pagerank(graph)
-            elif scores is None:
-                raise ValueError("external strategy needs loaded scores")
-            return BoundStrategy(_perturbed_topk_draw(graph, scores, config), scores.source)
+            if scores is None:
+                raise ValueError(f"{strategy} strategy needs per-graph scores")
+            return BoundStrategy(_perturbed_topk_draw(graph, scores, config), strategy)
     elif strategy == "moama":
         def bind(graph, scores=None, partition=None):
             if partition is None:
@@ -360,6 +360,36 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrat
     else:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     return bind
+
+
+def strategy_scores(
+    strategies: Iterable[str],
+    graphs: Sequence[MolGraph],
+    external: Optional[Sequence[NodeScores]] = None,
+) -> dict[str, Sequence[NodeScores]]:
+    """Per-graph scores of each scored strategy, computed once per run.
+
+    'pagerank' gets one pagerank_all over ``graphs``; when some graphs
+    do not converge, one line on stderr says how many.  'external' gets
+    ``external``, aligned with ``graphs`` (ValueError without it).  The
+    other strategies read no scores and get no entry.
+    """
+    out: dict[str, Sequence[NodeScores]] = {}
+    for strategy in strategies:
+        if strategy == "pagerank":
+            out[strategy] = pagerank_all(graphs)
+            stuck = [s for s in out[strategy] if not s.converged]
+            if stuck:
+                print(
+                    f"pagerank: {len(stuck)} of {len(graphs)} graphs did not converge "
+                    f"in {stuck[0].iterations} iterations",
+                    file=sys.stderr,
+                )
+        elif strategy == "external":
+            if external is None:
+                raise ValueError("external strategy needs loaded scores")
+            out[strategy] = external
+    return out
 
 
 TargetFn = Callable[[MolGraph, int, MaskPlan], tuple[str, list[int]]]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -48,44 +49,87 @@ def pagerank(
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> NodeScores:
-    """Power-iteration PageRank with uniform teleport.
+    """PageRank of one graph: pagerank_all on a batch of one."""
+    return pagerank_all([graph], alpha=alpha, tol=tol, max_iter=max_iter)[0]
+
+
+def pagerank_all(
+    graphs: Sequence[MolGraph],
+    alpha: float = 0.85,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+) -> list[NodeScores]:
+    """Power-iteration PageRank with uniform teleport, for a whole corpus.
 
     Iterates x <- alpha * A D^-1 x + (1 - alpha) * p until the L1 change
-    drops below tol; the result is normalized to sum exactly 1.  Hitting
+    drops below tol; each result is normalized to sum exactly 1.  Hitting
     max_iter returns the last iterate with converged=False rather than
     raising.
+
+    The multi-atom graphs share one edge list, with per-graph atom
+    offsets, so an iteration is one sparse matvec (np.bincount) and one
+    per-graph L1 change (np.add.reduceat) over every graph still running.
+    A graph leaves the batch at the first iteration where its own change
+    drops below tol, so its values, iterations and converged flag do not
+    depend on what else is in the batch.
     """
-    n = graph.n_atoms
-    if n == 1:
-        return NodeScores(values=(1.0,), source="pagerank", iterations=0, converged=True)
+    out = [NodeScores(values=(1.0,), source="pagerank")] * len(graphs)
+    ids = np.flatnonzero([g.n_atoms > 1 for g in graphs])
+    if not ids.size:
+        return out
+    sizes = np.array([graphs[g].n_atoms for g in ids])
+    starts = _starts(sizes)
+    neighbors = [nb for g in ids for nb in graphs[g].adjacency]
+    degrees = np.fromiter(map(len, neighbors), dtype=np.intp, count=len(neighbors))
+    # Edge j -> i for each neighbor j of atom i, grouped by i, so every
+    # atom sums its neighbors' shares in ascending neighbor order.  The
+    # indices are intp: narrower ones would be widened on every gather.
+    dst = np.repeat(np.arange(len(neighbors)), degrees)
+    src = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp, count=len(dst))
+    src += np.repeat(np.repeat(starts, sizes), degrees)
+    inv_degree = 1.0 / degrees
+    x = np.repeat(1.0 / sizes, sizes)  # the teleport vector p is the start
+    leak = (1.0 - alpha) * x
 
-    adj = np.zeros((n, n), dtype=float)
-    for bond in graph.bonds:
-        adj[bond.u, bond.v] = 1.0
-        adj[bond.v, bond.u] = 1.0
-    degrees = adj.sum(axis=0)
-    # Column-normalized walk matrix; molecules are connected, so no
-    # zero-degree column exists once n > 1.
-    walk = adj / degrees[np.newaxis, :]
-
-    teleport = np.full(n, 1.0 / n)
-    x = teleport.copy()
-    converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        x_next = alpha * (walk @ x) + (1.0 - alpha) * teleport
-        delta = np.abs(x_next - x).sum()
+        x_next = alpha * np.bincount(dst, weights=(x * inv_degree)[src], minlength=len(x)) + leak
+        done = np.add.reduceat(np.abs(x_next - x), starts) < tol
         x = x_next
-        if delta < tol:
-            converged = True
-            break
-    x = x / x.sum()
-    return NodeScores(
-        values=tuple(float(v) for v in x),
-        source="pagerank",
-        iterations=iterations,
-        converged=converged,
-    )
+        if not done.any():
+            continue
+        _store(out, ids[done], x, starts[done], sizes[done], iterations, True)
+        if done.all():
+            return out
+        # Drop the converged graphs; renumbering keeps the atom order, so
+        # each remaining atom still sums its neighbors in the same order.
+        keep = ~done
+        kept_atoms = np.repeat(keep, sizes)
+        renumber = np.cumsum(kept_atoms) - 1
+        kept_edges = kept_atoms[dst]
+        dst, src = renumber[dst[kept_edges]], renumber[src[kept_edges]]
+        x, inv_degree, leak = x[kept_atoms], inv_degree[kept_atoms], leak[kept_atoms]
+        ids, sizes = ids[keep], sizes[keep]
+        starts = _starts(sizes)
+    _store(out, ids, x, starts, sizes, iterations, False)
+    return out
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Offset of each graph's first atom in the concatenated atoms."""
+    return np.concatenate(([0], np.cumsum(sizes)[:-1]))
+
+
+def _store(out, ids, x, starts, sizes, iterations: int, converged: bool) -> None:
+    """Normalize graph ids[i]'s slice of x into out[ids[i]]."""
+    for g, start, size in zip(ids.tolist(), starts.tolist(), sizes.tolist()):
+        values = x[start:start + size]
+        out[g] = NodeScores(
+            values=tuple((values / values.sum()).tolist()),
+            source="pagerank",
+            iterations=iterations,
+            converged=converged,
+        )
 
 
 def load_external_scores(path: str | Path, atom_counts: Sequence[int]) -> list[NodeScores]:

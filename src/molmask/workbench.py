@@ -33,7 +33,7 @@ from .infotheory import (
     sample_pairs_for_graph,
     shuffle_control,
 )
-from .masking import MOTIF_STRATEGIES, MaskConfig, bind_strategy
+from .masking import MOTIF_STRATEGIES, MaskConfig, bind_strategy, strategy_scores
 from .molgraph import LabeledRecord, parse_smiles
 from .motif import MotifVocab, coverage, decompose
 from .scoring import NodeScores
@@ -327,14 +327,15 @@ def _sample_graph(
     Self-contained per graph so the corpus can be partitioned across
     processes freely; determinism comes from value-keyed substreams
     inside sample_pairs_for_graph.  The graph is decomposed at most
-    once, and the motif strategies share its partition.
+    once, and the motif strategies share its partition; ``scores`` maps
+    each scored strategy to this graph's scores.
     """
     graph, graph_index, labels, y, scores = task
     partition = decompose(graph) if set(strategies) & set(MOTIF_STRATEGIES) else None
     return [
         [Counter(pairs) for pairs in sample_pairs_for_graph(
             graph, graph_index, labels, y,
-            bind_strategy(strategy, config)(graph, scores, partition).draw,
+            bind_strategy(strategy, config)(graph, scores.get(strategy), partition).draw,
             repeats, seed, samples_per_graph, unique_nodes,
         )]
         for strategy in strategies
@@ -359,7 +360,8 @@ def run_mask_sim(
     Per repeat and graph, as many atoms are sampled as the graph has;
     rows report the across-repeat mean and sample standard deviation.
     The corpus fans out once, one task per graph covering every
-    strategy.  External scores are keyed by position in ``records``.
+    strategy; PageRank runs once, over the usable graphs, before it.
+    External scores are keyed by position in ``records``.
     """
     positions, _ = _usable_positions(records)
     chash = config_hash(
@@ -372,10 +374,14 @@ def run_mask_sim(
             "samples_per_graph": samples_per_graph, "unique_nodes": unique_nodes,
         }
     )
+    scored = strategy_scores(
+        strategies, [records[pos].graph for pos in positions],
+        None if external_scores is None else [external_scores[pos] for pos in positions],
+    )
     tasks = [
         (
             records[pos].graph, g, atom_labels(records[pos].graph), records[pos].label,
-            None if external_scores is None else external_scores[pos],
+            {strategy: scores[g] for strategy, scores in scored.items()},
         )
         for g, pos in enumerate(positions)
     ]

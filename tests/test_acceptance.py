@@ -23,6 +23,7 @@ from molmask import (
     jsd_curve,
     mutual_information,
     pagerank,
+    pagerank_all,
     parse_smiles,
     perturbed_topk,
     run_mask_sim,
@@ -71,12 +72,10 @@ def test_mi_oracle_equivalence():
 def test_pagerank_oracle(fixture_graphs):
     start = time.perf_counter()
     checked = 0
-    for g in fixture_graphs:
-        if g.n_atoms > 12:
-            continue
+    for g, scores in zip(fixture_graphs, pagerank_all(fixture_graphs), strict=True):
         expected = dense_pagerank(g)
-        got = pagerank(g).as_array()
-        assert np.max(np.abs(got - expected)) <= 1e-7, g.source_smiles
+        assert np.max(np.abs(scores.as_array() - expected)) <= 1e-7, g.source_smiles
+        assert scores.converged, g.source_smiles
         checked += 1
     assert checked >= 15
     assert time.perf_counter() - start < 1.0
@@ -245,6 +244,22 @@ def test_worker_determinism(corpus_dir, tmp_path):
             for name in ("mi.csv", "jsd.csv", "mask_sim.csv")
         }
     assert outputs[1] == outputs[3]
+
+
+@pytest.mark.parametrize("strategy, target", [("pagerank", "atom_type"), ("moama", "motif")])
+def test_export_views_worker_determinism(strategy, target, corpus_dir, tmp_path):
+    """Criterion 10 extended to the views file."""
+    corpus = str(corpus_dir / "ring_marker.csv")
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"views_w{workers}.jsonl"
+        assert main([
+            "--seed", "7", "--workers", str(workers), "export-views", "--input", corpus,
+            "--strategy", strategy, "--target", target, "--draws-per-graph", "2",
+            "--output", str(out),
+        ]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestFixtureScaleBehavior:

@@ -1,10 +1,14 @@
 """Command line behavior: subcommands, outputs, exit codes."""
 
 import json
+import re
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from molmask import masking, pagerank_all
 from molmask.cli import main
 
 from conftest import ring_marker_corpus, write_corpus_csv
@@ -305,6 +309,8 @@ def test_count_flag_below_one_is_usage_error(command, flag, value, cli_corpus, t
     ["jsd", "--taus", "nan"],
     ["jsd", "--taus", "0"],
     ["jsd", "--taus=-1"],
+    ["mask-sim", "--strategies", "uniform", "--scores", "missing.csv"],
+    ["export-views", "--strategy", "pagerank", "--scores", "missing.csv"],
 ])
 def test_bad_flag_value_is_usage_error(argv, cli_corpus, tmp_path, capsys):
     out = tmp_path / "out"
@@ -327,6 +333,38 @@ def test_malformed_input_file_is_data_error(name, text, argv, cli_corpus, tmp_pa
     assert err.startswith("data error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["mask-sim", "--strategies", "uniform,pagerank", "--repeats", "2"],
+    ["export-views", "--strategy", "pagerank"],
+], ids=["mask-sim", "export-views"])
+def test_unconverged_pagerank_is_reported(argv, cli_corpus, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    argv = [*argv, "--input", cli_corpus, "--label-col", "activity", "--output", out]
+    assert run(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    report = out.read_bytes()
+
+    # Same scores, flagged unconverged: one stderr line, same report.
+    def flagged(graphs):
+        return [replace(s, converged=False) for s in pagerank_all(graphs)]
+
+    monkeypatch.setattr(masking, "pagerank_all", flagged)
+    assert run(argv) == 0
+    loud = capsys.readouterr()
+    assert re.fullmatch(r"pagerank: (\d+) of \1 graphs did not converge in \d+ iterations\n", loud.err)
+    assert loud.out == quiet.out and out.read_bytes() == report
+
+    # A real iteration budget of one leaves most graphs unconverged.
+    monkeypatch.setattr(masking, "pagerank_all", partial(pagerank_all, max_iter=1))
+    assert run(argv) == 0
+    match = re.fullmatch(
+        r"pagerank: (\d+) of (\d+) graphs did not converge in 1 iterations\n",
+        capsys.readouterr().err,
+    )
+    assert match and 0 < int(match[1]) <= int(match[2])
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
 
@@ -341,6 +379,10 @@ DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_
                      "--draws-per-graph", "2"]),
     ("views_pagerank.jsonl", ["export-views", "--strategy", "pagerank", "--target", "atom_type",
                               "--draws-per-graph", "2"]),
+    # At epoch 30 the annealed bonus pool is smaller than the mask, so
+    # the pool's cut falls inside the score ranking.
+    ("views_pagerank_epoch.jsonl", ["export-views", "--strategy", "pagerank", "--epoch", "30",
+                                    "--target", "atom_type", "--draws-per-graph", "2"]),
 ])
 def test_golden_bytes(name, argv, tmp_path, capsys):
     """Report bytes on the demo corpus match the committed reference files."""

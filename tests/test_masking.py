@@ -84,13 +84,19 @@ def tied_scores(graph):
     return NodeScores(values=tuple(float(i * 7 % 3) for i in range(graph.n_atoms)), source="external")
 
 
+def supplied_scores(strategy, graph):
+    """The scores a run hands the binder: PageRank for 'pagerank', tied
+    external scores otherwise (the unscored strategies ignore them)."""
+    return pagerank(graph) if strategy == "pagerank" else tied_scores(graph)
+
+
 def reference_fn(strategy, graph):
     """rng -> sorted atom list under the reference sampler."""
     if strategy == "uniform":
         return lambda rng: ref_uniform(graph, BATCH_CONFIG, rng)
     if strategy in ("pagerank", "external"):
         beta = 0.25 if strategy == "pagerank" else 0.5
-        scores = pagerank(graph) if strategy == "pagerank" else tied_scores(graph)
+        scores = supplied_scores(strategy, graph)
         config = MaskConfig(**{**BATCH_CONFIG.__dict__, "beta": beta})
         return lambda rng: ref_perturbed_topk(graph, scores, config, rng)
     partition = decompose(graph)
@@ -101,7 +107,7 @@ def reference_fn(strategy, graph):
 
 
 def batch_draw(strategy, graph):
-    return bind_strategy(strategy, BATCH_CONFIG)(graph, tied_scores(graph)).draw
+    return bind_strategy(strategy, BATCH_CONFIG)(graph, supplied_scores(strategy, graph)).draw
 
 
 class CountingRng:
@@ -482,7 +488,7 @@ class TestBatchDraw:
         # m = 1: same stream, same mask.
         for strategy in STRATEGIES:
             for gi, graph in enumerate(fixture_graphs):
-                bound = bind_strategy(strategy, BATCH_CONFIG)(graph, tied_scores(graph))
+                bound = bind_strategy(strategy, BATCH_CONFIG)(graph, supplied_scores(strategy, graph))
                 plan = bound.plan(substream(3, gi, 0))
                 (atoms,) = bound.draw(substream(3, gi, 0), 1)
                 assert list(plan.masked_atoms) == atoms
@@ -557,12 +563,19 @@ class TestPlanFn:
         with pytest.raises(ValueError):
             bind(parse_smiles("CCO"))
 
+    def test_pagerank_requires_scores(self):
+        # PageRank is a per-run input (strategy_scores); the binder
+        # does not compute it.
+        bind = bind_strategy("pagerank", MaskConfig())
+        with pytest.raises(ValueError):
+            bind(parse_smiles("CCO"))
+
     def test_all_strategies_produce_plans(self, fixture_graphs):
         config = MaskConfig(ratio=0.25)
         for strategy in STRATEGIES:
             bind = bind_strategy(strategy, config)
             for gi, g in enumerate(fixture_graphs):
-                scores = NodeScores(
+                scores = pagerank(g) if strategy == "pagerank" else NodeScores(
                     values=tuple(float(i) for i in range(g.n_atoms)), source="external"
                 )
                 plan = bind(g, scores).plan(substream(0, gi, 0))
@@ -584,7 +597,7 @@ def public_plan(strategy, graph, scores, config, rng):
     if strategy == "uniform":
         return uniform_mask(graph, config, rng)
     if strategy == "pagerank":
-        return perturbed_topk(graph, pagerank(graph), replace(config, beta=0.25), rng)
+        return perturbed_topk(graph, scores, replace(config, beta=0.25), rng)
     if strategy == "external":
         return perturbed_topk(graph, scores, replace(config, beta=0.5), rng)
     partition = decompose(graph)

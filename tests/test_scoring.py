@@ -1,4 +1,5 @@
-"""Node scoring: PageRank against a dense solve, external files."""
+"""Node scoring: PageRank against a dense solve, batched PageRank,
+external files."""
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from molmask import (
     NonFiniteScore,
     ShapeMismatch,
+    NodeScores,
     load_external_scores,
     pagerank,
+    pagerank_all,
     parse_smiles,
 )
-
 
 
 def dense_pagerank(graph, alpha=0.85):
@@ -81,6 +83,35 @@ class TestPagerank:
     def test_alpha_zero_is_uniform(self):
         arr = pagerank(parse_smiles("CC(C)O"), alpha=0.0).as_array()
         np.testing.assert_allclose(arr, np.full(4, 0.25), atol=1e-12)
+
+
+class TestPagerankBatch:
+    def test_batch_matches_alone_and_shuffled(self, fixture_graphs, ring_marker_records):
+        # Graphs converge after many different iteration counts here, so
+        # the batch drops graphs at many points along the way.
+        graphs = list(fixture_graphs) + [rec.graph for rec in ring_marker_records]
+        batch = pagerank_all(graphs)
+        order = np.random.default_rng(0).permutation(len(graphs))
+        shuffled = pagerank_all([graphs[i] for i in order])
+        assert len({s.iterations for s in batch}) >= 10
+        for i, g in enumerate(graphs):
+            # Float equality of positive finite values is bit equality.
+            assert batch[i] == pagerank(g) == pagerank_all([g])[0], g.source_smiles
+        for j, i in enumerate(order):
+            assert shuffled[j] == batch[i], graphs[i].source_smiles
+
+    def test_mixed_batch_reports_each_graph(self):
+        graphs = [parse_smiles(s) for s in ("C", "c1ccccc1", "CCO")]
+        single, benzene, path = pagerank_all(graphs, max_iter=1)
+        assert single == NodeScores(values=(1.0,), source="pagerank", iterations=0, converged=True)
+        # The uniform start is benzene's fixed point: the first change is 0.
+        assert benzene.converged and benzene.iterations == 1
+        np.testing.assert_allclose(benzene.as_array(), np.full(6, 1 / 6), atol=1e-15)
+        assert not path.converged and path.iterations == 1
+        assert [single, benzene, path] == [pagerank_all([g], max_iter=1)[0] for g in graphs]
+
+    def test_empty_batch(self):
+        assert pagerank_all([]) == []
 
 
 class TestExternalScores:
