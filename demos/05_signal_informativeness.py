@@ -49,8 +49,7 @@ for name, joint in (("atom_type", joint_atom), ("motif", joint_motif)):
 # A shuffled control permutes the unit labels across the corpus while
 # keeping task labels fixed.  Whatever MI survives is finite-sample
 # bias, so real signal must clear it by a wide margin.
-pairs = [(x, y) for (x, y), n in sorted(joint_motif.counts.items()) for _ in range(n)]
-shuffled = shuffle_control(pairs, repeats=5, seed=0)
+shuffled = shuffle_control(joint_motif, repeats=5, seed=0)
 print(f"shuffled motif MI = {shuffled.mean:.4f} +/- {shuffled.std:.4f}\n")
 
 # The low-frequency JSD keeps only labels rarer than tau and asks how

@@ -56,13 +56,9 @@ from .masking import (
     bind_strategy,
     export_views,
     mask_count,
-    moama_mask,
-    motifpred_mask,
-    perturbed_topk,
     read_views,
     strategy_scores,
     substream,
-    uniform_mask,
 )
 from .targets import (
     ATOM_TYPE_SPACE,

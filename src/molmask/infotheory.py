@@ -1,5 +1,10 @@
 """Plug-in information measures over (unit label, graph label) pairs.
 
+Every measure reads one count table, JointCounts: the sorted distinct
+unit labels X that were observed, and their (|X|, 2) counts against the
+binary graph label Y.  JointCounts.from_arrays is the only way to build
+one, whether from a corpus enumeration, sampled masks or a shuffle.
+
 Everything is empirical: probabilities are relative frequencies, with no
 bias correction, and every logarithm is base 2, so all quantities come
 out in bits.  The 0 * log 0 convention is 0 throughout.
@@ -8,8 +13,8 @@ out in bits.  The 0 * log 0 convention is 0 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,38 +25,35 @@ from .molgraph import MolGraph
 DEFAULT_TAUS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class JointCounts:
-    """Contingency counts N(x, y) for an integer label X and binary Y."""
+    """Contingency counts N(x, y) for an integer label X and binary Y.
 
-    counts: dict[tuple[int, int], int] = field(default_factory=dict)
+    ``labels`` holds the distinct observed x labels, sorted; row i of
+    the int64 ``table`` counts label ``labels[i]`` against y = 0 and
+    y = 1.  Labels never observed have no row.
+    """
+
+    labels: np.ndarray
+    table: np.ndarray
+
+    @classmethod
+    def from_arrays(cls, x, y) -> "JointCounts":
+        """Count the pairs (x[i], y[i]); ValueError unless y is 0 or 1
+        everywhere and x and y have the same length."""
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y)
+        if x.ndim != 1 or x.shape != y.shape:
+            raise ValueError(f"x and y must be 1-d and equally long, got {x.shape} and {y.shape}")
+        if not np.all((y == 0) | (y == 1)):
+            raise ValueError("graph label must be 0 or 1")
+        labels, rows = np.unique(x, return_inverse=True)
+        cells = np.bincount(2 * rows + y.astype(np.int64), minlength=2 * len(labels))
+        return cls(labels=labels, table=cells.reshape(-1, 2))
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
-
-    def add(self, x: int, y: int, weight: int = 1) -> None:
-        if y not in (0, 1):
-            raise ValueError(f"graph label must be 0 or 1, got {y!r}")
-        self.counts[(x, y)] = self.counts.get((x, y), 0) + weight
-
-    def accumulate(self, pairs: Iterable[tuple[int, int]]) -> "JointCounts":
-        for x, y in pairs:
-            self.add(x, y)
-        return self
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "JointCounts":
-        return cls().accumulate(pairs)
-
-    def table(self) -> tuple[list[int], np.ndarray]:
-        """Sorted distinct x labels and the (|X|, 2) count matrix."""
-        xs = sorted({x for x, _ in self.counts})
-        mat = np.zeros((len(xs), 2), dtype=float)
-        index = {x: i for i, x in enumerate(xs)}
-        for (x, y), n in self.counts.items():
-            mat[index[x], y] = n
-        return xs, mat
+        return int(self.table.sum())
 
 
 def mutual_information(counts: JointCounts) -> float:
@@ -63,8 +65,7 @@ def mutual_information(counts: JointCounts) -> float:
     total = counts.total
     if total == 0:
         raise EmptyCounts("mutual information of zero observations")
-    _, mat = counts.table()
-    p = mat / total
+    p = counts.table / total
     px = p.sum(axis=1, keepdims=True)
     py = p.sum(axis=0, keepdims=True)
     mask = p > 0
@@ -78,8 +79,7 @@ def entropy_y(counts: JointCounts) -> float:
     total = counts.total
     if total == 0:
         raise EmptyCounts("entropy of zero observations")
-    _, mat = counts.table()
-    py = mat.sum(axis=0) / total
+    py = counts.table.sum(axis=0) / total
     return float(-sum(q * math.log2(q) for q in py if q > 0))
 
 
@@ -105,14 +105,13 @@ def sample_pairs_for_graph(
     graph: MolGraph,
     graph_index: int,
     labels: Sequence[int],
-    y: int,
     draw: BatchDraw,
     repeats: int,
     seed: int,
     samples_per_graph: Optional[int] = None,
     unique_nodes: bool = False,
-) -> list[list[tuple[int, int]]]:
-    """Draw one graph's (x, y) samples for every repeat.
+) -> list[np.ndarray]:
+    """Draw one graph's sampled unit labels for every repeat.
 
     The generator for (repeat r, graph g) is derived from the seed by
     value, never by schedule, so any partitioning of the corpus across
@@ -120,10 +119,12 @@ def sample_pairs_for_graph(
     draws its masks as one batch from ``draw`` (the graph's
     BoundStrategy.draw) and picks one masked atom per mask, uniformly,
     so samples follow the strategy's true inclusion marginal.  One
-    sample = one mask.
+    sample = one mask.  Returns one int array per repeat: ``labels`` of
+    the sampled atoms, in draw order.
     """
     budget = graph.n_atoms if samples_per_graph is None else samples_per_graph
-    out: list[list[tuple[int, int]]] = []
+    labels = np.asarray(labels, dtype=np.int64)
+    out: list[np.ndarray] = []
     for r in range(repeats):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(r, graph_index))
@@ -132,7 +133,7 @@ def sample_pairs_for_graph(
             atoms = _unique_atoms(draw, rng, budget, graph.n_atoms)
         else:
             atoms = _pick_atoms(draw(rng, budget), rng)
-        out.append([(labels[a], y) for a in atoms])
+        out.append(labels[atoms])
     return out
 
 
@@ -169,23 +170,23 @@ def _unique_atoms(
 
 
 def repeat_mi(
-    per_graph: Iterable[Sequence[Mapping[tuple[int, int], int]]], repeats: int
+    per_graph: Sequence[Sequence[np.ndarray]], graph_labels: Sequence[int], repeats: int
 ) -> SampledMi:
-    """Pool sampled pairs into one joint table per repeat and summarize.
+    """Pool sampled labels into one joint table per repeat and summarize.
 
-    ``per_graph`` yields, for each graph, the (x, y) counts of every
-    repeat (Counters of the pairs sample_pairs_for_graph returns).
-    Pooling is a commutative count sum, so the order graphs arrive in is
-    moot.  The spread over repeats is the sample standard deviation;
-    n_pairs and h_y describe repeat 0.
+    ``per_graph[g][r]`` holds graph g's sampled unit labels in repeat r
+    (what sample_pairs_for_graph returns) and ``graph_labels[g]`` is
+    graph g's label.  The spread over repeats is the sample standard
+    deviation; n_pairs and h_y describe repeat 0.
     """
     if repeats < 1:
         raise ValueError("sampled MI needs at least one repeat")
-    per_repeat = [JointCounts() for _ in range(repeats)]
-    for repeat_counts in per_graph:
-        for joint, counts in zip(per_repeat, repeat_counts):
-            for (x, y), n in counts.items():
-                joint.add(x, y, n)
+    per_repeat = []
+    for r in range(repeats):
+        xs = [samples[r] for samples in per_graph]
+        x = np.concatenate(xs) if xs else np.empty(0, dtype=np.int64)
+        y = np.repeat(np.asarray(graph_labels, dtype=np.int64), [len(a) for a in xs])
+        per_repeat.append(JointCounts.from_arrays(x, y))
     estimates = [mutual_information(joint) for joint in per_repeat]
     return SampledMi(
         mean=float(np.mean(estimates)),
@@ -208,17 +209,14 @@ def low_freq_conditionals(
     total = counts.total
     if total == 0:
         raise EmptyCounts("conditionals of zero observations")
-    xs, mat = counts.table()
-    marginal = mat.sum(axis=1) / total
-    keep = marginal < tau
+    keep = counts.table.sum(axis=1) / total < tau
     if not keep.any():
         raise EmptySupport(f"no label has marginal below {tau}")
-    sub = mat[keep]
+    sub = counts.table[keep]
     mass = sub.sum(axis=0)
     if mass[0] == 0 or mass[1] == 0:
         raise EmptySupport(f"a class has no mass on labels below {tau}")
-    kept_labels = [x for x, flag in zip(xs, keep) if flag]
-    return sub[:, 0] / mass[0], sub[:, 1] / mass[1], kept_labels
+    return sub[:, 0] / mass[0], sub[:, 1] / mass[1], counts.labels[keep].tolist()
 
 
 def jsd(p: np.ndarray, q: np.ndarray) -> float:
@@ -278,10 +276,7 @@ def jsd_curve(counts: JointCounts, taus: Sequence[float] = DEFAULT_TAUS) -> JsdC
 
 
 def _count_below(counts: JointCounts, tau: float) -> int:
-    total = counts.total
-    xs, mat = counts.table()
-    marginal = mat.sum(axis=1) / total
-    return int(np.sum(marginal < tau))
+    return int(np.sum(counts.table.sum(axis=1) / counts.total < tau))
 
 
 @dataclass(frozen=True)
@@ -293,25 +288,26 @@ class ShuffleResult:
     per_repeat: tuple[float, ...]
 
 
-def shuffle_control(
-    pairs: Sequence[tuple[int, int]],
-    repeats: int = 5,
-    seed: int = 0,
-) -> ShuffleResult:
-    """Permute the unit labels across the corpus, keeping Y fixed, and
-    recompute MI.  What survives is finite-sample bias, not signal."""
-    if not pairs:
+def shuffle_control(counts: JointCounts, repeats: int = 5, seed: int = 0) -> ShuffleResult:
+    """Permute the unit labels across all units of the table, keeping
+    each unit's Y fixed, and recompute MI.
+
+    The table expands once into one (x, y) unit per count, in (x, y)
+    order; repeat r permutes the x column with the generator keyed by
+    (seed, r).  What survives is finite-sample bias, not signal.  Units
+    move one by one, not graph by graph, so the spread understates that
+    of a null that permutes whole graphs.
+    """
+    if counts.total == 0:
         raise EmptyCounts("shuffle control of zero observations")
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
+    cells = counts.table.ravel()
+    x = np.repeat(np.repeat(counts.labels, 2), cells)
+    y = np.repeat(np.tile([0, 1], len(counts.labels)), cells)
     estimates = []
     for r in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        perm = rng.permutation(len(xs))
-        joint = JointCounts()
-        for i, y in enumerate(ys):
-            joint.add(xs[int(perm[i])], y)
-        estimates.append(mutual_information(joint))
+        shuffled = JointCounts.from_arrays(x[rng.permutation(len(x))], y)
+        estimates.append(mutual_information(shuffled))
     mean = float(np.mean(estimates))
     std = float(np.std(estimates, ddof=1)) if repeats > 1 else 0.0
     return ShuffleResult(mean=mean, std=std, per_repeat=tuple(estimates))

@@ -6,8 +6,8 @@ seed so results never depend on scheduling or worker count.
 
 Each strategy has one batch draw: it returns m independent masks of a
 graph and takes its randomness in a fixed number of Generator calls,
-whatever m is.  The public per-plan functions (uniform_mask,
-perturbed_topk, moama_mask, motifpred_mask) are that draw at m = 1.
+whatever m is.  bind_strategy binds a strategy to one graph; the
+binding's plan(rng) is that draw at m = 1.
 """
 
 from __future__ import annotations
@@ -127,17 +127,25 @@ def _top_rows(keys: np.ndarray, k: int) -> list[list[int]]:
 
 
 def _uniform_draw(graph: MolGraph, config: MaskConfig) -> BatchDraw:
+    """k(gamma, n) atoms chosen uniformly without replacement."""
     n = graph.n_atoms
     k = mask_count(config.ratio, n)
     return lambda rng, m: _top_rows(rng.random((m, n)), k)
 
 
 def _perturbed_topk_draw(graph: MolGraph, scores: NodeScores, config: MaskConfig) -> BatchDraw:
+    """Score-guided masking via noisy top-k selection.
+
+    An annealed candidate pool (the top k(gamma_i, n) scored atoms) gets
+    a bonus beta added to fresh uniform noise; the mask is the top
+    k(gamma, n) atoms of the perturbed noise.  Tied scores, and tied
+    noise, go to the lower atom index.  With beta > 1 the mask is a
+    subset of the candidate pool whenever the pool is at least as large
+    as the mask.
+    """
     n = graph.n_atoms
     if len(scores) != n:
         raise OutOfRangeIndex(f"scores cover {len(scores)} atoms, graph has {n}")
-    if config.beta is None:
-        raise ValueError("perturbed_topk needs an explicit beta")
     k_final = mask_count(config.ratio, n)
     order = (-scores.as_array()).argsort(kind="stable")
     bonus = np.zeros(n)
@@ -151,6 +159,14 @@ def _moama_draw(
     adjacency: Sequence[Sequence[int]],
     config: MaskConfig,
 ) -> BatchDraw:
+    """Whole-motif masking with a non-adjacency constraint.
+
+    Draws motifs uniformly; each accepted motif evicts itself and its
+    neighbors from the pool, so no two masked motifs are ever adjacent.
+    The first motif is always accepted; after that the loop stops before
+    the atom budget k(gamma, n) would be exceeded, rather than trimming
+    a motif down to fit.
+    """
     k = mask_count(config.ratio, graph.n_atoms)
     n_motifs = partition.n_motifs
     motifs = partition.motifs
@@ -179,6 +195,13 @@ def _moama_draw(
 
 
 def _motifpred_draw(graph: MolGraph, partition: MotifPartition, config: MaskConfig) -> BatchDraw:
+    """Motif-prediction masking: partial atom masking inside sampled motifs.
+
+    Motifs are drawn uniformly without replacement until the masked-atom
+    budget k(gamma, n) is met; each selected motif hides
+    ceil(intra_motif_fraction * |motif|) of its atoms, chosen uniformly.
+    The last motif may overshoot the budget.
+    """
     n = graph.n_atoms
     k = mask_count(config.ratio, n)
     n_motifs = partition.n_motifs
@@ -204,76 +227,6 @@ def _motifpred_draw(graph: MolGraph, partition: MotifPartition, config: MaskConf
         return masks
 
     return draw
-
-
-def _plan(
-    draw: BatchDraw,
-    rng: np.random.Generator,
-    strategy: str,
-    partition: Optional[MotifPartition] = None,
-) -> MaskPlan:
-    """One mask from a batch draw (m = 1) as a MaskPlan; motif strategies
-    list the motifs their masked atoms fall in."""
-    (atoms,) = draw(rng, 1)
-    motifs = () if partition is None else tuple(sorted({partition.motif_of[a] for a in atoms}))
-    return MaskPlan(masked_atoms=tuple(atoms), strategy=strategy, masked_motifs=motifs)
-
-
-def uniform_mask(graph: MolGraph, config: MaskConfig, rng: np.random.Generator) -> MaskPlan:
-    """Mask k atoms chosen uniformly without replacement."""
-    return _plan(_uniform_draw(graph, config), rng, "uniform")
-
-
-def perturbed_topk(
-    graph: MolGraph,
-    scores: NodeScores,
-    config: MaskConfig,
-    rng: np.random.Generator,
-) -> MaskPlan:
-    """Score-guided masking via noisy top-k selection.
-
-    An annealed candidate pool (the top k(gamma_i, n) scored atoms) gets
-    a bonus beta added to fresh uniform noise; the final mask is the top
-    k(gamma, n) atoms of the perturbed noise.  Tied scores, and tied
-    noise, go to the lower atom index.  With beta > 1 the mask is a
-    subset of the candidate pool whenever the pool is at least as large
-    as the mask.
-    """
-    return _plan(_perturbed_topk_draw(graph, scores, config), rng, scores.source)
-
-
-def moama_mask(
-    graph: MolGraph,
-    partition: MotifPartition,
-    adjacency: Sequence[Sequence[int]],
-    config: MaskConfig,
-    rng: np.random.Generator,
-) -> MaskPlan:
-    """Whole-motif masking with a non-adjacency constraint.
-
-    Draws motifs uniformly; each accepted motif evicts itself and its
-    neighbors from the pool, so no two masked motifs are ever adjacent.
-    The first motif is always accepted; after that the loop stops before
-    the atom budget k(gamma, n) would be exceeded, rather than trimming
-    a motif down to fit.
-    """
-    return _plan(_moama_draw(graph, partition, adjacency, config), rng, "moama", partition)
-
-
-def motifpred_mask(
-    graph: MolGraph,
-    partition: MotifPartition,
-    config: MaskConfig,
-    rng: np.random.Generator,
-) -> MaskPlan:
-    """Motif-prediction masking: partial atom masking inside sampled motifs.
-
-    Motifs are drawn uniformly without replacement until the masked-atom
-    budget k(gamma, n) is met; each selected motif hides
-    ceil(intra_motif_fraction * |motif|) of its atoms, chosen uniformly.
-    The final motif may overshoot the budget.
-    """
-    return _plan(_motifpred_draw(graph, partition, config), rng, "motifpred", partition)
 
 
 def apply_mask(graph: MolGraph, plan: MaskPlan) -> MaskedGraph:
@@ -310,8 +263,9 @@ class BoundStrategy(NamedTuple):
     """One strategy bound to one graph's inputs: the graph's one batch draw.
 
     ``draw(rng, m)`` returns m independent masks, each a sorted list of
-    atom indices; ``plan(rng)`` is that draw at m = 1, as the MaskPlan
-    the strategy's public function returns.
+    atom indices; ``plan(rng)`` is that draw at m = 1, as a MaskPlan
+    labelled with the strategy name.  Motif strategies' plans list the
+    motifs their masked atoms fall in.
     """
 
     draw: BatchDraw
@@ -319,7 +273,9 @@ class BoundStrategy(NamedTuple):
     partition: Optional[MotifPartition] = None
 
     def plan(self, rng: np.random.Generator) -> MaskPlan:
-        return _plan(self.draw, rng, self.strategy, self.partition)
+        (atoms,) = self.draw(rng, 1)
+        motifs = () if self.partition is None else {self.partition.motif_of[a] for a in atoms}
+        return MaskPlan(tuple(atoms), self.strategy, tuple(sorted(motifs)))
 
 
 def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrategy]:

@@ -3,8 +3,8 @@
 Every run function returns an AnalysisReport whose CSV emission is
 byte-for-byte reproducible: floats use one fixed format, provenance
 columns carry the toolkit version, base seed, and a hash of the
-analysis configuration, and worker fan-out merges by graph index with
-commutative count sums, so --workers never changes any output byte.
+analysis configuration, and worker results come back in corpus order
+before they are counted, so --workers never changes any output byte.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ import csv
 import hashlib
 import json
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
+
+import numpy as np
 
 from ._version import __version__
 from .errors import DataError, MissingColumn, ParseError, ShapeMismatch
@@ -242,15 +243,19 @@ def exact_joint_counts(
                 target, motifs=parallel_map(graph_motifs, [rec.graph for rec in records], workers)
             )
         unk = target.vocab.unk_id
-    joint = JointCounts()
+    xs: list[int] = []
+    ys: list[int] = []
     for pos in positions:
         record = records[pos]
-        for label in target.unit_labels(kind, pos, record.graph):
-            if label == unk:
-                extras["excluded_unk"] += 1
-            else:
-                joint.add(label, record.label)
-    return joint, extras
+        units = target.unit_labels(kind, pos, record.graph)
+        xs += units
+        ys += [record.label] * len(units)
+    x, y = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    if unk is not None:
+        keep = x != unk
+        extras["excluded_unk"] = int(np.count_nonzero(~keep))
+        x, y = x[keep], y[keep]
+    return JointCounts.from_arrays(x, y), extras
 
 
 def run_mi_analysis(
@@ -320,8 +325,8 @@ def _sample_graph(
     seed: int,
     samples_per_graph: Optional[int],
     unique_nodes: bool,
-) -> list[list[Counter]]:
-    """Count one graph's sampled pairs under every strategy, for every
+) -> list[list[np.ndarray]]:
+    """One graph's sampled unit labels under every strategy, for every
     repeat.
 
     Self-contained per graph so the corpus can be partitioned across
@@ -330,14 +335,14 @@ def _sample_graph(
     once, and the motif strategies share its partition; ``scores`` maps
     each scored strategy to this graph's scores.
     """
-    graph, graph_index, labels, y, scores = task
+    graph, graph_index, labels, scores = task
     partition = decompose(graph) if set(strategies) & set(MOTIF_STRATEGIES) else None
     return [
-        [Counter(pairs) for pairs in sample_pairs_for_graph(
-            graph, graph_index, labels, y,
+        sample_pairs_for_graph(
+            graph, graph_index, labels,
             bind_strategy(strategy, config)(graph, scores.get(strategy), partition).draw,
             repeats, seed, samples_per_graph, unique_nodes,
-        )]
+        )
         for strategy in strategies
     ]
 
@@ -380,7 +385,7 @@ def run_mask_sim(
     )
     tasks = [
         (
-            records[pos].graph, g, atom_labels(records[pos].graph), records[pos].label,
+            records[pos].graph, g, atom_labels(records[pos].graph),
             {strategy: scores[g] for strategy, scores in scored.items()},
         )
         for g, pos in enumerate(positions)
@@ -391,9 +396,10 @@ def run_mask_sim(
         samples_per_graph=samples_per_graph, unique_nodes=unique_nodes,
     )
     per_graph = parallel_map(worker, tasks, workers)
+    graph_labels = [records[pos].label for pos in positions]
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for s, strategy in enumerate(strategies):
-        sampled = repeat_mi((counts[s] for counts in per_graph), repeats)
+        sampled = repeat_mi([samples[s] for samples in per_graph], graph_labels, repeats)
         report.rows.append((
             dataset_name, "atom_type", strategy,
             sampled.mean, sampled.h_y, relative_gain(sampled.mean, sampled.h_y),
@@ -421,12 +427,9 @@ def run_shuffle_control(
         }
     )
     joint, _ = exact_joint_counts(records, kind, workers=workers, **resources)
-    pairs = [
-        (x, y) for (x, y), n in sorted(joint.counts.items()) for _ in range(n)
-    ]
     mi = mutual_information(joint)
     h_y = entropy_y(joint)
-    shuffled = shuffle_control(pairs, repeats=repeats, seed=seed)
+    shuffled = shuffle_control(joint, repeats=repeats, seed=seed)
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     report.rows.append((
         dataset_name, kind, "exact",

@@ -16,6 +16,7 @@ from molmask import (
     MaskConfig,
     NodeScores,
     analysis_records,
+    bind_strategy,
     build_vocab,
     coverage,
     exact_joint_counts,
@@ -25,10 +26,8 @@ from molmask import (
     pagerank,
     pagerank_all,
     parse_smiles,
-    perturbed_topk,
     run_mask_sim,
     shuffle_control,
-    uniform_mask,
 )
 from molmask.cli import main
 
@@ -43,10 +42,7 @@ def motif_atom_shuffle_summary(records, seed=0):
     vocab = build_vocab([r.graph for r in usable])
     joint_motif, _ = exact_joint_counts(records, "motif", vocab=vocab)
     joint_atom, _ = exact_joint_counts(records, "atom_type")
-    pairs = [
-        (x, y) for (x, y), n in sorted(joint_motif.counts.items()) for _ in range(n)
-    ]
-    shuffled = shuffle_control(pairs, repeats=5, seed=seed)
+    shuffled = shuffle_control(joint_motif, repeats=5, seed=seed)
     return mutual_information(joint_motif), shuffled, mutual_information(joint_atom), vocab
 
 
@@ -89,15 +85,16 @@ def test_sampling_correctness(fixture_graphs):
     rng = np.random.default_rng(0)
     draws = 100_000
     hits = np.zeros(10)
+    bound = bind_strategy("uniform", config)(g)
     for _ in range(draws):
-        for atom in uniform_mask(g, config, rng).masked_atoms:
+        for atom in bound.plan(rng).masked_atoms:
             hits[atom] += 1
     freq = hits / draws
     assert np.all(np.abs(freq - 0.3) <= 0.01), freq
 
     # At the final epoch with a dominating bonus, the noisy top-k must
     # equal the exact top-k under the same lower-index tie rule.
-    config = MaskConfig(ratio=0.3, beta=10.0)
+    bind = bind_strategy("pagerank", MaskConfig(ratio=0.3, beta=10.0))
     for graph in fixture_graphs:
         scores = pagerank(graph)
         values = scores.as_array()
@@ -105,8 +102,9 @@ def test_sampling_correctness(fixture_graphs):
         expected = tuple(sorted(
             sorted(range(graph.n_atoms), key=lambda i: (-values[i], i))[:k]
         ))
+        bound = bind(graph, scores)
         for trial in range(5):
-            plan = perturbed_topk(graph, scores, config, np.random.default_rng(trial))
+            plan = bound.plan(np.random.default_rng(trial))
             assert plan.masked_atoms == expected, graph.source_smiles
     assert time.perf_counter() - start < 10.0
 

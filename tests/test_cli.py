@@ -286,6 +286,28 @@ def test_bad_mask_flag_is_usage_error(command, flag, value, cli_corpus, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("argv", [
+    ["mi", "--targets", "atom_type,motif"],
+    ["jsd"],
+    ["shuffle-control", "--target", "motif"],
+    ["shuffle-control", "--target", "atom_type"],
+    ["mask-sim", "--strategies", "uniform,pagerank,moama,motifpred"],
+])
+def test_no_usable_graph_is_data_error(argv, workers, tmp_path, capsys):
+    # Every graph is unlabeled or a single atom, so nothing is counted.
+    corpus = write_corpus_csv(tmp_path / "empty.csv", [
+        ("C", 1), ("O", 0), ("[Na+]", 1), ("CCO", ""), ("c1ccccc1", "na"),
+    ])
+    out = tmp_path / "out.csv"
+    assert run(["--workers", workers, *argv, "--input", corpus, "--label-col", "activity",
+                "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("mask-sim", "--repeats", "0"),
     ("shuffle-control", "--repeats", "0"),
@@ -383,6 +405,8 @@ DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_
     # the pool's cut falls inside the score ranking.
     ("views_pagerank_epoch.jsonl", ["export-views", "--strategy", "pagerank", "--epoch", "30",
                                     "--target", "atom_type", "--draws-per-graph", "2"]),
+    ("shuffle_atom_type.csv", ["shuffle-control", "--label-col", "activity",
+                               "--target", "atom_type", "--repeats", "7"]),
 ])
 def test_golden_bytes(name, argv, tmp_path, capsys):
     """Report bytes on the demo corpus match the committed reference files."""

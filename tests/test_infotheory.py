@@ -11,6 +11,8 @@ from molmask import (
     EmptySupport,
     JointCounts,
     MaskConfig,
+    analysis_records,
+    build_vocab,
     entropy_y,
     exact_joint_counts,
     jsd,
@@ -42,12 +44,63 @@ def brute_force_mi(matrix):
 
 
 def counts_from_matrix(matrix):
-    joint = JointCounts()
-    for x, row in enumerate(matrix):
-        for y, n in enumerate(row):
-            if n:
-                joint.add(x, y, weight=int(n))
-    return joint
+    """Joint counts with N(x, y) = matrix[x][y]; all-zero rows vanish."""
+    cells = np.asarray(matrix, dtype=np.int64).ravel()
+    x = np.repeat(np.arange(len(cells)) // 2, cells)
+    y = np.repeat(np.arange(len(cells)) % 2, cells)
+    return JointCounts.from_arrays(x, y)
+
+
+def cells(joint):
+    """The table's nonzero cells as {(x, y): count}."""
+    return {
+        (int(x), y): int(n)
+        for x, row in zip(joint.labels, joint.table)
+        for y, n in enumerate(row)
+        if n
+    }
+
+
+def brute_force_cells(x, y):
+    """Count (x, y) pairs one at a time into a dict."""
+    counts = {}
+    for pair in zip(x, y):
+        counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def reference_mi(counts):
+    """Plug-in MI of a {(x, y): n} dict, computed the way the dict-backed
+    table did: a float matrix over the sorted labels, then the same
+    numpy expression as mutual_information."""
+    xs = sorted({x for x, _ in counts})
+    mat = np.zeros((len(xs), 2), dtype=float)
+    index = {x: i for i, x in enumerate(xs)}
+    for (x, y), n in counts.items():
+        mat[index[x], y] = n
+    p = mat / sum(counts.values())
+    px = p.sum(axis=1, keepdims=True)
+    py = p.sum(axis=0, keepdims=True)
+    mask = p > 0
+    return max(float(np.sum(p[mask] * np.log2(p[mask] / (px @ py)[mask]))), 0.0)
+
+
+def reference_shuffle(pairs, repeats, seed):
+    """The pair-list shuffle control: permute the x of a list of (x, y)
+    pairs with the generator keyed by (seed, r) and recount in Python."""
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    estimates = []
+    for r in range(repeats):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        perm = rng.permutation(len(xs))
+        estimates.append(reference_mi(brute_force_cells([xs[int(i)] for i in perm], ys)))
+    return tuple(estimates)
+
+
+def sorted_pairs(joint):
+    """One (x, y) pair per count, in (x, y) order."""
+    return [pair for pair, n in sorted(cells(joint).items()) for _ in range(n)]
 
 
 class TestMutualInformation:
@@ -104,7 +157,7 @@ class TestMutualInformation:
 
     def test_empty_counts(self):
         with pytest.raises(EmptyCounts):
-            mutual_information(JointCounts())
+            mutual_information(JointCounts.from_arrays([], []))
 
     def test_zero_zero_convention(self):
         # Rows and columns full of zeros contribute nothing; X still
@@ -131,16 +184,55 @@ class TestEntropyAndGain:
 
 
 class TestJointCounts:
-    def test_add_validates_y(self):
+    def test_rejects_bad_y(self):
+        for y in ([2], [-1], [0.5], [True, 3]):
+            with pytest.raises(ValueError):
+                JointCounts.from_arrays([3] * len(y), y)
+
+    def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            JointCounts().add(3, 2)
+            JointCounts.from_arrays([1, 2], [0])
+        with pytest.raises(ValueError):
+            JointCounts.from_arrays([[1, 2]], [[0, 1]])
 
     def test_table_layout(self):
-        joint = JointCounts.from_pairs([(5, 1), (2, 0), (5, 1), (2, 1)])
-        xs, mat = joint.table()
-        assert xs == [2, 5]
-        np.testing.assert_array_equal(mat, [[1, 1], [0, 2]])
+        joint = JointCounts.from_arrays([5, 2, 5, 2], [1, 0, 1, 1])
+        np.testing.assert_array_equal(joint.labels, [2, 5])
+        np.testing.assert_array_equal(joint.table, [[1, 1], [0, 2]])
+        assert joint.table.dtype == np.int64
         assert joint.total == 4
+
+    def test_matches_brute_force_counter(self):
+        # Dense small labels, sparse large ones (vq codes, UNK-sized ids
+        # past a vocabulary, ids beyond 32 bits) and one-class tables.
+        rng = np.random.default_rng(17)
+        pools = [
+            np.arange(6),
+            np.arange(64),
+            np.array([0, 7, 2913, 10**6, 2**40]),
+            rng.integers(0, 2**50, size=30),
+        ]
+        for trial in range(60):
+            pool = pools[trial % len(pools)]
+            size = int(rng.integers(1, 300))
+            x = rng.choice(pool, size=size).tolist()
+            y = (rng.random(size) < [0.5, 1.0, 0.0][trial % 3]).astype(int).tolist()
+            joint = JointCounts.from_arrays(x, y)
+            expected = brute_force_cells(x, y)
+            assert cells(joint) == expected
+            assert joint.labels.tolist() == sorted({a for a, _ in expected})
+            assert np.all(joint.table.sum(axis=1) > 0)
+            assert joint.total == size
+            assert mutual_information(joint) == reference_mi(expected)
+
+    def test_empty(self):
+        joint = JointCounts.from_arrays([], [])
+        assert joint.table.shape == (0, 2)
+        assert joint.total == 0
+        with pytest.raises(EmptyCounts):
+            mutual_information(joint)
+        with pytest.raises(EmptyCounts):
+            entropy_y(joint)
 
 
 class TestSampledMi:
@@ -181,6 +273,19 @@ class TestSampledMi:
             np.testing.assert_allclose(row["mi_bits"], expected, atol=1e-12)
             np.testing.assert_allclose(row["seed_std"], 0.0, atol=1e-12)
 
+    def test_graph_labels_stay_with_their_graphs(self):
+        # Full-budget unique sampling is enumeration; with unequal class
+        # sizes and no symmetry in the label order, pairing any graph's
+        # samples with another graph's label changes the MI.
+        smiles = ("CCO", "CCCN", "c1ccncc1", "OCCO", "CCCC")
+        ys = [0, 1, 1, 0, 0]
+        records = [
+            LabeledRecord(graph=parse_smiles(s), task_labels=(y,)) for s, y in zip(smiles, ys)
+        ]
+        exact, _ = exact_joint_counts(records, "atom_type")
+        row = self._sim(smiles, ys, 0.3, repeats=2, seed=4, unique_nodes=True)
+        np.testing.assert_allclose(row["mi_bits"], mutual_information(exact), atol=1e-12)
+
     def test_reproducible_and_seed_sensitive(self):
         smiles = ("CCOCN", "NCCOC", "OCNCC", "CNOCC")
         ys = [0, 1, 0, 1]
@@ -200,23 +305,40 @@ class TestSampledMi:
 
 class TestShuffleControl:
     def test_destroys_dependence(self):
-        pairs = [(0, 0)] * 50 + [(1, 1)] * 50
-        exact = mutual_information(JointCounts.from_pairs(pairs))
+        joint = counts_from_matrix([[50, 0], [0, 50]])
+        exact = mutual_information(joint)
         np.testing.assert_allclose(exact, 1.0, atol=1e-12)
-        result = shuffle_control(pairs, repeats=5, seed=0)
+        result = shuffle_control(joint, repeats=5, seed=0)
         assert result.mean < 0.4 * exact
         assert result.std < 0.1
         assert all(v >= 0 for v in result.per_repeat)
 
     def test_deterministic(self):
-        pairs = [(x % 3, x % 2) for x in range(60)]
-        a = shuffle_control(pairs, repeats=3, seed=2)
-        b = shuffle_control(pairs, repeats=3, seed=2)
+        joint = JointCounts.from_arrays([x % 3 for x in range(60)], [x % 2 for x in range(60)])
+        a = shuffle_control(joint, repeats=3, seed=2)
+        b = shuffle_control(joint, repeats=3, seed=2)
         assert a == b
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCounts):
-            shuffle_control([])
+            shuffle_control(JointCounts.from_arrays([], []))
+
+    def test_matches_pair_list_reference_on_random_tables(self):
+        rng = np.random.default_rng(5)
+        for trial in range(25):
+            matrix = rng.integers(0, 12, size=(int(rng.integers(1, 9)), 2))
+            matrix[0, trial % 2] += 1
+            joint = counts_from_matrix(matrix)
+            result = shuffle_control(joint, repeats=4, seed=trial)
+            assert result.per_repeat == reference_shuffle(sorted_pairs(joint), 4, trial)
+
+    @pytest.mark.parametrize("kind", ["atom_type", "motif"])
+    def test_matches_pair_list_reference_on_fixture_corpora(self, kind, ring_marker_records):
+        usable, _ = analysis_records(ring_marker_records)
+        vocab = build_vocab([r.graph for r in usable])
+        joint, _ = exact_joint_counts(ring_marker_records, kind, vocab=vocab)
+        result = shuffle_control(joint, repeats=5, seed=3)
+        assert result.per_repeat == reference_shuffle(sorted_pairs(joint), 5, 3)
 
 
 class TestLowFreqConditionals:
@@ -247,7 +369,7 @@ class TestLowFreqConditionals:
 
     def test_empty_counts(self):
         with pytest.raises(EmptyCounts):
-            low_freq_conditionals(JointCounts(), 0.5)
+            low_freq_conditionals(JointCounts.from_arrays([], []), 0.5)
 
 
 class TestJsd:

@@ -1,7 +1,6 @@
 """Masking strategies: budgets, guided selection, motif masking, views."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,17 +14,13 @@ from molmask import (
     bind_strategy,
     decompose,
     mask_count,
-    moama_mask,
     motif_adjacency,
-    motifpred_mask,
     pagerank,
     parse_smiles,
-    perturbed_topk,
     read_views,
     export_views,
     sample_pairs_for_graph,
     substream,
-    uniform_mask,
 )
 from molmask.molgraph import MASK_SENTINEL
 
@@ -194,34 +189,34 @@ class TestAnnealing:
 class TestUniformMask:
     def test_size_and_order(self):
         g = parse_smiles("CCCCCCCCCC")
-        config = MaskConfig(ratio=0.3)
+        bound = bind_strategy("uniform", MaskConfig(ratio=0.3))(g)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            plan = uniform_mask(g, config, rng)
+            plan = bound.plan(rng)
             assert len(plan.masked_atoms) == 3
             assert list(plan.masked_atoms) == sorted(set(plan.masked_atoms))
             assert plan.strategy == "uniform"
 
     def test_deterministic_per_stream(self):
         g = parse_smiles("CCCCCCCCCC")
-        config = MaskConfig(ratio=0.3)
-        a = uniform_mask(g, config, substream(7, 3, 1))
-        b = uniform_mask(g, config, substream(7, 3, 1))
+        bound = bind_strategy("uniform", MaskConfig(ratio=0.3))(g)
+        a = bound.plan(substream(7, 3, 1))
+        b = bound.plan(substream(7, 3, 1))
         assert a == b
-        c = uniform_mask(g, config, substream(7, 3, 2))
-        d = uniform_mask(g, config, substream(8, 3, 1))
+        c = bound.plan(substream(7, 3, 2))
+        d = bound.plan(substream(8, 3, 1))
         assert a != c or a != d  # different cells almost surely differ
 
     def test_inclusion_frequency(self):
         # Uniform choice without replacement: every atom appears with
         # probability exactly k/n.
         g = parse_smiles("CCCCCCCCCC")
-        config = MaskConfig(ratio=0.3)
+        bound = bind_strategy("uniform", MaskConfig(ratio=0.3))(g)
         rng = np.random.default_rng(123)
         hits = np.zeros(10)
         draws = 20000
         for _ in range(draws):
-            for i in uniform_mask(g, config, rng).masked_atoms:
+            for i in bound.plan(rng).masked_atoms:
                 hits[i] += 1
         np.testing.assert_allclose(hits / draws, np.full(10, 0.3), atol=0.02)
 
@@ -230,28 +225,28 @@ class TestPerturbedTopk:
     def test_large_beta_recovers_exact_topk(self):
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
-        config = MaskConfig(ratio=0.3, beta=10.0)
+        bound = bind_strategy("external", MaskConfig(ratio=0.3, beta=10.0))(g, scores)
         rng = np.random.default_rng(5)
         for _ in range(100):
-            plan = perturbed_topk(g, scores, config, rng)
+            plan = bound.plan(rng)
             assert plan.masked_atoms == (7, 8, 9)
 
     def test_tied_scores_prefer_low_index(self):
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=(1.0,) * 10, source="external")
-        config = MaskConfig(ratio=0.3, beta=10.0)
-        plan = perturbed_topk(g, scores, config, np.random.default_rng(0))
+        bound = bind_strategy("external", MaskConfig(ratio=0.3, beta=10.0))(g, scores)
+        plan = bound.plan(np.random.default_rng(0))
         assert plan.masked_atoms == (0, 1, 2)
 
     def test_beta_zero_ignores_scores(self):
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
-        config = MaskConfig(ratio=0.3, beta=0.0)
+        bound = bind_strategy("external", MaskConfig(ratio=0.3, beta=0.0))(g, scores)
         rng = np.random.default_rng(11)
         hits = np.zeros(10)
         draws = 20000
         for _ in range(draws):
-            for i in perturbed_topk(g, scores, config, rng).masked_atoms:
+            for i in bound.plan(rng).masked_atoms:
                 hits[i] += 1
         np.testing.assert_allclose(hits / draws, np.full(10, 0.3), atol=0.02)
 
@@ -261,9 +256,10 @@ class TestPerturbedTopk:
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
         config = MaskConfig(ratio=0.3, beta=10.0, epoch=1, max_epoch=100)
+        bound = bind_strategy("external", config)(g, scores)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            plan = perturbed_topk(g, scores, config, rng)
+            plan = bound.plan(rng)
             assert 9 in plan.masked_atoms
             assert len(plan.masked_atoms) == 3
 
@@ -273,14 +269,14 @@ class TestPerturbedTopk:
         rng = np.random.default_rng(9)
         for epoch in (1, 10, 50, 100):
             config = MaskConfig(ratio=0.3, beta=0.5, epoch=epoch, max_epoch=100)
-            plan = perturbed_topk(g, scores, config, rng)
+            plan = bind_strategy("external", config)(g, scores).plan(rng)
             assert len(plan.masked_atoms) == 3
 
     def test_score_length_mismatch(self):
         g = parse_smiles("CCO")
         scores = NodeScores(values=(0.1, 0.2), source="external")
         with pytest.raises(OutOfRangeIndex):
-            perturbed_topk(g, scores, MaskConfig(), np.random.default_rng(0))
+            bind_strategy("external", MaskConfig())(g, scores)
 
 
 class TestMoamaMask:
@@ -290,21 +286,26 @@ class TestMoamaMask:
         adjacency = motif_adjacency(g, partition)
         return g, partition, adjacency
 
+    @staticmethod
+    def _bind(g, partition, config):
+        return bind_strategy("moama", config)(g, None, partition)
+
     def test_single_motif_graph_fully_masked(self):
         # The first drawn motif is accepted unconditionally, even when
         # it alone exceeds the atom budget.
         g, partition, adjacency = self._setup("c1ccccc1")
         config = MaskConfig(ratio=0.15)
-        plan = moama_mask(g, partition, adjacency, config, np.random.default_rng(0))
+        plan = self._bind(g, partition, config).plan(np.random.default_rng(0))
         assert plan.masked_atoms == (0, 1, 2, 3, 4, 5)
         assert plan.masked_motifs == (0,)
 
     def test_whole_motifs_only(self):
         g, partition, adjacency = self._setup("C1CC1CCC1CC1CCC1CC1CCC1CC1")
         config = MaskConfig(ratio=0.4)
+        bound = self._bind(g, partition, config)
         rng = np.random.default_rng(21)
         for _ in range(200):
-            plan = moama_mask(g, partition, adjacency, config, rng)
+            plan = bound.plan(rng)
             expected = sorted(
                 a for m in plan.masked_motifs for a in partition.motifs[m]
             )
@@ -313,9 +314,10 @@ class TestMoamaMask:
     def test_no_adjacent_motifs(self):
         g, partition, adjacency = self._setup("C1CC1CCC1CC1CCC1CC1CCC1CC1")
         config = MaskConfig(ratio=0.6)
+        bound = self._bind(g, partition, config)
         rng = np.random.default_rng(8)
         for _ in range(300):
-            plan = moama_mask(g, partition, adjacency, config, rng)
+            plan = bound.plan(rng)
             chosen = set(plan.masked_motifs)
             for m in chosen:
                 assert not (chosen - {m}) & set(adjacency[m])
@@ -324,17 +326,19 @@ class TestMoamaMask:
         g, partition, adjacency = self._setup("C1CC1CCC1CC1CCC1CC1CCC1CC1")
         k = mask_count(0.4, g.n_atoms)
         config = MaskConfig(ratio=0.4)
+        bound = self._bind(g, partition, config)
         rng = np.random.default_rng(77)
         for _ in range(300):
-            plan = moama_mask(g, partition, adjacency, config, rng)
+            plan = bound.plan(rng)
             if len(plan.masked_motifs) > 1:
                 assert len(plan.masked_atoms) <= k
 
     def test_deterministic(self):
         g, partition, adjacency = self._setup("C1CC1CCC1CC1")
         config = MaskConfig(ratio=0.5)
-        a = moama_mask(g, partition, adjacency, config, substream(1, 0, 0))
-        b = moama_mask(g, partition, adjacency, config, substream(1, 0, 0))
+        bound = self._bind(g, partition, config)
+        a = bound.plan(substream(1, 0, 0))
+        b = bound.plan(substream(1, 0, 0))
         assert a == b
 
 
@@ -347,9 +351,10 @@ class TestMotifpredMask:
         g, partition = self._setup("C1CC1CCC1CC1CCC1CC1CCC1CC1")
         config = MaskConfig(ratio=0.3, intra_motif_fraction=0.5)
         k = mask_count(0.3, g.n_atoms)
+        bound = bind_strategy("motifpred", config)(g, None, partition)
         rng = np.random.default_rng(4)
         for _ in range(200):
-            plan = motifpred_mask(g, partition, config, rng)
+            plan = bound.plan(rng)
             assert len(plan.masked_atoms) >= k
             # Overshoot is bounded by the last motif's contribution.
             largest = max(
@@ -361,9 +366,10 @@ class TestMotifpredMask:
     def test_per_motif_fraction(self):
         g, partition = self._setup("C1CC1CCC1CC1")
         config = MaskConfig(ratio=0.9, intra_motif_fraction=0.5)
+        bound = bind_strategy("motifpred", config)(g, None, partition)
         rng = np.random.default_rng(2)
         for _ in range(100):
-            plan = motifpred_mask(g, partition, config, rng)
+            plan = bound.plan(rng)
             expected = sum(
                 math.ceil(0.5 * len(partition.motifs[m]))
                 for m in plan.masked_motifs
@@ -375,7 +381,8 @@ class TestMotifpredMask:
     def test_full_fraction_masks_whole_motifs(self):
         g, partition = self._setup("C1CC1CCC1CC1")
         config = MaskConfig(ratio=0.5, intra_motif_fraction=1.0)
-        plan = motifpred_mask(g, partition, config, np.random.default_rng(6))
+        bound = bind_strategy("motifpred", config)(g, None, partition)
+        plan = bound.plan(np.random.default_rng(6))
         expected = sorted(a for m in plan.masked_motifs for a in partition.motifs[m])
         assert list(plan.masked_atoms) == expected
 
@@ -391,11 +398,11 @@ class TestBatchDraw:
         assert len(graphs) >= 5
         for gi, graph in enumerate(graphs):
             n = graph.n_atoms
-            pairs = sample_pairs_for_graph(
-                graph, gi, list(range(n)), 0, batch_draw(strategy, graph),
+            (picked,) = sample_pairs_for_graph(
+                graph, gi, list(range(n)), batch_draw(strategy, graph),
                 repeats=1, seed=11, samples_per_graph=n_batch,
-            )[0]
-            batch = np.bincount([x for x, _ in pairs], minlength=n) / n_batch
+            )
+            batch = np.bincount(picked, minlength=n) / n_batch
             reference = reference_fn(strategy, graph)
             rng = np.random.default_rng(gi)
             hits = np.zeros(n)
@@ -484,8 +491,8 @@ class TestBatchDraw:
         assert calls[0] == calls[1] == calls[2], calls
 
     def test_plan_is_the_first_batch_row(self, fixture_graphs):
-        # The public per-plan functions draw through the batch draw at
-        # m = 1: same stream, same mask.
+        # A binding's plan draws through its batch draw at m = 1: same
+        # stream, same mask.
         for strategy in STRATEGIES:
             for gi, graph in enumerate(fixture_graphs):
                 bound = bind_strategy(strategy, BATCH_CONFIG)(graph, supplied_scores(strategy, graph))
@@ -497,7 +504,7 @@ class TestBatchDraw:
 class TestApplyMask:
     def test_sentinel_applied(self):
         g = parse_smiles("CCO")
-        plan = uniform_mask(g, MaskConfig(ratio=0.34), np.random.default_rng(0))
+        plan = bind_strategy("uniform", MaskConfig(ratio=0.34))(g).plan(np.random.default_rng(0))
         masked = apply_mask(g, plan)
         assert masked.mask_token_applied
         for atom in masked.graph.atoms:
@@ -581,8 +588,11 @@ class TestPlanFn:
                 plan = bind(g, scores).plan(substream(0, gi, 0))
                 assert plan.masked_atoms, (strategy, g.source_smiles)
                 assert all(0 <= a < g.n_atoms for a in plan.masked_atoms)
-                # The binding's plan is the strategy's public function.
-                assert plan == public_plan(strategy, g, scores, config, substream(0, gi, 0))
+                assert plan.strategy == strategy
+                # Motif strategies name the motifs their atoms fall in.
+                motifs = {decompose(g).motif_of[a] for a in plan.masked_atoms}
+                expected = tuple(sorted(motifs)) if strategy in ("moama", "motifpred") else ()
+                assert plan.masked_motifs == expected
 
     def test_replay_reproduces(self, fixture_graphs):
         bind = bind_strategy("moama", MaskConfig(ratio=0.25))
@@ -591,19 +601,6 @@ class TestPlanFn:
         second = [b.plan(substream(5, i, 0)) for i, b in enumerate(bound)]
         rebound = [bind(g).plan(substream(5, i, 0)) for i, g in enumerate(fixture_graphs)]
         assert first == second == rebound
-
-
-def public_plan(strategy, graph, scores, config, rng):
-    if strategy == "uniform":
-        return uniform_mask(graph, config, rng)
-    if strategy == "pagerank":
-        return perturbed_topk(graph, scores, replace(config, beta=0.25), rng)
-    if strategy == "external":
-        return perturbed_topk(graph, scores, replace(config, beta=0.5), rng)
-    partition = decompose(graph)
-    if strategy == "moama":
-        return moama_mask(graph, partition, motif_adjacency(graph, partition), config, rng)
-    return motifpred_mask(graph, partition, config, rng)
 
 
 def bind_all(strategy, config, corpus):
