@@ -27,7 +27,7 @@ from molmask import (
 
 corpus = Path(__file__).parent / "data" / "demo_corpus.csv"
 manifest = DatasetManifest(
-    path=str(corpus), smiles_column="smiles", task_columns=("activity",),
+    path=str(corpus), smiles_column="smiles", label_column="activity",
     name="demo",
 )
 records, _ = ingest(manifest)

@@ -74,14 +74,20 @@ def _add_mask_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scores", default="", help="external per-atom score CSV")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _taus(text: str) -> list[float]:
@@ -108,11 +114,10 @@ def _mask_config(args) -> MaskConfig:
 
 
 def _manifest(args) -> DatasetManifest:
-    label = getattr(args, "label_col", "")
     return DatasetManifest(
         path=args.input,
         smiles_column=args.smiles_col,
-        task_columns=(label,) if label else (),
+        label_column=getattr(args, "label_col", ""),
         name=args.dataset_name,
     )
 
@@ -232,7 +237,7 @@ def cmd_vocab_coverage(args) -> int:
 
 def cmd_mask_sim(args) -> int:
     manifest, records, _ = _ingest_for_analysis(args)
-    if not manifest.task_columns:
+    if not manifest.label_column:
         raise _UsageError("mask-sim needs --label-col")
     strategies = _split_list(args.strategies, STRATEGIES, "strategy")
     config = _mask_config(args)
@@ -250,12 +255,12 @@ def cmd_mask_sim(args) -> int:
 
 def cmd_mi(args) -> int:
     manifest, records, _ = _ingest_for_analysis(args)
-    if not manifest.task_columns:
+    if not manifest.label_column:
         raise _UsageError("mi needs --label-col")
     kinds = _split_list(args.targets, TARGET_KINDS, "target kind")
     report = run_mi_analysis(
         records, kinds, dataset_name=manifest.display_name,
-        seed=args.seed, workers=args.workers, **_target_resources(args, records, kinds),
+        seed=args.seed, **_target_resources(args, records, kinds),
     )
     path = _out_path(args, "mi.csv")
     write_report_csv(report, path)
@@ -265,13 +270,13 @@ def cmd_mi(args) -> int:
 
 def cmd_jsd(args) -> int:
     manifest, records, _ = _ingest_for_analysis(args)
-    if not manifest.task_columns:
+    if not manifest.label_column:
         raise _UsageError("jsd needs --label-col")
     kinds = _split_list(args.targets, TARGET_KINDS, "target kind")
     taus = args.taus or list(DEFAULT_TAUS)
     report = run_jsd_analysis(
         records, kinds, dataset_name=manifest.display_name, taus=taus,
-        seed=args.seed, workers=args.workers, **_target_resources(args, records, kinds),
+        seed=args.seed, **_target_resources(args, records, kinds),
     )
     path = _out_path(args, "jsd.csv")
     write_report_csv(report, path)
@@ -281,15 +286,14 @@ def cmd_jsd(args) -> int:
 
 def cmd_shuffle_control(args) -> int:
     manifest, records, _ = _ingest_for_analysis(args)
-    if not manifest.task_columns:
+    if not manifest.label_column:
         raise _UsageError("shuffle-control needs --label-col")
     kinds = _split_list(args.target, TARGET_KINDS, "target kind")
     if len(kinds) != 1:
         raise _UsageError("shuffle-control takes exactly one target kind")
     report = run_shuffle_control(
         records, kinds[0], dataset_name=manifest.display_name,
-        repeats=args.repeats, seed=args.seed, workers=args.workers,
-        **_target_resources(args, records, kinds),
+        repeats=args.repeats, seed=args.seed, **_target_resources(args, records, kinds),
     )
     path = _out_path(args, "shuffle.csv")
     write_report_csv(report, path)
@@ -348,7 +352,8 @@ def cmd_plot(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="molmask", description=__doc__)
     parser.add_argument("--version", action="version", version=f"molmask {__version__}")
-    parser.add_argument("--seed", type=int, default=0, help="base seed for every random draw")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
+                        help="base seed for every random draw (a whole number, 0 or more)")
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="process count for corpus stages")
     parser.add_argument("--out-dir", default=".", help="directory for report outputs")

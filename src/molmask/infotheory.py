@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,85 +108,47 @@ def sample_pairs_for_graph(
     draw: BatchDraw,
     repeats: int,
     seed: int,
-    samples_per_graph: Optional[int] = None,
-    unique_nodes: bool = False,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Draw one graph's sampled unit labels for every repeat.
 
     The generator for (repeat r, graph g) is derived from the seed by
     value, never by schedule, so any partitioning of the corpus across
     workers reproduces the same samples.  Each (repeat, graph) cell
-    draws its masks as one batch from ``draw`` (the graph's
-    BoundStrategy.draw) and picks one masked atom per mask, uniformly,
-    so samples follow the strategy's true inclusion marginal.  One
-    sample = one mask.  Returns one int array per repeat: ``labels`` of
-    the sampled atoms, in draw order.
+    draws as many masks as the graph has atoms, as one batch from
+    ``draw`` (the graph's BoundStrategy.draw), and picks one masked atom
+    per mask, uniformly, so samples follow the strategy's true inclusion
+    marginal.  One sample = one mask.  Returns a (repeats, n_atoms)
+    array of ``labels``' dtype: row r holds the labels of the atoms
+    sampled in repeat r, in draw order.
     """
-    budget = graph.n_atoms if samples_per_graph is None else samples_per_graph
-    labels = np.asarray(labels, dtype=np.int64)
-    out: list[np.ndarray] = []
+    labels = np.asarray(labels)
+    out = np.empty((repeats, graph.n_atoms), dtype=labels.dtype)
     for r in range(repeats):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(r, graph_index))
         )
-        if unique_nodes:
-            atoms = _unique_atoms(draw, rng, budget, graph.n_atoms)
-        else:
-            atoms = _pick_atoms(draw(rng, budget), rng)
-        out.append(labels[atoms])
+        masks = draw(rng, graph.n_atoms)
+        picks = rng.random(len(masks)).tolist()
+        out[r] = labels[[mask[int(u * len(mask))] for mask, u in zip(masks, picks)]]
     return out
 
 
-def _pick_atoms(masks: list[list[int]], rng: np.random.Generator) -> list[int]:
-    """One atom per mask, uniform among the mask's atoms."""
-    return [mask[int(u * len(mask))] for mask, u in zip(masks, rng.random(len(masks)).tolist())]
-
-
-def _unique_atoms(
-    draw: BatchDraw, rng: np.random.Generator, budget: int, n_atoms: int
-) -> list[int]:
-    """Up to ``budget`` distinct atoms.
-
-    Each sample takes the next pick (one atom of one fresh mask) that is
-    not yet taken, trying at most 100 picks; after that it takes an
-    untaken atom uniformly.  Picks come in batches of ``budget`` masks.
-    Once every atom is taken, sampling stops.
-    """
-    fallback = rng.random(budget).tolist()
-    taken: dict[int, None] = {}  # insertion-ordered set
-    picks: list[int] = []
-    for j in range(min(budget, n_atoms)):
-        for _ in range(100):
-            if not picks:
-                picks = _pick_atoms(draw(rng, budget), rng)[::-1]
-            atom = picks.pop()
-            if atom not in taken:
-                break
-        else:
-            remaining = [a for a in range(n_atoms) if a not in taken]
-            atom = remaining[int(fallback[j] * len(remaining))]
-        taken[atom] = None
-    return list(taken)
-
-
 def repeat_mi(
-    per_graph: Sequence[Sequence[np.ndarray]], graph_labels: Sequence[int], repeats: int
+    per_graph: Sequence[np.ndarray], graph_labels: Sequence[int], repeats: int
 ) -> SampledMi:
     """Pool sampled labels into one joint table per repeat and summarize.
 
-    ``per_graph[g][r]`` holds graph g's sampled unit labels in repeat r
-    (what sample_pairs_for_graph returns) and ``graph_labels[g]`` is
-    graph g's label.  The spread over repeats is the sample standard
+    ``per_graph[g]`` is graph g's (repeats, samples) label array (what
+    sample_pairs_for_graph returns) and ``graph_labels[g]`` is graph
+    g's label.  The spread over repeats is the sample standard
     deviation; n_pairs and h_y describe repeat 0.
     """
     if repeats < 1:
         raise ValueError("sampled MI needs at least one repeat")
-    per_repeat = []
-    for r in range(repeats):
-        xs = [samples[r] for samples in per_graph]
-        x = np.concatenate(xs) if xs else np.empty(0, dtype=np.int64)
-        y = np.repeat(np.asarray(graph_labels, dtype=np.int64), [len(a) for a in xs])
-        per_repeat.append(JointCounts.from_arrays(x, y))
+    sizes = [samples.shape[1] for samples in per_graph]
+    x = np.concatenate(per_graph, axis=1) if per_graph else np.empty((repeats, 0), dtype=np.int64)
+    y = np.repeat(np.asarray(graph_labels, dtype=np.int64), sizes)
+    per_repeat = [JointCounts.from_arrays(x[r], y) for r in range(repeats)]
     estimates = [mutual_information(joint) for joint in per_repeat]
     return SampledMi(
         mean=float(np.mean(estimates)),

@@ -165,24 +165,14 @@ class MolGraph:
 
 @dataclass(frozen=True)
 class LabeledRecord:
-    """A graph plus optional binary task labels (None = missing)."""
+    """A graph plus an optional binary label (None = missing)."""
 
     graph: MolGraph
-    task_labels: tuple[Optional[int], ...] = ()
-    active_task: int = 0
+    label: Optional[int] = None
 
     def __post_init__(self):
-        for value in self.task_labels:
-            if value is not None and value not in (0, 1):
-                raise ValueError(f"task label {value!r} is not binary")
-        if self.task_labels and not (0 <= self.active_task < len(self.task_labels)):
-            raise ValueError("active_task out of range")
-
-    @property
-    def label(self) -> Optional[int]:
-        if not self.task_labels:
-            return None
-        return self.task_labels[self.active_task]
+        if self.label is not None and self.label not in (0, 1):
+            raise ValueError(f"label {self.label!r} is not binary")
 
 
 def _find_bridges(n_atoms: int, edges: Sequence[tuple[int, int]]) -> list[bool]:

@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DisconnectedMotif
+from .errors import DataError, DisconnectedMotif
 from .molgraph import SINGLE, MolGraph
 
 # Exhaustive tie-break budget: orderings beyond this fall back to a
@@ -309,10 +309,11 @@ def coverage(vocab: MotifVocab, graphs: Iterable[MolGraph]) -> CoverageStats:
 
     overlap_ratio is the fraction of the downstream corpus's distinct
     signatures present in the vocabulary; r(G) is the per-graph fraction
-    of motif occurrences whose signature the vocabulary knows.
+    of motif occurrences whose signature the vocabulary knows.  An
+    empty vocabulary raises DataError.
     """
     if vocab.size == 0:
-        raise ValueError("coverage needs a non-empty vocabulary")
+        raise DataError("coverage needs a non-empty vocabulary")
     downstream_sigs: set[str] = set()
     per_graph_r: list[float] = []
     for graph in graphs:

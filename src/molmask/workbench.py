@@ -62,8 +62,7 @@ class DatasetManifest:
 
     path: str
     smiles_column: str = "smiles"
-    task_columns: tuple[str, ...] = ()
-    active_task: int = 0
+    label_column: str = ""
     name: str = ""
 
     @property
@@ -123,7 +122,7 @@ def _parse_worker(smiles: str):
 
 
 def _read_label(cell: Optional[str]) -> tuple[Optional[int], bool]:
-    """Parse one task cell; (label, was_invalid)."""
+    """Parse one label cell; (label, was_invalid)."""
     if cell is None:
         return None, False
     text = cell.strip()
@@ -144,7 +143,9 @@ def ingest(manifest: DatasetManifest, workers: int = 1) -> tuple[list[LabeledRec
     """Read a CSV corpus into labeled records.
 
     Rows whose SMILES fail to parse are skipped and tallied by failure
-    kind; unparseable or non-binary label cells become missing labels.
+    kind.  Each record's label comes from ``manifest.label_column`` (no
+    column: every label is missing); unparseable or non-binary label
+    cells become missing labels.
     Single-atom molecules are kept but counted, since the analysis
     stages will skip them.
     """
@@ -156,9 +157,8 @@ def ingest(manifest: DatasetManifest, workers: int = 1) -> tuple[list[LabeledRec
             raise MissingColumn(
                 f"column {manifest.smiles_column!r} not in {manifest.path}"
             )
-        for column in manifest.task_columns:
-            if column not in header:
-                raise MissingColumn(f"column {column!r} not in {manifest.path}")
+        if manifest.label_column and manifest.label_column not in header:
+            raise MissingColumn(f"column {manifest.label_column!r} not in {manifest.path}")
         raw_rows = list(reader)
 
     stats.rows_total = len(raw_rows)
@@ -171,18 +171,11 @@ def ingest(manifest: DatasetManifest, workers: int = 1) -> tuple[list[LabeledRec
         if tag != "ok":
             stats.parse_failures[tag] = stats.parse_failures.get(tag, 0) + 1
             continue
-        labels = []
-        for column in manifest.task_columns:
-            label, bad = _read_label(row.get(column))
-            stats.invalid_labels += int(bad)
-            labels.append(label)
-        records.append(
-            LabeledRecord(
-                graph=graph,
-                task_labels=tuple(labels),
-                active_task=manifest.active_task if labels else 0,
-            )
-        )
+        label, bad = None, False
+        if manifest.label_column:
+            label, bad = _read_label(row[manifest.label_column])
+        stats.invalid_labels += int(bad)
+        records.append(LabeledRecord(graph=graph, label=label))
         stats.parsed += 1
         stats.singletons += int(graph.is_singleton)
     return records, stats
@@ -190,8 +183,8 @@ def ingest(manifest: DatasetManifest, workers: int = 1) -> tuple[list[LabeledRec
 
 def _usable_positions(records: Sequence[LabeledRecord]) -> tuple[list[int], dict[str, int]]:
     """Corpus positions of the records usable for label analyses, and
-    what was skipped: graphs with a missing active-task label and
-    single-atom graphs."""
+    what was skipped: graphs with a missing label and single-atom
+    graphs."""
     kept = []
     skipped = {"missing_label": 0, "singleton": 0}
     for pos, record in enumerate(records):
@@ -207,8 +200,7 @@ def _usable_positions(records: Sequence[LabeledRecord]) -> tuple[list[int], dict
 def analysis_records(records: Sequence[LabeledRecord]) -> tuple[list[LabeledRecord], dict[str, int]]:
     """Keep records usable for label analyses; count what was skipped.
 
-    Skips graphs with a missing active-task label and single-atom
-    graphs.
+    Skips graphs with a missing label and single-atom graphs.
     """
     positions, skipped = _usable_positions(records)
     return [records[pos] for pos in positions], skipped
@@ -217,8 +209,6 @@ def analysis_records(records: Sequence[LabeledRecord]) -> tuple[list[LabeledReco
 def exact_joint_counts(
     records: Sequence[LabeledRecord],
     kind: str,
-    *,
-    workers: int = 1,
     **resources,
 ) -> tuple[JointCounts, dict[str, int]]:
     """Enumerate every unit of every usable graph into joint counts.
@@ -229,7 +219,7 @@ def exact_joint_counts(
     TargetResources fields (vocab, motifs, embeddings, codebook, logits,
     vq_normalize), per-graph ones keyed by position in ``records``;
     without ``motifs``, a motif count first decomposes and signs every
-    graph, fanned out over ``workers`` processes.
+    graph, serially.
     """
     target = TargetResources(**resources)
     positions, extras = _usable_positions(records)
@@ -239,9 +229,7 @@ def exact_joint_counts(
         if target.vocab is None:
             raise DataError("motif analysis needs a vocabulary")
         if target.motifs is None:
-            target = replace(
-                target, motifs=parallel_map(graph_motifs, [rec.graph for rec in records], workers)
-            )
+            target = replace(target, motifs=[graph_motifs(rec.graph) for rec in records])
         unk = target.vocab.unk_id
     xs: list[int] = []
     ys: list[int] = []
@@ -264,7 +252,6 @@ def run_mi_analysis(
     *,
     dataset_name: str,
     seed: int = 0,
-    workers: int = 1,
     **resources,
 ) -> AnalysisReport:
     """Exact MI of each target kind against the graph label.
@@ -276,7 +263,7 @@ def run_mi_analysis(
     )
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for kind in kinds:
-        joint, _ = exact_joint_counts(records, kind, workers=workers, **resources)
+        joint, _ = exact_joint_counts(records, kind, **resources)
         mi = mutual_information(joint)
         h_y = entropy_y(joint)
         report.rows.append((
@@ -294,7 +281,6 @@ def run_jsd_analysis(
     dataset_name: str,
     taus: Sequence[float] = DEFAULT_TAUS,
     seed: int = 0,
-    workers: int = 1,
     **resources,
 ) -> AnalysisReport:
     """Low-frequency JSD curves of each target kind; ``resources`` as
@@ -307,7 +293,7 @@ def run_jsd_analysis(
     )
     report = AnalysisReport(kind="jsd", columns=JSD_COLUMNS)
     for kind in kinds:
-        joint, _ = exact_joint_counts(records, kind, workers=workers, **resources)
+        joint, _ = exact_joint_counts(records, kind, **resources)
         curve = jsd_curve(joint, taus)
         for tau, value, kept, ok in zip(curve.taus, curve.values, curve.labels_kept, curve.defined):
             report.rows.append((
@@ -323,11 +309,9 @@ def _sample_graph(
     config: MaskConfig,
     repeats: int,
     seed: int,
-    samples_per_graph: Optional[int],
-    unique_nodes: bool,
-) -> list[list[np.ndarray]]:
-    """One graph's sampled unit labels under every strategy, for every
-    repeat.
+) -> np.ndarray:
+    """One graph's sampled unit labels under every strategy: a
+    (strategies, repeats, n_atoms) array of the task's labels.
 
     Self-contained per graph so the corpus can be partitioned across
     processes freely; determinism comes from value-keyed substreams
@@ -337,14 +321,14 @@ def _sample_graph(
     """
     graph, graph_index, labels, scores = task
     partition = decompose(graph) if set(strategies) & set(MOTIF_STRATEGIES) else None
-    return [
+    return np.stack([
         sample_pairs_for_graph(
             graph, graph_index, labels,
             bind_strategy(strategy, config)(graph, scores.get(strategy), partition).draw,
-            repeats, seed, samples_per_graph, unique_nodes,
+            repeats, seed,
         )
         for strategy in strategies
-    ]
+    ])
 
 
 def run_mask_sim(
@@ -357,8 +341,6 @@ def run_mask_sim(
     seed: int = 0,
     workers: int = 1,
     external_scores: Optional[Sequence[NodeScores]] = None,
-    samples_per_graph: Optional[int] = None,
-    unique_nodes: bool = False,
 ) -> AnalysisReport:
     """Sampled atom-type MI under each masking strategy.
 
@@ -376,16 +358,19 @@ def run_mask_sim(
             "ratio": config.ratio, "beta": config.beta,
             "epoch": config.effective_epoch, "max_epoch": config.max_epoch,
             "intra": config.intra_motif_fraction,
-            "samples_per_graph": samples_per_graph, "unique_nodes": unique_nodes,
+            # Settings of earlier versions, kept so the hash stays the same.
+            "samples_per_graph": None, "unique_nodes": False,
         }
     )
     scored = strategy_scores(
         strategies, [records[pos].graph for pos in positions],
         None if external_scores is None else [external_scores[pos] for pos in positions],
     )
+    # Atom types fit uint8 (Atom bounds them to 0..119), which keeps the
+    # label arrays the workers send back small.
     tasks = [
         (
-            records[pos].graph, g, atom_labels(records[pos].graph),
+            records[pos].graph, g, np.asarray(atom_labels(records[pos].graph), dtype=np.uint8),
             {strategy: scores[g] for strategy, scores in scored.items()},
         )
         for g, pos in enumerate(positions)
@@ -393,7 +378,6 @@ def run_mask_sim(
     worker = partial(
         _sample_graph,
         strategies=tuple(strategies), config=config, repeats=repeats, seed=seed,
-        samples_per_graph=samples_per_graph, unique_nodes=unique_nodes,
     )
     per_graph = parallel_map(worker, tasks, workers)
     graph_labels = [records[pos].label for pos in positions]
@@ -415,7 +399,6 @@ def run_shuffle_control(
     dataset_name: str,
     repeats: int = 5,
     seed: int = 0,
-    workers: int = 1,
     **resources,
 ) -> AnalysisReport:
     """Original MI next to its label-shuffled control; ``resources`` as
@@ -426,7 +409,7 @@ def run_shuffle_control(
             "repeats": repeats, "seed": seed,
         }
     )
-    joint, _ = exact_joint_counts(records, kind, workers=workers, **resources)
+    joint, _ = exact_joint_counts(records, kind, **resources)
     mi = mutual_information(joint)
     h_y = entropy_y(joint)
     shuffled = shuffle_control(joint, repeats=repeats, seed=seed)

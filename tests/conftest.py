@@ -141,7 +141,7 @@ def ring_marker_records(corpus_dir):
     manifest = DatasetManifest(
         path=str(corpus_dir / "ring_marker.csv"),
         smiles_column="smiles",
-        task_columns=("activity",),
+        label_column="activity",
         name="ring_marker",
     )
     records, _ = ingest(manifest)
@@ -174,7 +174,7 @@ def load_reference_dataset(stem: str):
     if smiles_col is None or label_col is None:
         pytest.skip(f"{path} lacks a recognizable smiles/label column pair: {header}")
     manifest = DatasetManifest(
-        path=str(path), smiles_column=smiles_col, task_columns=(label_col,), name=stem
+        path=str(path), smiles_column=smiles_col, label_column=label_col, name=stem
     )
     records, stats = ingest(manifest)
     return records, stats

@@ -190,7 +190,7 @@ def test_shuffle_collapse_on_fixture_corpora(corpus_dir):
         manifest = DatasetManifest(
             path=str(corpus_dir / f"{name}.csv"),
             smiles_column="smiles",
-            task_columns=("activity",),
+            label_column="activity",
             name=name,
         )
         records, _ = ingest(manifest)

@@ -93,6 +93,17 @@ class TestVocab:
         ])
         assert code == 2
 
+    def test_coverage_of_empty_vocab_is_data_error(self, cli_corpus, tmp_path, capsys):
+        vocab_path = tmp_path / "empty.tsv"
+        vocab_path.write_text("signature\tid\tcount\n")
+        out = tmp_path / "coverage.csv"
+        assert run([
+            "vocab", "coverage", "--input", cli_corpus, "--vocab", vocab_path, "--output", out,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestAnalysisCommands:
     def test_mi_default_targets(self, cli_corpus, tmp_path, capsys):
@@ -333,6 +344,10 @@ def test_count_flag_below_one_is_usage_error(command, flag, value, cli_corpus, t
     ["jsd", "--taus=-1"],
     ["mask-sim", "--strategies", "uniform", "--scores", "missing.csv"],
     ["export-views", "--strategy", "pagerank", "--scores", "missing.csv"],
+    ["--seed=-1", "shuffle-control"],
+    ["--seed=-1", "mask-sim"],
+    ["--seed=-1", "export-views"],
+    ["--seed", "1.5", "mask-sim"],
 ])
 def test_bad_flag_value_is_usage_error(argv, cli_corpus, tmp_path, capsys):
     out = tmp_path / "out"
@@ -391,7 +406,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
 
 
-@pytest.mark.parametrize("name, argv", [
+GOLDEN_CASES = [
     ("mi.csv", ["mi", "--label-col", "activity", "--targets", "atom_type,motif"]),
     ("jsd.csv", ["jsd", "--label-col", "activity"]),
     ("shuffle.csv", ["shuffle-control", "--label-col", "activity", "--target", "motif"]),
@@ -407,9 +422,18 @@ DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_
                                     "--target", "atom_type", "--draws-per-graph", "2"]),
     ("shuffle_atom_type.csv", ["shuffle-control", "--label-col", "activity",
                                "--target", "atom_type", "--repeats", "7"]),
+]
+
+
+# A case keeps its plain id at --workers 1 and gains a "-w2" suffix at 2.
+@pytest.mark.parametrize("name, argv, workers", [
+    pytest.param(name, argv, workers, id=f"{name}-argv{i}" + ("" if workers == 1 else "-w2"))
+    for workers in (1, 2)
+    for i, (name, argv) in enumerate(GOLDEN_CASES)
 ])
-def test_golden_bytes(name, argv, tmp_path, capsys):
-    """Report bytes on the demo corpus match the committed reference files."""
+def test_golden_bytes(name, argv, workers, tmp_path, capsys):
+    """Report bytes on the demo corpus match the committed reference
+    files at one and two workers."""
     out = tmp_path / name
-    assert run(["--workers", "1", *argv, "--input", DEMO_CORPUS, "--output", out]) == 0
+    assert run(["--workers", workers, *argv, "--input", DEMO_CORPUS, "--output", out]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()

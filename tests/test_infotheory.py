@@ -1,5 +1,6 @@
 """Information measures: plug-in MI, sampled MI, low-frequency JSD."""
 
+import itertools
 import math
 
 import numpy as np
@@ -241,7 +242,7 @@ class TestSampledMi:
     @staticmethod
     def _sim(smiles, ys, ratio, **kwargs):
         records = [
-            LabeledRecord(graph=parse_smiles(s), task_labels=(y,)) for s, y in zip(smiles, ys)
+            LabeledRecord(graph=parse_smiles(s), label=y) for s, y in zip(smiles, ys)
         ]
         report = run_mask_sim(
             records, ["uniform"], MaskConfig(ratio=ratio), dataset_name="t", **kwargs
@@ -258,33 +259,45 @@ class TestSampledMi:
         np.testing.assert_allclose(row["seed_std"], 0.0, atol=1e-12)
         assert row["n_pairs"] == 16
 
-    def test_unique_full_budget_equals_exact_enumeration(self):
-        # Sampling every atom exactly once is enumeration: the estimate
-        # must equal the exact plug-in MI for any seed.
-        smiles = ("CCO", "CCN", "c1ccncc1", "OCCO")
-        ys = [0, 1, 1, 0]
-        records = [
-            LabeledRecord(graph=parse_smiles(s), task_labels=(y,)) for s, y in zip(smiles, ys)
-        ]
+    # Every atom of a graph is the same element, so whichever atoms a
+    # mask picks, a graph's n_atoms samples carry its one element
+    # n_atoms times: the sampled table is the exact table for any seed.
+    # Class sizes are unequal (5 atoms labeled 1, 17 labeled 0).
+    HOMOGENEOUS = ("CCCC", "OOO", "CCCCCC", "NN", "OO", "NNNNN")
+    HOMOGENEOUS_YS = (0, 1, 0, 0, 1, 0)
+
+    @staticmethod
+    def _exact_mi(smiles, ys):
+        records = [LabeledRecord(graph=parse_smiles(s), label=y) for s, y in zip(smiles, ys)]
         exact, _ = exact_joint_counts(records, "atom_type")
-        expected = mutual_information(exact)
+        return mutual_information(exact)
+
+    def test_homogeneous_graphs_equal_exact_enumeration(self):
+        expected = self._exact_mi(self.HOMOGENEOUS, self.HOMOGENEOUS_YS)
         for seed in (0, 1, 99):
-            row = self._sim(smiles, ys, 0.3, repeats=3, seed=seed, unique_nodes=True)
+            row = self._sim(self.HOMOGENEOUS, self.HOMOGENEOUS_YS, 0.3, repeats=3, seed=seed)
             np.testing.assert_allclose(row["mi_bits"], expected, atol=1e-12)
             np.testing.assert_allclose(row["seed_std"], 0.0, atol=1e-12)
+            assert row["n_pairs"] == 22
 
     def test_graph_labels_stay_with_their_graphs(self):
-        # Full-budget unique sampling is enumeration; with unequal class
-        # sizes and no symmetry in the label order, pairing any graph's
-        # samples with another graph's label changes the MI.
-        smiles = ("CCO", "CCCN", "c1ccncc1", "OCCO", "CCCC")
-        ys = [0, 1, 1, 0, 0]
+        # Every other assignment of these labels to the graphs gives a
+        # different exact MI, so pairing any graph's samples with
+        # another graph's label cannot reproduce it.
+        ys = self.HOMOGENEOUS_YS
+        expected = self._exact_mi(self.HOMOGENEOUS, ys)
+        for other in set(itertools.permutations(ys)) - {ys}:
+            assert abs(self._exact_mi(self.HOMOGENEOUS, other) - expected) > 1e-3
         records = [
-            LabeledRecord(graph=parse_smiles(s), task_labels=(y,)) for s, y in zip(smiles, ys)
+            LabeledRecord(graph=parse_smiles(s), label=y) for s, y in zip(self.HOMOGENEOUS, ys)
         ]
-        exact, _ = exact_joint_counts(records, "atom_type")
-        row = self._sim(smiles, ys, 0.3, repeats=2, seed=4, unique_nodes=True)
-        np.testing.assert_allclose(row["mi_bits"], mutual_information(exact), atol=1e-12)
+        for workers in (1, 2):
+            report = run_mask_sim(
+                records, ["uniform", "pagerank", "moama", "motifpred"], MaskConfig(ratio=0.3),
+                dataset_name="t", repeats=2, seed=4, workers=workers,
+            )
+            for row in report.rows:
+                np.testing.assert_allclose(row[3], expected, atol=1e-12)
 
     def test_reproducible_and_seed_sensitive(self):
         smiles = ("CCOCN", "NCCOC", "OCNCC", "CNOCC")
@@ -294,13 +307,6 @@ class TestSampledMi:
         assert a == b
         c = self._sim(smiles, ys, 0.2, repeats=4, seed=6)
         assert (a["mi_bits"], a["seed_std"]) != (c["mi_bits"], c["seed_std"])
-
-    def test_samples_per_graph_override(self):
-        row = self._sim(
-            ("CCCC", "CCCC", "OOOO", "OOOO"), [0, 0, 1, 1], 0.25,
-            repeats=2, seed=0, samples_per_graph=3,
-        )
-        assert row["n_pairs"] == 12
 
 
 class TestShuffleControl:

@@ -249,14 +249,13 @@ class TestMolGraphModel:
 
     def test_labeled_record(self):
         g = parse_smiles("CC")
-        rec = LabeledRecord(graph=g, task_labels=(1, None, 0), active_task=2)
-        assert rec.label == 0
+        assert LabeledRecord(graph=g, label=0).label == 0
+        assert LabeledRecord(graph=g, label=1).label == 1
         assert LabeledRecord(graph=g).label is None
-        assert LabeledRecord(graph=g, task_labels=(None,)).label is None
-        with pytest.raises(ValueError):
-            LabeledRecord(graph=g, task_labels=(2,))
-        with pytest.raises(ValueError):
-            LabeledRecord(graph=g, task_labels=(0,), active_task=1)
+        assert LabeledRecord(graph=g, label=None).label is None
+        for bad in (2, -1, 0.5):
+            with pytest.raises(ValueError):
+                LabeledRecord(graph=g, label=bad)
 
 
 class TestWriter:

@@ -42,7 +42,7 @@ def _square(x):
 
 
 def record(smiles, y):
-    return LabeledRecord(graph=parse_smiles(smiles), task_labels=(y,))
+    return LabeledRecord(graph=parse_smiles(smiles), label=y)
 
 
 class TestConfigHash:
@@ -71,7 +71,7 @@ class TestIngest:
         manifest = DatasetManifest(
             path=str(corpus_dir / "mixed.csv"),
             smiles_column="smiles",
-            task_columns=("activity",),
+            label_column="activity",
             name="mixed",
         )
         records, stats = ingest(manifest)
@@ -92,7 +92,7 @@ class TestIngest:
         manifest = DatasetManifest(
             path=str(corpus_dir / "ring_marker.csv"),
             smiles_column="smiles",
-            task_columns=("activity",),
+            label_column="activity",
         )
         serial, _ = ingest(manifest, workers=1)
         fanned, _ = ingest(manifest, workers=2)
@@ -107,13 +107,13 @@ class TestIngest:
         with pytest.raises(MissingColumn):
             ingest(DatasetManifest(path=str(path), smiles_column="mol"))
         with pytest.raises(MissingColumn):
-            ingest(DatasetManifest(path=str(path), task_columns=("label",)))
+            ingest(DatasetManifest(path=str(path), label_column="label"))
 
     def test_invalid_label_counted(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("smiles,activity\nCC,1\nCC,2\nCC,yes\nCC,\nCC,0.0\n")
         records, stats = ingest(
-            DatasetManifest(path=str(path), task_columns=("activity",))
+            DatasetManifest(path=str(path), label_column="activity")
         )
         assert stats.invalid_labels == 2
         assert [r.label for r in records] == [1, None, None, None, 0]
@@ -124,7 +124,7 @@ class TestAnalysisRecords:
         records = [
             record("CCO", 0),
             record("C", 1),
-            LabeledRecord(graph=parse_smiles("CCN"), task_labels=(None,)),
+            LabeledRecord(graph=parse_smiles("CCN"), label=None),
             record("CCS", 1),
         ]
         kept, skipped = analysis_records(records)
@@ -150,16 +150,6 @@ class TestExactJointCounts:
     def test_motif_requires_vocab(self):
         with pytest.raises(DataError):
             exact_joint_counts([record("CCO", 0)], "motif")
-
-    def test_workers_agree(self, ring_marker_records):
-        vocab = build_vocab(
-            [r.graph for r in analysis_records(ring_marker_records)[0]]
-        )
-        serial, _ = exact_joint_counts(ring_marker_records, "motif", vocab=vocab)
-        fanned, _ = exact_joint_counts(
-            ring_marker_records, "motif", vocab=vocab, workers=3
-        )
-        assert cells(serial) == cells(fanned)
 
     def test_resources_keyed_by_corpus_position(self):
         # A skipped singleton sits between two usable graphs; embedding
