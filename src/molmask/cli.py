@@ -33,7 +33,6 @@ from .workbench import (
     build_vocab_tsv,
     ingest,
     load_vocab_tsv,
-    parallel_map,
     read_report_csv,
     run_coverage,
     run_jsd_analysis,
@@ -124,7 +123,7 @@ def _manifest(args) -> DatasetManifest:
 
 def _ingest_for_analysis(args):
     manifest = _manifest(args)
-    records, stats = ingest(manifest, workers=args.workers)
+    records, stats = ingest(manifest)
     if not records:
         raise DataError(f"no parseable molecules in {args.input}")
     return manifest, records, stats
@@ -168,7 +167,8 @@ def _target_resources(args, records, kinds: Sequence[str]) -> dict:
     """TargetResources fields as the flags ask for them.
 
     A motif kind gets the command's one motif pass over all parsed
-    records; without --vocab, the same pass builds the vocabulary.
+    records, in this process; without --vocab, the same pass builds the
+    vocabulary.
     """
     vocab = load_vocab_tsv(args.vocab) if args.vocab else None
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
@@ -176,7 +176,7 @@ def _target_resources(args, records, kinds: Sequence[str]) -> dict:
     logits = load_embeddings(args.logits) if args.logits else None
     motifs = None
     if "motif" in kinds:
-        motifs = parallel_map(graph_motifs, [rec.graph for rec in records], args.workers)
+        motifs = [graph_motifs(rec.graph) for rec in records]
         if vocab is None:
             vocab = vocab_from_signatures(m.signatures for m in motifs)
     return dict(
@@ -187,7 +187,7 @@ def _target_resources(args, records, kinds: Sequence[str]) -> dict:
 
 def cmd_parse_check(args) -> int:
     manifest = _manifest(args)
-    records, stats = ingest(manifest, workers=args.workers)
+    records, stats = ingest(manifest)
     print(f"dataset: {manifest.display_name}")
     print(f"rows: {stats.rows_total}")
     print(f"parsed: {stats.parsed}")
@@ -203,7 +203,7 @@ def cmd_decompose(args) -> int:
     if args.smiles:
         graphs = (parse_smiles(smiles) for smiles in args.smiles)
     elif args.input:
-        records, _ = ingest(_manifest(args), workers=args.workers)
+        records, _ = ingest(_manifest(args))
         graphs = (rec.graph for rec in records)
     else:
         raise _UsageError("decompose needs --smiles or --input")
@@ -355,7 +355,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="base seed for every random draw (a whole number, 0 or more)")
     parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="process count for corpus stages")
+                        help="process count for mask-sim sampling")
     parser.add_argument("--out-dir", default=".", help="directory for report outputs")
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -8,8 +8,14 @@ prefixes are parsed and discarded.  Hydrogens are never materialized as
 nodes: every graph is a heavy-atom graph.  No valence model and no
 kekulization; aromaticity is purely syntactic.
 
-Graphs are immutable.  Ring membership is decided by bridge detection:
-a bond is acyclic if and only if it is a bridge.
+Graphs are immutable.  A bond lies on a ring exactly when it is not a
+bridge.  The parser reads this off the SMILES itself: chain and branch
+bonds form a spanning tree in which every parent has a lower index than
+its child, and each ring-closure bond flags the tree path between its
+endpoints (step the higher-indexed end to its parent until the two
+meet).  The tree bonds no closure flags are the bridges.
+``ring_membership`` recomputes the flags of any graph by low-link
+bridge detection, independently of the parser.
 """
 
 from __future__ import annotations
@@ -319,6 +325,10 @@ def parse_smiles(smiles: str) -> MolGraph:
     # perception because aromaticity of a default bond depends on it.
     raw_bonds: list[list] = []
     bond_keys: set[tuple[int, int]] = set()
+    # Per atom, the raw_bonds index of the tree bond to its parent (the
+    # atom it was bonded to when read; -1 for the first atom).
+    parent_bond: list[int] = []
+    closures: list[int] = []  # raw_bonds indices of ring-closure bonds
     prev_atom: Optional[int] = None
     pending_bond: Optional[str] = None
     branch_stack: list[Optional[int]] = []
@@ -338,9 +348,12 @@ def parse_smiles(smiles: str) -> MolGraph:
         raw_atoms.append(atom)
         idx = len(raw_atoms) - 1
         if prev_atom is not None:
+            parent_bond.append(len(raw_bonds))
             add_bond(prev_atom, idx, pending_bond, pos)
         elif pending_bond is not None:
             raise UnknownToken("bond symbol before any atom", text, pos)
+        else:
+            parent_bond.append(-1)
         pending_bond = None
         prev_atom = idx
 
@@ -351,6 +364,7 @@ def parse_smiles(smiles: str) -> MolGraph:
         if label in ring_map:
             partner, open_order, _ = ring_map.pop(label)
             order = pending_bond if pending_bond is not None else open_order
+            closures.append(len(raw_bonds))
             add_bond(partner, prev_atom, order, pos)
         else:
             ring_map[label] = (prev_atom, pending_bond, pos)
@@ -415,19 +429,30 @@ def parse_smiles(smiles: str) -> MolGraph:
         raise UnclosedRing(f"ring label {label} never closed", text, pos)
 
     n = len(raw_atoms)
-    edges = [(b[0], b[1]) for b in raw_bonds]
-    bridges = _find_bridges(n, edges)
+    # A closure's cycle is the closure bond plus the tree path between
+    # its endpoints; a tree parent always has the lower index, so
+    # stepping the higher end up reaches the common ancestor.
+    bond_in_ring = [False] * len(raw_bonds)
+    for b in closures:
+        bond_in_ring[b] = True
+        lo, hi = raw_bonds[b][0], raw_bonds[b][1]
+        while hi != lo:
+            if hi < lo:
+                lo, hi = hi, lo
+            tree_bond = parent_bond[hi]
+            bond_in_ring[tree_bond] = True
+            hi = raw_bonds[tree_bond][0]
 
     bonds = []
     atom_in_ring = [False] * n
-    for (u, v, order), bridge in zip(raw_bonds, bridges):
+    for (u, v, order), in_ring in zip(raw_bonds, bond_in_ring):
         if order is None:
             # Default order: aromatic only for ring bonds between two
             # aromatic atoms, single everywhere else.
             both_aromatic = raw_atoms[u].aromatic and raw_atoms[v].aromatic
-            order = AROMATIC if (both_aromatic and not bridge) else SINGLE
-        bonds.append(Bond(u, v, order, in_ring=not bridge))
-        if not bridge:
+            order = AROMATIC if (both_aromatic and in_ring) else SINGLE
+        bonds.append(Bond(u, v, order, in_ring=in_ring))
+        if in_ring:
             atom_in_ring[u] = True
             atom_in_ring[v] = True
 

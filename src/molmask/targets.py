@@ -10,14 +10,14 @@ hidden ones.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimMismatch, ShapeMismatch
+from .errors import DataError, DimMismatch, NonFiniteScore, ShapeMismatch
 from .masking import MaskPlan
 from .molgraph import MolGraph
 from .motif import MotifPartition, MotifVocab, decompose, motif_signatures
@@ -225,23 +225,31 @@ def vq_targets(
     return TargetAssignment("vq_code", units, labels, codebook.shape[0])
 
 
+def _read_matrix(path: str | Path, what: str) -> np.ndarray:
+    """A headerless numeric CSV as one 2-d float array; blank lines are
+    skipped.  Raises ShapeMismatch on ragged rows or non-numeric cells
+    and NonFiniteScore on NaN or infinity."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty input: checked by callers
+        try:
+            table = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        except ValueError as exc:
+            raise ShapeMismatch(f"{what} {path}: {exc}") from None
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite)) + 1
+        raise NonFiniteScore(f"{what} {path}: data row {row} has a non-finite cell")
+    return table
+
+
 def load_codebook(path: str | Path) -> np.ndarray:
-    """Read a codebook: CSV, one row per code vector, no header."""
-    rows: list[list[float]] = []
-    with open(path, newline="") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise ShapeMismatch(f"codebook line {line_no}: non-numeric cell") from exc
-    if not rows:
+    """Read a codebook: CSV, one row per code vector, no header.
+    Raises ShapeMismatch on ragged or empty files and NonFiniteScore on
+    NaN or infinity."""
+    book = _read_matrix(path, "codebook")
+    if book.size == 0:
         raise ShapeMismatch("codebook file is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ShapeMismatch("codebook rows have inconsistent width")
-    return np.asarray(rows, dtype=float)
+    return book
 
 
 def load_embeddings(path: str | Path) -> dict[int, np.ndarray]:
@@ -249,32 +257,25 @@ def load_embeddings(path: str | Path) -> dict[int, np.ndarray]:
 
     CSV rows are (graph_index, atom_index, v0, v1, ...); within each
     graph the atom indices must form 0..n-1 exactly once.  Returns
-    {graph_index: (n_atoms, dim) array}.
+    {graph_index: (n_atoms, dim) array}.  Raises ShapeMismatch on bad
+    widths or indices and NonFiniteScore on NaN or infinity.
     """
-    by_graph: dict[int, list[tuple[int, list[float]]]] = {}
-    width: Optional[int] = None
-    with open(path, newline="") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise ShapeMismatch(f"embeddings line {line_no}: too few columns")
-            try:
-                g = int(row[0])
-                a = int(row[1])
-                vec = [float(cell) for cell in row[2:]]
-            except ValueError as exc:
-                raise ShapeMismatch(f"embeddings line {line_no}: bad cell") from exc
-            if width is None:
-                width = len(vec)
-            elif len(vec) != width:
-                raise ShapeMismatch(f"embeddings line {line_no}: inconsistent width")
-            by_graph.setdefault(g, []).append((a, vec))
+    table = _read_matrix(path, "embeddings")
+    if table.size == 0:
+        return {}
+    if table.shape[1] < 3:
+        raise ShapeMismatch(f"embeddings {path}: rows need graph, atom and at least one value")
+    index = table[:, :2]
+    if not np.array_equal(index, np.trunc(index)):
+        raise ShapeMismatch(f"embeddings {path}: graph and atom indices must be whole numbers")
+    graphs, atoms = index.astype(np.int64).T
+    order = np.lexsort((atoms, graphs))
+    graphs, atoms, values = graphs[order], atoms[order], table[order, 2:]
+    bounds = np.flatnonzero(np.diff(graphs)) + 1
     out: dict[int, np.ndarray] = {}
-    for g, entries in by_graph.items():
-        entries.sort(key=lambda pair: pair[0])
-        indices = [a for a, _ in entries]
-        if indices != list(range(len(entries))):
-            raise ShapeMismatch(f"graph {g}: atom indices must cover 0..{len(entries)-1}")
-        out[g] = np.asarray([vec for _, vec in entries], dtype=float)
+    for start, stop in zip([0, *bounds], [*bounds, len(graphs)]):
+        g = int(graphs[start])
+        if not np.array_equal(atoms[start:stop], np.arange(stop - start)):
+            raise ShapeMismatch(f"graph {g}: atom indices must cover 0..{stop - start - 1}")
+        out[g] = values[start:stop]
     return out

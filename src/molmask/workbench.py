@@ -114,17 +114,8 @@ def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-def _parse_worker(smiles: str):
-    try:
-        return ("ok", parse_smiles(smiles))
-    except ParseError as exc:
-        return (type(exc).__name__, None)
-
-
-def _read_label(cell: Optional[str]) -> tuple[Optional[int], bool]:
+def _read_label(cell: str) -> tuple[Optional[int], bool]:
     """Parse one label cell; (label, was_invalid)."""
-    if cell is None:
-        return None, False
     text = cell.strip()
     if not text or text.lower() in ("na", "nan", "none"):
         return None, False
@@ -139,17 +130,20 @@ def _read_label(cell: Optional[str]) -> tuple[Optional[int], bool]:
     return None, True
 
 
-def ingest(manifest: DatasetManifest, workers: int = 1) -> tuple[list[LabeledRecord], IngestStats]:
+def ingest(manifest: DatasetManifest) -> tuple[list[LabeledRecord], IngestStats]:
     """Read a CSV corpus into labeled records.
 
     Rows whose SMILES fail to parse are skipped and tallied by failure
     kind.  Each record's label comes from ``manifest.label_column`` (no
     column: every label is missing); unparseable or non-binary label
-    cells become missing labels.
+    cells become missing labels.  A row with fewer cells than the header
+    raises ShapeMismatch naming its line.
     Single-atom molecules are kept but counted, since the analysis
-    stages will skip them.
+    stages will skip them.  Parsing runs in this process: a parsed
+    graph costs more to ship back from a worker than to parse.
     """
     stats = IngestStats()
+    records: list[LabeledRecord] = []
     with open(manifest.path, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
@@ -159,25 +153,25 @@ def ingest(manifest: DatasetManifest, workers: int = 1) -> tuple[list[LabeledRec
             )
         if manifest.label_column and manifest.label_column not in header:
             raise MissingColumn(f"column {manifest.label_column!r} not in {manifest.path}")
-        raw_rows = list(reader)
-
-    stats.rows_total = len(raw_rows)
-    outcomes = parallel_map(
-        _parse_worker, [row[manifest.smiles_column].strip() for row in raw_rows], workers
-    )
-
-    records: list[LabeledRecord] = []
-    for row, (tag, graph) in zip(raw_rows, outcomes):
-        if tag != "ok":
-            stats.parse_failures[tag] = stats.parse_failures.get(tag, 0) + 1
-            continue
-        label, bad = None, False
-        if manifest.label_column:
-            label, bad = _read_label(row[manifest.label_column])
-        stats.invalid_labels += int(bad)
-        records.append(LabeledRecord(graph=graph, label=label))
-        stats.parsed += 1
-        stats.singletons += int(graph.is_singleton)
+        for row in reader:
+            if None in row.values():
+                raise ShapeMismatch(
+                    f"{manifest.path}:{reader.line_num}: row has fewer cells than the header"
+                )
+            stats.rows_total += 1
+            try:
+                graph = parse_smiles(row[manifest.smiles_column].strip())
+            except ParseError as exc:
+                tag = type(exc).__name__
+                stats.parse_failures[tag] = stats.parse_failures.get(tag, 0) + 1
+                continue
+            label, bad = None, False
+            if manifest.label_column:
+                label, bad = _read_label(row[manifest.label_column])
+            stats.invalid_labels += int(bad)
+            records.append(LabeledRecord(graph=graph, label=label))
+            stats.parsed += 1
+            stats.singletons += int(graph.is_singleton)
     return records, stats
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from molmask import masking, pagerank_all
+from molmask import masking, pagerank_all, workbench
 from molmask.cli import main
 
 from conftest import ring_marker_corpus, write_corpus_csv
@@ -422,6 +422,7 @@ GOLDEN_CASES = [
                                     "--target", "atom_type", "--draws-per-graph", "2"]),
     ("shuffle_atom_type.csv", ["shuffle-control", "--label-col", "activity",
                                "--target", "atom_type", "--repeats", "7"]),
+    ("vocab.tsv", ["vocab", "build"]),
 ]
 
 
@@ -437,3 +438,62 @@ def test_golden_bytes(name, argv, workers, tmp_path, capsys):
     out = tmp_path / name
     assert run(["--workers", workers, *argv, "--input", DEMO_CORPUS, "--output", out]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def _no_pool(*args, **kwargs):
+    raise _PoolStarted("a process pool was started")
+
+
+@pytest.mark.parametrize("name, argv", [
+    pytest.param(name, argv, id=f"{name}-argv{i}")
+    for i, (name, argv) in enumerate(GOLDEN_CASES)
+    if argv[0] != "mask-sim"
+])
+def test_per_molecule_stages_start_no_pool(name, argv, tmp_path, monkeypatch):
+    """Parse, decompose and sign run in the main process at any
+    --workers: with no process pool to be had, every command but
+    mask-sim still writes its golden bytes."""
+    monkeypatch.setattr(workbench, "ProcessPoolExecutor", _no_pool)
+    out = tmp_path / name
+    assert run(["--workers", 2, *argv, "--input", DEMO_CORPUS, "--output", out]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_mask_sim_sampling_fans_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(workbench, "ProcessPoolExecutor", _no_pool)
+    name, argv = next(case for case in GOLDEN_CASES if case[1][0] == "mask-sim")
+    with pytest.raises(_PoolStarted):
+        run(["--workers", 2, *argv, "--input", DEMO_CORPUS, "--output", tmp_path / name])
+
+
+def test_short_csv_row_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "short.csv"
+    corpus.write_text("activity,smiles\n0\n")
+    out = tmp_path / "mi.csv"
+    assert run(["mi", "--input", corpus, "--label-col", "activity", "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "short.csv:2:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("embeddings, codebook", [
+    ("0,0,nan\n0,1,1.0\n0,2,0.0\n1,0,1.0\n1,1,0.0\n1,2,1.0\n", "0.0\n1.0\n"),
+    ("0,0,0.0\n0,1,1.0\n0,2,0.0\n1,0,1.0\n1,1,0.0\n1,2,1.0\n", "0.0\ninf\n"),
+], ids=["embeddings", "codebook"])
+def test_non_finite_vq_inputs_are_data_errors(embeddings, codebook, tmp_path, capsys):
+    corpus = tmp_path / "two.csv"
+    corpus.write_text("smiles,activity\nCCO,1\nCCN,0\n")
+    (tmp_path / "emb.csv").write_text(embeddings)
+    (tmp_path / "book.csv").write_text(codebook)
+    out = tmp_path / "mi.csv"
+    assert run(["mi", "--input", corpus, "--label-col", "activity", "--targets", "vq_code",
+                "--embeddings", tmp_path / "emb.csv", "--codebook", tmp_path / "book.csv",
+                "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert not out.exists()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molmask import (
     Atom,
@@ -221,6 +223,88 @@ class TestRingMembership:
                     n, [x.endpoints for x in g.bonds], idx, b.u, b.v
                 )
                 assert bond_flags[idx] == expected
+
+
+@st.composite
+def ring_smiles(draw):
+    """A one-fragment SMILES with nested branches, optional bond symbols,
+    and ring closures that open and close anywhere in the string: in a
+    later sibling branch (``C(C1)C1``), after leaving a branch, with
+    single-digit and ``%nn`` labels, and with labels reused after they
+    close.  Closures never bond an atom to itself or to a neighbor."""
+    tokens: list[str] = []
+    bonded: set[tuple[int, int]] = set()
+    open_labels: dict[int, tuple[int, int]] = {}  # label -> (atom, token index)
+    n_atoms = 0
+
+    def label_text(label: int) -> str:
+        return str(label) if label < 10 else f"%{label:02d}"
+
+    def chain(depth: int, prev: int | None) -> None:
+        nonlocal n_atoms
+        for _ in range(draw(st.integers(1, 4))):
+            if n_atoms >= 24:
+                return
+            if prev is not None:
+                tokens.append(draw(st.sampled_from(["", "", "-", "="])))
+            tokens.append(draw(st.sampled_from(["C", "c", "N", "n", "O", "[NH+]", "Cl"])))
+            atom = n_atoms
+            n_atoms += 1
+            if prev is not None:
+                bonded.add((prev, atom))
+            for _ in range(draw(st.integers(0, 2))):
+                closable = [
+                    label for label, (partner, _) in open_labels.items()
+                    if partner != atom and (partner, atom) not in bonded
+                ]
+                if closable and draw(st.booleans()):
+                    label = draw(st.sampled_from(sorted(closable)))
+                    partner, _ = open_labels.pop(label)
+                    bonded.add((partner, atom))
+                    tokens.append(label_text(label))
+                else:
+                    free = [x for x in (1, 2, 3, 9, 10, 11, 42, 99) if x not in open_labels]
+                    if not free:
+                        continue
+                    label = draw(st.sampled_from(free))
+                    open_labels[label] = (atom, len(tokens))
+                    tokens.append(label_text(label))
+            if depth < 3:
+                for _ in range(draw(st.integers(0, 2))):
+                    if n_atoms >= 24:
+                        break
+                    tokens.append("(")
+                    chain(depth + 1, atom)
+                    tokens.append(")")
+            prev = atom
+
+    chain(0, None)
+    for _, token_index in open_labels.values():
+        tokens[token_index] = ""  # never closed: drop the opening label
+    return "".join(tokens)
+
+
+class TestRingPerceptionProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(ring_smiles())
+    def test_parser_flags_match_both_oracles(self, smiles):
+        g = parse_smiles(smiles)
+        atom_flags, bond_flags = ring_membership(g)
+        assert tuple(b.in_ring for b in g.bonds) == bond_flags
+        assert tuple(a.in_ring for a in g.atoms) == atom_flags
+        edges = [b.endpoints for b in g.bonds]
+        for idx, (u, v) in enumerate(edges):
+            assert g.bonds[idx].in_ring == bfs_connected(g.n_atoms, edges, idx, u, v)
+
+    @pytest.mark.parametrize("smiles, ring_bonds", [
+        ("C(C1)C1", {(0, 1), (0, 2), (1, 2)}),
+        ("CC(C(C%12)C)C%12C", {(1, 2), (2, 3), (1, 5), (3, 5)}),
+        ("C1CC(CC1)C2CC2", {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                            (5, 6), (6, 7), (5, 7)}),
+    ])
+    def test_closures_across_branches(self, smiles, ring_bonds):
+        g = parse_smiles(smiles)
+        assert {b.endpoints for b in g.bonds if b.in_ring} == ring_bonds
 
 
 class TestMolGraphModel:

@@ -1,5 +1,7 @@
 """Motif decomposition, canonical signatures, vocabulary, coverage."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ from molmask import (
     motif_signatures,
     parse_smiles,
 )
+from molmask.errors import ParseError
+from molmask.motif import _signature_of
+from molmask.workbench import build_vocab_tsv
+
+from conftest import mixed_corpus, ring_marker_corpus, template_corpus
 
 
 
@@ -185,6 +192,60 @@ class TestCanonicalSignature:
         assert sig == canonical_signature(g, range(6))
         benz = parse_smiles("c1ccccc1")
         assert sig != canonical_signature(benz, range(6))
+
+
+def fixture_corpus_graphs(fixture_graphs):
+    """Every parseable molecule of the fixture list and the three
+    synthetic fixture corpora."""
+    graphs = list(fixture_graphs)
+    for smiles, _ in ring_marker_corpus() + template_corpus() + mixed_corpus():
+        try:
+            graphs.append(parse_smiles(smiles))
+        except ParseError:
+            pass
+    return graphs
+
+
+class TestSignatureMemo:
+    def test_cached_equals_uncached(self, fixture_graphs):
+        # Whole molecules as well as motifs, so that keys which differ
+        # only in bond order (CCC, C=CC, C=C=C) all pass through the memo.
+        units = [
+            (g, atoms)
+            for g in fixture_corpus_graphs(fixture_graphs)
+            for atoms in (*decompose(g).motifs, tuple(range(g.n_atoms)))
+        ]
+        _signature_of.cache_clear()
+        cached = [canonical_signature(g, atoms) for g, atoms in units]
+        assert _signature_of.cache_info().hits > 0
+        for (g, atoms), sig in zip(units, cached):
+            _signature_of.cache_clear()
+            assert canonical_signature(g, atoms) == sig, (g.source_smiles, atoms)
+
+    def test_shuffled_corpus_gives_identical_vocab_tsv(self, fixture_graphs, tmp_path):
+        graphs = fixture_corpus_graphs(fixture_graphs)
+        _signature_of.cache_clear()
+        build_vocab_tsv(build_vocab(graphs), tmp_path / "forward.tsv")
+        # Other corpus order and other atom orders: other keys are
+        # computed first and every graph's motifs get new keys.
+        rng = random.Random(5)
+        shuffled = [
+            permuted(g, rng.sample(range(g.n_atoms), g.n_atoms))
+            for g in rng.sample(graphs, len(graphs))
+        ]
+        _signature_of.cache_clear()
+        build_vocab_tsv(build_vocab(shuffled), tmp_path / "shuffled.tsv")
+        assert (tmp_path / "shuffled.tsv").read_bytes() == (tmp_path / "forward.tsv").read_bytes()
+
+    def test_disconnected_motif_is_not_cached(self):
+        g = parse_smiles("CCO")
+        _signature_of.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DisconnectedMotif):
+                canonical_signature(g, (0, 2))
+        assert _signature_of.cache_info().currsize == 0
+        canonical_signature(g, (0, 1))
+        assert _signature_of.cache_info().currsize == 1
 
 
 class TestVocab:

@@ -7,6 +7,7 @@ from molmask import (
     ATOM_TYPE_SPACE,
     DimMismatch,
     MaskPlan,
+    NonFiniteScore,
     ShapeMismatch,
     TargetAssignment,
     argmax_targets,
@@ -208,3 +209,34 @@ class TestLoaders:
         path.write_text("0,0,1.0,2.0\n0,1,3.0\n")
         with pytest.raises(ShapeMismatch):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("text", [
+        "0,0\n",  # no value column
+        "0,0.5,1.0\n",  # fractional atom index
+        "1.5,0,1.0\n",  # fractional graph index
+        "0,0,x\n",  # non-numeric cell
+        "0,0,1.0\n0,0,2.0\n",  # atom 0 twice
+    ])
+    def test_embeddings_shape_errors(self, text, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text(text)
+        with pytest.raises(ShapeMismatch):
+            load_embeddings(path)
+
+    def test_embeddings_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("1,0,5.0\n\n0,1,2.0\n0,0,1.0\n")
+        emb = load_embeddings(path)
+        np.testing.assert_array_equal(emb[0], [[1.0], [2.0]])
+        np.testing.assert_array_equal(emb[1], [[5.0]])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cells_rejected(self, cell, tmp_path):
+        emb = tmp_path / "emb.csv"
+        emb.write_text(f"0,0,1.0\n0,1,{cell}\n")
+        with pytest.raises(NonFiniteScore):
+            load_embeddings(emb)
+        book = tmp_path / "book.csv"
+        book.write_text(f"1.0,2.0\n{cell},0.0\n")
+        with pytest.raises(NonFiniteScore):
+            load_codebook(book)
