@@ -5,104 +5,72 @@ under the strategies used for self-supervised pretraining, extract the
 matching prediction targets, and measure how informative each target
 signal is about a downstream binary label (mutual information and
 low-frequency Jensen-Shannon divergence).
+
+Every public name below is importable from the package, but resolved
+on first use (PEP 562): ``import molmask`` loads only the version, and
+``from molmask import render_svg`` loads the SVG and report modules,
+not numpy.  Each name is the same object as in the module that defines
+it.
 """
 
+from importlib import import_module
+
 from ._version import __version__
-from .errors import (
-    DataError,
-    DimMismatch,
-    DisconnectedMotif,
-    EmptyCounts,
-    EmptySupport,
-    MissingColumn,
-    MolmaskError,
-    MultiFragment,
-    NonFiniteScore,
-    OutOfRangeIndex,
-    ParseError,
-    ShapeMismatch,
-    UnbalancedParen,
-    UnclosedRing,
-    UnknownToken,
-)
-from .molgraph import (
-    Atom,
-    Bond,
-    LabeledRecord,
-    MASK_SENTINEL,
-    MolGraph,
-    parse_smiles,
-    ring_membership,
-    write_smiles,
-)
-from .motif import (
-    CoverageStats,
-    MotifPartition,
-    MotifVocab,
-    build_vocab,
-    canonical_signature,
-    coverage,
-    decompose,
-    motif_adjacency,
-    motif_signatures,
-)
-from .scoring import NodeScores, load_external_scores, pagerank, pagerank_all
-from .masking import (
-    MaskConfig,
-    MaskedGraph,
-    MaskPlan,
-    STRATEGIES,
-    apply_mask,
-    bind_strategy,
-    export_views,
-    mask_count,
-    read_views,
-    strategy_scores,
-    substream,
-)
-from .targets import (
-    ATOM_TYPE_SPACE,
-    TARGET_KINDS,
-    TargetAssignment,
-    argmax_targets,
-    atom_type_targets,
-    load_codebook,
-    load_embeddings,
-    motif_targets,
-    vq_targets,
-)
-from .infotheory import (
-    DEFAULT_TAUS,
-    JointCounts,
-    JsdCurve,
-    SampledMi,
-    ShuffleResult,
-    entropy_y,
-    jsd,
-    jsd_curve,
-    low_freq_conditionals,
-    mutual_information,
-    relative_gain,
-    sample_pairs_for_graph,
-    shuffle_control,
-)
-from .workbench import (
-    AnalysisReport,
-    DatasetManifest,
-    IngestStats,
-    analysis_records,
-    build_vocab_tsv,
-    config_hash,
-    exact_joint_counts,
-    ingest,
-    load_vocab_tsv,
-    parallel_map,
-    read_report_csv,
-    run_coverage,
-    run_jsd_analysis,
-    run_mask_sim,
-    run_mi_analysis,
-    run_shuffle_control,
-    write_report_csv,
-)
-from .svg import render_svg
+
+_EXPORTS = {
+    "errors": (
+        "DataError", "DimMismatch", "DisconnectedMotif", "EmptyCounts",
+        "EmptySupport", "MissingColumn", "MolmaskError", "MultiFragment",
+        "NonFiniteScore", "OutOfRangeIndex", "ParseError", "ShapeMismatch",
+        "UnbalancedParen", "UnclosedRing", "UnknownToken",
+    ),
+    "choices": ("DEFAULT_TAUS", "STRATEGIES", "TARGET_KINDS"),
+    "molgraph": (
+        "Atom", "Bond", "LabeledRecord", "MASK_SENTINEL", "MolGraph",
+        "parse_smiles", "ring_membership", "write_smiles",
+    ),
+    "motif": (
+        "CoverageStats", "MotifPartition", "MotifVocab", "build_vocab",
+        "canonical_signature", "coverage", "decompose", "motif_adjacency",
+        "motif_signatures",
+    ),
+    "scoring": ("NodeScores", "load_external_scores", "pagerank", "pagerank_all"),
+    "masking": (
+        "MaskConfig", "MaskedGraph", "MaskPlan", "apply_mask", "bind_strategy",
+        "export_views", "mask_count", "read_views", "strategy_scores", "substream",
+    ),
+    "targets": (
+        "ATOM_TYPE_SPACE", "TargetAssignment", "argmax_targets",
+        "atom_type_targets", "load_codebook", "load_embeddings",
+        "motif_targets", "vq_targets",
+    ),
+    "infotheory": (
+        "JointCounts", "JsdCurve", "SampledMi", "ShuffleResult", "entropy_y",
+        "jsd", "jsd_curve", "low_freq_conditionals", "mutual_information",
+        "relative_gain", "sample_pairs_for_graph", "shuffle_control",
+    ),
+    "report": ("AnalysisReport", "read_report_csv", "write_report_csv"),
+    "workbench": (
+        "DatasetManifest", "IngestStats", "analysis_records", "build_vocab_tsv",
+        "config_hash", "exact_joint_counts", "ingest", "load_vocab_tsv",
+        "parallel_map", "run_coverage", "run_jsd_analysis", "run_mask_sim",
+        "run_mi_analysis", "run_shuffle_control",
+    ),
+    "svg": ("render_svg",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

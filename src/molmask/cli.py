@@ -13,34 +13,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+# Only what the parser needs is imported here.  Each command imports the
+# layers it runs, so start-up, --help, --version and plot load no numpy.
 from ._version import __version__
+from .choices import DEFAULT_TAUS, STRATEGIES, TARGET_KINDS
 from .errors import DataError
-from .infotheory import DEFAULT_TAUS
-from .masking import MaskConfig, STRATEGIES, bind_strategy, export_views, strategy_scores
-from .molgraph import parse_smiles
-from .motif import build_vocab, vocab_from_signatures
-from .scoring import load_external_scores
-from .svg import render_svg
-from .targets import (
-    TARGET_KINDS,
-    TargetResources,
-    graph_motifs,
-    load_codebook,
-    load_embeddings,
-)
-from .workbench import (
-    DatasetManifest,
-    build_vocab_tsv,
-    ingest,
-    load_vocab_tsv,
-    read_report_csv,
-    run_coverage,
-    run_jsd_analysis,
-    run_mask_sim,
-    run_mi_analysis,
-    run_shuffle_control,
-    write_report_csv,
-)
 
 
 class _UsageError(Exception):
@@ -100,6 +77,8 @@ def _taus(text: str) -> list[float]:
 
 
 def _mask_config(args) -> MaskConfig:
+    from .masking import MaskConfig
+
     try:
         return MaskConfig(
             ratio=args.ratio,
@@ -113,6 +92,8 @@ def _mask_config(args) -> MaskConfig:
 
 
 def _manifest(args) -> DatasetManifest:
+    from .workbench import DatasetManifest
+
     return DatasetManifest(
         path=args.input,
         smiles_column=args.smiles_col,
@@ -122,6 +103,8 @@ def _manifest(args) -> DatasetManifest:
 
 
 def _ingest_for_analysis(args):
+    from .workbench import ingest
+
     manifest = _manifest(args)
     records, stats = ingest(manifest)
     if not records:
@@ -129,13 +112,18 @@ def _ingest_for_analysis(args):
     return manifest, records, stats
 
 
+def _output_path(explicit: str) -> Path:
+    """An --output path, its directory created if missing."""
+    path = Path(explicit)
+    if path.parent != Path("."):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _out_path(args, default_name: str) -> Path:
     explicit = getattr(args, "output", "")
     if explicit:
-        path = Path(explicit)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        return path
+        return _output_path(explicit)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / default_name
@@ -160,6 +148,8 @@ def _external_scores(args, strategies: Sequence[str], records):
         return None
     if not args.scores:
         raise _UsageError("strategy 'external' needs --scores")
+    from .scoring import load_external_scores
+
     return load_external_scores(args.scores, [rec.graph.n_atoms for rec in records])
 
 
@@ -170,6 +160,10 @@ def _target_resources(args, records, kinds: Sequence[str]) -> dict:
     records, in this process; without --vocab, the same pass builds the
     vocabulary.
     """
+    from .motif import vocab_from_signatures
+    from .targets import graph_motifs, load_codebook, load_embeddings
+    from .workbench import load_vocab_tsv
+
     vocab = load_vocab_tsv(args.vocab) if args.vocab else None
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     codebook = load_codebook(args.codebook) if args.codebook else None
@@ -186,6 +180,8 @@ def _target_resources(args, records, kinds: Sequence[str]) -> dict:
 
 
 def cmd_parse_check(args) -> int:
+    from .workbench import ingest
+
     manifest = _manifest(args)
     records, stats = ingest(manifest)
     print(f"dataset: {manifest.display_name}")
@@ -200,6 +196,10 @@ def cmd_parse_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .molgraph import parse_smiles
+    from .targets import graph_motifs
+    from .workbench import ingest
+
     if args.smiles:
         graphs = (parse_smiles(smiles) for smiles in args.smiles)
     elif args.input:
@@ -217,6 +217,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_vocab_build(args) -> int:
+    from .motif import build_vocab
+    from .workbench import build_vocab_tsv
+
     manifest, records, _ = _ingest_for_analysis(args)
     vocab = build_vocab([rec.graph for rec in records])
     path = _out_path(args, "vocab.tsv")
@@ -226,6 +229,9 @@ def cmd_vocab_build(args) -> int:
 
 
 def cmd_vocab_coverage(args) -> int:
+    from .report import write_report_csv
+    from .workbench import load_vocab_tsv, run_coverage
+
     manifest, records, _ = _ingest_for_analysis(args)
     vocab = load_vocab_tsv(args.vocab)
     report = run_coverage(vocab, records, dataset_name=manifest.display_name, seed=args.seed)
@@ -236,6 +242,9 @@ def cmd_vocab_coverage(args) -> int:
 
 
 def cmd_mask_sim(args) -> int:
+    from .report import write_report_csv
+    from .workbench import run_mask_sim
+
     manifest, records, _ = _ingest_for_analysis(args)
     if not manifest.label_column:
         raise _UsageError("mask-sim needs --label-col")
@@ -254,6 +263,9 @@ def cmd_mask_sim(args) -> int:
 
 
 def cmd_mi(args) -> int:
+    from .report import write_report_csv
+    from .workbench import run_mi_analysis
+
     manifest, records, _ = _ingest_for_analysis(args)
     if not manifest.label_column:
         raise _UsageError("mi needs --label-col")
@@ -269,6 +281,9 @@ def cmd_mi(args) -> int:
 
 
 def cmd_jsd(args) -> int:
+    from .report import write_report_csv
+    from .workbench import run_jsd_analysis
+
     manifest, records, _ = _ingest_for_analysis(args)
     if not manifest.label_column:
         raise _UsageError("jsd needs --label-col")
@@ -285,6 +300,9 @@ def cmd_jsd(args) -> int:
 
 
 def cmd_shuffle_control(args) -> int:
+    from .report import write_report_csv
+    from .workbench import run_shuffle_control
+
     manifest, records, _ = _ingest_for_analysis(args)
     if not manifest.label_column:
         raise _UsageError("shuffle-control needs --label-col")
@@ -302,6 +320,9 @@ def cmd_shuffle_control(args) -> int:
 
 
 def cmd_export_views(args) -> int:
+    from .masking import bind_strategy, export_views, strategy_scores
+    from .targets import TargetResources
+
     manifest, records, _ = _ingest_for_analysis(args)
     config = _mask_config(args)
     external = _external_scores(args, [args.strategy], records)
@@ -339,9 +360,12 @@ def cmd_export_views(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .report import read_report_csv
+    from .svg import render_svg
+
     report = read_report_csv(args.report)
     if args.output:
-        path = Path(args.output)
+        path = _output_path(args.output)
     else:
         path = Path(args.report).with_suffix(".svg")
     render_svg(report, path)

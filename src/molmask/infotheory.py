@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .choices import DEFAULT_TAUS
 from .errors import EmptyCounts, EmptySupport
-from .masking import BatchDraw
 from .molgraph import MolGraph
 
-DEFAULT_TAUS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001)
+if TYPE_CHECKING:
+    from .masking import BatchDraw
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,12 +21,12 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .choices import STRATEGIES
 from .errors import OutOfRangeIndex
 from .molgraph import MASK_SENTINEL, MolGraph
 from .motif import MotifPartition, decompose, motif_adjacency
 from .scoring import NodeScores, pagerank_all
 
-STRATEGIES = ("uniform", "pagerank", "external", "moama", "motifpred")
 MOTIF_STRATEGIES = ("moama", "motifpred")
 
 

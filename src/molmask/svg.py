@@ -4,7 +4,9 @@ Pure string assembly with fixed float formats: the same report always
 renders to the same bytes.  MI-style reports become grouped bars (one
 group per target kind, one bar per strategy, whiskers when a seed
 spread is present); JSD reports become one line per target kind over a
-log-tau axis; undefined curve points leave gaps.
+log-tau axis; undefined curve points leave gaps.  A plotted cell that
+is not a finite number, a negative value, or a tau that is not positive
+raises DataError.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .workbench import AnalysisReport
+from .errors import DataError
+from .report import AnalysisReport
 
 _WIDTH = 680
 _HEIGHT = 420
@@ -37,6 +40,20 @@ def _esc(text: str) -> str:
 
 def _row_maps(report: AnalysisReport) -> list[dict[str, str]]:
     return [dict(zip(report.columns, (str(c) for c in row))) for row in report.rows]
+
+
+def _number(row: dict[str, str], column: str, positive: bool = False) -> float:
+    """A plotted cell as a float: finite and nonnegative, or positive
+    where the axis is logarithmic."""
+    text = row[column]
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        need = "positive" if positive else "nonnegative"
+        raise DataError(f"report cell {column}={text!r} is not a finite {need} number")
+    return value
 
 
 def _nice_max(value: float) -> float:
@@ -113,8 +130,8 @@ def _render_mi(report: AnalysisReport) -> list[str]:
             groups.append(g)
         if s not in strategies:
             strategies.append(s)
-        std = float(row["seed_std"]) if row.get("seed_std") else 0.0
-        values[(g, s)] = (float(row["mi_bits"]), std)
+        std = _number(row, "seed_std") if row.get("seed_std") else 0.0
+        values[(g, s)] = (_number(row, "mi_bits"), std)
 
     y_max = _nice_max(max(v + s for v, s in values.values()))
     parts.extend(_axes(y_max, "MI (bits)", "mutual information"))
@@ -165,9 +182,9 @@ def _render_jsd(report: AnalysisReport) -> list[str]:
     series: dict[str, list[tuple[float, float]]] = {}
     for row in defined_rows:
         series.setdefault(row["target_kind"], []).append(
-            (float(row["tau"]), float(row["jsd_bits"]))
+            (_number(row, "tau", positive=True), _number(row, "jsd_bits"))
         )
-    taus = sorted({float(r["tau"]) for r in rows})
+    taus = sorted({_number(r, "tau", positive=True) for r in rows})
     log_lo, log_hi = math.log10(taus[0]), math.log10(taus[-1])
     span = (log_hi - log_lo) or 1.0
     y_max = _nice_max(max(v for pts in series.values() for _, v in pts))
@@ -226,7 +243,7 @@ def _render_coverage(report: AnalysisReport) -> list[str]:
     for gi, row in enumerate(rows):
         start = x0 + gi * group_w + (group_w - bar_w * len(metrics)) / 2
         for bi, metric in enumerate(metrics):
-            value = float(row[metric])
+            value = _number(row, metric)
             height = max(0.0, min(1.0, value)) * plot_h
             parts.append(
                 f'<rect x="{_fmt(start + bi * bar_w)}" y="{_fmt(y0 - height)}" '

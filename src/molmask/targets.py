@@ -13,19 +13,20 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from .choices import TARGET_KINDS
 from .errors import DataError, DimMismatch, NonFiniteScore, ShapeMismatch
-from .masking import MaskPlan
 from .molgraph import MolGraph
 from .motif import MotifPartition, MotifVocab, decompose, motif_signatures
 
+if TYPE_CHECKING:
+    from .masking import MaskPlan
+
 # Atom-type labels live in {0..118}: 0 unknown, 1..118 element numbers.
 ATOM_TYPE_SPACE = 119
-
-TARGET_KINDS = ("atom_type", "motif", "argmax_token", "vq_code")
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,26 +33,21 @@ from .infotheory import (
     sample_pairs_for_graph,
     shuffle_control,
 )
-from .masking import MOTIF_STRATEGIES, MaskConfig, bind_strategy, strategy_scores
 from .molgraph import LabeledRecord, parse_smiles
 from .motif import MotifVocab, coverage, decompose
-from .scoring import NodeScores
+from .report import (
+    COVERAGE_COLUMNS,
+    JSD_COLUMNS,
+    MI_COLUMNS,
+    AnalysisReport,
+    read_report_csv,
+    write_report_csv,
+)
 from .targets import TargetResources, atom_labels, graph_motifs
 
-MI_COLUMNS = (
-    "dataset", "target_kind", "strategy", "mi_bits", "h_y_bits",
-    "relative_gain", "n_pairs", "seed_mean", "seed_std",
-    "version", "seed", "config_hash",
-)
-JSD_COLUMNS = (
-    "dataset", "target_kind", "tau", "jsd_bits", "labels_kept", "defined",
-    "version", "seed", "config_hash",
-)
-COVERAGE_COLUMNS = (
-    "dataset", "overlap_ratio", "mean_r", "median_r",
-    "pct_r_ge_080", "pct_r_le_020",
-    "version", "seed", "config_hash",
-)
+if TYPE_CHECKING:
+    from .masking import MaskConfig
+    from .scoring import NodeScores
 
 
 @dataclass(frozen=True)
@@ -81,15 +75,6 @@ class IngestStats:
     singletons: int = 0
 
 
-@dataclass
-class AnalysisReport:
-    """Rows ready for CSV or SVG emission."""
-
-    kind: str
-    columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
-
-
 def config_hash(params: dict[str, Any]) -> str:
     """Short stable hash of the analysis configuration.
 
@@ -109,6 +94,8 @@ def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, math.ceil(len(items) / (workers * 4)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
@@ -313,6 +300,8 @@ def _sample_graph(
     once, and the motif strategies share its partition; ``scores`` maps
     each scored strategy to this graph's scores.
     """
+    from .masking import MOTIF_STRATEGIES, bind_strategy
+
     graph, graph_index, labels, scores = task
     partition = decompose(graph) if set(strategies) & set(MOTIF_STRATEGIES) else None
     return np.stack([
@@ -344,6 +333,8 @@ def run_mask_sim(
     strategy; PageRank runs once, over the usable graphs, before it.
     External scores are keyed by position in ``records``.
     """
+    from .masking import strategy_scores
+
     positions, _ = _usable_positions(records)
     chash = config_hash(
         {
@@ -438,38 +429,6 @@ def run_coverage(
         __version__, seed, chash,
     ))
     return report
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.10g}"
-    return str(value)
-
-
-def write_report_csv(report: AnalysisReport, path: str | Path) -> None:
-    """Emit a report deterministically: fixed column order, fixed float
-    format, newline-terminated lines."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([_format_cell(cell) for cell in row])
-
-
-def read_report_csv(path: str | Path) -> AnalysisReport:
-    """Load a report CSV back; kind is given by its header, which must
-    be one of the report column sets."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise DataError(f"report {path} is empty")
-    columns = tuple(rows[0])
-    kinds = {MI_COLUMNS: "mi", JSD_COLUMNS: "jsd", COVERAGE_COLUMNS: "coverage"}
-    if columns not in kinds:
-        raise DataError(f"{path} is not a report: its header matches no report column set")
-    return AnalysisReport(kind=kinds[columns], columns=columns, rows=[tuple(r) for r in rows[1:]])
 
 
 def build_vocab_tsv(vocab: MotifVocab, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, outputs, exit codes."""
 
+import concurrent.futures
 import json
 import re
 from dataclasses import replace
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from molmask import masking, pagerank_all, workbench
+from molmask import masking, pagerank_all
 from molmask.cli import main
+from molmask.report import JSD_COLUMNS, MI_COLUMNS
 
 from conftest import ring_marker_corpus, write_corpus_csv
 
@@ -448,6 +450,10 @@ def _no_pool(*args, **kwargs):
     raise _PoolStarted("a process pool was started")
 
 
+# parallel_map imports ProcessPoolExecutor from concurrent.futures only
+# when it starts a pool, so that is the name to patch.
+
+
 @pytest.mark.parametrize("name, argv", [
     pytest.param(name, argv, id=f"{name}-argv{i}")
     for i, (name, argv) in enumerate(GOLDEN_CASES)
@@ -457,14 +463,14 @@ def test_per_molecule_stages_start_no_pool(name, argv, tmp_path, monkeypatch):
     """Parse, decompose and sign run in the main process at any
     --workers: with no process pool to be had, every command but
     mask-sim still writes its golden bytes."""
-    monkeypatch.setattr(workbench, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     out = tmp_path / name
     assert run(["--workers", 2, *argv, "--input", DEMO_CORPUS, "--output", out]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_mask_sim_sampling_fans_out(tmp_path, monkeypatch):
-    monkeypatch.setattr(workbench, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     name, argv = next(case for case in GOLDEN_CASES if case[1][0] == "mask-sim")
     with pytest.raises(_PoolStarted):
         run(["--workers", 2, *argv, "--input", DEMO_CORPUS, "--output", tmp_path / name])
@@ -496,4 +502,47 @@ def test_non_finite_vq_inputs_are_data_errors(embeddings, codebook, tmp_path, ca
                 "--output", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_plot_golden_bytes(tmp_path, capsys):
+    """The JSD chart of the golden JSD report is pinned byte for byte."""
+    out = tmp_path / "jsd.svg"
+    assert run(["plot", "--report", GOLDEN / "jsd.csv", "--output", out]) == 0
+    assert out.read_bytes() == (GOLDEN / "jsd.svg").read_bytes()
+
+
+def test_plot_output_directory_is_created(tmp_path, capsys):
+    out = tmp_path / "charts" / "new" / "jsd.svg"
+    assert run(["plot", "--report", GOLDEN / "jsd.csv", "--output", out]) == 0
+    assert out.read_bytes() == (GOLDEN / "jsd.svg").read_bytes()
+
+
+_JSD_ROW = "d,motif,{tau},{jsd},3,1,0.1.0,0,abc"
+_MI_ROW = "d,motif,exact,{mi},1,0.1,10,,{std},0.1.0,0,abc"
+
+
+@pytest.mark.parametrize("columns, row, message", [
+    (JSD_COLUMNS, _JSD_ROW.format(tau="0", jsd="0.1"), "tau='0'"),
+    (JSD_COLUMNS, _JSD_ROW.format(tau="-0.5", jsd="0.1"), "tau='-0.5'"),
+    (JSD_COLUMNS, _JSD_ROW.format(tau="0.5", jsd="inf"), "jsd_bits='inf'"),
+    (JSD_COLUMNS, _JSD_ROW.format(tau="0.5", jsd="nan"), "jsd_bits='nan'"),
+    (MI_COLUMNS, _MI_ROW.format(mi="zz", std=""), "mi_bits='zz'"),
+    (MI_COLUMNS, _MI_ROW.format(mi="-0.1", std=""), "mi_bits='-0.1'"),
+    (MI_COLUMNS, _MI_ROW.format(mi="0.1", std="inf"), "seed_std='inf'"),
+    (JSD_COLUMNS, "d,motif,0.5", "report.csv:3:"),
+], ids=["tau-zero", "tau-negative", "jsd-inf", "jsd-nan", "mi-text", "mi-negative",
+        "std-inf", "short-row"])
+def test_unplottable_report_is_data_error(columns, row, message, tmp_path, capsys):
+    """A report cell the chart cannot draw is a data error (exit 2, one
+    line), not a traceback or a silent "no data" chart."""
+    good = _JSD_ROW.format(tau="1", jsd="0.2") if columns == JSD_COLUMNS else _MI_ROW.format(
+        mi="0.2", std="")
+    report = tmp_path / "report.csv"
+    report.write_text(",".join(columns) + f"\n{good}\n{row}\n")
+    out = tmp_path / "chart.svg"
+    assert run(["plot", "--report", report, "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()

@@ -311,6 +311,14 @@ class TestReportFiles:
             with pytest.raises(DataError):
                 read_report_csv(path)
 
+    @pytest.mark.parametrize("row", ["d,motif,0.5", "d,motif,0.5,0.1,3,1,0.1.0,0,abc,extra"],
+                             ids=["short", "long"])
+    def test_row_width_must_match_header(self, row, tmp_path):
+        path = tmp_path / "jsd.csv"
+        path.write_text(",".join(JSD_COLUMNS) + "\nd,motif,1,0.2,4,1,0.1.0,0,abc\n" + row + "\n")
+        with pytest.raises(ShapeMismatch, match=r"jsd\.csv:3:"):
+            read_report_csv(path)
+
     def test_empty_report_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
