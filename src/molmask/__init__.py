@@ -13,7 +13,7 @@ not numpy.  Each name is the same object as in the module that defines
 it.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 from ._version import __version__
 
@@ -67,7 +67,7 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    value = getattr(_import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .choices import TARGET_KINDS
+from .choices import TARGET_KINDS  # noqa: F401  (still importable from here)
 from .errors import DataError, DimMismatch, NonFiniteScore, ShapeMismatch
 from .molgraph import MolGraph
 from .motif import MotifPartition, MotifVocab, decompose, motif_signatures

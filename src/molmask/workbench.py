@@ -35,6 +35,8 @@ from .infotheory import (
 )
 from .molgraph import LabeledRecord, parse_smiles
 from .motif import MotifVocab, coverage, decompose
+# read_report_csv and write_report_csv stay importable from here, where
+# perfbench/spans.py looks them up.
 from .report import (
     COVERAGE_COLUMNS,
     JSD_COLUMNS,
@@ -89,7 +91,8 @@ def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
     """Order-preserving map, optionally fanned out over processes.
 
     Results come back in input order regardless of worker count; fn and
-    its inputs must be picklable when workers > 1.
+    its inputs must be picklable when workers > 1.  The process pool is
+    imported only when one starts, so a serial run never loads it.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
