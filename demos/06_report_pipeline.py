@@ -34,8 +34,6 @@ records, _ = ingest(manifest)
 usable, _ = analysis_records(records)
 vocab = build_vocab([r.graph for r in usable])
 
-out = Path(tempfile.mkdtemp(prefix="molmask_demo_"))
-
 # Each runner returns an AnalysisReport: typed rows plus a fixed column
 # order, with seed and a config hash in every row for provenance.
 mi = run_mi_analysis(records, ["atom_type", "motif"], dataset_name="demo",
@@ -54,25 +52,30 @@ for row in shuffle.rows:
     print(f"  {row[2]:10} mi={row[3]:.4f}")
 print(f"\ncoverage: overlap={cov.rows[0][1]:.3f} mean_r={cov.rows[0][2]:.3f}")
 
-# Reports serialize to CSV with a fixed float format, so byte-for-byte
-# equality across runs and across --workers is a testable property.
-# Reading a report back and rewriting it reproduces the exact file.
-for name, report in (("mi", mi), ("jsd", jsd), ("coverage", cov)):
-    path = out / f"{name}.csv"
-    write_report_csv(report, path)
-    again = read_report_csv(path)
-    assert again.kind == report.kind
-    write_report_csv(again, out / "rewrite.csv")
-    assert (out / "rewrite.csv").read_bytes() == path.read_bytes()
-(out / "rewrite.csv").unlink()
+# The reports and charts go to a temporary directory, removed when the
+# demo ends.
+with tempfile.TemporaryDirectory(prefix="molmask_demo_") as tmp:
+    out = Path(tmp)
 
-# Every report kind renders to a self-contained SVG chart.
-for name, report in (("mi", mi), ("jsd", jsd), ("coverage", cov)):
-    render_svg(report, out / f"{name}.svg")
+    # Reports serialize to CSV with a fixed float format, so byte-for-byte
+    # equality across runs and across --workers is a testable property.
+    # Reading a report back and rewriting it reproduces the exact file.
+    for name, report in (("mi", mi), ("jsd", jsd), ("coverage", cov)):
+        path = out / f"{name}.csv"
+        write_report_csv(report, path)
+        again = read_report_csv(path)
+        assert again.kind == report.kind
+        write_report_csv(again, out / "rewrite.csv")
+        assert (out / "rewrite.csv").read_bytes() == path.read_bytes()
+    (out / "rewrite.csv").unlink()
 
-print(f"\nwrote reports and charts under {out}:")
-for path in sorted(out.iterdir()):
-    print(f"  {path.name} ({path.stat().st_size} bytes)")
+    # Every report kind renders to a self-contained SVG chart.
+    for name, report in (("mi", mi), ("jsd", jsd), ("coverage", cov)):
+        render_svg(report, out / f"{name}.svg")
+
+    print(f"\nwrote reports and charts under {out}:")
+    for path in sorted(out.iterdir()):
+        print(f"  {path.name} ({path.stat().st_size} bytes)")
 
 print("""
 command-line equivalents:

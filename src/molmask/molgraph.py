@@ -8,6 +8,18 @@ prefixes are parsed and discarded.  Hydrogens are never materialized as
 nodes: every graph is a heavy-atom graph.  No valence model and no
 kekulization; aromaticity is purely syntactic.
 
+The parser reads one token per step with a compiled regular expression
+matched at the cursor, dispatching on the group that matched; bracket
+atoms go to ``_parse_bracket``.  It appends to plain per-atom lists
+(atomic number, aromatic flag, charge) and per-bond lists (endpoints,
+order) and never builds an Atom or a Bond.  A MolGraph stores those
+columns as tuples, with ring flags, adjacency and the source string;
+its ``atoms`` and ``bonds`` tuples are built from the columns on first
+access.  The public constructor takes Atom and Bond objects and checks
+them; the parser's graphs skip those checks, since it rules out every
+case they catch (bonds out of range, duplicate bonds, adjacency that
+disagrees with the bonds).
+
 Graphs are immutable.  A bond lies on a ring exactly when it is not a
 bridge.  The parser reads this off the SMILES itself: chain and branch
 bonds form a spanning tree in which every parent has a lower index than
@@ -20,6 +32,8 @@ bridge detection, independently of the parser.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -71,6 +85,16 @@ SYMBOL_BY_NUMBER = {z: sym for sym, z in PERIODIC_TABLE.items()}
 # Bare (unbracketed) atoms allowed by the subset grammar.
 _ORGANIC = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 _AROMATIC_ORGANIC = {"b", "c", "n", "o", "p", "s"}
+_BARE_ATOMS = {
+    sym: (PERIODIC_TABLE[sym.capitalize()], sym.islower())
+    for sym in _ORGANIC | _AROMATIC_ORGANIC
+}
+
+# One SMILES token per match at the cursor; the group that matched
+# (m.lastindex) is its kind.  Digits outside ASCII match nothing and
+# reach the ring-label branch through str.isdigit.
+_TOKEN = re.compile(r"(Cl|Br|[BCNOPSFIbcnops])|(\[)|([-=#:])|([0-9])|(%)|(\()|(\))|([/\\])")
+_BARE, _BRACKET, _BOND, _DIGIT, _PERCENT, _OPEN, _CLOSE, _STEREO = range(1, 9)
 
 
 @dataclass(frozen=True)
@@ -111,52 +135,93 @@ class Bond:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MolGraph:
-    """Immutable heavy-atom molecular graph.
+    """Immutable heavy-atom molecular graph, stored as columns.
 
-    adjacency[i] lists the neighbors of atom i in ascending order; it is
-    always consistent with bonds.  Graphs have at least one atom and no
-    duplicate bonds.
+    Per atom: ``z`` (atomic number), ``aromatic``, ``charge`` and
+    ``atom_ring``.  Per bond: ``bond_u`` < ``bond_v``, ``bond_order``
+    and ``bond_ring``.  adjacency[i] lists the neighbors of atom i in
+    ascending order; it is always consistent with the bonds.  Graphs
+    have at least one atom and no duplicate bonds.  ``atoms`` and
+    ``bonds`` are Atom and Bond views of the columns, built on first
+    access.  Two graphs are equal when their columns are.
     """
 
-    atoms: tuple[Atom, ...]
-    bonds: tuple[Bond, ...]
+    z: tuple[int, ...]
+    aromatic: tuple[bool, ...]
+    charge: tuple[int, ...]
+    atom_ring: tuple[bool, ...]
+    bond_u: tuple[int, ...]
+    bond_v: tuple[int, ...]
+    bond_order: tuple[str, ...]
+    bond_ring: tuple[bool, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    source_smiles: str = ""
+    source_smiles: str
 
-    def __post_init__(self):
-        n = len(self.atoms)
+    def __init__(
+        self,
+        atoms: Sequence[Atom],
+        bonds: Sequence[Bond],
+        adjacency: tuple[tuple[int, ...], ...],
+        source_smiles: str = "",
+    ):
+        atoms, bonds = tuple(atoms), tuple(bonds)
+        n = len(atoms)
         if n == 0:
             raise ValueError("a molecular graph needs at least one atom")
-        if len(self.adjacency) != n:
+        if len(adjacency) != n:
             raise ValueError("adjacency length must equal atom count")
         seen = set()
-        for bond in self.bonds:
+        for bond in bonds:
             if not (0 <= bond.u < n and 0 <= bond.v < n):
                 raise ValueError("bond endpoint out of range")
             if bond.endpoints in seen:
                 raise ValueError(f"duplicate bond {bond.endpoints}")
             seen.add(bond.endpoints)
         rebuilt = [[] for _ in range(n)]
-        for bond in self.bonds:
+        for bond in bonds:
             rebuilt[bond.u].append(bond.v)
             rebuilt[bond.v].append(bond.u)
-        if tuple(tuple(sorted(nb)) for nb in rebuilt) != self.adjacency:
+        if tuple(tuple(sorted(nb)) for nb in rebuilt) != adjacency:
             raise ValueError("adjacency inconsistent with bond list")
+        # Frozen: fields are set through the instance dict, as by the parser.
+        vars(self).update(
+            z=tuple(a.atomic_number for a in atoms),
+            aromatic=tuple(a.aromatic for a in atoms),
+            charge=tuple(a.formal_charge for a in atoms),
+            atom_ring=tuple(a.in_ring for a in atoms),
+            bond_u=tuple(b.u for b in bonds),
+            bond_v=tuple(b.v for b in bonds),
+            bond_order=tuple(b.order for b in bonds),
+            bond_ring=tuple(b.in_ring for b in bonds),
+            adjacency=adjacency,
+            source_smiles=source_smiles,
+            atoms=atoms,
+            bonds=bonds,
+        )
+
+    @functools.cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        columns = (self.z, self.aromatic, self.charge, self.atom_ring)
+        return tuple(map(Atom, range(len(self.z)), *columns))
+
+    @functools.cached_property
+    def bonds(self) -> tuple[Bond, ...]:
+        return tuple(map(Bond, self.bond_u, self.bond_v, self.bond_order, self.bond_ring))
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.z)
 
     @property
     def n_bonds(self) -> int:
-        return len(self.bonds)
+        return len(self.bond_u)
 
     @property
     def is_singleton(self) -> bool:
         """Single-atom molecules parse fine but analysis stages skip them."""
-        return len(self.atoms) == 1
+        return len(self.z) == 1
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -167,6 +232,8 @@ class MolGraph:
             if bond.endpoints == key:
                 return bond
         return None
+
+
 
 
 @dataclass(frozen=True)
@@ -232,29 +299,21 @@ def ring_membership(graph: MolGraph) -> tuple[tuple[bool, ...], tuple[bool, ...]
     A bond lies on a ring exactly when it is not a bridge; an atom lies on
     a ring exactly when at least one incident bond does.
     """
-    edges = [bond.endpoints for bond in graph.bonds]
+    edges = list(zip(graph.bond_u, graph.bond_v))
     bridges = _find_bridges(graph.n_atoms, edges)
     bond_flags = tuple(not b for b in bridges)
     atom_flags = [False] * graph.n_atoms
-    for bond, in_ring in zip(graph.bonds, bond_flags):
+    for (u, v), in_ring in zip(edges, bond_flags):
         if in_ring:
-            atom_flags[bond.u] = True
-            atom_flags[bond.v] = True
+            atom_flags[u] = True
+            atom_flags[v] = True
     return tuple(atom_flags), bond_flags
 
 
-class _RawAtom:
-    __slots__ = ("atomic_number", "aromatic", "charge")
-
-    def __init__(self, atomic_number: int, aromatic: bool, charge: int):
-        self.atomic_number = atomic_number
-        self.aromatic = aromatic
-        self.charge = charge
-
-
-def _parse_bracket(smiles: str, start: int) -> tuple[_RawAtom, int]:
-    """Parse a bracket atom starting at ``[``; returns the atom and the
-    index just past the closing bracket."""
+def _parse_bracket(smiles: str, start: int) -> tuple[int, bool, int, int]:
+    """Parse a bracket atom starting at ``[``; returns its atomic number,
+    aromatic flag and charge, and the index just past the closing
+    bracket."""
     end = smiles.find("]", start)
     if end == -1:
         raise UnknownToken("unterminated bracket atom", smiles, start)
@@ -306,7 +365,7 @@ def _parse_bracket(smiles: str, start: int) -> tuple[_RawAtom, int]:
                 raise UnknownToken("atom class without digits", smiles, start)
         else:
             raise UnknownToken(f"unexpected {ch!r} in bracket atom", smiles, start)
-    return _RawAtom(atomic_number, aromatic, charge), end + 1
+    return atomic_number, aromatic, charge, end + 1
 
 
 def parse_smiles(smiles: str) -> MolGraph:
@@ -320,107 +379,105 @@ def parse_smiles(smiles: str) -> MolGraph:
     if not text:
         raise UnknownToken("empty SMILES string", smiles, 0)
 
-    raw_atoms: list[_RawAtom] = []
-    # (u, v, explicit order or None); default orders resolved after ring
-    # perception because aromaticity of a default bond depends on it.
-    raw_bonds: list[list] = []
-    bond_keys: set[tuple[int, int]] = set()
-    # Per atom, the raw_bonds index of the tree bond to its parent (the
-    # atom it was bonded to when read; -1 for the first atom).
+    z: list[int] = []
+    aromatic: list[bool] = []
+    charge: list[int] = []
+    # An order of None is a default bond, resolved after ring perception
+    # because whether it is aromatic depends on it.
+    bond_u: list[int] = []
+    bond_v: list[int] = []
+    bond_order: list[Optional[str]] = []
+    # Per atom, the index of the tree bond to its parent (the atom it
+    # was bonded to when read; -1 for the first atom).  Every tree bond
+    # runs from the parent, the lower index, to its child.
     parent_bond: list[int] = []
-    closures: list[int] = []  # raw_bonds indices of ring-closure bonds
-    prev_atom: Optional[int] = None
-    pending_bond: Optional[str] = None
-    branch_stack: list[Optional[int]] = []
+    closures: list[int] = []  # indices of ring-closure bonds
+    closed: set[tuple[int, int]] = set()  # their endpoint pairs
+    prev = -1
+    pending: Optional[str] = None
+    branch_stack: list[int] = []
     ring_map: dict[str, tuple[int, Optional[str], int]] = {}
 
-    def add_bond(u: int, v: int, order: Optional[str], pos: int) -> None:
-        if u == v:
-            raise UnknownToken("ring closure bonds an atom to itself", text, pos)
-        key = (u, v) if u < v else (v, u)
-        if key in bond_keys:
-            raise UnknownToken("duplicate bond between one atom pair", text, pos)
-        bond_keys.add(key)
-        raw_bonds.append([key[0], key[1], order])
-
-    def add_atom(atom: _RawAtom, pos: int) -> None:
-        nonlocal prev_atom, pending_bond
-        raw_atoms.append(atom)
-        idx = len(raw_atoms) - 1
-        if prev_atom is not None:
-            parent_bond.append(len(raw_bonds))
-            add_bond(prev_atom, idx, pending_bond, pos)
-        elif pending_bond is not None:
-            raise UnknownToken("bond symbol before any atom", text, pos)
-        else:
-            parent_bond.append(-1)
-        pending_bond = None
-        prev_atom = idx
-
-    def close_or_open_ring(label: str, pos: int) -> None:
-        nonlocal pending_bond
-        if prev_atom is None:
-            raise UnknownToken("ring closure before any atom", text, pos)
-        if label in ring_map:
-            partner, open_order, _ = ring_map.pop(label)
-            order = pending_bond if pending_bond is not None else open_order
-            closures.append(len(raw_bonds))
-            add_bond(partner, prev_atom, order, pos)
-        else:
-            ring_map[label] = (prev_atom, pending_bond, pos)
-        pending_bond = None
-
+    match = _TOKEN.match
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch == "[":
-            atom, i = _parse_bracket(text, i)
-            add_atom(atom, i)
-        elif text[i : i + 2] in ("Cl", "Br"):
-            add_atom(_RawAtom(PERIODIC_TABLE[text[i : i + 2]], False, 0), i)
-            i += 2
-        elif ch in _ORGANIC:
-            add_atom(_RawAtom(PERIODIC_TABLE[ch], False, 0), i)
-            i += 1
-        elif ch in _AROMATIC_ORGANIC:
-            add_atom(_RawAtom(PERIODIC_TABLE[ch.upper()], True, 0), i)
-            i += 1
-        elif ch in _BOND_SYMBOLS:
-            if pending_bond is not None:
+        m = match(text, i)
+        kind = m.lastindex if m else 0
+        if kind == _BARE or kind == _BRACKET:
+            if kind == _BARE:
+                number, arom = _BARE_ATOMS[m[_BARE]]
+                chg, pos, i = 0, i, m.end()
+            else:
+                number, arom, chg, i = _parse_bracket(text, i)
+                pos = i
+            atom = len(z)
+            z.append(number)
+            aromatic.append(arom)
+            charge.append(chg)
+            if prev >= 0:
+                parent_bond.append(len(bond_u))
+                bond_u.append(prev)
+                bond_v.append(atom)
+                bond_order.append(pending)
+            elif pending is not None:
+                raise UnknownToken("bond symbol before any atom", text, pos)
+            else:
+                parent_bond.append(-1)
+            pending = None
+            prev = atom
+        elif kind == _BOND:
+            if pending is not None:
                 raise UnknownToken("two bond symbols in a row", text, i)
-            pending_bond = _BOND_SYMBOLS[ch]
+            pending = _BOND_SYMBOLS[text[i]]
             i += 1
-        elif ch in "/\\":
-            i += 1  # cis/trans marker: treated as a default bond
-        elif ch.isdigit():
-            close_or_open_ring(ch, i)
-            i += 1
-        elif ch == "%":
-            label = text[i + 1 : i + 3]
-            if len(label) < 2 or not label.isdigit():
-                raise UnknownToken("%% ring label needs two digits", text, i)
-            close_or_open_ring(label, i)
-            i += 3
-        elif ch == "(":
-            if prev_atom is None or pending_bond is not None:
+        elif kind == _DIGIT or kind == _PERCENT or (not kind and text[i].isdigit()):
+            if kind == _PERCENT:
+                label = text[i + 1 : i + 3]
+                if len(label) < 2 or not label.isdigit():
+                    raise UnknownToken("%% ring label needs two digits", text, i)
+            else:
+                label = text[i]
+            if prev < 0:
+                raise UnknownToken("ring closure before any atom", text, i)
+            opened = ring_map.pop(label, None)
+            if opened is None:
+                ring_map[label] = (prev, pending, i)
+            else:
+                partner, open_order, _ = opened
+                if partner == prev:
+                    raise UnknownToken("ring closure bonds an atom to itself", text, i)
+                lo, hi = (partner, prev) if partner < prev else (prev, partner)
+                if (lo, hi) in closed or bond_u[parent_bond[hi]] == lo:
+                    raise UnknownToken("duplicate bond between one atom pair", text, i)
+                closed.add((lo, hi))
+                closures.append(len(bond_u))
+                bond_u.append(lo)
+                bond_v.append(hi)
+                bond_order.append(pending if pending is not None else open_order)
+            pending = None
+            i += 1 + 2 * (kind == _PERCENT)
+        elif kind == _OPEN:
+            if prev < 0 or pending is not None:
                 raise UnbalancedParen("branch opened in an illegal position", text, i)
-            branch_stack.append(prev_atom)
+            branch_stack.append(prev)
             i += 1
-        elif ch == ")":
+        elif kind == _CLOSE:
             if not branch_stack:
                 raise UnbalancedParen("branch closed without matching open", text, i)
-            if pending_bond is not None:
+            if pending is not None:
                 raise UnknownToken("dangling bond symbol before ')'", text, i)
-            prev_atom = branch_stack.pop()
+            prev = branch_stack.pop()
             i += 1
-        elif ch == ".":
+        elif kind == _STEREO:
+            i += 1  # cis/trans marker: treated as a default bond
+        elif text[i] == ".":
             raise MultiFragment("multi-fragment SMILES are not supported", text, i)
         else:
-            raise UnknownToken(f"unrecognized character {ch!r}", text, i)
+            raise UnknownToken(f"unrecognized character {text[i]!r}", text, i)
 
-    if not raw_atoms:
+    if not z:
         raise UnknownToken("SMILES contains no atoms", text, 0)
-    if pending_bond is not None:
+    if pending is not None:
         raise UnknownToken("trailing bond symbol", text, len(text) - 1)
     if branch_stack:
         raise UnbalancedParen("unclosed branch parenthesis", text, len(text) - 1)
@@ -428,54 +485,41 @@ def parse_smiles(smiles: str) -> MolGraph:
         label, (_, _, pos) = next(iter(ring_map.items()))
         raise UnclosedRing(f"ring label {label} never closed", text, pos)
 
-    n = len(raw_atoms)
     # A closure's cycle is the closure bond plus the tree path between
     # its endpoints; a tree parent always has the lower index, so
     # stepping the higher end up reaches the common ancestor.
-    bond_in_ring = [False] * len(raw_bonds)
+    bond_ring = [False] * len(bond_u)
     for b in closures:
-        bond_in_ring[b] = True
-        lo, hi = raw_bonds[b][0], raw_bonds[b][1]
+        bond_ring[b] = True
+        lo, hi = bond_u[b], bond_v[b]
         while hi != lo:
             if hi < lo:
                 lo, hi = hi, lo
             tree_bond = parent_bond[hi]
-            bond_in_ring[tree_bond] = True
-            hi = raw_bonds[tree_bond][0]
+            bond_ring[tree_bond] = True
+            hi = bond_u[tree_bond]
 
-    bonds = []
-    atom_in_ring = [False] * n
-    for (u, v, order), in_ring in zip(raw_bonds, bond_in_ring):
-        if order is None:
+    atom_ring = [False] * len(z)
+    adjacency: list[list[int]] = [[] for _ in z]
+    for b, (u, v, in_ring) in enumerate(zip(bond_u, bond_v, bond_ring)):
+        if bond_order[b] is None:
             # Default order: aromatic only for ring bonds between two
             # aromatic atoms, single everywhere else.
-            both_aromatic = raw_atoms[u].aromatic and raw_atoms[v].aromatic
-            order = AROMATIC if (both_aromatic and in_ring) else SINGLE
-        bonds.append(Bond(u, v, order, in_ring=in_ring))
+            bond_order[b] = AROMATIC if in_ring and aromatic[u] and aromatic[v] else SINGLE
         if in_ring:
-            atom_in_ring[u] = True
-            atom_in_ring[v] = True
-
-    atoms = tuple(
-        Atom(
-            index=i,
-            atomic_number=raw.atomic_number,
-            aromatic=raw.aromatic,
-            formal_charge=raw.charge,
-            in_ring=atom_in_ring[i],
-        )
-        for i, raw in enumerate(raw_atoms)
-    )
-    adjacency = [[] for _ in range(n)]
-    for bond in bonds:
-        adjacency[bond.u].append(bond.v)
-        adjacency[bond.v].append(bond.u)
-    return MolGraph(
-        atoms=atoms,
-        bonds=tuple(bonds),
-        adjacency=tuple(tuple(sorted(nb)) for nb in adjacency),
+            atom_ring[u] = atom_ring[v] = True
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    # The checks of MolGraph.__init__ hold by construction: no Atom or
+    # Bond objects, no second pass over the bonds.
+    graph = object.__new__(MolGraph)
+    vars(graph).update(
+        z=tuple(z), aromatic=tuple(aromatic), charge=tuple(charge), atom_ring=tuple(atom_ring),
+        bond_u=tuple(bond_u), bond_v=tuple(bond_v), bond_order=tuple(bond_order),
+        bond_ring=tuple(bond_ring), adjacency=tuple(tuple(sorted(nb)) for nb in adjacency),
         source_smiles=smiles,
     )
+    return graph
 
 
 def _atom_token(atom: Atom) -> str:

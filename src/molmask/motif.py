@@ -8,11 +8,13 @@ matter which molecule or atom order produced them.
 
 A signature depends only on the motif's labelled subgraph: its atoms'
 (atomic number, aromatic) pairs in ascending atom order and its bonds
-renumbered to that order.  ``canonical_signature`` reduces each motif
-to that key and looks it up in an LRU memo of at most
-``_SIGNATURE_MEMO_SIZE`` (16,384) keys, so each distinct labelled
-motif is signed once while the memo holds it.  A 5,000-molecule
-synthetic corpus has 4,014 keys for its 24,911 motifs.
+renumbered to that order.  ``_signature_keys`` reduces motifs to those
+keys, all of a molecule's motifs in one pass over its bond columns
+(``motif_signatures``) or one atom set (``canonical_signature``).  Each
+key is looked up in an LRU memo of at most ``_SIGNATURE_MEMO_SIZE``
+(16,384) keys, so each distinct labelled motif is signed once while the
+memo holds it.  A 5,000-molecule synthetic corpus has 4,014 keys for
+its 24,911 motifs.
 """
 
 from __future__ import annotations
@@ -101,15 +103,13 @@ def decompose(graph: MolGraph) -> MotifPartition:
     chains stay intact because terminal bonds have a degree-1 endpoint
     and interior chain atoms have only one further neighbor each.
     """
+    atom_ring, adjacency = graph.atom_ring, graph.adjacency
     cut: list[tuple[int, int]] = []
-    for bond in graph.bonds:
-        if bond.in_ring or bond.order != SINGLE:
+    for u, v, order, in_ring in zip(graph.bond_u, graph.bond_v, graph.bond_order, graph.bond_ring):
+        if in_ring or order != SINGLE:
             continue
-        u, v = bond.endpoints
-        if graph.atoms[u].in_ring or graph.atoms[v].in_ring:
-            cut.append(bond.endpoints)
-        elif graph.degree(u) >= 3 and graph.degree(v) >= 3:
-            cut.append(bond.endpoints)
+        if atom_ring[u] or atom_ring[v] or (len(adjacency[u]) >= 3 and len(adjacency[v]) >= 3):
+            cut.append((u, v))
 
     cut_set = set(cut)
     # Connected components of the graph minus the cut bonds.
@@ -125,7 +125,7 @@ def decompose(graph: MolGraph) -> MotifPartition:
         while stack:
             node = stack.pop()
             component.append(node)
-            for nb in graph.adjacency[node]:
+            for nb in adjacency[node]:
                 key = (node, nb) if node < nb else (nb, node)
                 if key in cut_set or motif_of[nb] != -1:
                     continue
@@ -188,22 +188,39 @@ def canonical_signature(graph: MolGraph, atoms: Iterable[int]) -> str:
     its labelled form in relative atom order, and the signature of that
     key is memoised (``_signature_of``).
     """
-    node_list = sorted(set(atoms))
+    node_list = tuple(sorted(set(atoms)))
     if not node_list:
         raise DisconnectedMotif("empty atom set has no signature")
     for i in node_list:
         if not (0 <= i < graph.n_atoms):
             raise DisconnectedMotif(f"atom index {i} outside graph")
-    position = {node: pos for pos, node in enumerate(node_list)}
-    labels = tuple(
-        (graph.atoms[i].atomic_number, graph.atoms[i].aromatic) for i in node_list
-    )
-    edges = tuple(sorted(
-        (position[bond.u], position[bond.v], bond.order)
-        for bond in graph.bonds
-        if bond.u in position and bond.v in position
-    ))
-    return _signature_of(labels, edges)
+    motif_of = [-1] * graph.n_atoms
+    for i in node_list:
+        motif_of[i] = 0
+    (key,) = _signature_keys(graph, (node_list,), motif_of)
+    return _signature_of(*key)
+
+
+def _signature_keys(
+    graph: MolGraph, motifs: Sequence[tuple[int, ...]], motif_of: Sequence[int]
+) -> list[tuple[tuple[tuple[int, bool], ...], tuple[tuple[int, int, str], ...]]]:
+    """The ``_signature_of`` key of each atom set in ``motifs`` (disjoint,
+    each in ascending atom order), from one pass over the bonds:
+    motif_of[a] is the index of the set holding atom a, or -1."""
+    z, aromatic = graph.z, graph.aromatic
+    local = [0] * graph.n_atoms
+    for motif in motifs:
+        for pos, atom in enumerate(motif):
+            local[atom] = pos
+    edges: list[list[tuple[int, int, str]]] = [[] for _ in motifs]
+    for u, v, order in zip(graph.bond_u, graph.bond_v, graph.bond_order):
+        m = motif_of[u]
+        if m >= 0 and m == motif_of[v]:
+            edges[m].append((local[u], local[v], order))
+    return [
+        (tuple([(z[a], aromatic[a]) for a in motif]), tuple(sorted(motif_edges)))
+        for motif, motif_edges in zip(motifs, edges)
+    ]
 
 
 @functools.lru_cache(maxsize=_SIGNATURE_MEMO_SIZE)
@@ -305,7 +322,8 @@ def motif_signatures(graph: MolGraph, partition: MotifPartition | None = None) -
     """Signatures of every motif of a graph, in motif index order."""
     if partition is None:
         partition = decompose(graph)
-    return [canonical_signature(graph, motif) for motif in partition.motifs]
+    keys = _signature_keys(graph, partition.motifs, partition.motif_of)
+    return [_signature_of(labels, edges) for labels, edges in keys]
 
 
 def build_vocab(graphs: Iterable[MolGraph]) -> MotifVocab:

@@ -52,9 +52,9 @@ class TargetAssignment:
                 raise ValueError(f"label {label} outside space {self.label_space}")
 
 
-def atom_labels(graph: MolGraph) -> list[int]:
-    """Atom-type label of every atom."""
-    return [atom.atomic_number for atom in graph.atoms]
+def atom_labels(graph: MolGraph) -> tuple[int, ...]:
+    """Atom-type label of every atom: its atomic number."""
+    return graph.z
 
 
 def argmax_labels(logits: np.ndarray) -> list[int]:
@@ -141,7 +141,7 @@ class TargetResources:
     logits: Optional[dict[int, np.ndarray]] = None
     vq_normalize: bool = False
 
-    def unit_labels(self, kind: str, pos: int, graph: MolGraph) -> list[int]:
+    def unit_labels(self, kind: str, pos: int, graph: MolGraph) -> Sequence[int]:
         """Label of every unit of the graph at corpus position ``pos``.
 
         Units are atoms, or motifs for kind 'motif'; motifs outside the

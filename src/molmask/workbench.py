@@ -126,8 +126,8 @@ def ingest(manifest: DatasetManifest) -> tuple[list[LabeledRecord], IngestStats]
     Rows whose SMILES fail to parse are skipped and tallied by failure
     kind.  Each record's label comes from ``manifest.label_column`` (no
     column: every label is missing); unparseable or non-binary label
-    cells become missing labels.  A row with fewer cells than the header
-    raises ShapeMismatch naming its line.
+    cells become missing labels.  A row with fewer or more cells than
+    the header raises ShapeMismatch naming its line.
     Single-atom molecules are kept but counted, since the analysis
     stages will skip them.  Parsing runs in this process: a parsed
     graph costs more to ship back from a worker than to parse.
@@ -144,9 +144,10 @@ def ingest(manifest: DatasetManifest) -> tuple[list[LabeledRecord], IngestStats]
         if manifest.label_column and manifest.label_column not in header:
             raise MissingColumn(f"column {manifest.label_column!r} not in {manifest.path}")
         for row in reader:
-            if None in row.values():
+            if None in row.values() or None in row:
                 raise ShapeMismatch(
-                    f"{manifest.path}:{reader.line_num}: row has fewer cells than the header"
+                    f"{manifest.path}:{reader.line_num}: row has "
+                    f"{'more' if None in row else 'fewer'} cells than the header"
                 )
             stats.rows_total += 1
             try:
@@ -354,8 +355,9 @@ def run_mask_sim(
         strategies, [records[pos].graph for pos in positions],
         None if external_scores is None else [external_scores[pos] for pos in positions],
     )
-    # Atom types fit uint8 (Atom bounds them to 0..119), which keeps the
-    # label arrays the workers send back small.
+    # Atom types fit uint8 (the parser emits 0..118 and Atom bounds the
+    # rest to 0..119), which keeps the label arrays the workers send back
+    # small.
     tasks = [
         (
             records[pos].graph, g, np.asarray(atom_labels(records[pos].graph), dtype=np.uint8),

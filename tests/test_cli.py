@@ -425,7 +425,21 @@ GOLDEN_CASES = [
     ("shuffle_atom_type.csv", ["shuffle-control", "--label-col", "activity",
                                "--target", "atom_type", "--repeats", "7"]),
     ("vocab.tsv", ["vocab", "build"]),
+    # A .txt case pins the command's stdout; it writes no file.
+    ("parse_check.txt", ["parse-check", "--label-col", "activity"]),
+    ("decompose.txt", ["decompose"]),
 ]
+
+
+def golden_output(name, argv, workers, tmp_path, capsys) -> bytes:
+    """Run a golden case on the demo corpus; return the bytes it wrote,
+    or its stdout for a .txt case."""
+    out = tmp_path / name
+    stdout_case = name.endswith(".txt")
+    output = [] if stdout_case else ["--output", out]
+    capsys.readouterr()
+    assert run(["--workers", workers, *argv, "--input", DEMO_CORPUS, *output]) == 0
+    return capsys.readouterr().out.encode() if stdout_case else out.read_bytes()
 
 
 # A case keeps its plain id at --workers 1 and gains a "-w2" suffix at 2.
@@ -437,9 +451,7 @@ GOLDEN_CASES = [
 def test_golden_bytes(name, argv, workers, tmp_path, capsys):
     """Report bytes on the demo corpus match the committed reference
     files at one and two workers."""
-    out = tmp_path / name
-    assert run(["--workers", workers, *argv, "--input", DEMO_CORPUS, "--output", out]) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    assert golden_output(name, argv, workers, tmp_path, capsys) == (GOLDEN / name).read_bytes()
 
 
 class _PoolStarted(Exception):
@@ -459,14 +471,12 @@ def _no_pool(*args, **kwargs):
     for i, (name, argv) in enumerate(GOLDEN_CASES)
     if argv[0] != "mask-sim"
 ])
-def test_per_molecule_stages_start_no_pool(name, argv, tmp_path, monkeypatch):
+def test_per_molecule_stages_start_no_pool(name, argv, tmp_path, monkeypatch, capsys):
     """Parse, decompose and sign run in the main process at any
     --workers: with no process pool to be had, every command but
     mask-sim still writes its golden bytes."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    out = tmp_path / name
-    assert run(["--workers", 2, *argv, "--input", DEMO_CORPUS, "--output", out]) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    assert golden_output(name, argv, 2, tmp_path, capsys) == (GOLDEN / name).read_bytes()
 
 
 def test_mask_sim_sampling_fans_out(tmp_path, monkeypatch):
@@ -485,6 +495,17 @@ def test_short_csv_row_is_data_error(tmp_path, capsys):
     assert err.startswith("data error:") and err.count("\n") == 1
     assert "short.csv:2:" in err
     assert not out.exists()
+
+
+def test_long_csv_row_is_data_error(tmp_path, capsys):
+    """A row with more cells than the header is not read as its first
+    cells: it fails like a short row."""
+    corpus = tmp_path / "long.csv"
+    corpus.write_text("name,smiles,activity\nx,CC,1\ny,C,C,N,0\n")
+    assert run(["parse-check", "--input", corpus, "--label-col", "activity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "long.csv:3: row has more cells than the header" in err
 
 
 @pytest.mark.parametrize("embeddings, codebook", [

@@ -1,5 +1,9 @@
 """Parser, graph model, ring membership, and SMILES writer tests."""
 
+import csv
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,10 @@ from molmask import (
 )
 from molmask.molgraph import AROMATIC, DOUBLE, SINGLE, TRIPLE
 
-from conftest import FIXTURE_SMILES
+from conftest import FIXTURE_SMILES, mixed_corpus, ring_marker_corpus, template_corpus
+from smiles_reference import reference_parse_smiles
+
+DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
 
 
 def bfs_connected(n, edges, skip, start, goal):
@@ -307,7 +314,96 @@ class TestRingPerceptionProperty:
         assert {b.endpoints for b in g.bonds if b.in_ring} == ring_bonds
 
 
+def assert_same_parse(smiles):
+    """The column parser and the object-building reference give the same
+    atoms, bonds and adjacency, or the same error type and message."""
+    try:
+        expected = reference_parse_smiles(smiles)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            parse_smiles(smiles)
+        assert type(got.value) is type(exc), smiles
+        assert str(got.value) == str(exc), smiles
+        return
+    g = parse_smiles(smiles)
+    assert g.atoms == expected.atoms, smiles
+    assert g.bonds == expected.bonds, smiles
+    assert g.adjacency == expected.adjacency, smiles
+    assert g == expected, smiles
+
+
+# Organic and aromatic atoms, bracket atoms, bond and stereo symbols,
+# ring digits and %nn labels, branches, dots, and junk: "²" is a digit
+# to str.isdigit but not to a [0-9] class; "٣" is a non-ASCII decimal.
+_SMILES_TOKENS = [
+    "C", "C", "c", "c", "N", "n", "O", "o", "S", "s", "P", "p", "B", "b", "F", "Cl", "Br", "I",
+    "[NH4+]", "[O-]", "[nH]", "[13CH3]", "[C@@H]", "[Cu+2]", "[Xx]", "[se]", "[C:1]", "[Fe--]",
+    "-", "=", "#", ":", "/", "\\", "1", "1", "2", "3", "9", "%10", "%99", "%1", "%a",
+    "(", "(", ")", ")", ".", "[", "]", "[C", "$", "x", "H", " ", "²", "٣",
+]
+
+
+# Each check of the ring-closure path, and bonds around closures.
+_CLOSURE_CASES = [
+    "C1C1", "C12CC12", "C11", "C1CC1C1", "C(C1)C1", "C=1CC1", "C1CC=1", "C=1CC-1",
+    "c1ccccc1-c1ccccc1", "c1cc2ccccc2cc1", "C%12CC%12", "C²CC²", "C1.C1", "1C", "C1(C)C1",
+]
+
+
+class TestReferenceParser:
+    def test_fixture_corpora(self):
+        corpora = [FIXTURE_SMILES, _CLOSURE_CASES]
+        corpora += [[smiles for smiles, _ in rows]
+                    for rows in (ring_marker_corpus(), template_corpus(), mixed_corpus())]
+        with open(DEMO_CORPUS, newline="") as handle:
+            corpora.append([row["smiles"] for row in csv.DictReader(handle)])
+        for corpus in corpora:
+            for smiles in corpus:
+                assert_same_parse(smiles)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(_SMILES_TOKENS), max_size=24).map("".join),
+        ring_smiles(),
+    ))
+    def test_random_token_strings(self, smiles):
+        assert_same_parse(smiles)
+
+
 class TestMolGraphModel:
+    def test_parsed_graph_equals_constructed(self, fixture_graphs):
+        for g in fixture_graphs:
+            built = MolGraph(atoms=g.atoms, bonds=g.bonds, adjacency=g.adjacency,
+                             source_smiles=g.source_smiles)
+            assert built == g and g == built, g.source_smiles
+            assert hash(built) == hash(g), g.source_smiles
+
+    def test_unequal_graphs(self):
+        g = parse_smiles("CC")
+        assert g != parse_smiles("CO")
+        assert g != parse_smiles("C=C")
+        assert g != parse_smiles(" CC")  # same atoms, other source string
+        assert g != "CC"
+
+    def test_pickle_round_trip(self, fixture_graphs):
+        for g in fixture_graphs:
+            again = pickle.loads(pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL))
+            assert again == g and hash(again) == hash(g), g.source_smiles
+            assert again.atoms == g.atoms and again.bonds == g.bonds
+
+    @pytest.mark.parametrize("name", [
+        "z", "aromatic", "charge", "atom_ring", "bond_u", "bond_v", "bond_order",
+        "bond_ring", "adjacency", "source_smiles", "atoms", "bonds", "n_atoms", "extra",
+    ])
+    def test_attributes_cannot_be_assigned(self, name):
+        g = parse_smiles("c1ccccc1O")
+        assert g.atoms and g.bonds  # built on access, then frozen like the columns
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+        assert g == parse_smiles("c1ccccc1O")
+
     def test_duplicate_bond_rejected(self):
         atoms = (Atom(index=0, atomic_number=6), Atom(index=1, atomic_number=6))
         bonds = (

@@ -237,6 +237,26 @@ class TestSignatureMemo:
         build_vocab_tsv(build_vocab(shuffled), tmp_path / "shuffled.tsv")
         assert (tmp_path / "shuffled.tsv").read_bytes() == (tmp_path / "forward.tsv").read_bytes()
 
+    def test_motif_signatures_reuse_induced_subgraph_keys(self, fixture_graphs):
+        """The one-pass key builder gives each motif the key of its
+        induced subgraph, read off the Atom and Bond objects: signing a
+        graph's motifs after those keys adds no memo entry."""
+        for g in fixture_corpus_graphs(fixture_graphs):
+            partition = decompose(g)
+            _signature_of.cache_clear()
+            expected = []
+            for motif in partition.motifs:
+                pos = {atom: i for i, atom in enumerate(motif)}
+                labels = tuple((g.atoms[a].atomic_number, g.atoms[a].aromatic) for a in motif)
+                edges = tuple(sorted(
+                    (pos[b.u], pos[b.v], b.order) for b in g.bonds if b.u in pos and b.v in pos
+                ))
+                expected.append(_signature_of(labels, edges))
+            misses = _signature_of.cache_info().misses
+            assert motif_signatures(g, partition) == expected, g.source_smiles
+            assert [canonical_signature(g, m) for m in partition.motifs] == expected
+            assert _signature_of.cache_info().misses == misses, g.source_smiles
+
     def test_disconnected_motif_is_not_cached(self):
         g = parse_smiles("CCO")
         _signature_of.cache_clear()
