@@ -85,8 +85,8 @@ SYMBOL_BY_NUMBER = {z: sym for sym, z in PERIODIC_TABLE.items()}
 # Bare (unbracketed) atoms allowed by the subset grammar.
 _ORGANIC = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 _AROMATIC_ORGANIC = {"b", "c", "n", "o", "p", "s"}
-_BARE_ATOMS = {
-    sym: (PERIODIC_TABLE[sym.capitalize()], sym.islower())
+_BARE_ATOMS = {  # symbol -> (atomic number, aromatic, charge)
+    sym: (PERIODIC_TABLE[sym.capitalize()], sym.islower(), 0)
     for sym in _ORGANIC | _AROMATIC_ORGANIC
 }
 
@@ -232,8 +232,6 @@ class MolGraph:
             if bond.endpoints == key:
                 return bond
         return None
-
-
 
 
 @dataclass(frozen=True)
@@ -405,8 +403,8 @@ def parse_smiles(smiles: str) -> MolGraph:
         kind = m.lastindex if m else 0
         if kind == _BARE or kind == _BRACKET:
             if kind == _BARE:
-                number, arom = _BARE_ATOMS[m[_BARE]]
-                chg, pos, i = 0, i, m.end()
+                number, arom, chg = _BARE_ATOMS[m[_BARE]]
+                pos, i = i, m.end()
             else:
                 number, arom, chg, i = _parse_bracket(text, i)
                 pos = i
@@ -432,11 +430,11 @@ def parse_smiles(smiles: str) -> MolGraph:
             i += 1
         elif kind == _DIGIT or kind == _PERCENT or (not kind and text[i].isdigit()):
             if kind == _PERCENT:
-                label = text[i + 1 : i + 3]
+                label, end = text[i + 1 : i + 3], i + 3
                 if len(label) < 2 or not label.isdigit():
                     raise UnknownToken("%% ring label needs two digits", text, i)
             else:
-                label = text[i]
+                label, end = text[i], i + 1
             if prev < 0:
                 raise UnknownToken("ring closure before any atom", text, i)
             opened = ring_map.pop(label, None)
@@ -455,7 +453,7 @@ def parse_smiles(smiles: str) -> MolGraph:
                 bond_v.append(hi)
                 bond_order.append(pending if pending is not None else open_order)
             pending = None
-            i += 1 + 2 * (kind == _PERCENT)
+            i = end
         elif kind == _OPEN:
             if prev < 0 or pending is not None:
                 raise UnbalancedParen("branch opened in an illegal position", text, i)
@@ -510,8 +508,9 @@ def parse_smiles(smiles: str) -> MolGraph:
             atom_ring[u] = atom_ring[v] = True
         adjacency[u].append(v)
         adjacency[v].append(u)
-    # The checks of MolGraph.__init__ hold by construction: no Atom or
-    # Bond objects, no second pass over the bonds.
+    # Every check of MolGraph.__init__ holds by construction, so the
+    # graph is built without it: no Atom or Bond objects and no second
+    # pass over the bonds.
     graph = object.__new__(MolGraph)
     vars(graph).update(
         z=tuple(z), aromatic=tuple(aromatic), charge=tuple(charge), atom_ring=tuple(atom_ring),
