@@ -343,7 +343,9 @@ _SMILES_TOKENS = [
 ]
 
 
-# Each check of the ring-closure path, and bonds around closures.
+# Strings that reach each check on a ring label (self bond, duplicate of
+# a tree or a closure bond, label before any atom, label never closed)
+# and bond orders set on either side of a closure.
 _CLOSURE_CASES = [
     "C1C1", "C12CC12", "C11", "C1CC1C1", "C(C1)C1", "C=1CC1", "C1CC=1", "C=1CC-1",
     "c1ccccc1-c1ccccc1", "c1cc2ccccc2cc1", "C%12CC%12", "C²CC²", "C1.C1", "1C", "C1(C)C1",
