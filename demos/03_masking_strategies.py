@@ -1,4 +1,4 @@
-"""Draw masks under every strategy and materialize masked views.
+"""Draw masks under every strategy and see what a masked view records.
 
 Run from the repository root:
 
@@ -6,16 +6,15 @@ Run from the repository root:
 """
 
 from molmask import (
-    MASK_SENTINEL,
     MaskConfig,
     STRATEGIES,
-    apply_mask,
     bind_strategy,
     mask_count,
+    pagerank_all,
     parse_smiles,
-    pagerank,
     substream,
 )
+from molmask.targets import TargetResources
 
 g = parse_smiles("CC(=O)Nc1ccc(O)cc1")
 config = MaskConfig(ratio=0.25, beta=10.0, intra_motif_fraction=0.5)
@@ -23,10 +22,10 @@ print(f"molecule: {g.source_smiles} ({g.n_atoms} atoms)")
 print(f"mask budget at ratio 0.25: {mask_count(config.ratio, g.n_atoms)} atoms\n")
 
 # bind_strategy binds each strategy to one graph and whatever it needs:
-# pagerank scores for perturbed top-k (a CLI run computes them once for
-# the whole corpus with pagerank_all), the motif partition for the
+# pagerank scores for perturbed top-k (pagerank_all scores a whole
+# corpus at once; a CLI run calls it once), the motif partition for the
 # motif-aware strategies, caller-supplied scores for external.
-scores = pagerank(g)
+scores = pagerank_all([g])[0]
 for strategy in STRATEGIES:
     bound = bind_strategy(strategy, config)(g, scores)
     plan = bound.plan(substream(seed=0, graph_index=0, draw_index=0))
@@ -36,15 +35,12 @@ for strategy in STRATEGIES:
 # them, so masked atoms arrive in contiguous chemical units rather than
 # scattered singletons.
 
-# Applying a plan swaps masked atomic numbers for a sentinel that no
-# element uses, and preserves everything else.
+# A view leaves the graph as it is: it records the indices of the
+# masked atoms and the targets read off them, here their atom types.
 bound = bind_strategy("moama", config)(g)
 plan = bound.plan(substream(seed=0, graph_index=0, draw_index=1))
-view = apply_mask(g, plan)
-masked_numbers = [view.graph.atoms[i].atomic_number for i in plan.masked_atoms]
-print(f"\nmoama view: masked atoms {plan.masked_atoms} now carry atomic number "
-      f"{set(masked_numbers)} (sentinel {MASK_SENTINEL})")
-print(f"original untouched: {[g.atoms[i].atomic_number for i in plan.masked_atoms]}")
+units, atom_types = TargetResources().view_targets("atom_type", 0, g, plan)
+print(f"\nmoama view: masked atoms {units}, atom types {atom_types}")
 
 # Draws are seeded per (graph, draw) cell, so replaying a cell gives
 # the same plan no matter what was drawn before it.

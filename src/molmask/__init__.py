@@ -34,16 +34,12 @@ _EXPORTS = {
         "canonical_signature", "coverage", "decompose", "motif_adjacency",
         "motif_signatures",
     ),
-    "scoring": ("NodeScores", "load_external_scores", "pagerank", "pagerank_all"),
+    "scoring": ("NodeScores", "load_external_scores", "pagerank_all"),
     "masking": (
-        "MaskConfig", "MaskedGraph", "MaskPlan", "apply_mask", "bind_strategy",
-        "export_views", "mask_count", "read_views", "strategy_scores", "substream",
+        "MaskConfig", "MaskPlan", "bind_strategy", "export_views", "mask_count",
+        "read_views", "strategy_scores", "substream",
     ),
-    "targets": (
-        "ATOM_TYPE_SPACE", "TargetAssignment", "argmax_targets",
-        "atom_type_targets", "load_codebook", "load_embeddings",
-        "motif_targets", "vq_targets",
-    ),
+    "targets": ("load_codebook", "load_embeddings"),
     "infotheory": (
         "JointCounts", "JsdCurve", "SampledMi", "ShuffleResult", "entropy_y",
         "jsd", "jsd_curve", "low_freq_conditionals", "mutual_information",

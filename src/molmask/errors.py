@@ -53,7 +53,7 @@ class NonFiniteScore(DataError):
 
 
 class OutOfRangeIndex(DataError):
-    """A mask plan references atoms outside the target graph."""
+    """Per-atom input does not cover the target graph's atoms."""
 
 
 class DimMismatch(DataError):

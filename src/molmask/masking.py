@@ -23,7 +23,7 @@ import numpy as np
 
 from .choices import STRATEGIES
 from .errors import OutOfRangeIndex
-from .molgraph import MASK_SENTINEL, MolGraph
+from .molgraph import MolGraph
 from .motif import MotifPartition, decompose, motif_adjacency
 from .scoring import NodeScores, pagerank_all
 
@@ -76,8 +76,8 @@ class MaskPlan:
     """Outcome of one masking draw.
 
     masked_atoms is sorted and duplicate-free.  masked_motifs is empty
-    for node-level strategies; for moama it lists whole motifs whose
-    atom union equals masked_atoms.
+    for node-level strategies; for motif strategies it lists the motifs
+    the masked atoms fall in (whole motifs, for moama).
     """
 
     masked_atoms: tuple[int, ...]
@@ -87,15 +87,6 @@ class MaskPlan:
     def __post_init__(self):
         if list(self.masked_atoms) != sorted(set(self.masked_atoms)):
             raise ValueError("masked_atoms must be sorted and unique")
-
-
-@dataclass(frozen=True)
-class MaskedGraph:
-    """A graph with mask sentinels applied to the planned atoms."""
-
-    graph: MolGraph
-    masked_atoms: tuple[int, ...]
-    mask_token_applied: bool
 
 
 def mask_count(ratio: float, n_atoms: int) -> int:
@@ -227,36 +218,6 @@ def _motifpred_draw(graph: MolGraph, partition: MotifPartition, config: MaskConf
         return masks
 
     return draw
-
-
-def apply_mask(graph: MolGraph, plan: MaskPlan) -> MaskedGraph:
-    """Stamp the mask sentinel onto the planned atoms.
-
-    The input graph is never touched; masked atoms keep every attribute
-    except atomic_number, which becomes the sentinel 119.  An empty plan
-    returns the input graph unchanged with the applied flag off.
-    """
-    for idx in plan.masked_atoms:
-        if not (0 <= idx < graph.n_atoms):
-            raise OutOfRangeIndex(f"masked atom {idx} outside graph of {graph.n_atoms}")
-    if not plan.masked_atoms:
-        return MaskedGraph(graph=graph, masked_atoms=(), mask_token_applied=False)
-    masked_set = set(plan.masked_atoms)
-    atoms = tuple(
-        replace(atom, atomic_number=MASK_SENTINEL) if atom.index in masked_set else atom
-        for atom in graph.atoms
-    )
-    new_graph = MolGraph(
-        atoms=atoms,
-        bonds=graph.bonds,
-        adjacency=graph.adjacency,
-        source_smiles=graph.source_smiles,
-    )
-    return MaskedGraph(
-        graph=new_graph,
-        masked_atoms=plan.masked_atoms,
-        mask_token_applied=True,
-    )
 
 
 class BoundStrategy(NamedTuple):

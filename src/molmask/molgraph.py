@@ -44,8 +44,8 @@ from .errors import (
     UnknownToken,
 )
 
-# Atoms the parser may emit.  0 is the unknown-element label; 119 is the
-# mask sentinel applied by the masking stage, never produced by parsing.
+# Atoms the parser may emit.  0 is the unknown-element label; 119 is
+# reserved as the mask sentinel and never produced by parsing.
 UNKNOWN_ELEMENT = 0
 MASK_SENTINEL = 119
 

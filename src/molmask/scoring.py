@@ -43,16 +43,6 @@ class NodeScores:
         return np.asarray(self.values, dtype=float)
 
 
-def pagerank(
-    graph: MolGraph,
-    alpha: float = 0.85,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> NodeScores:
-    """PageRank of one graph: pagerank_all on a batch of one."""
-    return pagerank_all([graph], alpha=alpha, tol=tol, max_iter=max_iter)[0]
-
-
 def pagerank_all(
     graphs: Sequence[MolGraph],
     alpha: float = 0.85,

@@ -25,32 +25,6 @@ from .motif import MotifPartition, MotifVocab, decompose, motif_signatures
 if TYPE_CHECKING:
     from .masking import MaskPlan
 
-# Atom-type labels live in {0..118}: 0 unknown, 1..118 element numbers.
-ATOM_TYPE_SPACE = 119
-
-
-@dataclass(frozen=True)
-class TargetAssignment:
-    """Labels for the masked units of one view.
-
-    unit_ids are atom indices (atom-level kinds) or motif indices
-    (motif kind), ascending.  unknown_count says how many motif labels
-    fell outside the vocabulary and were mapped to the reserved UNK id.
-    """
-
-    kind: str
-    unit_ids: tuple[int, ...]
-    labels: tuple[int, ...]
-    label_space: int
-    unknown_count: int = 0
-
-    def __post_init__(self):
-        if len(self.unit_ids) != len(self.labels):
-            raise ValueError("one label per unit required")
-        for label in self.labels:
-            if not (0 <= label < self.label_space):
-                raise ValueError(f"label {label} outside space {self.label_space}")
-
 
 def atom_labels(graph: MolGraph) -> tuple[int, ...]:
     """Atom-type label of every atom: its atomic number."""
@@ -119,12 +93,6 @@ def _atom_rows(
     return rows
 
 
-def _plan_motifs(partition: MotifPartition, plan: MaskPlan) -> tuple[int, ...]:
-    if plan.masked_motifs:
-        return plan.masked_motifs
-    return tuple(sorted({partition.motif_of[a] for a in plan.masked_atoms}))
-
-
 @dataclass(frozen=True)
 class TargetResources:
     """What target labels are read from, besides the graph itself.
@@ -172,58 +140,11 @@ class TargetResources:
         when the plan names none)."""
         labels = self.unit_labels(kind, pos, graph)
         if kind == "motif":
-            units = _plan_motifs(self.motifs[pos].partition, plan)
+            motif_of = self.motifs[pos].partition.motif_of
+            units = plan.masked_motifs or tuple(sorted({motif_of[a] for a in plan.masked_atoms}))
         else:
             units = plan.masked_atoms
         return units, tuple(labels[u] for u in units)
-
-
-def atom_type_targets(graph: MolGraph, plan: MaskPlan) -> TargetAssignment:
-    """Atomic-number labels of the masked atoms."""
-    units, labels = TargetResources().view_targets("atom_type", 0, graph, plan)
-    return TargetAssignment("atom_type", units, labels, ATOM_TYPE_SPACE)
-
-
-def motif_targets(
-    graph: MolGraph,
-    partition: MotifPartition,
-    plan: MaskPlan,
-    vocab: MotifVocab,
-) -> TargetAssignment:
-    """Vocabulary ids of the masked motifs.
-
-    Motifs the vocabulary has never seen map to the reserved UNK id
-    (vocab.size) and are tallied in unknown_count; analyses exclude UNK
-    from information measures but report the tally.
-    """
-    motifs = GraphMotifs(partition, tuple(motif_signatures(graph, partition)))
-    resources = TargetResources(vocab=vocab, motifs=(motifs,))
-    units, labels = resources.view_targets("motif", 0, graph, plan)
-    return TargetAssignment(
-        "motif", units, labels, vocab.size + 1, unknown_count=labels.count(vocab.unk_id)
-    )
-
-
-def argmax_targets(graph: MolGraph, plan: MaskPlan, logits: np.ndarray) -> TargetAssignment:
-    """Argmax-token labels of the masked atoms, from per-atom logits."""
-    resources = TargetResources(logits={0: logits})
-    units, labels = resources.view_targets("argmax_token", 0, graph, plan)
-    return TargetAssignment("argmax_token", units, labels, logits.shape[1])
-
-
-def vq_targets(
-    graph: MolGraph,
-    plan: MaskPlan,
-    embeddings: np.ndarray,
-    codebook: np.ndarray,
-    normalize: bool = False,
-) -> TargetAssignment:
-    """Vector-quantized code labels of the masked atoms."""
-    resources = TargetResources(
-        embeddings={0: embeddings}, codebook=codebook, vq_normalize=normalize
-    )
-    units, labels = resources.view_targets("vq_code", 0, graph, plan)
-    return TargetAssignment("vq_code", units, labels, codebook.shape[0])
 
 
 def _read_matrix(path: str | Path, what: str) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 import numpy as np
 
 from ._version import __version__
-from .errors import DataError, MissingColumn, ParseError, ShapeMismatch
+from .errors import DataError, EmptyCounts, MissingColumn, ParseError, ShapeMismatch
 from .infotheory import (
     DEFAULT_TAUS,
     JointCounts,
@@ -127,14 +127,15 @@ def ingest(manifest: DatasetManifest) -> tuple[list[LabeledRecord], IngestStats]
     kind.  Each record's label comes from ``manifest.label_column`` (no
     column: every label is missing); unparseable or non-binary label
     cells become missing labels.  A row with fewer or more cells than
-    the header raises ShapeMismatch naming its line.
+    the header raises ShapeMismatch naming its line.  The file is read
+    as UTF-8, with or without a byte-order mark.
     Single-atom molecules are kept but counted, since the analysis
     stages will skip them.  Parsing runs in this process: a parsed
     graph costs more to ship back from a worker than to parse.
     """
     stats = IngestStats()
     records: list[LabeledRecord] = []
-    with open(manifest.path, newline="") as handle:
+    with open(manifest.path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         if manifest.smiles_column not in header:
@@ -182,6 +183,14 @@ def _usable_positions(records: Sequence[LabeledRecord]) -> tuple[list[int], dict
     return kept, skipped
 
 
+def _nothing_to_count(kind: str, tallies: dict[str, int]) -> EmptyCounts:
+    """EmptyCounts for a run with no unit left to count, saying why."""
+    reasons = {"missing_label": "graphs skipped for a missing label",
+               "singleton": "single-atom graphs skipped", "excluded_unk": "motifs excluded as UNK"}
+    return EmptyCounts(f"no {kind} units to count: "
+                       + ", ".join(f"{n} {reasons[r]}" for r, n in tallies.items()))
+
+
 def analysis_records(records: Sequence[LabeledRecord]) -> tuple[list[LabeledRecord], dict[str, int]]:
     """Keep records usable for label analyses; count what was skipped.
 
@@ -204,7 +213,8 @@ def exact_joint_counts(
     TargetResources fields (vocab, motifs, embeddings, codebook, logits,
     vq_normalize), per-graph ones keyed by position in ``records``;
     without ``motifs``, a motif count first decomposes and signs every
-    graph, serially.
+    graph, serially.  Raises EmptyCounts, with the skip tallies, when no
+    unit is left to count.
     """
     target = TargetResources(**resources)
     positions, extras = _usable_positions(records)
@@ -228,6 +238,8 @@ def exact_joint_counts(
         keep = x != unk
         extras["excluded_unk"] = int(np.count_nonzero(~keep))
         x, y = x[keep], y[keep]
+    if not x.size:
+        raise _nothing_to_count(kind, extras)
     return JointCounts.from_arrays(x, y), extras
 
 
@@ -335,11 +347,14 @@ def run_mask_sim(
     rows report the across-repeat mean and sample standard deviation.
     The corpus fans out once, one task per graph covering every
     strategy; PageRank runs once, over the usable graphs, before it.
-    External scores are keyed by position in ``records``.
+    External scores are keyed by position in ``records``.  Raises
+    EmptyCounts, with the skip tallies, when no graph is usable.
     """
     from .masking import strategy_scores
 
-    positions, _ = _usable_positions(records)
+    positions, skipped = _usable_positions(records)
+    if not positions:
+        raise _nothing_to_count("atom_type", skipped)
     chash = config_hash(
         {
             "analysis": "mask_sim", "dataset": dataset_name,
@@ -446,9 +461,11 @@ def build_vocab_tsv(vocab: MotifVocab, path: str | Path) -> None:
 
 
 def load_vocab_tsv(path: str | Path) -> MotifVocab:
-    """Read a vocabulary TSV written by build_vocab_tsv."""
+    """Read a vocabulary TSV written by build_vocab_tsv.  A signature
+    listed twice raises ShapeMismatch naming both lines."""
     ids: dict[str, int] = {}
     counts: dict[str, int] = {}
+    seen: dict[str, int] = {}  # the line each signature is listed on
     with open(path) as handle:
         header = handle.readline().rstrip("\n")
         if header.split("\t") != ["signature", "id", "count"]:
@@ -461,6 +478,9 @@ def load_vocab_tsv(path: str | Path) -> MotifVocab:
             if len(parts) != 3:
                 raise ShapeMismatch(f"{path}:{line_no}: expected 3 tab-separated fields")
             sig, idx, count = parts
+            if sig in seen:
+                raise ShapeMismatch(f"{path}:{line_no}: signature already listed on line {seen[sig]}")
+            seen[sig] = line_no
             try:
                 ids[sig] = int(idx)
                 counts[sig] = int(count)

@@ -321,6 +321,45 @@ def test_no_usable_graph_is_data_error(argv, workers, tmp_path, capsys):
     assert not out.exists()
 
 
+def data_error_line(argv, corpus, tmp_path, capsys) -> str:
+    """The one stderr line of a run that fails with a data error and
+    writes nothing."""
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--input", corpus, "--label-col", "activity", "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mi", "--targets", "motif"],
+    ["jsd", "--targets", "motif"],
+    ["shuffle-control", "--target", "motif"],
+], ids=lambda argv: argv[0])
+def test_vocab_covering_no_motif_says_why(argv, tmp_path, capsys):
+    corpus = write_corpus_csv(tmp_path / "corpus.csv", [("CCO", 1), ("c1ccccc1C", 0), ("C", 1)])
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("signature\tid\tcount\nnot-a-motif\t0\t1\n")
+    err = data_error_line([*argv, "--vocab", vocab], corpus, tmp_path, capsys)
+    assert err == (
+        "data error: no motif units to count: 0 graphs skipped for a missing label, "
+        "1 single-atom graphs skipped, 3 motifs excluded as UNK\n"
+    )
+
+
+@pytest.mark.parametrize("argv, unk", [
+    (["mi", "--targets", "atom_type"], ", 0 motifs excluded as UNK"),
+    (["mask-sim", "--strategies", "uniform"], ""),
+], ids=["mi", "mask-sim"])
+def test_all_labels_missing_says_why(argv, unk, tmp_path, capsys):
+    corpus = write_corpus_csv(tmp_path / "corpus.csv", [("CCO", ""), ("C", "na"), ("CCN", "")])
+    err = data_error_line(argv, corpus, tmp_path, capsys)
+    assert err == (
+        "data error: no atom_type units to count: 3 graphs skipped for a missing label, "
+        f"0 single-atom graphs skipped{unk}\n"
+    )
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("mask-sim", "--repeats", "0"),
     ("shuffle-control", "--repeats", "0"),

@@ -10,19 +10,17 @@ from molmask import (
     MaskConfig,
     NodeScores,
     OutOfRangeIndex,
-    apply_mask,
     bind_strategy,
     decompose,
     mask_count,
     motif_adjacency,
-    pagerank,
+    pagerank_all,
     parse_smiles,
     read_views,
     export_views,
     sample_pairs_for_graph,
     substream,
 )
-from molmask.molgraph import MASK_SENTINEL
 
 
 # Reference samplers: one mask per call, one Generator call per choice.
@@ -82,7 +80,7 @@ def tied_scores(graph):
 def supplied_scores(strategy, graph):
     """The scores a run hands the binder: PageRank for 'pagerank', tied
     external scores otherwise (the unscored strategies ignore them)."""
-    return pagerank(graph) if strategy == "pagerank" else tied_scores(graph)
+    return pagerank_all([graph])[0] if strategy == "pagerank" else tied_scores(graph)
 
 
 def reference_fn(strategy, graph):
@@ -505,51 +503,6 @@ class TestBatchDraw:
                 assert list(plan.masked_atoms) == atoms
 
 
-class TestApplyMask:
-    def test_sentinel_applied(self):
-        g = parse_smiles("CCO")
-        plan = bind_strategy("uniform", MaskConfig(ratio=0.34))(g).plan(np.random.default_rng(0))
-        masked = apply_mask(g, plan)
-        assert masked.mask_token_applied
-        for atom in masked.graph.atoms:
-            if atom.index in plan.masked_atoms:
-                assert atom.atomic_number == MASK_SENTINEL
-            else:
-                assert atom.atomic_number == g.atoms[atom.index].atomic_number
-            assert atom.aromatic == g.atoms[atom.index].aromatic
-
-    def test_original_untouched(self):
-        g = parse_smiles("CCO")
-        before = [a.atomic_number for a in g.atoms]
-        from molmask import MaskPlan
-
-        apply_mask(g, MaskPlan(masked_atoms=(0, 1, 2), strategy="uniform"))
-        assert [a.atomic_number for a in g.atoms] == before
-
-    def test_structure_preserved(self):
-        g = parse_smiles("c1ccncc1")
-        from molmask import MaskPlan
-
-        masked = apply_mask(g, MaskPlan(masked_atoms=(3,), strategy="uniform"))
-        assert masked.graph.bonds == g.bonds
-        assert masked.graph.adjacency == g.adjacency
-
-    def test_empty_plan(self):
-        g = parse_smiles("CCO")
-        from molmask import MaskPlan
-
-        masked = apply_mask(g, MaskPlan(masked_atoms=(), strategy="uniform"))
-        assert not masked.mask_token_applied
-        assert masked.graph is g
-
-    def test_out_of_range(self):
-        g = parse_smiles("CCO")
-        from molmask import MaskPlan
-
-        with pytest.raises(OutOfRangeIndex):
-            apply_mask(g, MaskPlan(masked_atoms=(5,), strategy="uniform"))
-
-
 class TestSubstream:
     def test_schedule_independence(self):
         a = substream(3, 10, 2).random(4)
@@ -586,7 +539,7 @@ class TestPlanFn:
         for strategy in STRATEGIES:
             bind = bind_strategy(strategy, config)
             for gi, g in enumerate(fixture_graphs):
-                scores = pagerank(g) if strategy == "pagerank" else NodeScores(
+                scores = pagerank_all([g])[0] if strategy == "pagerank" else NodeScores(
                     values=tuple(float(i) for i in range(g.n_atoms)), source="external"
                 )
                 plan = bind(g, scores).plan(substream(0, gi, 0))

@@ -9,7 +9,6 @@ from molmask import (
     ShapeMismatch,
     NodeScores,
     load_external_scores,
-    pagerank,
     pagerank_all,
     parse_smiles,
 )
@@ -55,7 +54,7 @@ def dense_power_iteration(graph, alpha=0.85, tol=1e-8, max_iter=200):
 class TestPagerank:
     def test_three_node_path(self):
         # Hand solution of the linear system: ends 19/74, middle 18/37.
-        scores = pagerank(parse_smiles("CCO"))
+        scores = pagerank_all([parse_smiles("CCO")])[0]
         np.testing.assert_allclose(
             scores.as_array(), [19 / 74, 36 / 74, 19 / 74], atol=1e-8
         )
@@ -66,14 +65,14 @@ class TestPagerank:
             if g.n_atoms > 12:
                 continue
             expected = dense_pagerank(g)
-            got = pagerank(g).as_array()
+            got = pagerank_all([g])[0].as_array()
             np.testing.assert_allclose(got, expected, atol=1e-7, err_msg=g.source_smiles)
             checked += 1
         assert checked >= 15
 
     def test_probability_vector(self, fixture_graphs):
         for g in fixture_graphs:
-            scores = pagerank(g)
+            scores = pagerank_all([g])[0]
             arr = scores.as_array()
             assert np.all(arr > 0)
             np.testing.assert_allclose(arr.sum(), 1.0, atol=1e-12)
@@ -81,30 +80,30 @@ class TestPagerank:
             assert scores.source == "pagerank"
 
     def test_symmetry_on_benzene(self):
-        arr = pagerank(parse_smiles("c1ccccc1")).as_array()
+        arr = pagerank_all([parse_smiles("c1ccccc1")])[0].as_array()
         np.testing.assert_allclose(arr, np.full(6, 1 / 6), atol=1e-9)
 
     def test_star_center_dominates(self):
         g = parse_smiles("CC(C)(C)C")
-        arr = pagerank(g).as_array()
+        arr = pagerank_all([g])[0].as_array()
         assert arr[1] == arr.max()
         assert np.all(arr[1] > np.delete(arr, 1))
 
     def test_single_atom(self):
-        scores = pagerank(parse_smiles("C"))
+        scores = pagerank_all([parse_smiles("C")])[0]
         assert scores.values == (1.0,)
         assert scores.converged
 
     def test_iteration_budget(self):
         # One iteration cannot converge on an asymmetric graph; the
         # result must still come back, flagged unconverged.
-        scores = pagerank(parse_smiles("CCO"), max_iter=1)
+        scores = pagerank_all([parse_smiles("CCO")], max_iter=1)[0]
         assert not scores.converged
         assert scores.iterations == 1
         np.testing.assert_allclose(scores.as_array().sum(), 1.0, atol=1e-12)
 
     def test_alpha_zero_is_uniform(self):
-        arr = pagerank(parse_smiles("CC(C)O"), alpha=0.0).as_array()
+        arr = pagerank_all([parse_smiles("CC(C)O")], alpha=0.0)[0].as_array()
         np.testing.assert_allclose(arr, np.full(4, 0.25), atol=1e-12)
 
 
@@ -119,7 +118,7 @@ class TestPagerankBatch:
         assert len({s.iterations for s in batch}) >= 10
         for i, g in enumerate(graphs):
             # Float equality of positive finite values is bit equality.
-            assert batch[i] == pagerank(g) == pagerank_all([g])[0], g.source_smiles
+            assert batch[i] == pagerank_all([g])[0], g.source_smiles
         for j, i in enumerate(order):
             assert shuffled[j] == batch[i], graphs[i].source_smiles
 

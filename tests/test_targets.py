@@ -1,27 +1,30 @@
-"""Target extraction: atom types, motif ids, argmax tokens, VQ codes."""
+"""Target extraction: atom types, motif ids, argmax tokens, VQ codes.
+
+Masked views get their labels from TargetResources.view_targets, the
+path export-views takes; exact analyses read every unit through
+unit_labels.
+"""
 
 import numpy as np
 import pytest
 
 from molmask import (
-    ATOM_TYPE_SPACE,
+    DataError,
     DimMismatch,
     MaskPlan,
     NonFiniteScore,
     ShapeMismatch,
-    TargetAssignment,
-    argmax_targets,
-    atom_type_targets,
     build_vocab,
     canonical_signature,
-    decompose,
     load_codebook,
     load_embeddings,
-    motif_targets,
     parse_smiles,
-    vq_targets,
 )
-from molmask.targets import argmax_labels, vq_labels
+from molmask.targets import TargetResources, argmax_labels, graph_motifs, vq_labels
+
+
+def uniform_plan(*atoms):
+    return MaskPlan(masked_atoms=atoms, strategy="uniform")
 
 
 def brute_force_vq(embeddings, codebook):
@@ -40,89 +43,81 @@ def brute_force_vq(embeddings, codebook):
 class TestAtomTypeTargets:
     def test_labels_are_atomic_numbers(self):
         g = parse_smiles("CCO")
-        plan = MaskPlan(masked_atoms=(0, 2), strategy="uniform")
-        t = atom_type_targets(g, plan)
-        assert t.kind == "atom_type"
-        assert t.unit_ids == (0, 2)
-        assert t.labels == (6, 8)
-        assert t.label_space == ATOM_TYPE_SPACE
-        assert t.unknown_count == 0
+        units, labels = TargetResources().view_targets("atom_type", 0, g, uniform_plan(0, 2))
+        assert units == (0, 2)
+        assert labels == (6, 8)
 
     def test_unknown_element_is_label_zero(self):
         g = parse_smiles("[Xx]C")
-        t = atom_type_targets(g, MaskPlan(masked_atoms=(0,), strategy="uniform"))
-        assert t.labels == (0,)
+        assert TargetResources().view_targets("atom_type", 0, g, uniform_plan(0)) == ((0,), (0,))
 
-    def test_label_space_validated(self):
-        with pytest.raises(ValueError):
-            TargetAssignment(
-                kind="atom_type", unit_ids=(0,), labels=(119,), label_space=119
-            )
+
+def motif_view(vocab, graph, plan):
+    resources = TargetResources(vocab=vocab, motifs=[graph_motifs(graph)])
+    return resources.view_targets("motif", 0, graph, plan)
 
 
 class TestMotifTargets:
     def test_known_and_unknown(self):
         vocab = build_vocab([parse_smiles("c1ccccc1")])
         g = parse_smiles("Cc1ccccc1")
-        partition = decompose(g)
         plan = MaskPlan(
             masked_atoms=tuple(range(7)),
             strategy="moama",
             masked_motifs=(0, 1),
         )
-        t = motif_targets(g, partition, plan, vocab)
-        assert t.kind == "motif"
-        assert t.unit_ids == (0, 1)
-        assert t.label_space == vocab.size + 1
+        units, labels = motif_view(vocab, g, plan)
+        assert units == (0, 1)
         # Methyl motif is unseen, ring is known.
-        assert t.labels[0] == vocab.unk_id
-        assert t.labels[1] != vocab.unk_id
-        assert t.unknown_count == 1
+        assert labels[0] == vocab.unk_id
+        assert labels[1] != vocab.unk_id
 
     def test_motifs_derived_from_atoms_when_absent(self):
         vocab = build_vocab([parse_smiles("Cc1ccccc1")])
         g = parse_smiles("Cc1ccccc1")
-        partition = decompose(g)
         plan = MaskPlan(masked_atoms=(2, 3), strategy="motifpred")
-        t = motif_targets(g, partition, plan, vocab)
-        assert t.unit_ids == (1,)
-        assert t.unknown_count == 0
+        units, labels = motif_view(vocab, g, plan)
+        assert units == (1,)
+        assert vocab.unk_id not in labels
 
     def test_same_signature_same_id(self):
         corpus = [parse_smiles("c1ccccc1"), parse_smiles("Cc1ccccc1")]
         vocab = build_vocab(corpus)
+        ring_sig = canonical_signature(parse_smiles("c1ccccc1"), range(6))
         for smiles in ("c1ccccc1C", "c1ccccc1"):
             g = parse_smiles(smiles)
-            partition = decompose(g)
+            partition = graph_motifs(g).partition
             ring_motif = max(range(len(partition.motifs)), key=lambda m: len(partition.motifs[m]))
             plan = MaskPlan(
                 masked_atoms=partition.motifs[ring_motif],
                 strategy="moama",
                 masked_motifs=(ring_motif,),
             )
-            t = motif_targets(g, partition, plan, vocab)
-            ring_sig = canonical_signature(parse_smiles("c1ccccc1"), range(6))
-            assert t.labels[0] == vocab.lookup(ring_sig)
+            _, labels = motif_view(vocab, g, plan)
+            assert labels == (vocab.lookup(ring_sig),)
 
 
 class TestArgmaxTargets:
     def test_argmax_rows(self):
         g = parse_smiles("CCO")
         logits = np.array([[0.1, 0.9, 0.0], [0.5, 0.2, 0.3], [0.0, 0.0, 1.0]])
-        t = argmax_targets(g, MaskPlan(masked_atoms=(0, 1, 2), strategy="uniform"), logits)
-        assert t.labels == (1, 0, 2)
-        assert t.label_space == 3
+        resources = TargetResources(logits={0: logits})
+        units, labels = resources.view_targets("argmax_token", 0, g, uniform_plan(0, 1, 2))
+        assert units == (0, 1, 2)
+        assert labels == (1, 0, 2)
 
     def test_ties_take_lower_token(self):
-        logits = np.array([[0.5, 0.5, 0.1], [0.2, 0.7, 0.7]])
-        assert argmax_labels(logits) == [0, 1]
+        logits = np.array([[0.5, 0.5, 0.1], [9.0, 0.0, 0.0], [0.2, 0.7, 0.7]])
+        assert argmax_labels(logits) == [0, 0, 1]
+        resources = TargetResources(logits={0: logits})
+        _, labels = resources.view_targets("argmax_token", 0, parse_smiles("CCO"), uniform_plan(0, 2))
+        assert labels == (0, 1)
 
     def test_shape_checked(self):
         g = parse_smiles("CCO")
+        resources = TargetResources(logits={0: np.zeros((2, 4))})
         with pytest.raises(ShapeMismatch):
-            argmax_targets(
-                g, MaskPlan(masked_atoms=(0,), strategy="uniform"), np.zeros((2, 4))
-            )
+            resources.view_targets("argmax_token", 0, g, uniform_plan(0))
         with pytest.raises(ShapeMismatch):
             argmax_labels(np.zeros(3))
 
@@ -140,6 +135,12 @@ class TestVqTargets:
         emb = np.array([[0.0, 0.0]])
         book = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         assert vq_labels(emb, book) == [0]
+        # Atoms 1 and 2 sit halfway between codes 1 and 2, and 0 and 2.
+        resources = TargetResources(
+            embeddings={0: np.array([[1.0, 0.0], [-0.5, 0.5], [0.5, 0.5]])}, codebook=book
+        )
+        _, labels = resources.view_targets("vq_code", 0, parse_smiles("CCO"), uniform_plan(1, 2))
+        assert labels == (1, 0)
 
     def test_normalize_flag(self):
         # Unnormalized, the long vector is nearer code 1; on the unit
@@ -150,13 +151,12 @@ class TestVqTargets:
         assert vq_labels(emb, book, normalize=True) == [0]
 
     def test_graph_wrapper(self):
+        # view_targets wraps vq_labels for the masked atoms of one graph.
         g = parse_smiles("CCO")
         emb = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
         book = np.array([[0.0, 0.0], [5.0, 5.0]])
-        t = vq_targets(g, MaskPlan(masked_atoms=(1, 2), strategy="uniform"), emb, book)
-        assert t.kind == "vq_code"
-        assert t.labels == (0, 1)
-        assert t.label_space == 2
+        resources = TargetResources(embeddings={0: emb}, codebook=book)
+        assert resources.view_targets("vq_code", 0, g, uniform_plan(1, 2)) == ((1, 2), (0, 1))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -164,13 +164,35 @@ class TestVqTargets:
 
     def test_embedding_row_count_checked(self):
         g = parse_smiles("CCO")
+        resources = TargetResources(embeddings={0: np.zeros((2, 3))}, codebook=np.zeros((4, 3)))
         with pytest.raises(ShapeMismatch):
-            vq_targets(
-                g,
-                MaskPlan(masked_atoms=(0,), strategy="uniform"),
-                np.zeros((2, 3)),
-                np.zeros((4, 3)),
-            )
+            resources.view_targets("vq_code", 0, g, uniform_plan(0))
+
+
+class TestUnitLabelErrors:
+    @pytest.mark.parametrize("kind, resources", [
+        ("motif", {}),
+        ("motif", {"vocab": build_vocab([parse_smiles("CO")])}),
+        ("motif", {"motifs": [graph_motifs(parse_smiles("CO"))]}),
+        ("vq_code", {"embeddings": {0: np.zeros((2, 2))}}),
+        ("argmax_token", {}),
+    ], ids=["motif-none", "motif-no-motifs", "motif-no-vocab", "vq-no-codebook", "argmax-no-logits"])
+    def test_missing_resources_are_data_errors(self, kind, resources):
+        with pytest.raises(DataError) as err:
+            TargetResources(**resources).unit_labels(kind, 0, parse_smiles("CO"))
+        assert type(err.value) is DataError
+
+    def test_unknown_kind(self):
+        with pytest.raises(DataError, match="unknown target kind 'charge'"):
+            TargetResources().unit_labels("charge", 0, parse_smiles("CO"))
+
+    @pytest.mark.parametrize("kind, resources", [
+        ("vq_code", {"embeddings": {0: np.zeros((2, 2))}, "codebook": np.zeros((3, 2))}),
+        ("argmax_token", {"logits": {0: np.zeros((2, 4))}}),
+    ], ids=["vq", "argmax"])
+    def test_position_without_rows(self, kind, resources):
+        with pytest.raises(ShapeMismatch, match="corpus position 1"):
+            TargetResources(**resources).unit_labels(kind, 1, parse_smiles("CO"))
 
 
 class TestLoaders:

@@ -9,6 +9,7 @@ import molmask
 from molmask import (
     DataError,
     DatasetManifest,
+    EmptyCounts,
     LabeledRecord,
     MaskConfig,
     MissingColumn,
@@ -111,6 +112,17 @@ class TestIngest:
         with pytest.raises(ShapeMismatch, match=r"short\.csv:3: row has fewer cells"):
             ingest(DatasetManifest(path=str(path), label_column="activity"))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a BOM before the header.
+        text = "smiles,activity\nCCO,1\nC,0\nC1CC,1\nc1ccccc1,x\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        read = [ingest(DatasetManifest(path=str(p), label_column="activity"))
+                for p in (plain, marked)]
+        assert read[0] == read[1]
+        assert read[1][1].parsed == 3
+
 
 class TestAnalysisRecords:
     def test_skip_reasons(self):
@@ -139,6 +151,21 @@ class TestExactJointCounts:
         # Ring id 0 appears once per graph; the methyl motif is unseen.
         assert cells(joint) == {(0, 0): 1, (0, 1): 1}
         assert info["excluded_unk"] == 1
+
+    @pytest.mark.parametrize("kind, usable, unk", [
+        ("atom_type", [], 0),
+        # The vocabulary lacks the one motif of CC(N)O.
+        ("motif", [record("CC(N)O", 0)], 1),
+    ], ids=["atom_type", "motif"])
+    def test_nothing_to_count_says_why(self, kind, usable, unk):
+        vocab = build_vocab([parse_smiles("C1CCCCC1")])
+        records = [record("CCO", None), record("C", 1), *usable]
+        with pytest.raises(EmptyCounts) as err:
+            exact_joint_counts(records, kind, vocab=vocab)
+        assert str(err.value) == (
+            f"no {kind} units to count: 1 graphs skipped for a missing label, "
+            f"1 single-atom graphs skipped, {unk} motifs excluded as UNK"
+        )
 
     def test_motif_requires_vocab(self):
         with pytest.raises(DataError):
@@ -348,6 +375,12 @@ class TestVocabTsv:
         path = tmp_path / "vocab.tsv"
         path.write_text(f"signature\tid\tcount\nsig_a\t1\t2\n{row}\n")
         with pytest.raises(ShapeMismatch, match=r"vocab\.tsv:3:"):
+            load_vocab_tsv(path)
+
+    def test_repeated_signature_names_both_lines(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("signature\tid\tcount\nA\t0\t5\nB\t1\t3\nA\t0\t9\n")
+        with pytest.raises(ShapeMismatch, match=r"vocab\.tsv:4: signature already listed on line 2"):
             load_vocab_tsv(path)
 
     def test_header_validation(self, tmp_path):
