@@ -23,7 +23,7 @@ from .errors import EmptyCounts, EmptySupport
 from .molgraph import MolGraph
 
 if TYPE_CHECKING:
-    from .masking import BatchDraw
+    from .masking import BoundStrategy
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,31 +106,44 @@ def sample_pairs_for_graph(
     graph: MolGraph,
     graph_index: int,
     labels: Sequence[int],
-    draw: BatchDraw,
+    strategies: Sequence[BoundStrategy],
     repeats: int,
     seed: int,
 ) -> np.ndarray:
-    """Draw one graph's sampled unit labels for every repeat.
+    """Draw one graph's sampled unit labels for every strategy and repeat.
 
     The generator for (repeat r, graph g) is derived from the seed by
     value, never by schedule, so any partitioning of the corpus across
     workers reproduces the same samples.  Each (repeat, graph) cell
-    draws as many masks as the graph has atoms, as one batch from
-    ``draw`` (the graph's BoundStrategy.draw), and picks one masked atom
-    per mask, uniformly, so samples follow the strategy's true inclusion
-    marginal.  One sample = one mask.  Returns a (repeats, n_atoms)
-    array of ``labels``' dtype: row r holds the labels of the atoms
-    sampled in repeat r, in draw order.
+    draws as many masks as the graph has atoms under each strategy (the
+    graph's BoundStrategy), and picks one masked atom per mask,
+    uniformly, so samples follow the strategy's true inclusion
+    marginal.  One sample = one mask.
+
+    Every strategy reads the same stream: a cell's generator is built
+    once and draws one buffer of doubles, as long as the hungriest
+    strategy needs.  Each strategy decodes its masks (``members``) from
+    the buffer's prefix and takes its picks from the doubles after
+    them: the doubles its ``draw`` and then one pick per mask would
+    read from a fresh generator.  The masks of all repeats decode as
+    one stack.  Returns a (strategies, repeats, n_atoms) array of
+    ``labels``' dtype: [s, r] holds the labels of the atoms sampled
+    under strategy s in repeat r, in draw order.
     """
+    from .masking import nth_member
+
     labels = np.asarray(labels)
-    out = np.empty((repeats, graph.n_atoms), dtype=labels.dtype)
+    m = graph.n_atoms
+    width = max(sum(bound.widths) for bound in strategies) + 1  # and a pick per mask
+    buffers = np.empty((repeats, m * width))
     for r in range(repeats):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r, graph_index))
-        )
-        masks = draw(rng, graph.n_atoms)
-        picks = rng.random(len(masks)).tolist()
-        out[r] = labels[[mask[int(u * len(mask))] for mask, u in zip(masks, picks)]]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r, graph_index)))
+        rng.random(out=buffers[r])
+    out = np.empty((len(strategies), repeats, m), dtype=labels.dtype)
+    for s, bound in enumerate(strategies):
+        edges = m * np.cumsum((0, *bound.widths, 1))
+        *blocks, picks = [buffers[:, a:b].reshape(repeats * m, -1) for a, b in zip(edges, edges[1:])]
+        out[s] = labels[nth_member(bound.members(*blocks), picks[:, 0])].reshape(repeats, m)
     return out
 
 

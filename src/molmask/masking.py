@@ -8,6 +8,14 @@ Each strategy has one batch draw: it returns m independent masks of a
 graph and takes its randomness in a fixed number of Generator calls,
 whatever m is.  bind_strategy binds a strategy to one graph; the
 binding's plan(rng) is that draw at m = 1.
+
+Each strategy also decodes the same masks as arrays (the binding's
+``members``): from the uniform doubles its draw would read, one
+(masks, atoms) boolean membership matrix.  The fixed-k strategies take
+the top k of each row of noise plus bonus; the motif strategies walk
+their pools one step at a time for every row at once.  Sampled MI
+decodes all of a graph's masks this way; views and plans use the
+draw, which is faster for one mask.
 """
 
 from __future__ import annotations
@@ -48,8 +56,8 @@ class MaskConfig:
     def __post_init__(self):
         if not (0.0 < self.ratio <= 1.0):
             raise ValueError("mask ratio must lie in (0, 1]")
-        if self.beta is not None and self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        if self.beta is not None and not (0.0 <= self.beta < math.inf):
+            raise ValueError("beta must be finite and nonnegative")
         if self.max_epoch < 1:
             raise ValueError("max_epoch must be at least 1")
         if self.epoch is not None and not (1 <= self.epoch <= self.max_epoch):
@@ -109,6 +117,10 @@ BatchDraw = Callable[[np.random.Generator, int], list[list[int]]]
 """(rng, m) -> m independent masks of one graph, each a sorted list of
 distinct atom indices."""
 
+Members = Callable[..., np.ndarray]
+"""(*blocks) -> the (rows, n_atoms) boolean membership matrix of one mask
+per row: the batch draw's masks, decoded from its uniform doubles."""
+
 
 def _top_rows(keys: np.ndarray, k: int) -> list[list[int]]:
     """The k largest keys of each row, as sorted atom lists; ties go to
@@ -117,14 +129,42 @@ def _top_rows(keys: np.ndarray, k: int) -> list[list[int]]:
     return [sorted(row) for row in order[:, :k].tolist()]
 
 
-def _uniform_draw(graph: MolGraph, config: MaskConfig) -> BatchDraw:
+def _top_members(keys: np.ndarray, k: int) -> np.ndarray:
+    """_top_rows as a membership matrix."""
+    n = keys.shape[1]
+    members = keys >= np.partition(keys, n - k, axis=1)[:, n - k, None]
+    # Keys tied with a row's k-th largest can overfill it; those rows
+    # take the lower-index ties, as the stable sort does.
+    over = np.flatnonzero(np.count_nonzero(members, axis=1) > k)
+    if over.size:
+        members[over] = False
+        members[over[:, None], (-keys[over]).argsort(axis=1, kind="stable")[:, :k]] = True
+    return members
+
+
+def nth_member(members: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column of row i's floor(u[i] * |row i|)-th True entry (0-based, in
+    ascending column order), as ``row[int(u * len(row))]`` picks from a
+    sorted list.  Every row needs at least one True entry."""
+    counts = np.count_nonzero(members, axis=1)
+    starts = counts.cumsum() - counts
+    return np.flatnonzero(members)[starts + (u * counts).astype(np.int64)] % members.shape[1]
+
+
+def _uniform_draw(graph: MolGraph, config: MaskConfig) -> tuple[BatchDraw, Members, tuple[int, ...]]:
     """k(gamma, n) atoms chosen uniformly without replacement."""
     n = graph.n_atoms
     k = mask_count(config.ratio, n)
-    return lambda rng, m: _top_rows(rng.random((m, n)), k)
+    return (
+        lambda rng, m: _top_rows(rng.random((m, n)), k),
+        lambda noise: _top_members(noise, k),
+        (n,),
+    )
 
 
-def _perturbed_topk_draw(graph: MolGraph, scores: NodeScores, config: MaskConfig) -> BatchDraw:
+def _perturbed_topk_draw(
+    graph: MolGraph, scores: NodeScores, config: MaskConfig
+) -> tuple[BatchDraw, Members, tuple[int, ...]]:
     """Score-guided masking via noisy top-k selection.
 
     An annealed candidate pool (the top k(gamma_i, n) scored atoms) gets
@@ -141,7 +181,11 @@ def _perturbed_topk_draw(graph: MolGraph, scores: NodeScores, config: MaskConfig
     order = (-scores.as_array()).argsort(kind="stable")
     bonus = np.zeros(n)
     bonus[order[: mask_count(config.annealed_ratio, n)]] = config.beta
-    return lambda rng, m: _top_rows(rng.random((m, n)) + bonus, k_final)
+    return (
+        lambda rng, m: _top_rows(rng.random((m, n)) + bonus, k_final),
+        lambda noise: _top_members(noise + bonus, k_final),
+        (n,),
+    )
 
 
 def _moama_draw(
@@ -149,7 +193,7 @@ def _moama_draw(
     partition: MotifPartition,
     adjacency: Sequence[Sequence[int]],
     config: MaskConfig,
-) -> BatchDraw:
+) -> tuple[BatchDraw, Members, tuple[int, ...]]:
     """Whole-motif masking with a non-adjacency constraint.
 
     Draws motifs uniformly; each accepted motif evicts itself and its
@@ -182,10 +226,35 @@ def _moama_draw(
             masks.append(atoms)
         return masks
 
-    return draw
+    def members(picks: np.ndarray) -> np.ndarray:
+        sizes = np.array([len(atoms) for atoms in motifs])
+        # Row i: motif i and its neighbors, the motifs that accepting i evicts.
+        evicts = np.eye(n_motifs, dtype=bool)
+        for motif, near in enumerate(adjacency):
+            evicts[motif, list(near)] = True
+        # Step j runs draw's loop body once for every row still drawing.
+        pool = np.ones(picks.shape, dtype=bool)
+        chosen = np.zeros(picks.shape, dtype=bool)
+        total = np.zeros(len(picks), dtype=np.int64)
+        live = np.arange(len(picks))
+        for j in range(n_motifs):
+            motif = nth_member(pool[live], picks[live, j])
+            fits = (total[live] == 0) | (total[live] + sizes[motif] <= k)
+            live, motif = live[fits], motif[fits]
+            chosen[live, motif] = True
+            total[live] += sizes[motif]
+            pool[live] &= ~evicts[motif]
+            live = live[pool[live].any(axis=1)]
+            if not live.size:
+                break
+        return chosen[:, partition.motif_of]
+
+    return draw, members, (n_motifs,)
 
 
-def _motifpred_draw(graph: MolGraph, partition: MotifPartition, config: MaskConfig) -> BatchDraw:
+def _motifpred_draw(
+    graph: MolGraph, partition: MotifPartition, config: MaskConfig
+) -> tuple[BatchDraw, Members, tuple[int, ...]]:
     """Motif-prediction masking: partial atom masking inside sampled motifs.
 
     Motifs are drawn uniformly without replacement until the masked-atom
@@ -217,19 +286,53 @@ def _motifpred_draw(graph: MolGraph, partition: MotifPartition, config: MaskConf
             masks.append(atoms)
         return masks
 
-    return draw
+    def members(picks: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        hidden_of = np.array(hidden)
+        # Every row pops one motif per step, so the pool shrinks alike.
+        pool = np.ones(picks.shape, dtype=bool)
+        total = np.zeros(len(picks), dtype=np.int64)
+        live = np.arange(len(picks))
+        for j in range(n_motifs):
+            motif = nth_member(pool[live], picks[live, j])
+            pool[live, motif] = False
+            total[live] += hidden_of[motif]
+            live = live[total[live] < k]
+            if not live.size:
+                break
+        # Each motif's lowest-keyed hidden[motif] atoms, whether or not
+        # the row selected it; a stable sort sends ties to the lower atom.
+        lowest = np.zeros(keys.shape, dtype=bool)
+        rows = np.arange(len(keys))[:, None]
+        for atoms, h in zip(motifs, hidden):
+            if h == len(atoms):
+                lowest[:, atoms] = True
+            else:
+                atoms = np.array(atoms)
+                lowest[rows, atoms[keys[:, atoms].argsort(axis=1, kind="stable")[:, :h]]] = True
+        return lowest & ~pool[:, partition.motif_of]
+
+    return draw, members, (n_motifs, n)
 
 
 class BoundStrategy(NamedTuple):
-    """One strategy bound to one graph's inputs: the graph's one batch draw.
+    """One strategy bound to one graph's inputs: its batch draw and array decode.
 
     ``draw(rng, m)`` returns m independent masks, each a sorted list of
     atom indices; ``plan(rng)`` is that draw at m = 1, as a MaskPlan
     labelled with the strategy name.  Motif strategies' plans list the
     motifs their masked atoms fall in.
+
+    ``members`` decodes the same masks as arrays.  Each mask reads
+    ``sum(widths)`` uniform doubles in ``widths``-wide blocks: of the
+    doubles ``draw(rng, m)`` reads, block b of all m masks is the next
+    m * widths[b], as an (m, widths[b]) matrix.  ``members(*blocks)``
+    returns the (m, n_atoms) boolean matrix whose row i marks mask i's
+    atoms; rows of several draws may be stacked.
     """
 
     draw: BatchDraw
+    members: Members
+    widths: tuple[int, ...]
     strategy: str
     partition: Optional[MotifPartition] = None
 
@@ -244,9 +347,9 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrat
 
     The binder takes (graph, scores=None, partition=None) and returns the
     graph's BoundStrategy.  Per-graph work (the motif partition, unless
-    supplied) happens at bind time, not per draw, and each (repeat,
-    graph) cell of a sampled-MI run takes all of its masks from one
-    ``draw`` call.  'pagerank' and 'external' read the supplied scores
+    supplied) happens at bind time, not per draw, and a sampled-MI run
+    decodes all of a graph's masks with one ``members`` call.
+    'pagerank' and 'external' read the supplied scores
     (see strategy_scores) and raise ValueError without them.  Without an
     explicit beta, pagerank uses 0.25 and external 0.5.  This is the one
     place where strategy names are told apart, apart from
@@ -255,25 +358,25 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrat
     """
     if strategy == "uniform":
         def bind(graph, scores=None, partition=None):
-            return BoundStrategy(_uniform_draw(graph, config), "uniform")
+            return BoundStrategy(*_uniform_draw(graph, config), "uniform")
     elif strategy in ("pagerank", "external"):
         if config.beta is None:
             config = replace(config, beta=0.25 if strategy == "pagerank" else 0.5)
         def bind(graph, scores=None, partition=None):
             if scores is None:
                 raise ValueError(f"{strategy} strategy needs per-graph scores")
-            return BoundStrategy(_perturbed_topk_draw(graph, scores, config), strategy)
+            return BoundStrategy(*_perturbed_topk_draw(graph, scores, config), strategy)
     elif strategy == "moama":
         def bind(graph, scores=None, partition=None):
             if partition is None:
                 partition = decompose(graph)
-            draw = _moama_draw(graph, partition, motif_adjacency(graph, partition), config)
-            return BoundStrategy(draw, "moama", partition)
+            adjacency = motif_adjacency(graph, partition)
+            return BoundStrategy(*_moama_draw(graph, partition, adjacency, config), "moama", partition)
     elif strategy == "motifpred":
         def bind(graph, scores=None, partition=None):
             if partition is None:
                 partition = decompose(graph)
-            return BoundStrategy(_motifpred_draw(graph, partition, config), "motifpred", partition)
+            return BoundStrategy(*_motifpred_draw(graph, partition, config), "motifpred", partition)
     else:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     return bind

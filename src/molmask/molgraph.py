@@ -215,23 +215,12 @@ class MolGraph:
         return len(self.z)
 
     @property
-    def n_bonds(self) -> int:
-        return len(self.bond_u)
-
-    @property
     def is_singleton(self) -> bool:
         """Single-atom molecules parse fine but analysis stages skip them."""
         return len(self.z) == 1
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
-
-    def bond_between(self, u: int, v: int) -> Optional[Bond]:
-        key = (u, v) if u < v else (v, u)
-        for bond in self.bonds:
-            if bond.endpoints == key:
-                return bond
-        return None
 
 
 @dataclass(frozen=True)

@@ -320,14 +320,11 @@ def _sample_graph(
 
     graph, graph_index, labels, scores = task
     partition = decompose(graph) if set(strategies) & set(MOTIF_STRATEGIES) else None
-    return np.stack([
-        sample_pairs_for_graph(
-            graph, graph_index, labels,
-            bind_strategy(strategy, config)(graph, scores.get(strategy), partition).draw,
-            repeats, seed,
-        )
+    bound = [
+        bind_strategy(strategy, config)(graph, scores.get(strategy), partition)
         for strategy in strategies
-    ])
+    ]
+    return sample_pairs_for_graph(graph, graph_index, labels, bound, repeats, seed)
 
 
 def run_mask_sim(

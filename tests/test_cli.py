@@ -286,6 +286,8 @@ class TestPlot:
 @pytest.mark.parametrize("flag, value", [
     ("--ratio", "0"),
     ("--beta", "-1"),
+    ("--beta", "nan"),
+    ("--beta", "inf"),
     ("--epoch", "0"),
     ("--max-epoch", "0"),
     ("--intra-frac", "0"),
@@ -467,6 +469,11 @@ GOLDEN_CASES = [
     # A .txt case pins the command's stdout; it writes no file.
     ("parse_check.txt", ["parse-check", "--label-col", "activity"]),
     ("decompose.txt", ["decompose"]),
+    # An annealed pool that cuts inside the score ranking, and masks of
+    # several motifs, which the default-config case has neither of.
+    ("mask_sim_epoch.csv", ["mask-sim", "--label-col", "activity",
+                            "--strategies", "uniform,pagerank,moama,motifpred", "--ratio", "0.3",
+                            "--epoch", "30", "--intra-frac", "0.4", "--repeats", "2"]),
 ]
 
 

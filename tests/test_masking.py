@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molmask import (
     STRATEGIES,
@@ -21,6 +23,7 @@ from molmask import (
     sample_pairs_for_graph,
     substream,
 )
+from test_molgraph import ring_smiles
 
 
 # Reference samplers: one mask per call, one Generator call per choice.
@@ -99,8 +102,12 @@ def reference_fn(strategy, graph):
     return lambda rng: ref_motifpred(graph, partition, BATCH_CONFIG, rng)
 
 
+def bound_for(strategy, graph, config=BATCH_CONFIG):
+    return bind_strategy(strategy, config)(graph, supplied_scores(strategy, graph))
+
+
 def batch_draw(strategy, graph):
-    return bind_strategy(strategy, BATCH_CONFIG)(graph, supplied_scores(strategy, graph)).draw
+    return bound_for(strategy, graph).draw
 
 
 class CountingRng:
@@ -399,8 +406,8 @@ class TestBatchDraw:
         assert len(graphs) >= 5
         for gi, graph in enumerate(graphs):
             n = graph.n_atoms
-            picked = sample_pairs_for_graph(
-                graph, gi, list(range(n)), batch_draw(strategy, graph),
+            (picked,) = sample_pairs_for_graph(
+                graph, gi, list(range(n)), [bound_for(strategy, graph)],
                 repeats=-(-30000 // n), seed=11,
             )
             n_batch = picked.size
@@ -501,6 +508,71 @@ class TestBatchDraw:
                 plan = bound.plan(substream(3, gi, 0))
                 (atoms,) = bound.draw(substream(3, gi, 0), 1)
                 assert list(plan.masked_atoms) == atoms
+
+
+def member_blocks(bound, doubles, m):
+    """Split the doubles that bound.draw(rng, m) reads into the blocks
+    that bound.members takes."""
+    blocks, start = [], 0
+    for width in bound.widths:
+        blocks.append(doubles[start:start + m * width].reshape(m, width))
+        start += m * width
+    assert start == len(doubles)
+    return blocks
+
+
+def member_lists(members):
+    return [np.flatnonzero(row).tolist() for row in members]
+
+
+class TestMembers:
+    """The array decode of each strategy against its per-mask draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        smiles=ring_smiles(),
+        ratio=st.floats(0.05, 0.6),
+        epoch=st.integers(1, 100),
+        intra=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_the_draws_masks(self, smiles, ratio, epoch, intra, seed):
+        # Same doubles, same masks: each membership row lists the atoms
+        # of the matching per-mask draw, and with every key equal, ties
+        # go to the lower index on both paths.
+        graph = parse_smiles(smiles)
+        config = MaskConfig(ratio=ratio, epoch=epoch, intra_motif_fraction=intra)
+        m = 6
+        for strategy in STRATEGIES:
+            bound = bound_for(strategy, graph, config)
+            masks = bound.draw(np.random.default_rng(seed), m)
+            doubles = np.random.default_rng(seed).random(m * sum(bound.widths))
+            assert member_lists(bound.members(*member_blocks(bound, doubles, m))) == masks, strategy
+            masks = bound.draw(ConstantRng(), m)
+            doubles = np.full(m * sum(bound.widths), 0.5)
+            assert member_lists(bound.members(*member_blocks(bound, doubles, m))) == masks, strategy
+
+    @pytest.mark.parametrize("config", [
+        BATCH_CONFIG, MaskConfig(ratio=0.6, epoch=1, intra_motif_fraction=1.0),
+    ])
+    def test_samples_are_the_per_strategy_draws(self, config, fixture_graphs):
+        # The reference builds each strategy's own generator per
+        # (repeat, graph) cell, draws the cell's masks from it and then
+        # one pick per mask.
+        repeats, seed = 3, 17
+        for gi, graph in enumerate(fixture_graphs):
+            n = graph.n_atoms
+            labels = np.arange(n) * 5 % 7
+            bound = [bound_for(strategy, graph, config) for strategy in STRATEGIES]
+            sampled = sample_pairs_for_graph(graph, gi, labels, bound, repeats, seed)
+            assert sampled.shape == (len(STRATEGIES), repeats, n)
+            for s, strategy in enumerate(bound):
+                for r in range(repeats):
+                    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r, gi)))
+                    masks = strategy.draw(rng, n)
+                    picks = rng.random(n)
+                    expected = [labels[mask[int(u * len(mask))]] for mask, u in zip(masks, picks)]
+                    assert sampled[s, r].tolist() == expected, (strategy.strategy, graph.source_smiles)
 
 
 class TestSubstream:

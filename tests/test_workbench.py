@@ -276,6 +276,22 @@ class TestRunners:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("strategies", [["uniform"], ["uniform", "pagerank", "moama", "motifpred"]])
+    def test_mask_sim_builds_one_generator_per_cell(self, strategies, ring_marker_records, monkeypatch):
+        # Every strategy reads the one stream of a (repeat, graph) cell.
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        records = ring_marker_records[:20]
+        run_mask_sim(records, strategies, MaskConfig(ratio=0.25), dataset_name="ring_marker",
+                     repeats=3)
+        assert len(built) == 3 * len(analysis_records(records)[0])
+
     def test_mask_sim_columns(self, ring_marker_records):
         report = run_mask_sim(
             ring_marker_records[:20],
