@@ -10,10 +10,11 @@ from molmask import MolmaskError, parse_smiles, write_smiles
 
 def describe(smiles: str) -> None:
     g = parse_smiles(smiles)
-    ring_atoms = [a.index for a in g.atoms if a.in_ring]
-    aromatic = [a.index for a in g.atoms if a.aromatic]
+    # A graph is columns: one tuple per atom property, one per bond property.
+    ring_atoms = [i for i, in_ring in enumerate(g.atom_ring) if in_ring]
+    aromatic = [i for i, arom in enumerate(g.aromatic) if arom]
     print(f"{smiles!r}")
-    print(f"  atoms: {g.n_atoms}, bonds: {len(g.bonds)}")
+    print(f"  atoms: {g.n_atoms}, bonds: {len(g.bond_u)}")
     print(f"  ring atoms: {ring_atoms or 'none'}")
     print(f"  aromatic atoms: {aromatic or 'none'}")
     print(f"  round trip: {write_smiles(g)!r}")
@@ -28,8 +29,8 @@ for smiles in ("CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O", "[NH4+]", "N[Pt](N)(C
 
 # Bond orders survive parsing, including on ring-closure bonds.
 g = parse_smiles("C1CCCCC=1")
-closure = next(b for b in g.bonds if {b.u, b.v} == {0, 5})
-print(f"ring-closure bond 0-5 order: {closure.order}")
+closure = list(zip(g.bond_u, g.bond_v)).index((0, 5))
+print(f"ring-closure bond 0-5 order: {g.bond_order[closure]}")
 
 # Malformed inputs raise typed errors that carry the offending string
 # and position, so corpus ingestion can tally failures by class.

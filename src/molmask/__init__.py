@@ -26,8 +26,8 @@ _EXPORTS = {
     ),
     "choices": ("DEFAULT_TAUS", "STRATEGIES", "TARGET_KINDS"),
     "molgraph": (
-        "Atom", "Bond", "LabeledRecord", "MASK_SENTINEL", "MolGraph",
-        "parse_smiles", "ring_membership", "write_smiles",
+        "LabeledRecord", "MASK_SENTINEL", "MolGraph", "parse_smiles",
+        "ring_membership", "write_smiles",
     ),
     "motif": (
         "CoverageStats", "MotifPartition", "MotifVocab", "build_vocab",

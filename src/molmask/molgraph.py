@@ -12,13 +12,11 @@ The parser reads one token per step with a compiled regular expression
 matched at the cursor, dispatching on the group that matched; bracket
 atoms go to ``_parse_bracket``.  It appends to plain per-atom lists
 (atomic number, aromatic flag, charge) and per-bond lists (endpoints,
-order) and never builds an Atom or a Bond.  A MolGraph stores those
-columns as tuples, with ring flags, adjacency and the source string;
-its ``atoms`` and ``bonds`` tuples are built from the columns on first
-access.  The public constructor takes Atom and Bond objects and checks
-them; the parser's graphs skip those checks, since it rules out every
-case they catch (bonds out of range, duplicate bonds, adjacency that
-disagrees with the bonds).
+order).  A MolGraph is those columns as tuples, with ring flags,
+adjacency and the source string, and nothing else.  Its constructor
+takes the columns and checks them; the parser's graphs skip those
+checks, since it rules out every case they catch (bonds out of range
+or repeated, adjacency that disagrees with the bonds).
 
 Graphs are immutable.  A bond lies on a ring exactly when it is not a
 bridge.  The parser reads this off the SMILES itself: chain and branch
@@ -32,7 +30,6 @@ bridge detection, independently of the parser.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -98,54 +95,17 @@ _BARE, _BRACKET, _BOND, _DIGIT, _PERCENT, _OPEN, _CLOSE, _STEREO = range(1, 9)
 
 
 @dataclass(frozen=True)
-class Atom:
-    """One heavy atom.  atomic_number 0 means unknown element; 119 is the
-    mask sentinel and never comes out of the parser."""
-
-    index: int
-    atomic_number: int
-    aromatic: bool = False
-    formal_charge: int = 0
-    in_ring: bool = False
-
-    def __post_init__(self):
-        if not (0 <= self.atomic_number <= MASK_SENTINEL):
-            raise ValueError(f"atomic_number {self.atomic_number} out of range")
-
-
-@dataclass(frozen=True)
-class Bond:
-    """Undirected bond between two distinct atoms, stored with u < v."""
-
-    u: int
-    v: int
-    order: str
-    in_ring: bool = False
-
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError("bond endpoints must be distinct")
-        if self.u > self.v:
-            raise ValueError("bond endpoints must be stored low index first")
-        if self.order not in BOND_ORDERS:
-            raise ValueError(f"unknown bond order {self.order!r}")
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-
-@dataclass(frozen=True, init=False)
 class MolGraph:
     """Immutable heavy-atom molecular graph, stored as columns.
 
-    Per atom: ``z`` (atomic number), ``aromatic``, ``charge`` and
-    ``atom_ring``.  Per bond: ``bond_u`` < ``bond_v``, ``bond_order``
-    and ``bond_ring``.  adjacency[i] lists the neighbors of atom i in
-    ascending order; it is always consistent with the bonds.  Graphs
-    have at least one atom and no duplicate bonds.  ``atoms`` and
-    ``bonds`` are Atom and Bond views of the columns, built on first
-    access.  Two graphs are equal when their columns are.
+    Per atom: ``z`` (atomic number, 0..119), ``aromatic``, ``charge``
+    and ``atom_ring``.  Per bond: ``bond_u`` < ``bond_v``,
+    ``bond_order`` (one of BOND_ORDERS) and ``bond_ring``.
+    adjacency[i] lists the neighbors of atom i in ascending order.
+    Every column is a tuple.  Graphs have at least one atom and no
+    duplicate bonds; the constructor checks that, and that the
+    adjacency is the one the bonds give, and raises ValueError.
+    Two graphs are equal when their columns are.
     """
 
     z: tuple[int, ...]
@@ -157,58 +117,36 @@ class MolGraph:
     bond_order: tuple[str, ...]
     bond_ring: tuple[bool, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    source_smiles: str
+    source_smiles: str = ""
 
-    def __init__(
-        self,
-        atoms: Sequence[Atom],
-        bonds: Sequence[Bond],
-        adjacency: tuple[tuple[int, ...], ...],
-        source_smiles: str = "",
-    ):
-        atoms, bonds = tuple(atoms), tuple(bonds)
-        n = len(atoms)
+    def __post_init__(self):
+        per_atom = (self.z, self.aromatic, self.charge, self.atom_ring)
+        per_bond = (self.bond_u, self.bond_v, self.bond_order, self.bond_ring)
+        # Tuples keep the graph hashable and equal to its parsed twin.
+        if not all(type(col) is tuple for col in per_atom + per_bond):
+            raise ValueError("columns must be tuples")
+        n = len(self.z)
         if n == 0:
             raise ValueError("a molecular graph needs at least one atom")
-        if len(adjacency) != n:
-            raise ValueError("adjacency length must equal atom count")
-        seen = set()
-        for bond in bonds:
-            if not (0 <= bond.u < n and 0 <= bond.v < n):
-                raise ValueError("bond endpoint out of range")
-            if bond.endpoints in seen:
-                raise ValueError(f"duplicate bond {bond.endpoints}")
-            seen.add(bond.endpoints)
+        if any(len(col) != n for col in (*per_atom, self.adjacency)):
+            raise ValueError("every per-atom column and the adjacency need one entry per atom")
+        if any(len(col) != len(self.bond_u) for col in per_bond):
+            raise ValueError("per-bond columns differ in length")
+        edges = list(zip(self.bond_u, self.bond_v))
+        if not all(0 <= z <= MASK_SENTINEL for z in self.z):
+            raise ValueError(f"atomic numbers must lie in 0..{MASK_SENTINEL}")
+        if not all(0 <= u < v < n for u, v in edges):
+            raise ValueError("every bond needs endpoints 0 <= u < v < n_atoms")
+        if not set(self.bond_order) <= set(BOND_ORDERS):
+            raise ValueError(f"bond orders must be among {BOND_ORDERS}")
+        if len(set(edges)) != len(edges):
+            raise ValueError("duplicate bond")
         rebuilt = [[] for _ in range(n)]
-        for bond in bonds:
-            rebuilt[bond.u].append(bond.v)
-            rebuilt[bond.v].append(bond.u)
-        if tuple(tuple(sorted(nb)) for nb in rebuilt) != adjacency:
+        for u, v in edges:
+            rebuilt[u].append(v)
+            rebuilt[v].append(u)
+        if tuple(tuple(sorted(nb)) for nb in rebuilt) != self.adjacency:
             raise ValueError("adjacency inconsistent with bond list")
-        # Frozen: fields are set through the instance dict, as by the parser.
-        vars(self).update(
-            z=tuple(a.atomic_number for a in atoms),
-            aromatic=tuple(a.aromatic for a in atoms),
-            charge=tuple(a.formal_charge for a in atoms),
-            atom_ring=tuple(a.in_ring for a in atoms),
-            bond_u=tuple(b.u for b in bonds),
-            bond_v=tuple(b.v for b in bonds),
-            bond_order=tuple(b.order for b in bonds),
-            bond_ring=tuple(b.in_ring for b in bonds),
-            adjacency=adjacency,
-            source_smiles=source_smiles,
-            atoms=atoms,
-            bonds=bonds,
-        )
-
-    @functools.cached_property
-    def atoms(self) -> tuple[Atom, ...]:
-        columns = (self.z, self.aromatic, self.charge, self.atom_ring)
-        return tuple(map(Atom, range(len(self.z)), *columns))
-
-    @functools.cached_property
-    def bonds(self) -> tuple[Bond, ...]:
-        return tuple(map(Bond, self.bond_u, self.bond_v, self.bond_order, self.bond_ring))
 
     @property
     def n_atoms(self) -> int:
@@ -218,9 +156,6 @@ class MolGraph:
     def is_singleton(self) -> bool:
         """Single-atom molecules parse fine but analysis stages skip them."""
         return len(self.z) == 1
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
 
 
 @dataclass(frozen=True)
@@ -497,9 +432,8 @@ def parse_smiles(smiles: str) -> MolGraph:
             atom_ring[u] = atom_ring[v] = True
         adjacency[u].append(v)
         adjacency[v].append(u)
-    # Every check of MolGraph.__init__ holds by construction, so the
-    # graph is built without it: no Atom or Bond objects and no second
-    # pass over the bonds.
+    # Every check of MolGraph's constructor holds by construction, so
+    # the graph is built without them: no second pass over the bonds.
     graph = object.__new__(MolGraph)
     vars(graph).update(
         z=tuple(z), aromatic=tuple(aromatic), charge=tuple(charge), atom_ring=tuple(atom_ring),
@@ -510,18 +444,16 @@ def parse_smiles(smiles: str) -> MolGraph:
     return graph
 
 
-def _atom_token(atom: Atom) -> str:
-    z = atom.atomic_number
+def _atom_token(z: int, aromatic: bool, charge: int) -> str:
     symbol = SYMBOL_BY_NUMBER.get(z)
     if symbol is None:
         return "[Xx]"  # unknown element or mask sentinel
-    if atom.formal_charge == 0:
-        if atom.aromatic and symbol.lower() in _AROMATIC_ORGANIC:
+    if charge == 0:
+        if aromatic and symbol.lower() in _AROMATIC_ORGANIC:
             return symbol.lower()
-        if not atom.aromatic and symbol in _ORGANIC:
+        if not aromatic and symbol in _ORGANIC:
             return symbol
-    body = symbol.lower() if atom.aromatic else symbol
-    charge = atom.formal_charge
+    body = symbol.lower() if aromatic else symbol
     if charge == 0:
         suffix = ""
     elif charge == 1:
@@ -533,17 +465,18 @@ def _atom_token(atom: Atom) -> str:
     return f"[{body}{suffix}]"
 
 
-def _bond_token(bond: Bond, atoms: tuple[Atom, ...]) -> str:
-    both_aromatic = atoms[bond.u].aromatic and atoms[bond.v].aromatic
-    if bond.order == SINGLE:
+def _bond_token(graph: MolGraph, b: int) -> str:
+    order = graph.bond_order[b]
+    both_aromatic = graph.aromatic[graph.bond_u[b]] and graph.aromatic[graph.bond_v[b]]
+    if order == SINGLE:
         # Explicit when a default would re-resolve to aromatic.
         return "-" if both_aromatic else ""
-    if bond.order == DOUBLE:
+    if order == DOUBLE:
         return "="
-    if bond.order == TRIPLE:
+    if order == TRIPLE:
         return "#"
     # Aromatic: implicit only where the default rule reproduces it.
-    if both_aromatic and bond.in_ring:
+    if both_aromatic and graph.bond_ring[b]:
         return ""
     return ":"
 
@@ -558,12 +491,13 @@ def write_smiles(graph: MolGraph) -> str:
     n = graph.n_atoms
     visited = [False] * n
     ring_tokens: dict[int, list[str]] = {i: [] for i in range(n)}
-    tree_children: dict[int, list[tuple[int, Bond]]] = {i: [] for i in range(n)}
+    # Per atom, its (child, bond index) pairs in the spanning tree.
+    tree_children: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
+    edges = list(zip(graph.bond_u, graph.bond_v))
+    bond_index = {edge: b for b, edge in enumerate(edges)}
 
-    bond_map: dict[tuple[int, int], Bond] = {b.endpoints: b for b in graph.bonds}
-
-    def bond_for(u: int, v: int) -> Bond:
-        return bond_map[(u, v) if u < v else (v, u)]
+    def bond_for(u: int, v: int) -> int:
+        return bond_index[(u, v) if u < v else (v, u)]
 
     # Spanning-tree walk; back edges become ring closures.  Labels stay
     # unique per molecule; %nn covers anything past 9.
@@ -584,24 +518,23 @@ def write_smiles(graph: MolGraph) -> str:
                 stack.append(nb)
 
     seen_in_order = {node: i for i, node in enumerate(order)}
-    for bond in graph.bonds:
-        u, v = bond.endpoints
+    for b, (u, v) in enumerate(edges):
         if parent.get(v) == u or parent.get(u) == v:
             continue
         first, second = (u, v) if seen_in_order[u] < seen_in_order[v] else (v, u)
         label = next_label
         next_label += 1
         digit = str(label) if label < 10 else f"%{label:02d}"
-        sym = _bond_token(bond, graph.atoms)
+        sym = _bond_token(graph, b)
         ring_tokens[first].append(sym + digit)
         ring_tokens[second].append(digit)
 
     out: list[str] = []
 
-    def emit(node: int, incoming: Optional[Bond]) -> None:
+    def emit(node: int, incoming: Optional[int]) -> None:
         if incoming is not None:
-            out.append(_bond_token(incoming, graph.atoms))
-        out.append(_atom_token(graph.atoms[node]))
+            out.append(_bond_token(graph, incoming))
+        out.append(_atom_token(graph.z[node], graph.aromatic[node], graph.charge[node]))
         out.extend(ring_tokens[node])
         children = tree_children[node]
         for child, bond in children[:-1]:

@@ -367,9 +367,9 @@ def run_mask_sim(
         strategies, [records[pos].graph for pos in positions],
         None if external_scores is None else [external_scores[pos] for pos in positions],
     )
-    # Atom types fit uint8 (the parser emits 0..118 and Atom bounds the
-    # rest to 0..119), which keeps the label arrays the workers send back
-    # small.
+    # Atom types fit uint8 (the parser emits 0..118 and MolGraph bounds
+    # the rest to 0..119), which keeps the label arrays the workers send
+    # back small.
     tasks = [
         (
             records[pos].graph, g, np.asarray(atom_labels(records[pos].graph), dtype=np.uint8),

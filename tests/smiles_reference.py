@@ -2,7 +2,9 @@
 wrote columns, kept as the reference the column parser is tested
 against.  Bracket atoms go through the library's own ``_parse_bracket``;
 everything else (tokens, checks, error messages, ring flags, default
-bond orders) is this module's own."""
+bond orders) is this module's own.  It builds its graph through
+MolGraph's checked constructor, so every graph it returns passes every
+check the parser's graphs skip."""
 
 from __future__ import annotations
 
@@ -16,8 +18,6 @@ from molmask.molgraph import (
     AROMATIC,
     PERIODIC_TABLE,
     SINGLE,
-    Atom,
-    Bond,
     MolGraph,
     _parse_bracket,
 )
@@ -33,8 +33,8 @@ class _RawAtom:
 
 
 def reference_parse_smiles(smiles: str) -> MolGraph:
-    """Parse one SMILES string into a MolGraph, one Atom and Bond object
-    at a time.
+    """Parse one SMILES string into a MolGraph, one atom and one bond
+    object at a time.
 
     Raises UnknownToken, UnclosedRing, UnbalancedParen, or MultiFragment
     on malformed input.  Dots are rejected: one connected fragment per
@@ -167,7 +167,7 @@ def reference_parse_smiles(smiles: str) -> MolGraph:
             bond_in_ring[tree_bond] = True
             hi = raw_bonds[tree_bond][0]
 
-    bonds = []
+    orders = []
     atom_in_ring = [False] * n
     for (u, v, order), in_ring in zip(raw_bonds, bond_in_ring):
         if order is None:
@@ -175,28 +175,24 @@ def reference_parse_smiles(smiles: str) -> MolGraph:
             # aromatic atoms, single everywhere else.
             both_aromatic = raw_atoms[u].aromatic and raw_atoms[v].aromatic
             order = AROMATIC if (both_aromatic and in_ring) else SINGLE
-        bonds.append(Bond(u, v, order, in_ring=in_ring))
+        orders.append(order)
         if in_ring:
             atom_in_ring[u] = True
             atom_in_ring[v] = True
 
-    atoms = tuple(
-        Atom(
-            index=i,
-            atomic_number=raw.atomic_number,
-            aromatic=raw.aromatic,
-            formal_charge=raw.charge,
-            in_ring=atom_in_ring[i],
-        )
-        for i, raw in enumerate(raw_atoms)
-    )
     adjacency = [[] for _ in range(n)]
-    for bond in bonds:
-        adjacency[bond.u].append(bond.v)
-        adjacency[bond.v].append(bond.u)
+    for u, v, _ in raw_bonds:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     return MolGraph(
-        atoms=atoms,
-        bonds=tuple(bonds),
+        z=tuple(raw.atomic_number for raw in raw_atoms),
+        aromatic=tuple(raw.aromatic for raw in raw_atoms),
+        charge=tuple(raw.charge for raw in raw_atoms),
+        atom_ring=tuple(atom_in_ring),
+        bond_u=tuple(u for u, _, _ in raw_bonds),
+        bond_v=tuple(v for _, v, _ in raw_bonds),
+        bond_order=tuple(orders),
+        bond_ring=tuple(bond_in_ring),
         adjacency=tuple(tuple(sorted(nb)) for nb in adjacency),
         source_smiles=smiles,
     )

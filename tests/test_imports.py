@@ -20,20 +20,19 @@ DEMO_CORPUS = ROOT / "demos" / "data" / "demo_corpus.csv"
 
 # Every name the package exported when it still imported all of its
 # modules eagerly, by the module it was imported from then, less the
-# library-only target wrappers, masked-graph builder and one-graph
-# PageRank deleted since.
+# library-only target wrappers, masked-graph builder, one-graph PageRank
+# and Atom/Bond classes deleted since.
 PUBLIC_NAMES = {
     "errors": "DataError DimMismatch DisconnectedMotif EmptyCounts EmptySupport MissingColumn "
               "MolmaskError MultiFragment NonFiniteScore OutOfRangeIndex ParseError "
               "ShapeMismatch UnbalancedParen UnclosedRing UnknownToken",
-    "molgraph": "Atom Bond LabeledRecord MASK_SENTINEL MolGraph parse_smiles ring_membership "
-                "write_smiles",
+    "molgraph": "LabeledRecord MASK_SENTINEL MolGraph parse_smiles ring_membership write_smiles",
     "motif": "CoverageStats MotifPartition MotifVocab build_vocab canonical_signature coverage "
              "decompose motif_adjacency motif_signatures",
     "scoring": "NodeScores load_external_scores pagerank_all",
     "masking": "MaskConfig MaskPlan STRATEGIES bind_strategy export_views mask_count read_views "
                "strategy_scores substream",
-    "targets": "TARGET_KINDS load_codebook load_embeddings",
+    "targets": "load_codebook load_embeddings",
     "infotheory": "DEFAULT_TAUS JointCounts JsdCurve SampledMi ShuffleResult entropy_y jsd "
                   "jsd_curve low_freq_conditionals mutual_information relative_gain "
                   "sample_pairs_for_graph shuffle_control",

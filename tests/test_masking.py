@@ -134,6 +134,22 @@ class ConstantRng:
         return np.full(size, 0.5)
 
 
+def quarters(u):
+    """Uniform numbers rounded down to a multiple of 1/4."""
+    return np.floor(4 * u) / 4
+
+
+class QuarterRng:
+    """A seeded generator's uniform numbers rounded down to quarters:
+    four values, so some keys tie and others do not."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return quarters(self._rng.random(size))
+
+
 class TestMaskCount:
     def test_rounding_table(self):
         # Budget is max(1, round(ratio * n)) with halves rounding up.
@@ -538,7 +554,9 @@ class TestMembers:
     )
     def test_rows_are_the_draws_masks(self, smiles, ratio, epoch, intra, seed):
         # Same doubles, same masks: each membership row lists the atoms
-        # of the matching per-mask draw, and with every key equal, ties
+        # of the matching per-mask draw.  With every key equal, and with
+        # keys of four values (ties among some atoms only, which the
+        # default argsort breaks differently from the stable one), ties
         # go to the lower index on both paths.
         graph = parse_smiles(smiles)
         config = MaskConfig(ratio=ratio, epoch=epoch, intra_motif_fraction=intra)
@@ -550,6 +568,9 @@ class TestMembers:
             assert member_lists(bound.members(*member_blocks(bound, doubles, m))) == masks, strategy
             masks = bound.draw(ConstantRng(), m)
             doubles = np.full(m * sum(bound.widths), 0.5)
+            assert member_lists(bound.members(*member_blocks(bound, doubles, m))) == masks, strategy
+            masks = bound.draw(QuarterRng(seed), m)
+            doubles = quarters(np.random.default_rng(seed).random(m * sum(bound.widths)))
             assert member_lists(bound.members(*member_blocks(bound, doubles, m))) == masks, strategy
 
     @pytest.mark.parametrize("config", [
@@ -642,7 +663,7 @@ class TestViews:
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1", "CC(C)O")]
 
         def target_fn(graph, graph_index, plan):
-            return "atom_type", [graph.atoms[i].atomic_number for i in plan.masked_atoms]
+            return "atom_type", [graph.z[i] for i in plan.masked_atoms]
 
         path = tmp_path / "views.jsonl"
         bound = bind_all("uniform", MaskConfig(ratio=0.34), corpus)
@@ -662,7 +683,7 @@ class TestViews:
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1")]
 
         def target_fn(graph, graph_index, plan):
-            return "atom_type", [graph.atoms[i].atomic_number for i in plan.masked_atoms]
+            return "atom_type", [graph.z[i] for i in plan.masked_atoms]
 
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         config = MaskConfig(ratio=0.3)

@@ -1,6 +1,7 @@
 """Parser, graph model, ring membership, and SMILES writer tests."""
 
 import csv
+import dataclasses
 import pickle
 from pathlib import Path
 
@@ -10,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molmask import (
-    Atom,
-    Bond,
     LabeledRecord,
     MolGraph,
     MultiFragment,
@@ -29,6 +28,12 @@ from conftest import FIXTURE_SMILES, mixed_corpus, ring_marker_corpus, template_
 from smiles_reference import reference_parse_smiles
 
 DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
+
+
+def columns(graph):
+    """A graph's columns by field name: the keyword arguments that
+    rebuild it."""
+    return {field.name: getattr(graph, field.name) for field in dataclasses.fields(graph)}
 
 
 def bfs_connected(n, edges, skip, start, goal):
@@ -55,58 +60,54 @@ class TestParser:
         g = parse_smiles("CCO")
         assert g.n_atoms == 3
         assert len(g.bond_u) == 2
-        assert [a.atomic_number for a in g.atoms] == [6, 6, 8]
-        assert all(not a.aromatic for a in g.atoms)
-        assert all(b.order == SINGLE for b in g.bonds)
+        assert g.z == (6, 6, 8)
+        assert not any(g.aromatic)
+        assert g.bond_order == (SINGLE, SINGLE)
         assert g.adjacency == ((1,), (0, 2), (1,))
 
     def test_bond_orders(self):
-        assert parse_smiles("C=C").bonds[0].order == DOUBLE
-        assert parse_smiles("C#N").bonds[0].order == TRIPLE
-        assert parse_smiles("C-C").bonds[0].order == SINGLE
+        assert parse_smiles("C=C").bond_order == (DOUBLE,)
+        assert parse_smiles("C#N").bond_order == (TRIPLE,)
+        assert parse_smiles("C-C").bond_order == (SINGLE,)
 
     def test_two_char_elements(self):
         g = parse_smiles("CCl")
-        assert [a.atomic_number for a in g.atoms] == [6, 17]
+        assert g.z == (6, 17)
         g = parse_smiles("CBr")
-        assert [a.atomic_number for a in g.atoms] == [6, 35]
+        assert g.z == (6, 35)
 
     def test_branches(self):
         g = parse_smiles("CC(C)(C)C")
         assert g.n_atoms == 5
-        assert g.degree(1) == 4
-        assert sorted(g.adjacency[1]) == [0, 2, 3, 4]
+        assert g.adjacency[1] == (0, 2, 3, 4)
 
     def test_aromatic_ring(self):
         g = parse_smiles("c1ccccc1")
         assert g.n_atoms == 6
-        assert all(a.aromatic for a in g.atoms)
-        assert all(a.in_ring for a in g.atoms)
-        assert all(b.order == AROMATIC for b in g.bonds)
-        assert all(b.in_ring for b in g.bonds)
+        assert all(g.aromatic)
+        assert all(g.atom_ring)
+        assert g.bond_order == (AROMATIC,) * 6
+        assert all(g.bond_ring)
 
     def test_pyridine_heteroatom(self):
         g = parse_smiles("c1ccncc1")
-        numbers = sorted(a.atomic_number for a in g.atoms)
-        assert numbers == [6, 6, 6, 6, 6, 7]
+        assert sorted(g.z) == [6, 6, 6, 6, 6, 7]
 
     def test_biphenyl_link_is_single(self):
         # The inter-ring bond joins two aromatic atoms but is a bridge,
         # so the default bond resolves to a single bond.
         for smiles in ("c1ccc(cc1)c1ccccc1", "c1ccc(cc1)-c1ccccc1"):
             g = parse_smiles(smiles)
-            orders = sorted(b.order for b in g.bonds)
-            assert orders.count(SINGLE) == 1, smiles
-            assert orders.count(AROMATIC) == 12, smiles
-            link = [b for b in g.bonds if b.order == SINGLE][0]
-            assert not link.in_ring
+            assert g.bond_order.count(SINGLE) == 1, smiles
+            assert g.bond_order.count(AROMATIC) == 12, smiles
+            assert not g.bond_ring[g.bond_order.index(SINGLE)]
 
     def test_percent_ring_label(self):
         g = parse_smiles("C%10CCCCC%10")
         ref = parse_smiles("C1CCCCC1")
         assert g.n_atoms == ref.n_atoms == 6
         assert len(g.bond_u) == len(ref.bond_u) == 6
-        assert all(b.in_ring for b in g.bonds)
+        assert all(g.bond_ring)
 
     def test_ring_bond_symbol_on_closing_side(self):
         g = parse_smiles("C1CCCCC=1")
@@ -116,33 +117,33 @@ class TestParser:
     def test_bracket_charge(self):
         g = parse_smiles("[NH4+]")
         assert g.n_atoms == 1
-        assert g.atoms[0].atomic_number == 7
-        assert g.atoms[0].formal_charge == 1
+        assert g.z == (7,)
+        assert g.charge == (1,)
         g = parse_smiles("[O-]C")
-        assert g.atoms[0].formal_charge == -1
+        assert g.charge[0] == -1
         g = parse_smiles("[Cu+2]O")
-        assert g.atoms[0].formal_charge == 2
+        assert g.charge[0] == 2
 
     def test_bracket_isotope_and_stereo_discarded(self):
         g = parse_smiles("[13CH3][C@@H](N)C(=O)[O-]")
-        assert [a.atomic_number for a in g.atoms] == [6, 6, 7, 6, 8, 8]
-        assert [a.formal_charge for a in g.atoms] == [0, 0, 0, 0, 0, -1]
+        assert g.z == (6, 6, 7, 6, 8, 8)
+        assert g.charge == (0, 0, 0, 0, 0, -1)
 
     def test_bracket_unknown_symbol_maps_to_zero(self):
         g = parse_smiles("[Xx]C")
-        assert g.atoms[0].atomic_number == 0
+        assert g.z[0] == 0
 
     def test_cis_trans_markers_ignored(self):
         g = parse_smiles("C/C=C/C")
         assert g.n_atoms == 4
-        assert {b.endpoints: b.order for b in g.bonds} == {(0, 1): SINGLE, (1, 2): DOUBLE, (2, 3): SINGLE}
+        assert (g.bond_u, g.bond_v, g.bond_order) == ((0, 1, 2), (1, 2, 3), (SINGLE, DOUBLE, SINGLE))
 
     def test_fused_rings(self):
         g = parse_smiles("c1ccc2ccccc2c1")
         assert g.n_atoms == 10
-        assert len(g.bonds) == 11
-        assert all(a.in_ring for a in g.atoms)
-        assert all(b.in_ring for b in g.bonds)
+        assert len(g.bond_u) == 11
+        assert all(g.atom_ring)
+        assert all(g.bond_ring)
 
     def test_parse_errors(self):
         with pytest.raises(UnclosedRing):
@@ -176,7 +177,7 @@ class TestParser:
 class TestRingMembership:
     def test_matches_bridge_oracle(self, fixture_graphs):
         for g in fixture_graphs:
-            edges = [b.endpoints for b in g.bonds]
+            edges = list(zip(g.bond_u, g.bond_v))
             atom_flags, bond_flags = ring_membership(g)
             for idx, (u, v) in enumerate(edges):
                 in_ring = bfs_connected(g.n_atoms, edges, idx, u, v)
@@ -192,8 +193,8 @@ class TestRingMembership:
     def test_parser_flags_agree_with_recomputation(self, fixture_graphs):
         for g in fixture_graphs:
             atom_flags, bond_flags = ring_membership(g)
-            assert [a.in_ring for a in g.atoms] == list(atom_flags)
-            assert [b.in_ring for b in g.bonds] == list(bond_flags)
+            assert g.atom_ring == atom_flags
+            assert g.bond_ring == bond_flags
 
     def test_random_cactus_graphs(self):
         # Random trees plus one extra edge: exactly the cycle closed by
@@ -205,29 +206,28 @@ class TestRingMembership:
             for v in range(1, n):
                 u = int(rng.integers(0, v))
                 edges.append((u, v))
-            atoms = tuple(Atom(index=i, atomic_number=6) for i in range(n))
             extra = tuple(int(x) for x in sorted(rng.choice(n, size=2, replace=False)))
             if extra in edges:
                 continue
-            edges.append(extra)
-            bonds = tuple(
-                Bond(u=u, v=v, order=SINGLE) for u, v in sorted(edges)
-            )
+            edges = sorted(edges + [extra])
             adj = [[] for _ in range(n)]
-            for b in bonds:
-                adj[b.u].append(b.v)
-                adj[b.v].append(b.u)
+            for u, v in edges:
+                adj[u].append(v)
+                adj[v].append(u)
             g = MolGraph(
-                atoms=atoms,
-                bonds=bonds,
+                z=(6,) * n,
+                aromatic=(False,) * n,
+                charge=(0,) * n,
+                atom_ring=(False,) * n,
+                bond_u=tuple(u for u, _ in edges),
+                bond_v=tuple(v for _, v in edges),
+                bond_order=(SINGLE,) * len(edges),
+                bond_ring=(False,) * len(edges),
                 adjacency=tuple(tuple(sorted(a)) for a in adj),
             )
             _, bond_flags = ring_membership(g)
-            for idx, b in enumerate(g.bonds):
-                expected = bfs_connected(
-                    n, [x.endpoints for x in g.bonds], idx, b.u, b.v
-                )
-                assert bond_flags[idx] == expected
+            for idx, (u, v) in enumerate(edges):
+                assert bond_flags[idx] == bfs_connected(n, edges, idx, u, v)
 
 
 @st.composite
@@ -295,11 +295,11 @@ class TestRingPerceptionProperty:
     def test_parser_flags_match_both_oracles(self, smiles):
         g = parse_smiles(smiles)
         atom_flags, bond_flags = ring_membership(g)
-        assert tuple(b.in_ring for b in g.bonds) == bond_flags
-        assert tuple(a.in_ring for a in g.atoms) == atom_flags
-        edges = [b.endpoints for b in g.bonds]
+        assert g.bond_ring == bond_flags
+        assert g.atom_ring == atom_flags
+        edges = list(zip(g.bond_u, g.bond_v))
         for idx, (u, v) in enumerate(edges):
-            assert g.bonds[idx].in_ring == bfs_connected(g.n_atoms, edges, idx, u, v)
+            assert g.bond_ring[idx] == bfs_connected(g.n_atoms, edges, idx, u, v)
 
     @pytest.mark.parametrize("smiles, ring_bonds", [
         ("C(C1)C1", {(0, 1), (0, 2), (1, 2)}),
@@ -309,12 +309,12 @@ class TestRingPerceptionProperty:
     ])
     def test_closures_across_branches(self, smiles, ring_bonds):
         g = parse_smiles(smiles)
-        assert {b.endpoints for b in g.bonds if b.in_ring} == ring_bonds
+        assert {edge for edge, in_ring in zip(zip(g.bond_u, g.bond_v), g.bond_ring) if in_ring} == ring_bonds
 
 
 def assert_same_parse(smiles):
     """The column parser and the object-building reference give the same
-    atoms, bonds and adjacency, or the same error type and message."""
+    columns, or the same error type and message."""
     try:
         expected = reference_parse_smiles(smiles)
     except Exception as exc:
@@ -324,9 +324,7 @@ def assert_same_parse(smiles):
         assert str(got.value) == str(exc), smiles
         return
     g = parse_smiles(smiles)
-    assert g.atoms == expected.atoms, smiles
-    assert g.bonds == expected.bonds, smiles
-    assert g.adjacency == expected.adjacency, smiles
+    assert columns(g) == columns(expected), smiles
     assert g == expected, smiles
 
 
@@ -370,13 +368,45 @@ class TestReferenceParser:
         assert_same_parse(smiles)
 
 
+# Ethanol's columns, and per check of the constructor a change to them
+# that fails it, with the start of that check's message.
+_ETHANOL = columns(parse_smiles("CCO"))
+_MALFORMED = {
+    "no_atoms": (dict(z=(), aromatic=(), charge=(), atom_ring=(), bond_u=(), bond_v=(),
+                      bond_order=(), bond_ring=(), adjacency=()), "a molecular graph needs"),
+    "list_column": (dict(bond_order=[SINGLE, SINGLE]), "columns must be tuples"),
+    "short_atom_column": (dict(charge=(0, 0)), "every per-atom column"),
+    "short_adjacency": (dict(adjacency=((1,), (0, 2))), "every per-atom column"),
+    "short_bond_column": (dict(bond_ring=(False,)), "per-bond columns"),
+    "long_bond_column": (dict(bond_v=(1, 2, 2)), "per-bond columns"),
+    "atomic_number_below_0": (dict(z=(6, -1, 8)), "atomic numbers"),
+    "atomic_number_above_119": (dict(z=(6, 120, 8)), "atomic numbers"),
+    "endpoint_out_of_range": (dict(bond_v=(1, 3)), "every bond needs"),
+    "negative_endpoint": (dict(bond_u=(-1, 1), bond_v=(0, 2)), "every bond needs"),
+    "endpoints_not_distinct": (dict(bond_v=(1, 1), adjacency=((1,), (0, 1, 1), ())),
+                               "every bond needs"),
+    "high_index_first": (dict(bond_u=(1, 2), bond_v=(0, 1)), "every bond needs"),
+    "unknown_bond_order": (dict(bond_order=(SINGLE, "quadruple")), "bond orders"),
+    "duplicate_bond": (dict(bond_u=(0, 0), bond_v=(1, 1), adjacency=((1, 1), (0, 0), ())),
+                       "duplicate bond"),
+    "inconsistent_adjacency": (dict(adjacency=((1,), (0,), ())), "adjacency inconsistent"),
+}
+
+
 class TestMolGraphModel:
     def test_parsed_graph_equals_constructed(self, fixture_graphs):
+        # The checked constructor accepts every parsed graph's columns
+        # and rebuilds an equal graph.
         for g in fixture_graphs:
-            built = MolGraph(atoms=g.atoms, bonds=g.bonds, adjacency=g.adjacency,
-                             source_smiles=g.source_smiles)
+            built = MolGraph(**columns(g))
             assert built == g and g == built, g.source_smiles
             assert hash(built) == hash(g), g.source_smiles
+
+    @pytest.mark.parametrize("change, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+    def test_malformed_columns_rejected(self, change, message):
+        MolGraph(**_ETHANOL)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            MolGraph(**{**_ETHANOL, **change})
 
     def test_unequal_graphs(self):
         g = parse_smiles("CC")
@@ -389,39 +419,19 @@ class TestMolGraphModel:
         for g in fixture_graphs:
             again = pickle.loads(pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL))
             assert again == g and hash(again) == hash(g), g.source_smiles
-            assert again.atoms == g.atoms and again.bonds == g.bonds
+            assert columns(again) == columns(g), g.source_smiles
 
     @pytest.mark.parametrize("name", [
         "z", "aromatic", "charge", "atom_ring", "bond_u", "bond_v", "bond_order",
-        "bond_ring", "adjacency", "source_smiles", "atoms", "bonds", "n_atoms", "extra",
+        "bond_ring", "adjacency", "source_smiles", "n_atoms", "extra",
     ])
     def test_attributes_cannot_be_assigned(self, name):
         g = parse_smiles("c1ccccc1O")
-        assert g.atoms and g.bonds  # built on access, then frozen like the columns
         with pytest.raises(AttributeError):
             setattr(g, name, ())
         with pytest.raises(AttributeError):
             delattr(g, name)
         assert g == parse_smiles("c1ccccc1O")
-
-    def test_duplicate_bond_rejected(self):
-        atoms = (Atom(index=0, atomic_number=6), Atom(index=1, atomic_number=6))
-        bonds = (
-            Bond(u=0, v=1, order=SINGLE),
-            Bond(u=0, v=1, order=DOUBLE),
-        )
-        with pytest.raises(ValueError):
-            MolGraph(atoms=atoms, bonds=bonds, adjacency=((1,), (0,)))
-
-    def test_inconsistent_adjacency_rejected(self):
-        atoms = (Atom(index=0, atomic_number=6), Atom(index=1, atomic_number=6))
-        bonds = (Bond(u=0, v=1, order=SINGLE),)
-        with pytest.raises(ValueError):
-            MolGraph(atoms=atoms, bonds=bonds, adjacency=((), ()))
-
-    def test_bond_low_index_first(self):
-        with pytest.raises(ValueError):
-            Bond(u=3, v=1, order=SINGLE)
 
     def test_singleton_flag(self):
         assert parse_smiles("C").is_singleton
@@ -446,12 +456,11 @@ class TestWriter:
             assert h.n_atoms == g.n_atoms, g.source_smiles
             assert len(h.bond_u) == len(g.bond_u), g.source_smiles
             key = lambda graph: sorted(
-                (a.atomic_number, a.aromatic, a.formal_charge, a.in_ring)
-                for a in graph.atoms
+                zip(graph.z, graph.aromatic, graph.charge, graph.atom_ring)
             )
             assert key(h) == key(g), g.source_smiles
             assert sorted(map(len, h.adjacency)) == sorted(map(len, g.adjacency))
-            orders = lambda graph: sorted(b.order for b in graph.bonds)
+            orders = lambda graph: sorted(graph.bond_order)
             assert orders(h) == orders(g), g.source_smiles
 
     def test_round_trip_is_isomorphic(self, fixture_graphs):
@@ -466,4 +475,4 @@ class TestWriter:
     def test_charge_survives_round_trip(self):
         g = parse_smiles("[NH4+]")
         h = parse_smiles(write_smiles(g))
-        assert h.atoms[0].formal_charge == 1
+        assert h.charge == (1,)

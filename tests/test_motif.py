@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from molmask import (
-    Atom,
-    Bond,
     DisconnectedMotif,
     MolGraph,
     build_vocab,
@@ -29,29 +27,27 @@ from conftest import mixed_corpus, ring_marker_corpus, template_corpus
 def permuted(graph, perm):
     """Relabel atoms so old index i becomes perm[i]."""
     n = graph.n_atoms
-    atoms = [None] * n
-    for a in graph.atoms:
-        atoms[perm[a.index]] = Atom(
-            index=perm[a.index],
-            atomic_number=a.atomic_number,
-            aromatic=a.aromatic,
-            formal_charge=a.formal_charge,
-            in_ring=a.in_ring,
-        )
-    bonds = []
-    for b in graph.bonds:
-        u, v = perm[b.u], perm[b.v]
-        if u > v:
-            u, v = v, u
-        bonds.append(Bond(u=u, v=v, order=b.order, in_ring=b.in_ring))
-    bonds.sort(key=lambda b: (b.u, b.v))
+    old = [0] * n  # old index of each new atom
+    for i in range(n):
+        old[perm[i]] = i
+    bonds = sorted(
+        (min(perm[u], perm[v]), max(perm[u], perm[v]), order, in_ring)
+        for u, v, order, in_ring in zip(graph.bond_u, graph.bond_v, graph.bond_order, graph.bond_ring)
+    )
     adj = [[] for _ in range(n)]
-    for b in bonds:
-        adj[b.u].append(b.v)
-        adj[b.v].append(b.u)
+    for u, v, _, _ in bonds:
+        adj[u].append(v)
+        adj[v].append(u)
+    bond_u, bond_v, bond_order, bond_ring = zip(*bonds) if bonds else ((), (), (), ())
     return MolGraph(
-        atoms=tuple(atoms),
-        bonds=tuple(bonds),
+        z=tuple(graph.z[i] for i in old),
+        aromatic=tuple(graph.aromatic[i] for i in old),
+        charge=tuple(graph.charge[i] for i in old),
+        atom_ring=tuple(graph.atom_ring[i] for i in old),
+        bond_u=bond_u,
+        bond_v=bond_v,
+        bond_order=bond_order,
+        bond_ring=bond_ring,
         adjacency=tuple(tuple(sorted(a)) for a in adj),
     )
 
@@ -111,9 +107,9 @@ class TestDecompose:
         for g in fixture_graphs:
             p = decompose(g)
             cuts = set(p.cut_bonds)
-            for b in g.bonds:
-                crosses = p.motif_of[b.u] != p.motif_of[b.v]
-                assert (b.endpoints in cuts) == crosses, g.source_smiles
+            for u, v in zip(g.bond_u, g.bond_v):
+                crosses = p.motif_of[u] != p.motif_of[v]
+                assert ((u, v) in cuts) == crosses, g.source_smiles
 
     def test_motif_adjacency(self):
         g = parse_smiles("C1CC1CCC1CC1")
@@ -239,7 +235,7 @@ class TestSignatureMemo:
 
     def test_motif_signatures_reuse_induced_subgraph_keys(self, fixture_graphs):
         """The one-pass key builder gives each motif the key of its
-        induced subgraph, read off the Atom and Bond objects: signing a
+        induced subgraph, read off the columns bond by bond: signing a
         graph's motifs after those keys adds no memo entry."""
         for g in fixture_corpus_graphs(fixture_graphs):
             partition = decompose(g)
@@ -247,9 +243,11 @@ class TestSignatureMemo:
             expected = []
             for motif in partition.motifs:
                 pos = {atom: i for i, atom in enumerate(motif)}
-                labels = tuple((g.atoms[a].atomic_number, g.atoms[a].aromatic) for a in motif)
+                labels = tuple((g.z[a], g.aromatic[a]) for a in motif)
                 edges = tuple(sorted(
-                    (pos[b.u], pos[b.v], b.order) for b in g.bonds if b.u in pos and b.v in pos
+                    (pos[u], pos[v], order)
+                    for u, v, order in zip(g.bond_u, g.bond_v, g.bond_order)
+                    if u in pos and v in pos
                 ))
                 expected.append(_signature_of(labels, edges))
             misses = _signature_of.cache_info().misses

@@ -20,8 +20,7 @@ def dense_pagerank(graph, alpha=0.85):
     if n == 1:
         return np.array([1.0])
     adj = np.zeros((n, n))
-    for b in graph.bonds:
-        adj[b.u, b.v] = adj[b.v, b.u] = 1.0
+    adj[graph.bond_u, graph.bond_v] = adj[graph.bond_v, graph.bond_u] = 1.0
     walk = adj / adj.sum(axis=0)[np.newaxis, :]
     p = np.full(n, 1.0 / n)
     x = np.linalg.solve(np.eye(n) - alpha * walk, (1.0 - alpha) * p)
@@ -35,8 +34,7 @@ def dense_power_iteration(graph, alpha=0.85, tol=1e-8, max_iter=200):
     if n == 1:
         return np.array([1.0]), 0, True
     adj = np.zeros((n, n))
-    for b in graph.bonds:
-        adj[b.u, b.v] = adj[b.v, b.u] = 1.0
+    adj[graph.bond_u, graph.bond_v] = adj[graph.bond_v, graph.bond_u] = 1.0
     walk = adj / adj.sum(axis=0)[np.newaxis, :]
     teleport = np.full(n, 1.0 / n)
     x = teleport.copy()
