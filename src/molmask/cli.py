@@ -136,7 +136,19 @@ def _split_list(raw: str, allowed: Sequence[str], what: str) -> list[str]:
     for item in items:
         if item not in allowed:
             raise _UsageError(f"unknown {what} {item!r}; choose from {', '.join(allowed)}")
+        if items.count(item) > 1:
+            raise _UsageError(f"{what} {item!r} given more than once")
     return items
+
+
+def _target_kinds(args, raw: str) -> list[str]:
+    """The target kinds in ``raw``, checked before the corpus is read."""
+    kinds = _split_list(raw, TARGET_KINDS, "target kind")
+    if "vq_code" in kinds and not (args.embeddings and args.codebook):
+        raise _UsageError("target 'vq_code' needs --embeddings and --codebook")
+    if "argmax_token" in kinds and not args.logits:
+        raise _UsageError("target 'argmax_token' needs --logits")
+    return kinds
 
 
 def _external_scores(args, strategies: Sequence[str], records):
@@ -245,11 +257,11 @@ def cmd_mask_sim(args) -> int:
     from .report import write_report_csv
     from .workbench import run_mask_sim
 
+    strategies = _split_list(args.strategies, STRATEGIES, "strategy")
+    config = _mask_config(args)
     manifest, records, _ = _ingest_for_analysis(args)
     if not manifest.label_column:
         raise _UsageError("mask-sim needs --label-col")
-    strategies = _split_list(args.strategies, STRATEGIES, "strategy")
-    config = _mask_config(args)
     external = _external_scores(args, strategies, records)
     report = run_mask_sim(
         records, strategies, config,
@@ -266,10 +278,10 @@ def cmd_mi(args) -> int:
     from .report import write_report_csv
     from .workbench import run_mi_analysis
 
+    kinds = _target_kinds(args, args.targets)
     manifest, records, _ = _ingest_for_analysis(args)
     if not manifest.label_column:
         raise _UsageError("mi needs --label-col")
-    kinds = _split_list(args.targets, TARGET_KINDS, "target kind")
     report = run_mi_analysis(
         records, kinds, dataset_name=manifest.display_name,
         seed=args.seed, **_target_resources(args, records, kinds),
@@ -284,10 +296,10 @@ def cmd_jsd(args) -> int:
     from .report import write_report_csv
     from .workbench import run_jsd_analysis
 
+    kinds = _target_kinds(args, args.targets)
     manifest, records, _ = _ingest_for_analysis(args)
     if not manifest.label_column:
         raise _UsageError("jsd needs --label-col")
-    kinds = _split_list(args.targets, TARGET_KINDS, "target kind")
     taus = args.taus or list(DEFAULT_TAUS)
     report = run_jsd_analysis(
         records, kinds, dataset_name=manifest.display_name, taus=taus,
@@ -303,12 +315,10 @@ def cmd_shuffle_control(args) -> int:
     from .report import write_report_csv
     from .workbench import run_shuffle_control
 
+    kinds = _target_kinds(args, args.target)
     manifest, records, _ = _ingest_for_analysis(args)
     if not manifest.label_column:
         raise _UsageError("shuffle-control needs --label-col")
-    kinds = _split_list(args.target, TARGET_KINDS, "target kind")
-    if len(kinds) != 1:
-        raise _UsageError("shuffle-control takes exactly one target kind")
     report = run_shuffle_control(
         records, kinds[0], dataset_name=manifest.display_name,
         repeats=args.repeats, seed=args.seed, **_target_resources(args, records, kinds),
@@ -323,17 +333,11 @@ def cmd_export_views(args) -> int:
     from .masking import bind_strategy, export_views, strategy_scores
     from .targets import TargetResources
 
+    [kind] = _target_kinds(args, args.target)
     manifest, records, _ = _ingest_for_analysis(args)
     config = _mask_config(args)
     external = _external_scores(args, [args.strategy], records)
-    kind = args.target
-    if kind not in TARGET_KINDS:
-        raise _UsageError(f"unknown target kind {kind!r}")
     resources = TargetResources(**_target_resources(args, records, [kind]))
-    if kind == "vq_code" and (resources.embeddings is None or resources.codebook is None):
-        raise _UsageError("target 'vq_code' needs --embeddings and --codebook")
-    if kind == "argmax_token" and resources.logits is None:
-        raise _UsageError("target 'argmax_token' needs --logits")
     graphs = [rec.graph for rec in records]
     scores = strategy_scores([args.strategy], graphs, external).get(args.strategy)
     bind = bind_strategy(args.strategy, config)
@@ -379,7 +383,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="base seed for every random draw (a whole number, 0 or more)")
     parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="process count for mask-sim sampling")
+                        help="at most this many processes for mask-sim sampling")
     parser.add_argument("--out-dir", default=".", help="directory for report outputs")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -442,7 +446,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("shuffle-control", help="MI against a label-shuffled control")
     _add_dataset_flags(sub)
-    sub.add_argument("--target", default="motif", help="one target kind")
+    sub.add_argument("--target", default="motif", choices=TARGET_KINDS, help="one target kind")
     sub.add_argument("--repeats", type=_positive_int, default=5)
     sub.add_argument("--vocab", default="")
     sub.add_argument("--embeddings", default="")
@@ -455,7 +459,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("export-views", help="write masked views with targets as JSONL")
     _add_dataset_flags(sub)
     _add_mask_flags(sub)
-    sub.add_argument("--target", default="atom_type", help="target kind for the views")
+    sub.add_argument("--target", default="atom_type", choices=TARGET_KINDS, help="view target")
     sub.add_argument("--draws-per-graph", type=_positive_int, default=1)
     sub.add_argument("--vocab", default="")
     sub.add_argument("--embeddings", default="")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -355,6 +354,7 @@ def coverage(vocab: MotifVocab, graphs: Iterable[MolGraph]) -> CoverageStats:
     of motif occurrences whose signature the vocabulary knows.  An
     empty vocabulary raises DataError.
     """
+    import statistics  # with fractions and decimal: only this command needs them
     if vocab.size == 0:
         raise DataError("coverage needs a non-empty vocabulary")
     downstream_sigs: set[str] = set()

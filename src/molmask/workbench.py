@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -88,20 +89,65 @@ def config_hash(params: dict[str, Any]) -> str:
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Order-preserving map, optionally fanned out over processes.
-
-    Results come back in input order regardless of worker count; fn and
-    its inputs must be picklable when workers > 1.  The process pool is
-    imported only when one starts, so a serial run never loads it.
-    """
+    """Order-preserving map over at most ``workers`` processes, and no
+    more than items or usable CPUs: this one maps the first contiguous
+    shard, a forked child each other.  A child's exception is raised
+    here, as is RuntimeError naming the exit status of a child ending
+    with no result; every child is reaped first.  Serial without fork."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shards = max(1, min(workers, len(items), cpus or 1)) if hasattr(os, "fork") else 1
+    bounds = [len(items) * k // shards for k in range(shards + 1)]
+    import signal  # only mask-sim loads it
+    pipes, pids = [], []  # every child's read end; the children not yet reaped
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            pids.append(_fork_shard(fn, items[start:stop], pipes))
+        results = [fn(item) for item in items[: bounds[1]]]
+        for pipe in pipes:
+            payload = pipe.read()  # all of it before the reap: a child blocks on a full pipe
+            pipe.close()
+            status = os.waitpid(pids[0], 0)[1]
+            pid = pids.pop(0)
+            if status or not payload:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"worker process {pid} ended with exit status {code} and no result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:  # closed read ends fail a child's write, the kill ends its map: waitpid returns
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
-    chunk = max(1, math.ceil(len(items) / (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+
+def _fork_shard(fn: Callable, shard: Sequence, pipes: list) -> int:
+    """Fork a child that pickles (True, results) or (False, exception)
+    into a new pipe whose read end joins ``pipes``; return its pid.  It
+    leaves by ``os._exit``: no return into our frames, no stdio flush."""
+    read_fd, write_fd = os.pipe()
+    pipes.append(open(read_fd, "rb"))
+    with open(write_fd, "wb") as out:
+        pid = os.fork()
+        if pid:
+            return pid
+        status = 1
+        try:
+            for pipe in pipes:  # with no read end held, its write fails once the parent's closes
+                pipe.close()
+            try:
+                payload = (True, [fn(item) for item in shard])
+            except Exception as exc:
+                payload = (False, exc)
+            pickle.dump(payload, out, protocol=pickle.HIGHEST_PROTOCOL)
+            out.flush()
+            status = 0
+        finally:
+            os._exit(status)
 
 
 def _read_label(cell: str) -> tuple[Optional[int], bool]:

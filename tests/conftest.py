@@ -120,6 +120,14 @@ def write_corpus_csv(path: Path, rows) -> Path:
     return path
 
 
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Four usable CPUs, whatever the host has, so that parallel_map
+    forks one process per worker up to four."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
 @pytest.fixture(scope="session")
 def fixture_graphs():
     from molmask import parse_smiles

@@ -216,6 +216,7 @@ def test_coverage_properties(fixture_graphs, ring_marker_records):
 
 
 @pytest.mark.criterion(10, "mi/jsd/mask-sim CSVs byte-identical across --workers")
+@pytest.mark.usefixtures("four_cpus")
 def test_worker_determinism(corpus_dir, tmp_path):
     corpus = str(corpus_dir / "ring_marker.csv")
     outputs = {}

@@ -1,7 +1,7 @@
 """Command line behavior: subcommands, outputs, exit codes."""
 
-import concurrent.futures
 import json
+import os
 import re
 from dataclasses import replace
 from functools import partial
@@ -391,12 +391,46 @@ def test_count_flag_below_one_is_usage_error(command, flag, value, cli_corpus, t
     ["--seed=-1", "mask-sim"],
     ["--seed=-1", "export-views"],
     ["--seed", "1.5", "mask-sim"],
+    ["shuffle-control", "--target", "motif,motif"],
+    ["export-views", "--target", "atom_type,motif"],
 ])
 def test_bad_flag_value_is_usage_error(argv, cli_corpus, tmp_path, capsys):
     out = tmp_path / "out"
     assert run([*argv, "--input", cli_corpus, "--label-col", "activity", "--output", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mi", "jsd", "shuffle-control", "export-views"])
+@pytest.mark.parametrize("flags, message", [
+    (["vq_code"], "target 'vq_code' needs --embeddings and --codebook"),
+    (["vq_code", "--embeddings", "emb.csv"], "target 'vq_code' needs --embeddings and --codebook"),
+    (["vq_code", "--codebook", "book.csv"], "target 'vq_code' needs --embeddings and --codebook"),
+    (["argmax_token"], "target 'argmax_token' needs --logits"),
+], ids=["vq_code", "vq_code_no_codebook", "vq_code_no_embeddings", "argmax_token"])
+def test_target_without_its_input_is_usage_error(command, flags, message, tmp_path, capsys):
+    """Checked before the corpus is read: the corpus named here does not
+    exist, and the error is still a usage error."""
+    target_flag = "--targets" if command in ("mi", "jsd") else "--target"
+    out = tmp_path / "out"
+    assert run([command, "--input", tmp_path / "absent.csv", "--label-col", "activity",
+                target_flag, *flags, "--output", out]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mask-sim", "--strategies", "uniform,pagerank,uniform"], "strategy 'uniform'"),
+    (["mi", "--targets", "motif,motif"], "target kind 'motif'"),
+    (["jsd", "--targets", "atom_type,motif,atom_type"], "target kind 'atom_type'"),
+], ids=["mask-sim", "mi", "jsd"])
+def test_name_given_twice_is_usage_error(argv, message, tmp_path, capsys):
+    """Found before the corpus, which does not exist here, is read."""
+    out = tmp_path / "out"
+    assert run([*argv, "--input", tmp_path / "absent.csv", "--label-col", "activity",
+                "--output", out]) == 1
+    assert capsys.readouterr().err == f"usage error: {message} given more than once\n"
     assert not out.exists()
 
 
@@ -489,6 +523,7 @@ def golden_output(name, argv, workers, tmp_path, capsys) -> bytes:
 
 
 # A case keeps its plain id at --workers 1 and gains a "-w2" suffix at 2.
+@pytest.mark.usefixtures("four_cpus")
 @pytest.mark.parametrize("name, argv, workers", [
     pytest.param(name, argv, workers, id=f"{name}-argv{i}" + ("" if workers == 1 else "-w2"))
     for workers in (1, 2)
@@ -500,18 +535,19 @@ def test_golden_bytes(name, argv, workers, tmp_path, capsys):
     assert golden_output(name, argv, workers, tmp_path, capsys) == (GOLDEN / name).read_bytes()
 
 
-class _PoolStarted(Exception):
+class _Forked(Exception):
     pass
 
 
-def _no_pool(*args, **kwargs):
-    raise _PoolStarted("a process pool was started")
+def _no_fork():
+    raise _Forked("a process was forked")
 
 
-# parallel_map imports ProcessPoolExecutor from concurrent.futures only
-# when it starts a pool, so that is the name to patch.
+# parallel_map looks os.fork up when it fans out, so that is the name to
+# patch; four_cpus lets it fan out to two workers on any host.
 
 
+@pytest.mark.usefixtures("four_cpus")
 @pytest.mark.parametrize("name, argv", [
     pytest.param(name, argv, id=f"{name}-argv{i}")
     for i, (name, argv) in enumerate(GOLDEN_CASES)
@@ -519,16 +555,17 @@ def _no_pool(*args, **kwargs):
 ])
 def test_per_molecule_stages_start_no_pool(name, argv, tmp_path, monkeypatch, capsys):
     """Parse, decompose and sign run in the main process at any
-    --workers: with no process pool to be had, every command but
+    --workers: with no process to be forked, every command but
     mask-sim still writes its golden bytes."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     assert golden_output(name, argv, 2, tmp_path, capsys) == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.usefixtures("four_cpus")
 def test_mask_sim_sampling_fans_out(tmp_path, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     name, argv = next(case for case in GOLDEN_CASES if case[1][0] == "mask-sim")
-    with pytest.raises(_PoolStarted):
+    with pytest.raises(_Forked):
         run(["--workers", 2, *argv, "--input", DEMO_CORPUS, "--output", tmp_path / name])
 
 

@@ -109,6 +109,11 @@ def test_version_and_plot_run_without_numpy(tmp_path):
     assert "molmask.workbench" not in loaded
 
 
+# statistics brings fractions and decimal with it; parallel_map forks
+# without the process-pool modules.
+NOT_LOADED_BY_ANALYSES = ("statistics", "concurrent.futures", "multiprocessing")
+
+
 @pytest.mark.parametrize("argv", [
     ["mi", "--label-col", "activity", "--targets", "atom_type,motif"],
     ["jsd", "--label-col", "activity"],
@@ -124,6 +129,27 @@ def test_exact_commands_load_no_masking_scoring_svg_or_pool(argv, tmp_path):
         tmp_path,
     )
     assert (tmp_path / "out.csv").exists()
-    for module in ("molmask.masking", "molmask.scoring", "molmask.svg",
-                   "concurrent.futures.process"):
+    for module in ("molmask.masking", "molmask.scoring", "molmask.svg", *NOT_LOADED_BY_ANALYSES):
         assert module not in loaded
+
+
+def test_mask_sim_fans_out_without_pool_modules(tmp_path):
+    """Two workers on two usable CPUs, whatever the host has: the golden
+    report, and neither statistics nor a process-pool module loaded."""
+    name, argv = "mask_sim.csv", ["mask-sim", "--label-col", "activity", "--strategies",
+                                  "uniform,pagerank,moama,motifpred", "--repeats", "2"]
+    loaded = run_fresh(
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "from molmask import cli\n"
+        f"assert cli.main(['--workers', '2', *{argv!r}, '--input', {str(DEMO_CORPUS)!r},"
+        f" '--output', {name!r}]) == 0\n"
+        "assert forks == [1], forks\n"
+        "print(*sorted(sys.modules))\n",
+        tmp_path,
+    )
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert not set(NOT_LOADED_BY_ANALYSES) & set(loaded)

@@ -1,6 +1,13 @@
 """Corpus ingestion, exact counting, analysis runners, report files."""
 
+import fcntl
+import gc
 import math
+import os
+import signal
+import stat
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -59,12 +66,126 @@ class TestConfigHash:
         int(h, 16)
 
 
+class _ExitWhenPickled:
+    def __reduce__(self):
+        os._exit(3)
+
+
+def _pipe_ends() -> set[tuple[int, int]]:
+    """(descriptor, access mode) of each pipe end this process holds
+    below descriptor 256."""
+    ends = set()
+    for fd in range(256):
+        try:
+            if stat.S_ISFIFO(os.fstat(fd).st_mode):
+                ends.add((fd, fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE))
+        except OSError:
+            pass
+    return ends
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("parallel_map did not finish in 30 s")
+
+
+@pytest.mark.usefixtures("four_cpus")
 class TestParallelMap:
+    """Each case must end with every forked child reaped and every pipe
+    closed; a case that would hang fails after 30 s instead."""
+
+    @pytest.fixture(autouse=True)
+    def no_process_or_file_left(self):
+        previous = signal.signal(signal.SIGALRM, _timed_out)
+        signal.setitimer(signal.ITIMER_REAL, 30)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                yield
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_order_preserved(self):
         items = list(range(37))
-        expected = [x * x for x in items]
-        assert parallel_map(_square, items, workers=1) == expected
-        assert parallel_map(_square, items, workers=3) == expected
+        for workers in (1, 2, 3, 4, 64):
+            assert parallel_map(_square, items, workers=workers) == [x * x for x in items]
+
+    def test_each_shard_runs_in_its_own_process(self):
+        pids = parallel_map(lambda _: os.getpid(), range(8), workers=4)
+        assert pids[0::2] == pids[1::2]  # contiguous shards of two
+        assert pids[0] == os.getpid() and len(set(pids)) == 4
+
+    def test_child_exception_is_raised_here(self):
+        def fn(x):
+            if x == 36:
+                raise KeyError(f"bad item {x}")
+            return x
+
+        with pytest.raises(KeyError, match="bad item 36"):
+            parallel_map(fn, range(37), workers=3)
+
+    @pytest.mark.parametrize("child", [
+        lambda x: bytes(2 << 20),  # more than the pipe holds until it is read
+        lambda x: time.sleep(600),
+    ], ids=["holding_a_large_result", "still_mapping"])
+    def test_parent_exception_reaps_every_child(self, child):
+        """The first shard raises while each child still holds a 2 MB
+        result it cannot write until its pipe is read, or is still
+        mapping its shard."""
+        def fn(x):
+            if x == 0:
+                raise ValueError("bad item 0")
+            return child(x)
+
+        with pytest.raises(ValueError, match="bad item 0"):
+            parallel_map(fn, range(6), workers=3)
+
+    @pytest.mark.parametrize("child", [
+        lambda x: os._exit(3),
+        lambda x: [bytes(1 << 20), _ExitWhenPickled()],
+    ], ids=["before_writing", "while_writing"])
+    def test_child_ending_without_a_result_names_its_status(self, child):
+        with pytest.raises(RuntimeError, match="exit status 3 and no result"):
+            parallel_map(lambda x: child(x) if x == 36 else x, range(37), workers=3)
+
+    def test_child_holds_only_its_own_write_end(self):
+        """A child holds no read end of any pipe, so with the parent
+        gone its write fails and it ends instead of blocking."""
+        before = _pipe_ends()
+        held = parallel_map(lambda _: _pipe_ends() - before, range(3), workers=3)
+        assert [[mode for _, mode in ends] for ends in held[1:]] == [[os.O_WRONLY]] * 2
+
+    def test_megabyte_results(self):
+        """Results far larger than a pipe's buffer come back whole."""
+        results = parallel_map(lambda x: bytes([x]) * (1 << 20), range(6), workers=3)
+        assert results == [bytes([x]) * (1 << 20) for x in range(6)]
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_forks_at_most_one_less_than_usable_cpus(self, affinity, monkeypatch):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert parallel_map(_square, range(37), workers=64) == [x * x for x in range(37)]
+        assert len(forks) == 1
+
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert parallel_map(lambda _: os.getpid(), range(8), workers=4) == [os.getpid()] * 8
 
 
 class TestIngest:
@@ -257,6 +378,7 @@ class TestRunners:
         assert shuffled_row[3] < exact_row[3]
         assert shuffled_row[8] >= 0.0  # seed_std column
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_mask_sim_workers_byte_identical(self, ring_marker_records, tmp_path):
         subset = ring_marker_records[:30]
         config = MaskConfig(ratio=0.25)
