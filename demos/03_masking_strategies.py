@@ -24,12 +24,13 @@ print(f"mask budget at ratio 0.25: {mask_count(config.ratio, g.n_atoms)} atoms\n
 # bind_strategy binds each strategy to one graph and whatever it needs:
 # pagerank scores for perturbed top-k (pagerank_all scores a whole
 # corpus at once; a CLI run calls it once), the motif partition for the
-# motif-aware strategies, caller-supplied scores for external.
+# motif-aware strategies, caller-supplied scores for external.  A plan
+# is one mask: the sorted tuple of the atoms it hides.
 scores = pagerank_all([g])[0]
 for strategy in STRATEGIES:
     bound = bind_strategy(strategy, config)(g, scores)
-    plan = bound.plan(substream(seed=0, graph_index=0, draw_index=0))
-    print(f"{strategy:15} masks atoms {plan.masked_atoms}")
+    atoms = bound.plan(substream(seed=0, graph_index=0, draw_index=0))
+    print(f"{strategy:15} masks atoms {atoms}")
 
 # Motif-aware strategies mask whole motifs or fixed fractions inside
 # them, so masked atoms arrive in contiguous chemical units rather than
@@ -38,14 +39,14 @@ for strategy in STRATEGIES:
 # A view leaves the graph as it is: it records the indices of the
 # masked atoms and the targets read off them, here their atom types.
 bound = bind_strategy("moama", config)(g)
-plan = bound.plan(substream(seed=0, graph_index=0, draw_index=1))
-units, atom_types = TargetResources().view_targets("atom_type", 0, g, plan)
+atoms = bound.plan(substream(seed=0, graph_index=0, draw_index=1))
+units, atom_types = TargetResources().view_targets("atom_type", 0, g, atoms)
 print(f"\nmoama view: masked atoms {units}, atom types {atom_types}")
 
 # Draws are seeded per (graph, draw) cell, so replaying a cell gives
 # the same plan no matter what was drawn before it.
 replay = bound.plan(substream(seed=0, graph_index=0, draw_index=1))
-print(f"replayed draw identical: {replay.masked_atoms == plan.masked_atoms}")
+print(f"replayed draw identical: {replay == atoms}")
 
 # Score-guided strategies pick atoms by noisy top-k, and the candidate
 # pool anneals with the epoch: early epochs sample from a small pool of
@@ -53,5 +54,5 @@ print(f"replayed draw identical: {replay.masked_atoms == plan.masked_atoms}")
 print("\nannealed noisy top-k over pagerank scores (ratio 0.25, beta 10):")
 for epoch in (1, 25, 100):
     cfg = MaskConfig(ratio=0.25, beta=10.0, epoch=epoch, max_epoch=100)
-    plan = bind_strategy("pagerank", cfg)(g, scores).plan(substream(seed=0, graph_index=0, draw_index=2))
-    print(f"  epoch {epoch:3}: {plan.masked_atoms}")
+    atoms = bind_strategy("pagerank", cfg)(g, scores).plan(substream(seed=0, graph_index=0, draw_index=2))
+    print(f"  epoch {epoch:3}: {atoms}")

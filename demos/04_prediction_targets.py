@@ -11,24 +11,26 @@ from molmask import MaskConfig, bind_strategy, build_vocab, parse_smiles, substr
 from molmask.targets import TargetResources, graph_motifs
 
 g = parse_smiles("CC(=O)Nc1ccc(O)cc1")
-plan = bind_strategy("motifpred", MaskConfig(ratio=0.4))(g).plan(substream(seed=3, graph_index=0))
+atoms = bind_strategy("motifpred", MaskConfig(ratio=0.4))(g).plan(substream(seed=3, graph_index=0))
 print(f"molecule: {g.source_smiles}")
-print(f"masked atoms: {plan.masked_atoms}\n")
+print(f"masked atoms: {atoms}\n")
 
 
 # TargetResources holds what labels are read from besides the graph;
 # per-graph entries are keyed by corpus position, here 0.
-# view_targets returns the masked units and their labels.
+# view_targets takes the mask's atom tuple and returns the masked units
+# and their labels.
 def labels(kind, **resources):
-    return TargetResources(**resources).view_targets(kind, 0, g, plan)[1]
+    return TargetResources(**resources).view_targets(kind, 0, g, atoms)[1]
 
 
 # Atom types are the plain reconstruction target: the element hidden at
 # each masked position.
 print(f"atom_type labels: {labels('atom_type')} (atomic numbers, 0 for unknown)")
 
-# Motif targets name the chemical unit each masked atom sits in, via a
-# vocabulary of canonical motif signatures.  Motifs outside the
+# Motif targets name the chemical units the masked atoms sit in, one
+# label per motif hidden whole or in part, via a vocabulary of canonical
+# motif signatures.  Motifs outside the
 # vocabulary collapse to one reserved UNK id.
 vocab = build_vocab([parse_smiles(s) for s in ("c1ccccc1", "CC(=O)N", "CO")])
 motif = labels("motif", vocab=vocab, motifs=[graph_motifs(g)])

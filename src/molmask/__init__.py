@@ -26,8 +26,7 @@ _EXPORTS = {
     ),
     "choices": ("DEFAULT_TAUS", "STRATEGIES", "TARGET_KINDS"),
     "molgraph": (
-        "LabeledRecord", "MASK_SENTINEL", "MolGraph", "parse_smiles",
-        "ring_membership", "write_smiles",
+        "LabeledRecord", "MASK_SENTINEL", "MolGraph", "parse_smiles", "write_smiles",
     ),
     "motif": (
         "CoverageStats", "MotifPartition", "MotifVocab", "build_vocab",
@@ -36,8 +35,8 @@ _EXPORTS = {
     ),
     "scoring": ("NodeScores", "load_external_scores", "pagerank_all"),
     "masking": (
-        "MaskConfig", "MaskPlan", "bind_strategy", "export_views", "mask_count",
-        "read_views", "strategy_scores", "substream",
+        "MaskConfig", "bind_strategy", "export_views", "mask_count",
+        "strategy_scores", "substream",
     ),
     "targets": ("load_codebook", "load_embeddings"),
     "infotheory": (

@@ -37,8 +37,27 @@ def _add_dataset_flags(sub: argparse.ArgumentParser, labeled: bool = True) -> No
         sub.add_argument("--label-col", default="", help="binary task column name")
 
 
+def _add_target_flags(
+    sub: argparse.ArgumentParser, output: str, one_kind: str = "", vq_normalize: bool = True
+) -> None:
+    """The target kinds (one --target when one_kind is its default), the
+    files their labels are read from, and the command's --output."""
+    if one_kind:
+        sub.add_argument("--target", default=one_kind, choices=TARGET_KINDS, help="one target kind")
+    else:
+        sub.add_argument("--targets", default="atom_type,motif", help="comma-separated target kinds")
+    sub.add_argument("--vocab", default="", help="motif vocabulary TSV (default: build from input)")
+    sub.add_argument("--embeddings", default="", help="per-atom embedding CSV")
+    sub.add_argument("--codebook", default="", help="codebook CSV")
+    sub.add_argument("--logits", default="", help="per-atom logits CSV")
+    if vq_normalize:
+        sub.add_argument("--vq-normalize", action="store_true",
+                         help="L2-normalize before quantizing")
+    sub.add_argument("--output", default="", help=f"output path (default: {output} in --out-dir)")
+
+
 def _add_mask_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--strategy", default="uniform", choices=STRATEGIES)
+    sub.add_argument("--strategy", default="uniform", choices=STRATEGIES, help="masking strategy")
     sub.add_argument("--ratio", type=float, default=0.15, help="mask ratio gamma")
     sub.add_argument("--beta", type=float, default=None,
                      help="candidate bonus of the scored strategies "
@@ -350,8 +369,8 @@ def cmd_export_views(args) -> int:
         for g, graph in enumerate(graphs)
     )
 
-    def target_fn(graph, graph_index, plan):
-        _, labels = resources.view_targets(kind, graph_index, graph, plan)
+    def target_fn(graph, graph_index, atoms):
+        _, labels = resources.view_targets(kind, graph_index, graph, atoms)
         return kind, list(labels)
 
     path = _out_path(args, "views.jsonl")
@@ -416,56 +435,37 @@ def build_parser() -> _Parser:
     _add_dataset_flags(sub)
     _add_mask_flags(sub)
     sub.add_argument("--strategies", default="uniform", help="comma-separated strategy list")
-    sub.add_argument("--repeats", type=_positive_int, default=5)
-    sub.add_argument("--output", default="")
+    sub.add_argument("--repeats", type=_positive_int, default=5,
+                     help="sampling repeats, whose mean and spread each row reports")
+    sub.add_argument("--output", default="",
+                     help="output path (default: mask_sim.csv in --out-dir)")
     sub.set_defaults(func=cmd_mask_sim)
 
     sub = subs.add_parser("mi", help="exact MI of target labels vs the task label")
     _add_dataset_flags(sub)
-    sub.add_argument("--targets", default="atom_type,motif", help="comma-separated target kinds")
-    sub.add_argument("--vocab", default="", help="motif vocabulary TSV (default: build from input)")
-    sub.add_argument("--embeddings", default="", help="per-atom embedding CSV")
-    sub.add_argument("--codebook", default="", help="codebook CSV")
-    sub.add_argument("--logits", default="", help="per-atom logits CSV")
-    sub.add_argument("--vq-normalize", action="store_true", help="L2-normalize before quantizing")
-    sub.add_argument("--output", default="")
+    _add_target_flags(sub, "mi.csv")
     sub.set_defaults(func=cmd_mi)
 
     sub = subs.add_parser("jsd", help="low-frequency JSD curves")
     _add_dataset_flags(sub)
-    sub.add_argument("--targets", default="atom_type,motif")
     sub.add_argument("--taus", type=_taus, default=None,
                      help="comma-separated thresholds (default grid)")
-    sub.add_argument("--vocab", default="")
-    sub.add_argument("--embeddings", default="")
-    sub.add_argument("--codebook", default="")
-    sub.add_argument("--logits", default="")
-    sub.add_argument("--vq-normalize", action="store_true")
-    sub.add_argument("--output", default="")
+    _add_target_flags(sub, "jsd.csv")
     sub.set_defaults(func=cmd_jsd)
 
     sub = subs.add_parser("shuffle-control", help="MI against a label-shuffled control")
     _add_dataset_flags(sub)
-    sub.add_argument("--target", default="motif", choices=TARGET_KINDS, help="one target kind")
-    sub.add_argument("--repeats", type=_positive_int, default=5)
-    sub.add_argument("--vocab", default="")
-    sub.add_argument("--embeddings", default="")
-    sub.add_argument("--codebook", default="")
-    sub.add_argument("--logits", default="")
-    sub.add_argument("--vq-normalize", action="store_true")
-    sub.add_argument("--output", default="")
+    sub.add_argument("--repeats", type=_positive_int, default=5,
+                     help="label shuffles averaged into the control row")
+    _add_target_flags(sub, "shuffle.csv", one_kind="motif")
     sub.set_defaults(func=cmd_shuffle_control)
 
     sub = subs.add_parser("export-views", help="write masked views with targets as JSONL")
     _add_dataset_flags(sub)
     _add_mask_flags(sub)
-    sub.add_argument("--target", default="atom_type", choices=TARGET_KINDS, help="view target")
-    sub.add_argument("--draws-per-graph", type=_positive_int, default=1)
-    sub.add_argument("--vocab", default="")
-    sub.add_argument("--embeddings", default="")
-    sub.add_argument("--codebook", default="")
-    sub.add_argument("--logits", default="")
-    sub.add_argument("--output", default="")
+    sub.add_argument("--draws-per-graph", type=_positive_int, default=1,
+                     help="masked views written per molecule")
+    _add_target_flags(sub, "views.jsonl", one_kind="atom_type", vq_normalize=False)
     sub.set_defaults(func=cmd_export_views)
 
     sub = subs.add_parser("plot", help="render a report CSV as SVG")

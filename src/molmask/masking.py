@@ -79,24 +79,6 @@ class MaskConfig:
         return self.ratio * math.sqrt(i / self.max_epoch)
 
 
-@dataclass(frozen=True)
-class MaskPlan:
-    """Outcome of one masking draw.
-
-    masked_atoms is sorted and duplicate-free.  masked_motifs is empty
-    for node-level strategies; for motif strategies it lists the motifs
-    the masked atoms fall in (whole motifs, for moama).
-    """
-
-    masked_atoms: tuple[int, ...]
-    strategy: str
-    masked_motifs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if list(self.masked_atoms) != sorted(set(self.masked_atoms)):
-            raise ValueError("masked_atoms must be sorted and unique")
-
-
 def mask_count(ratio: float, n_atoms: int) -> int:
     """Budget k = max(1, round(ratio * n)), rounding halves up."""
     return max(1, math.floor(ratio * n_atoms + 0.5))
@@ -318,9 +300,7 @@ class BoundStrategy(NamedTuple):
     """One strategy bound to one graph's inputs: its batch draw and array decode.
 
     ``draw(rng, m)`` returns m independent masks, each a sorted list of
-    atom indices; ``plan(rng)`` is that draw at m = 1, as a MaskPlan
-    labelled with the strategy name.  Motif strategies' plans list the
-    motifs their masked atoms fall in.
+    atom indices; ``plan(rng)`` is that draw at m = 1, as a tuple.
 
     ``members`` decodes the same masks as arrays.  Each mask reads
     ``sum(widths)`` uniform doubles in ``widths``-wide blocks: of the
@@ -334,12 +314,10 @@ class BoundStrategy(NamedTuple):
     members: Members
     widths: tuple[int, ...]
     strategy: str
-    partition: Optional[MotifPartition] = None
 
-    def plan(self, rng: np.random.Generator) -> MaskPlan:
+    def plan(self, rng: np.random.Generator) -> tuple[int, ...]:
         (atoms,) = self.draw(rng, 1)
-        motifs = () if self.partition is None else {self.partition.motif_of[a] for a in atoms}
-        return MaskPlan(tuple(atoms), self.strategy, tuple(sorted(motifs)))
+        return tuple(atoms)
 
 
 def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrategy]:
@@ -371,12 +349,12 @@ def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrat
             if partition is None:
                 partition = decompose(graph)
             adjacency = motif_adjacency(graph, partition)
-            return BoundStrategy(*_moama_draw(graph, partition, adjacency, config), "moama", partition)
+            return BoundStrategy(*_moama_draw(graph, partition, adjacency, config), "moama")
     elif strategy == "motifpred":
         def bind(graph, scores=None, partition=None):
             if partition is None:
                 partition = decompose(graph)
-            return BoundStrategy(*_motifpred_draw(graph, partition, config), "motifpred", partition)
+            return BoundStrategy(*_motifpred_draw(graph, partition, config), "motifpred")
     else:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     return bind
@@ -412,7 +390,8 @@ def strategy_scores(
     return out
 
 
-TargetFn = Callable[[MolGraph, int, MaskPlan], tuple[str, list[int]]]
+TargetFn = Callable[[MolGraph, int, tuple[int, ...]], tuple[str, list[int]]]
+"""(graph, corpus position, masked atoms) -> (target type, target labels)."""
 
 
 def export_views(
@@ -435,28 +414,17 @@ def export_views(
     with open(path, "w", newline="\n") as handle:
         for graph_index, (graph, bound) in enumerate(zip(corpus, strategies, strict=True)):
             for draw in range(draws_per_graph):
-                plan = bound.plan(substream(seed, graph_index, draw))
-                target_type, targets = target_fn(graph, graph_index, plan)
+                atoms = bound.plan(substream(seed, graph_index, draw))
+                target_type, targets = target_fn(graph, graph_index, atoms)
                 record = {
                     "smiles": graph.source_smiles,
-                    "masked_atoms": list(plan.masked_atoms),
+                    "masked_atoms": list(atoms),
                     "target_type": target_type,
                     "targets": list(targets),
-                    "strategy": plan.strategy,
+                    "strategy": bound.strategy,
                     "seed": seed,
                 }
                 handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
                 handle.write("\n")
                 lines += 1
     return lines
-
-
-def read_views(path: str | Path) -> list[dict]:
-    """Load a views file written by export_views."""
-    out = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

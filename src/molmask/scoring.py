@@ -125,32 +125,34 @@ def _store(out, ids, x, starts, sizes, iterations: int, converged: bool) -> None
 def load_external_scores(path: str | Path, atom_counts: Sequence[int]) -> list[NodeScores]:
     """Load per-atom scores from a CSV file, one row per graph.
 
-    Row i must hold exactly atom_counts[i] comma-separated floats.
-    Raises ShapeMismatch on any row-count or row-length disagreement and
-    NonFiniteScore on NaN or infinity.
+    Blank lines are skipped; the i-th non-blank row must hold exactly
+    atom_counts[i] comma-separated floats.  Raises ShapeMismatch on any
+    row-count or row-length disagreement and NonFiniteScore on NaN or
+    infinity; a bad row is named by its 1-based line in the file.
     """
-    rows: list[list[float]] = []
+    rows: list[tuple[int, list[float]]] = []
     with open(path, newline="") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
+        reader = csv.reader(handle)
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
                 values = [float(cell) for cell in row]
             except ValueError as exc:
-                raise ShapeMismatch(f"line {line_no}: non-numeric score cell") from exc
-            rows.append(values)
+                raise ShapeMismatch(f"{path}:{reader.line_num}: non-numeric score cell") from exc
+            rows.append((reader.line_num, values))
 
     if len(rows) != len(atom_counts):
         raise ShapeMismatch(
             f"score file has {len(rows)} rows but the corpus has {len(atom_counts)} graphs"
         )
     out = []
-    for i, (values, expected) in enumerate(zip(rows, atom_counts)):
+    for i, ((line, values), expected) in enumerate(zip(rows, atom_counts)):
         if len(values) != expected:
             raise ShapeMismatch(
-                f"row {i} has {len(values)} scores but graph {i} has {expected} atoms"
+                f"{path}:{line}: {len(values)} scores but graph {i} has {expected} atoms"
             )
         if not all(np.isfinite(values)):
-            raise NonFiniteScore(f"row {i} contains a non-finite score")
+            raise NonFiniteScore(f"{path}:{line}: non-finite score")
         out.append(NodeScores(values=tuple(values), source="external"))
     return out

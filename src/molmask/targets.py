@@ -13,17 +13,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError, DimMismatch, NonFiniteScore, ShapeMismatch
 from .molgraph import MolGraph
 from .motif import MotifPartition, MotifVocab, decompose, motif_signatures
-
-if TYPE_CHECKING:
-    from .masking import MaskPlan
-
 
 def atom_labels(graph: MolGraph) -> tuple[int, ...]:
     """Atom-type label of every atom: its atomic number."""
@@ -132,17 +128,17 @@ class TargetResources:
         raise DataError(f"unknown target kind {kind!r}")
 
     def view_targets(
-        self, kind: str, pos: int, graph: MolGraph, plan: MaskPlan
+        self, kind: str, pos: int, graph: MolGraph, atoms: Sequence[int]
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(unit ids, labels) of what a plan hides: its masked atoms, or
-        for kind 'motif' its masked motifs (derived from the masked atoms
-        when the plan names none)."""
+        """(unit ids, labels) of what a mask hides: its atoms, or for kind
+        'motif' the sorted motifs of this graph's partition that hold at
+        least one of them, whole or in part."""
         labels = self.unit_labels(kind, pos, graph)
         if kind == "motif":
             motif_of = self.motifs[pos].partition.motif_of
-            units = plan.masked_motifs or tuple(sorted({motif_of[a] for a in plan.masked_atoms}))
+            units = tuple(sorted({motif_of[a] for a in atoms}))
         else:
-            units = plan.masked_atoms
+            units = tuple(atoms)
         return units, tuple(labels[u] for u in units)
 
 

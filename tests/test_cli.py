@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, outputs, exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from molmask import masking, pagerank_all
-from molmask.cli import main
+from molmask.cli import build_parser, main
 from molmask.report import JSD_COLUMNS, MI_COLUMNS
 
 from conftest import ring_marker_corpus, write_corpus_csv
@@ -508,6 +509,9 @@ GOLDEN_CASES = [
     ("mask_sim_epoch.csv", ["mask-sim", "--label-col", "activity",
                             "--strategies", "uniform,pagerank,moama,motifpred", "--ratio", "0.3",
                             "--epoch", "30", "--intra-frac", "0.4", "--repeats", "2"]),
+    # Masks that hide part of a motif, some of them parts of several.
+    ("views_motifpred.jsonl", ["export-views", "--strategy", "motifpred", "--target", "motif",
+                               "--draws-per-graph", "2"]),
 ]
 
 
@@ -589,6 +593,42 @@ def test_long_csv_row_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1
     assert "long.csv:3: row has more cells than the header" in err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0.1,0.2,0.3\n\n0.5,0.6\n", 3, "2 scores but graph 1 has 3 atoms"),
+    ("0.1,0.2,0.3\n\n\n0.5,nan,0.6\n", 4, "non-finite score"),
+    ("\n0.1,x,0.3\n0.4,0.5,0.6\n", 2, "non-numeric score cell"),
+], ids=["short", "non-finite", "non-numeric"])
+def test_bad_score_row_names_its_file_line(text, line, message, tmp_path, capsys):
+    """A bad row of --scores is named by its 1-based line in the file,
+    blank lines counted."""
+    corpus = write_corpus_csv(tmp_path / "corpus.csv", [("CCO", 1), ("CCN", 0)])
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text)
+    err = data_error_line(["mask-sim", "--strategies", "external", "--scores", scores],
+                          corpus, tmp_path, capsys)
+    assert err == f"data error: {scores}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["mi", "jsd", "shuffle-control", "export-views"])
+def test_help_describes_every_flag(command, monkeypatch, capsys):
+    """--help gives every flag of the commands that read target labels a
+    text of its own; export-views has no --vq-normalize."""
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag, nothing wrapped
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices[command]
+    assert run([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    formatter = sub._get_formatter()
+    flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    names = {flag for action in flags for flag in action.option_strings}
+    assert {"--vocab", "--embeddings", "--codebook", "--logits", "--output"} <= names
+    assert ("--vq-normalize" in names) == (command != "export-views")
+    for action in flags:
+        assert action.help, action.option_strings
+        assert f"{formatter._format_action_invocation(action)} {action.help}" in text
 
 
 @pytest.mark.parametrize("embeddings, codebook", [

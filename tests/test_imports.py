@@ -20,18 +20,19 @@ DEMO_CORPUS = ROOT / "demos" / "data" / "demo_corpus.csv"
 
 # Every name the package exported when it still imported all of its
 # modules eagerly, by the module it was imported from then, less the
-# library-only target wrappers, masked-graph builder, one-graph PageRank
-# and Atom/Bond classes deleted since.
+# library-only target wrappers, masked-graph builder, one-graph PageRank,
+# Atom/Bond classes, MaskPlan, read_views and ring_membership deleted or
+# moved to the tests since.
 PUBLIC_NAMES = {
     "errors": "DataError DimMismatch DisconnectedMotif EmptyCounts EmptySupport MissingColumn "
               "MolmaskError MultiFragment NonFiniteScore OutOfRangeIndex ParseError "
               "ShapeMismatch UnbalancedParen UnclosedRing UnknownToken",
-    "molgraph": "LabeledRecord MASK_SENTINEL MolGraph parse_smiles ring_membership write_smiles",
+    "molgraph": "LabeledRecord MASK_SENTINEL MolGraph parse_smiles write_smiles",
     "motif": "CoverageStats MotifPartition MotifVocab build_vocab canonical_signature coverage "
              "decompose motif_adjacency motif_signatures",
     "scoring": "NodeScores load_external_scores pagerank_all",
-    "masking": "MaskConfig MaskPlan STRATEGIES bind_strategy export_views mask_count read_views "
-               "strategy_scores substream",
+    "masking": "MaskConfig STRATEGIES bind_strategy export_views mask_count strategy_scores "
+               "substream",
     "targets": "load_codebook load_embeddings",
     "infotheory": "DEFAULT_TAUS JointCounts JsdCurve SampledMi ShuffleResult entropy_y jsd "
                   "jsd_curve low_freq_conditionals mutual_information relative_gain "
@@ -87,6 +88,14 @@ def test_unknown_name_is_attribute_error():
     assert not hasattr(molmask, "frobnicate")
     with pytest.raises(ImportError):
         from molmask import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("name", ["MaskPlan", "read_views", "ring_membership"])
+def test_removed_names_are_attribute_errors(name):
+    # A mask is its sorted atom tuple, views are plain JSON lines, and
+    # the ring-flag oracle lives in tests/ring_reference.py.
+    with pytest.raises(AttributeError, match=name):
+        getattr(molmask, name)
 
 
 def test_version_and_plot_run_without_numpy(tmp_path):

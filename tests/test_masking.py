@@ -1,5 +1,6 @@
 """Masking strategies: budgets, guided selection, motif masking, views."""
 
+import json
 import math
 
 import numpy as np
@@ -18,12 +19,16 @@ from molmask import (
     motif_adjacency,
     pagerank_all,
     parse_smiles,
-    read_views,
     export_views,
     sample_pairs_for_graph,
     substream,
 )
 from test_molgraph import ring_smiles
+
+
+def masked_motifs(partition, atoms):
+    """The motifs a mask's atoms fall in, whole or in part."""
+    return sorted({partition.motif_of[a] for a in atoms})
 
 
 # Reference samplers: one mask per call, one Generator call per choice.
@@ -212,11 +217,11 @@ class TestUniformMask:
         g = parse_smiles("CCCCCCCCCC")
         bound = bind_strategy("uniform", MaskConfig(ratio=0.3))(g)
         rng = np.random.default_rng(0)
+        assert bound.strategy == "uniform"
         for _ in range(50):
-            plan = bound.plan(rng)
-            assert len(plan.masked_atoms) == 3
-            assert list(plan.masked_atoms) == sorted(set(plan.masked_atoms))
-            assert plan.strategy == "uniform"
+            atoms = bound.plan(rng)
+            assert len(atoms) == 3
+            assert list(atoms) == sorted(set(atoms))
 
     def test_deterministic_per_stream(self):
         g = parse_smiles("CCCCCCCCCC")
@@ -237,7 +242,7 @@ class TestUniformMask:
         hits = np.zeros(10)
         draws = 20000
         for _ in range(draws):
-            for i in bound.plan(rng).masked_atoms:
+            for i in bound.plan(rng):
                 hits[i] += 1
         np.testing.assert_allclose(hits / draws, np.full(10, 0.3), atol=0.02)
 
@@ -249,15 +254,13 @@ class TestPerturbedTopk:
         bound = bind_strategy("external", MaskConfig(ratio=0.3, beta=10.0))(g, scores)
         rng = np.random.default_rng(5)
         for _ in range(100):
-            plan = bound.plan(rng)
-            assert plan.masked_atoms == (7, 8, 9)
+            assert bound.plan(rng) == (7, 8, 9)
 
     def test_tied_scores_prefer_low_index(self):
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=(1.0,) * 10, source="external")
         bound = bind_strategy("external", MaskConfig(ratio=0.3, beta=10.0))(g, scores)
-        plan = bound.plan(np.random.default_rng(0))
-        assert plan.masked_atoms == (0, 1, 2)
+        assert bound.plan(np.random.default_rng(0)) == (0, 1, 2)
 
     def test_beta_zero_ignores_scores(self):
         g = parse_smiles("CCCCCCCCCC")
@@ -267,7 +270,7 @@ class TestPerturbedTopk:
         hits = np.zeros(10)
         draws = 20000
         for _ in range(draws):
-            for i in bound.plan(rng).masked_atoms:
+            for i in bound.plan(rng):
                 hits[i] += 1
         np.testing.assert_allclose(hits / draws, np.full(10, 0.3), atol=0.02)
 
@@ -280,9 +283,9 @@ class TestPerturbedTopk:
         bound = bind_strategy("external", config)(g, scores)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            plan = bound.plan(rng)
-            assert 9 in plan.masked_atoms
-            assert len(plan.masked_atoms) == 3
+            atoms = bound.plan(rng)
+            assert 9 in atoms
+            assert len(atoms) == 3
 
     def test_mask_size_fixed_across_epochs(self):
         g = parse_smiles("CCCCCCCCCC")
@@ -290,8 +293,7 @@ class TestPerturbedTopk:
         rng = np.random.default_rng(9)
         for epoch in (1, 10, 50, 100):
             config = MaskConfig(ratio=0.3, beta=0.5, epoch=epoch, max_epoch=100)
-            plan = bind_strategy("external", config)(g, scores).plan(rng)
-            assert len(plan.masked_atoms) == 3
+            assert len(bind_strategy("external", config)(g, scores).plan(rng)) == 3
 
     def test_score_length_mismatch(self):
         g = parse_smiles("CCO")
@@ -316,9 +318,9 @@ class TestMoamaMask:
         # it alone exceeds the atom budget.
         g, partition, adjacency = self._setup("c1ccccc1")
         config = MaskConfig(ratio=0.15)
-        plan = self._bind(g, partition, config).plan(np.random.default_rng(0))
-        assert plan.masked_atoms == (0, 1, 2, 3, 4, 5)
-        assert plan.masked_motifs == (0,)
+        atoms = self._bind(g, partition, config).plan(np.random.default_rng(0))
+        assert atoms == (0, 1, 2, 3, 4, 5)
+        assert masked_motifs(partition, atoms) == [0]
 
     def test_whole_motifs_only(self):
         g, partition, adjacency = self._setup("C1CC1CCC1CC1CCC1CC1CCC1CC1")
@@ -326,11 +328,11 @@ class TestMoamaMask:
         bound = self._bind(g, partition, config)
         rng = np.random.default_rng(21)
         for _ in range(200):
-            plan = bound.plan(rng)
+            atoms = bound.plan(rng)
             expected = sorted(
-                a for m in plan.masked_motifs for a in partition.motifs[m]
+                a for m in masked_motifs(partition, atoms) for a in partition.motifs[m]
             )
-            assert list(plan.masked_atoms) == expected
+            assert list(atoms) == expected
 
     def test_no_adjacent_motifs(self):
         g, partition, adjacency = self._setup("C1CC1CCC1CC1CCC1CC1CCC1CC1")
@@ -338,8 +340,7 @@ class TestMoamaMask:
         bound = self._bind(g, partition, config)
         rng = np.random.default_rng(8)
         for _ in range(300):
-            plan = bound.plan(rng)
-            chosen = set(plan.masked_motifs)
+            chosen = set(masked_motifs(partition, bound.plan(rng)))
             for m in chosen:
                 assert not (chosen - {m}) & set(adjacency[m])
 
@@ -350,9 +351,9 @@ class TestMoamaMask:
         bound = self._bind(g, partition, config)
         rng = np.random.default_rng(77)
         for _ in range(300):
-            plan = bound.plan(rng)
-            if len(plan.masked_motifs) > 1:
-                assert len(plan.masked_atoms) <= k
+            atoms = bound.plan(rng)
+            if len(masked_motifs(partition, atoms)) > 1:
+                assert len(atoms) <= k
 
     def test_deterministic(self):
         g, partition, adjacency = self._setup("C1CC1CCC1CC1")
@@ -375,14 +376,14 @@ class TestMotifpredMask:
         bound = bind_strategy("motifpred", config)(g, None, partition)
         rng = np.random.default_rng(4)
         for _ in range(200):
-            plan = bound.plan(rng)
-            assert len(plan.masked_atoms) >= k
+            atoms = bound.plan(rng)
+            assert len(atoms) >= k
             # Overshoot is bounded by the last motif's contribution.
             largest = max(
                 math.ceil(0.5 * len(partition.motifs[m]))
-                for m in plan.masked_motifs
+                for m in masked_motifs(partition, atoms)
             )
-            assert len(plan.masked_atoms) - k < largest
+            assert len(atoms) - k < largest
 
     def test_per_motif_fraction(self):
         g, partition = self._setup("C1CC1CCC1CC1")
@@ -390,22 +391,20 @@ class TestMotifpredMask:
         bound = bind_strategy("motifpred", config)(g, None, partition)
         rng = np.random.default_rng(2)
         for _ in range(100):
-            plan = bound.plan(rng)
-            expected = sum(
-                math.ceil(0.5 * len(partition.motifs[m]))
-                for m in plan.masked_motifs
-            )
-            assert len(plan.masked_atoms) == expected
-            union = {a for m in plan.masked_motifs for a in partition.motifs[m]}
-            assert set(plan.masked_atoms) <= union
+            atoms = bound.plan(rng)
+            motifs = masked_motifs(partition, atoms)
+            expected = sum(math.ceil(0.5 * len(partition.motifs[m])) for m in motifs)
+            assert len(atoms) == expected
+            union = {a for m in motifs for a in partition.motifs[m]}
+            assert set(atoms) <= union
 
     def test_full_fraction_masks_whole_motifs(self):
         g, partition = self._setup("C1CC1CCC1CC1")
         config = MaskConfig(ratio=0.5, intra_motif_fraction=1.0)
         bound = bind_strategy("motifpred", config)(g, None, partition)
-        plan = bound.plan(np.random.default_rng(6))
-        expected = sorted(a for m in plan.masked_motifs for a in partition.motifs[m])
-        assert list(plan.masked_atoms) == expected
+        atoms = bound.plan(np.random.default_rng(6))
+        expected = sorted(a for m in masked_motifs(partition, atoms) for a in partition.motifs[m])
+        assert list(atoms) == expected
 
 
 class TestBatchDraw:
@@ -523,7 +522,7 @@ class TestBatchDraw:
                 bound = bind_strategy(strategy, BATCH_CONFIG)(graph, supplied_scores(strategy, graph))
                 plan = bound.plan(substream(3, gi, 0))
                 (atoms,) = bound.draw(substream(3, gi, 0), 1)
-                assert list(plan.masked_atoms) == atoms
+                assert plan == tuple(atoms)
 
 
 def member_blocks(bound, doubles, m):
@@ -635,14 +634,13 @@ class TestPlanFn:
                 scores = pagerank_all([g])[0] if strategy == "pagerank" else NodeScores(
                     values=tuple(float(i) for i in range(g.n_atoms)), source="external"
                 )
-                plan = bind(g, scores).plan(substream(0, gi, 0))
-                assert plan.masked_atoms, (strategy, g.source_smiles)
-                assert all(0 <= a < g.n_atoms for a in plan.masked_atoms)
-                assert plan.strategy == strategy
-                # Motif strategies name the motifs their atoms fall in.
-                motifs = {decompose(g).motif_of[a] for a in plan.masked_atoms}
-                expected = tuple(sorted(motifs)) if strategy in ("moama", "motifpred") else ()
-                assert plan.masked_motifs == expected
+                bound = bind(g, scores)
+                atoms = bound.plan(substream(0, gi, 0))
+                assert atoms, (strategy, g.source_smiles)
+                assert list(atoms) == sorted(set(atoms))
+                assert all(0 <= a < g.n_atoms for a in atoms)
+                assert bound.strategy == strategy
+                assert bound._fields == ("draw", "members", "widths", "strategy")
 
     def test_replay_reproduces(self, fixture_graphs):
         bind = bind_strategy("moama", MaskConfig(ratio=0.25))
@@ -662,14 +660,14 @@ class TestViews:
     def test_round_trip(self, tmp_path):
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1", "CC(C)O")]
 
-        def target_fn(graph, graph_index, plan):
-            return "atom_type", [graph.z[i] for i in plan.masked_atoms]
+        def target_fn(graph, graph_index, atoms):
+            return "atom_type", [graph.z[i] for i in atoms]
 
         path = tmp_path / "views.jsonl"
         bound = bind_all("uniform", MaskConfig(ratio=0.34), corpus)
         n = export_views(corpus, bound, target_fn, path, draws_per_graph=2, seed=9)
         assert n == 6
-        views = read_views(path)
+        views = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(views) == 6
         for view in views:
             assert sorted(view) == [
@@ -682,8 +680,8 @@ class TestViews:
     def test_byte_identical_reruns(self, tmp_path):
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1")]
 
-        def target_fn(graph, graph_index, plan):
-            return "atom_type", [graph.z[i] for i in plan.masked_atoms]
+        def target_fn(graph, graph_index, atoms):
+            return "atom_type", [graph.z[i] for i in atoms]
 
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         config = MaskConfig(ratio=0.3)

@@ -19,12 +19,12 @@ from molmask import (
     UnclosedRing,
     UnknownToken,
     parse_smiles,
-    ring_membership,
     write_smiles,
 )
 from molmask.molgraph import AROMATIC, DOUBLE, SINGLE, TRIPLE
 
 from conftest import FIXTURE_SMILES, mixed_corpus, ring_marker_corpus, template_corpus
+from ring_reference import ring_membership
 from smiles_reference import reference_parse_smiles
 
 DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"

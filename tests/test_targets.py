@@ -9,22 +9,23 @@ import numpy as np
 import pytest
 
 from molmask import (
+    STRATEGIES,
     DataError,
     DimMismatch,
-    MaskPlan,
+    MaskConfig,
+    NodeScores,
     NonFiniteScore,
     ShapeMismatch,
+    bind_strategy,
     build_vocab,
     canonical_signature,
     load_codebook,
     load_embeddings,
+    pagerank_all,
     parse_smiles,
+    substream,
 )
 from molmask.targets import TargetResources, argmax_labels, graph_motifs, vq_labels
-
-
-def uniform_plan(*atoms):
-    return MaskPlan(masked_atoms=atoms, strategy="uniform")
 
 
 def brute_force_vq(embeddings, codebook):
@@ -43,30 +44,25 @@ def brute_force_vq(embeddings, codebook):
 class TestAtomTypeTargets:
     def test_labels_are_atomic_numbers(self):
         g = parse_smiles("CCO")
-        units, labels = TargetResources().view_targets("atom_type", 0, g, uniform_plan(0, 2))
+        units, labels = TargetResources().view_targets("atom_type", 0, g, (0, 2))
         assert units == (0, 2)
         assert labels == (6, 8)
 
     def test_unknown_element_is_label_zero(self):
         g = parse_smiles("[Xx]C")
-        assert TargetResources().view_targets("atom_type", 0, g, uniform_plan(0)) == ((0,), (0,))
+        assert TargetResources().view_targets("atom_type", 0, g, (0,)) == ((0,), (0,))
 
 
-def motif_view(vocab, graph, plan):
+def motif_view(vocab, graph, atoms):
     resources = TargetResources(vocab=vocab, motifs=[graph_motifs(graph)])
-    return resources.view_targets("motif", 0, graph, plan)
+    return resources.view_targets("motif", 0, graph, atoms)
 
 
 class TestMotifTargets:
     def test_known_and_unknown(self):
         vocab = build_vocab([parse_smiles("c1ccccc1")])
         g = parse_smiles("Cc1ccccc1")
-        plan = MaskPlan(
-            masked_atoms=tuple(range(7)),
-            strategy="moama",
-            masked_motifs=(0, 1),
-        )
-        units, labels = motif_view(vocab, g, plan)
+        units, labels = motif_view(vocab, g, tuple(range(7)))
         assert units == (0, 1)
         # Methyl motif is unseen, ring is known.
         assert labels[0] == vocab.unk_id
@@ -75,8 +71,7 @@ class TestMotifTargets:
     def test_motifs_derived_from_atoms_when_absent(self):
         vocab = build_vocab([parse_smiles("Cc1ccccc1")])
         g = parse_smiles("Cc1ccccc1")
-        plan = MaskPlan(masked_atoms=(2, 3), strategy="motifpred")
-        units, labels = motif_view(vocab, g, plan)
+        units, labels = motif_view(vocab, g, (2, 3))
         assert units == (1,)
         assert vocab.unk_id not in labels
 
@@ -88,13 +83,35 @@ class TestMotifTargets:
             g = parse_smiles(smiles)
             partition = graph_motifs(g).partition
             ring_motif = max(range(len(partition.motifs)), key=lambda m: len(partition.motifs[m]))
-            plan = MaskPlan(
-                masked_atoms=partition.motifs[ring_motif],
-                strategy="moama",
-                masked_motifs=(ring_motif,),
-            )
-            _, labels = motif_view(vocab, g, plan)
+            _, labels = motif_view(vocab, g, partition.motifs[ring_motif])
             assert labels == (vocab.lookup(ring_sig),)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_motif_units_are_the_motifs_of_the_masked_atoms(strategy, fixture_graphs):
+    """Under every strategy, a view's motif units are the motifs of the
+    resources' partition that hold a masked atom, whole or in part, and
+    its labels are those motifs' vocabulary ids."""
+    motifs = [graph_motifs(g) for g in fixture_graphs]
+    # A vocabulary of half the corpus, so that some units are UNK.
+    vocab = build_vocab(fixture_graphs[::2])
+    resources = TargetResources(vocab=vocab, motifs=motifs)
+    if strategy == "pagerank":
+        scores = pagerank_all(fixture_graphs)
+    else:
+        scores = [
+            NodeScores(values=tuple(float(i) for i in range(g.n_atoms)), source="external")
+            for g in fixture_graphs
+        ]
+    bind = bind_strategy(strategy, MaskConfig(ratio=0.4))
+    for pos, graph in enumerate(fixture_graphs):
+        partition = motifs[pos].partition
+        bound = bind(graph, scores[pos], partition)
+        for draw in range(3):
+            atoms = bound.plan(substream(2, pos, draw))
+            units, labels = resources.view_targets("motif", pos, graph, atoms)
+            assert list(units) == sorted({partition.motif_of[a] for a in atoms})
+            assert labels == tuple(vocab.lookup(motifs[pos].signatures[u]) for u in units)
 
 
 class TestArgmaxTargets:
@@ -102,7 +119,7 @@ class TestArgmaxTargets:
         g = parse_smiles("CCO")
         logits = np.array([[0.1, 0.9, 0.0], [0.5, 0.2, 0.3], [0.0, 0.0, 1.0]])
         resources = TargetResources(logits={0: logits})
-        units, labels = resources.view_targets("argmax_token", 0, g, uniform_plan(0, 1, 2))
+        units, labels = resources.view_targets("argmax_token", 0, g, (0, 1, 2))
         assert units == (0, 1, 2)
         assert labels == (1, 0, 2)
 
@@ -110,14 +127,14 @@ class TestArgmaxTargets:
         logits = np.array([[0.5, 0.5, 0.1], [9.0, 0.0, 0.0], [0.2, 0.7, 0.7]])
         assert argmax_labels(logits) == [0, 0, 1]
         resources = TargetResources(logits={0: logits})
-        _, labels = resources.view_targets("argmax_token", 0, parse_smiles("CCO"), uniform_plan(0, 2))
+        _, labels = resources.view_targets("argmax_token", 0, parse_smiles("CCO"), (0, 2))
         assert labels == (0, 1)
 
     def test_shape_checked(self):
         g = parse_smiles("CCO")
         resources = TargetResources(logits={0: np.zeros((2, 4))})
         with pytest.raises(ShapeMismatch):
-            resources.view_targets("argmax_token", 0, g, uniform_plan(0))
+            resources.view_targets("argmax_token", 0, g, (0,))
         with pytest.raises(ShapeMismatch):
             argmax_labels(np.zeros(3))
 
@@ -139,7 +156,7 @@ class TestVqTargets:
         resources = TargetResources(
             embeddings={0: np.array([[1.0, 0.0], [-0.5, 0.5], [0.5, 0.5]])}, codebook=book
         )
-        _, labels = resources.view_targets("vq_code", 0, parse_smiles("CCO"), uniform_plan(1, 2))
+        _, labels = resources.view_targets("vq_code", 0, parse_smiles("CCO"), (1, 2))
         assert labels == (1, 0)
 
     def test_normalize_flag(self):
@@ -156,7 +173,7 @@ class TestVqTargets:
         emb = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
         book = np.array([[0.0, 0.0], [5.0, 5.0]])
         resources = TargetResources(embeddings={0: emb}, codebook=book)
-        assert resources.view_targets("vq_code", 0, g, uniform_plan(1, 2)) == ((1, 2), (0, 1))
+        assert resources.view_targets("vq_code", 0, g, (1, 2)) == ((1, 2), (0, 1))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -166,7 +183,7 @@ class TestVqTargets:
         g = parse_smiles("CCO")
         resources = TargetResources(embeddings={0: np.zeros((2, 3))}, codebook=np.zeros((4, 3)))
         with pytest.raises(ShapeMismatch):
-            resources.view_targets("vq_code", 0, g, uniform_plan(0))
+            resources.view_targets("vq_code", 0, g, (0,))
 
 
 class TestUnitLabelErrors:
