@@ -8,7 +8,7 @@ Run from the repository root:
 from molmask import (
     MaskConfig,
     STRATEGIES,
-    bind_strategy,
+    bind_corpus,
     mask_count,
     pagerank_all,
     parse_smiles,
@@ -21,16 +21,17 @@ config = MaskConfig(ratio=0.25, beta=10.0, intra_motif_fraction=0.5)
 print(f"molecule: {g.source_smiles} ({g.n_atoms} atoms)")
 print(f"mask budget at ratio 0.25: {mask_count(config.ratio, g.n_atoms)} atoms\n")
 
-# bind_strategy binds each strategy to one graph and whatever it needs:
-# pagerank scores for perturbed top-k (pagerank_all scores a whole
-# corpus at once; a CLI run calls it once), the motif partition for the
-# motif-aware strategies, caller-supplied scores for external.  A plan
-# is one mask: the sorted tuple of the atoms it hides.
-scores = pagerank_all([g])[0]
-for strategy in STRATEGIES:
-    bound = bind_strategy(strategy, config)(g, scores)
+# bind_corpus resolves the strategies once for a corpus, here of one
+# graph, and makes what they need once per run: PageRank scores for
+# perturbed top-k (one pagerank_all over the whole corpus), and for the
+# motif-aware strategies one motif partition per graph, which they
+# share.  External reads caller-supplied scores, here PageRank's again.
+# bind(0) binds every strategy to graph 0.  A plan is one mask: the
+# sorted tuple of the atoms it hides.
+scores = pagerank_all([g])
+for bound in bind_corpus(STRATEGIES, config, [g], external=scores)(0):
     atoms = bound.plan(substream(seed=0, graph_index=0, draw_index=0))
-    print(f"{strategy:15} masks atoms {atoms}")
+    print(f"{bound.strategy:15} masks atoms {atoms}")
 
 # Motif-aware strategies mask whole motifs or fixed fractions inside
 # them, so masked atoms arrive in contiguous chemical units rather than
@@ -38,7 +39,7 @@ for strategy in STRATEGIES:
 
 # A view leaves the graph as it is: it records the indices of the
 # masked atoms and the targets read off them, here their atom types.
-bound = bind_strategy("moama", config)(g)
+(bound,) = bind_corpus(["moama"], config, [g])(0)
 atoms = bound.plan(substream(seed=0, graph_index=0, draw_index=1))
 units, atom_types = TargetResources().view_targets("atom_type", 0, g, atoms)
 print(f"\nmoama view: masked atoms {units}, atom types {atom_types}")
@@ -54,5 +55,6 @@ print(f"replayed draw identical: {replay == atoms}")
 print("\nannealed noisy top-k over pagerank scores (ratio 0.25, beta 10):")
 for epoch in (1, 25, 100):
     cfg = MaskConfig(ratio=0.25, beta=10.0, epoch=epoch, max_epoch=100)
-    atoms = bind_strategy("pagerank", cfg)(g, scores).plan(substream(seed=0, graph_index=0, draw_index=2))
+    (bound,) = bind_corpus(["pagerank"], cfg, [g])(0)
+    atoms = bound.plan(substream(seed=0, graph_index=0, draw_index=2))
     print(f"  epoch {epoch:3}: {atoms}")

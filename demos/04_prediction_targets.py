@@ -7,11 +7,12 @@ Run from the repository root:
 
 import numpy as np
 
-from molmask import MaskConfig, bind_strategy, build_vocab, parse_smiles, substream
+from molmask import MaskConfig, bind_corpus, build_vocab, parse_smiles, substream
 from molmask.targets import TargetResources, graph_motifs
 
 g = parse_smiles("CC(=O)Nc1ccc(O)cc1")
-atoms = bind_strategy("motifpred", MaskConfig(ratio=0.4))(g).plan(substream(seed=3, graph_index=0))
+(bound,) = bind_corpus(["motifpred"], MaskConfig(ratio=0.4), [g])(0)
+atoms = bound.plan(substream(seed=3, graph_index=0))
 print(f"molecule: {g.source_smiles}")
 print(f"masked atoms: {atoms}\n")
 

@@ -35,8 +35,7 @@ _EXPORTS = {
     ),
     "scoring": ("NodeScores", "load_external_scores", "pagerank_all"),
     "masking": (
-        "MaskConfig", "bind_strategy", "export_views", "mask_count",
-        "strategy_scores", "substream",
+        "MaskConfig", "bind_corpus", "export_views", "mask_count", "substream",
     ),
     "targets": ("load_codebook", "load_embeddings"),
     "infotheory": (

@@ -349,7 +349,7 @@ def cmd_shuffle_control(args) -> int:
 
 
 def cmd_export_views(args) -> int:
-    from .masking import bind_strategy, export_views, strategy_scores
+    from .masking import bind_corpus, export_views
     from .targets import TargetResources
 
     [kind] = _target_kinds(args, args.target)
@@ -358,16 +358,8 @@ def cmd_export_views(args) -> int:
     external = _external_scores(args, [args.strategy], records)
     resources = TargetResources(**_target_resources(args, records, [kind]))
     graphs = [rec.graph for rec in records]
-    scores = strategy_scores([args.strategy], graphs, external).get(args.strategy)
-    bind = bind_strategy(args.strategy, config)
-    bound = (
-        bind(
-            graph,
-            None if scores is None else scores[g],
-            None if resources.motifs is None else resources.motifs[g].partition,
-        )
-        for g, graph in enumerate(graphs)
-    )
+    partitions = None if resources.motifs is None else [m.partition for m in resources.motifs]
+    bind = bind_corpus([args.strategy], config, graphs, external, partitions)
 
     def target_fn(graph, graph_index, atoms):
         _, labels = resources.view_targets(kind, graph_index, graph, atoms)
@@ -375,7 +367,7 @@ def cmd_export_views(args) -> int:
 
     path = _out_path(args, "views.jsonl")
     lines = export_views(
-        graphs, bound, target_fn, path,
+        graphs, (bind(g)[0] for g in range(len(graphs))), target_fn, path,
         draws_per_graph=args.draws_per_graph, seed=args.seed,
     )
     print(f"wrote {lines} views to {path}")

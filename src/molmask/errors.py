@@ -2,7 +2,10 @@
 
 Every error raised on bad input data derives from DataError so callers
 (and the command line front end) can map them to a single exit path.
+open_text opens a text input so that bytes that are not UTF-8 raise one too.
 """
+
+from contextlib import contextmanager
 
 
 class MolmaskError(Exception):
@@ -70,3 +73,14 @@ class EmptySupport(DataError):
 
 class MissingColumn(DataError):
     """A dataset file lacks a required column."""
+
+
+@contextmanager
+def open_text(path, encoding: str = "utf-8", newline=None):
+    """Open a text input for reading; bytes that do not decode raise
+    DataError naming the file."""
+    try:
+        with open(path, encoding=encoding, newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None

@@ -6,8 +6,8 @@ seed so results never depend on scheduling or worker count.
 
 Each strategy has one batch draw: it returns m independent masks of a
 graph and takes its randomness in a fixed number of Generator calls,
-whatever m is.  bind_strategy binds a strategy to one graph; the
-binding's plan(rng) is that draw at m = 1.
+whatever m is.  bind_corpus binds each strategy of a run to one graph
+at a time; the binding's plan(rng) is that draw at m = 1.
 
 Each strategy also decodes the same masks as arrays (the binding's
 ``members``): from the uniform doubles its draw would read, one
@@ -35,16 +35,13 @@ from .molgraph import MolGraph
 from .motif import MotifPartition, decompose, motif_adjacency
 from .scoring import NodeScores, pagerank_all
 
-MOTIF_STRATEGIES = ("moama", "motifpred")
-
-
 @dataclass(frozen=True)
 class MaskConfig:
     """Knobs shared by every masking strategy.
 
     epoch=None means the final epoch, where the annealed candidate ratio
     equals the target ratio exactly.  beta=None means the strategy's own
-    default bonus (see bind_strategy).
+    default bonus (see bind_corpus).
     """
 
     ratio: float = 0.15
@@ -320,74 +317,65 @@ class BoundStrategy(NamedTuple):
         return tuple(atoms)
 
 
-def bind_strategy(strategy: str, config: MaskConfig) -> Callable[..., BoundStrategy]:
-    """Resolve a strategy name once, into a per-graph binder.
-
-    The binder takes (graph, scores=None, partition=None) and returns the
-    graph's BoundStrategy.  Per-graph work (the motif partition, unless
-    supplied) happens at bind time, not per draw, and a sampled-MI run
-    decodes all of a graph's masks with one ``members`` call.
-    'pagerank' and 'external' read the supplied scores
-    (see strategy_scores) and raise ValueError without them.  Without an
-    explicit beta, pagerank uses 0.25 and external 0.5.  This is the one
-    place where strategy names are told apart, apart from
-    MOTIF_STRATEGIES, the ones that read a motif partition, and
-    strategy_scores, which supplies the scores.
-    """
-    if strategy == "uniform":
-        def bind(graph, scores=None, partition=None):
-            return BoundStrategy(*_uniform_draw(graph, config), "uniform")
-    elif strategy in ("pagerank", "external"):
-        if config.beta is None:
-            config = replace(config, beta=0.25 if strategy == "pagerank" else 0.5)
-        def bind(graph, scores=None, partition=None):
-            if scores is None:
-                raise ValueError(f"{strategy} strategy needs per-graph scores")
-            return BoundStrategy(*_perturbed_topk_draw(graph, scores, config), strategy)
-    elif strategy == "moama":
-        def bind(graph, scores=None, partition=None):
-            if partition is None:
-                partition = decompose(graph)
-            adjacency = motif_adjacency(graph, partition)
-            return BoundStrategy(*_moama_draw(graph, partition, adjacency, config), "moama")
-    elif strategy == "motifpred":
-        def bind(graph, scores=None, partition=None):
-            if partition is None:
-                partition = decompose(graph)
-            return BoundStrategy(*_motifpred_draw(graph, partition, config), "motifpred")
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    return bind
-
-
-def strategy_scores(
-    strategies: Iterable[str],
+def bind_corpus(
+    strategies: Sequence[str],
+    config: MaskConfig,
     graphs: Sequence[MolGraph],
     external: Optional[Sequence[NodeScores]] = None,
-) -> dict[str, Sequence[NodeScores]]:
-    """Per-graph scores of each scored strategy, computed once per run.
+    partitions: Optional[Sequence[MotifPartition]] = None,
+) -> Callable[[int], tuple[BoundStrategy, ...]]:
+    """Resolve strategy names once per run, into a per-graph binder.
 
-    'pagerank' gets one pagerank_all over ``graphs``; when some graphs
-    do not converge, one line on stderr says how many.  'external' gets
-    ``external``, aligned with ``graphs`` (ValueError without it).  The
-    other strategies read no scores and get no entry.
+    ``bind(g)`` returns graph g's BoundStrategy under each strategy, in
+    the order given; a sampled-MI run decodes all of a graph's masks
+    with one ``members`` call per strategy.  Per-run inputs are made
+    here, once: 'pagerank' gets one pagerank_all over ``graphs`` (when
+    some graphs do not converge, one line on stderr says how many), and
+    'external' reads ``external``, aligned with ``graphs``.  Without an
+    explicit beta, pagerank uses 0.25 and external 0.5.  The motif
+    strategies share one partition per graph: ``partitions[g]`` if
+    given, else one decompose at bind time.  An unknown name, or
+    'external' without scores, raises ValueError before any of that.
+    This is the one place where strategy names are told apart.
     """
-    out: dict[str, Sequence[NodeScores]] = {}
     for strategy in strategies:
-        if strategy == "pagerank":
-            out[strategy] = pagerank_all(graphs)
-            stuck = [s for s in out[strategy] if not s.converged]
-            if stuck:
-                print(
-                    f"pagerank: {len(stuck)} of {len(graphs)} graphs did not converge "
-                    f"in {stuck[0].iterations} iterations",
-                    file=sys.stderr,
-                )
-        elif strategy == "external":
-            if external is None:
-                raise ValueError("external strategy needs loaded scores")
-            out[strategy] = external
-    return out
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if "external" in strategies and external is None:
+        raise ValueError("external strategy needs loaded scores")
+    scores = {"external": external}
+    if "pagerank" in strategies:
+        scores["pagerank"] = pagerank_all(graphs)
+        stuck = [s for s in scores["pagerank"] if not s.converged]
+        if stuck:
+            print(
+                f"pagerank: {len(stuck)} of {len(graphs)} graphs did not converge "
+                f"in {stuck[0].iterations} iterations",
+                file=sys.stderr,
+            )
+
+    def scored(strategy: str, beta: float):
+        beta_config = config if config.beta is not None else replace(config, beta=beta)
+        return lambda g, partition: _perturbed_topk_draw(graphs[g], scores[strategy][g], beta_config)
+
+    draws = {
+        "uniform": lambda g, partition: _uniform_draw(graphs[g], config),
+        "pagerank": scored("pagerank", 0.25),
+        "external": scored("external", 0.5),
+        "moama": lambda g, partition: _moama_draw(
+            graphs[g], partition, motif_adjacency(graphs[g], partition), config
+        ),
+        "motifpred": lambda g, partition: _motifpred_draw(graphs[g], partition, config),
+    }
+    motifs = not {"moama", "motifpred"}.isdisjoint(strategies)
+
+    def bind(g: int) -> tuple[BoundStrategy, ...]:
+        partition = None
+        if motifs:
+            partition = decompose(graphs[g]) if partitions is None else partitions[g]
+        return tuple(BoundStrategy(*draws[s](g, partition), s) for s in strategies)
+
+    return bind
 
 
 TargetFn = Callable[[MolGraph, int, tuple[int, ...]], tuple[str, list[int]]]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError, ShapeMismatch
+from .errors import DataError, ShapeMismatch, open_text
 
 MI_COLUMNS = (
     "dataset", "target_kind", "strategy", "mi_bits", "h_y_bits",
@@ -62,7 +62,7 @@ def read_report_csv(path: str | Path) -> AnalysisReport:
     """Load a report CSV back; kind is given by its header, which must
     be one of the report column sets.  A row whose width differs from
     the header raises ShapeMismatch naming its line."""
-    with open(path, newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

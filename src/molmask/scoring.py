@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteScore, ShapeMismatch
+from .errors import NonFiniteScore, ShapeMismatch, open_text
 from .molgraph import MolGraph
 
 
@@ -131,7 +131,7 @@ def load_external_scores(path: str | Path, atom_counts: Sequence[int]) -> list[N
     infinity; a bad row is named by its 1-based line in the file.
     """
     rows: list[tuple[int, list[float]]] = []
-    with open(path, newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -15,14 +15,13 @@ import json
 import os
 import pickle
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .errors import DataError, EmptyCounts, MissingColumn, ParseError, ShapeMismatch
+from .errors import DataError, EmptyCounts, MissingColumn, ParseError, ShapeMismatch, open_text
 from .infotheory import (
     DEFAULT_TAUS,
     JointCounts,
@@ -35,7 +34,7 @@ from .infotheory import (
     shuffle_control,
 )
 from .molgraph import LabeledRecord, parse_smiles
-from .motif import MotifVocab, coverage, decompose
+from .motif import MotifVocab, coverage
 # read_report_csv and write_report_csv stay importable from here, where
 # perfbench/spans.py looks them up.
 from .report import (
@@ -181,7 +180,7 @@ def ingest(manifest: DatasetManifest) -> tuple[list[LabeledRecord], IngestStats]
     """
     stats = IngestStats()
     records: list[LabeledRecord] = []
-    with open(manifest.path, newline="", encoding="utf-8-sig") as handle:
+    with open_text(manifest.path, "utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         if manifest.smiles_column not in header:
@@ -346,33 +345,6 @@ def run_jsd_analysis(
     return report
 
 
-def _sample_graph(
-    task: tuple,
-    strategies: Sequence[str],
-    config: MaskConfig,
-    repeats: int,
-    seed: int,
-) -> np.ndarray:
-    """One graph's sampled unit labels under every strategy: a
-    (strategies, repeats, n_atoms) array of the task's labels.
-
-    Self-contained per graph so the corpus can be partitioned across
-    processes freely; determinism comes from value-keyed substreams
-    inside sample_pairs_for_graph.  The graph is decomposed at most
-    once, and the motif strategies share its partition; ``scores`` maps
-    each scored strategy to this graph's scores.
-    """
-    from .masking import MOTIF_STRATEGIES, bind_strategy
-
-    graph, graph_index, labels, scores = task
-    partition = decompose(graph) if set(strategies) & set(MOTIF_STRATEGIES) else None
-    bound = [
-        bind_strategy(strategy, config)(graph, scores.get(strategy), partition)
-        for strategy in strategies
-    ]
-    return sample_pairs_for_graph(graph, graph_index, labels, bound, repeats, seed)
-
-
 def run_mask_sim(
     records: Sequence[LabeledRecord],
     strategies: Sequence[str],
@@ -393,7 +365,7 @@ def run_mask_sim(
     External scores are keyed by position in ``records``.  Raises
     EmptyCounts, with the skip tallies, when no graph is usable.
     """
-    from .masking import strategy_scores
+    from .masking import bind_corpus
 
     positions, skipped = _usable_positions(records)
     if not positions:
@@ -409,25 +381,21 @@ def run_mask_sim(
             "samples_per_graph": None, "unique_nodes": False,
         }
     )
-    scored = strategy_scores(
-        strategies, [records[pos].graph for pos in positions],
+    graphs = [records[pos].graph for pos in positions]
+    bind = bind_corpus(
+        strategies, config, graphs,
         None if external_scores is None else [external_scores[pos] for pos in positions],
     )
     # Atom types fit uint8 (the parser emits 0..118 and MolGraph bounds
     # the rest to 0..119), which keeps the label arrays the workers send
     # back small.
-    tasks = [
-        (
-            records[pos].graph, g, np.asarray(atom_labels(records[pos].graph), dtype=np.uint8),
-            {strategy: scores[g] for strategy, scores in scored.items()},
-        )
-        for g, pos in enumerate(positions)
-    ]
-    worker = partial(
-        _sample_graph,
-        strategies=tuple(strategies), config=config, repeats=repeats, seed=seed,
+    labels = [np.asarray(atom_labels(graph), dtype=np.uint8) for graph in graphs]
+    # Each graph is bound in its worker as it is sampled: binding the
+    # corpus up front would hold every graph's bindings at once.
+    per_graph = parallel_map(
+        lambda g: sample_pairs_for_graph(graphs[g], g, labels[g], bind(g), repeats, seed),
+        range(len(graphs)), workers,
     )
-    per_graph = parallel_map(worker, tasks, workers)
     graph_labels = [records[pos].label for pos in positions]
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for s, strategy in enumerate(strategies):
@@ -509,7 +477,7 @@ def load_vocab_tsv(path: str | Path) -> MotifVocab:
     ids: dict[str, int] = {}
     counts: dict[str, int] = {}
     seen: dict[str, int] = {}  # the line each signature is listed on
-    with open(path) as handle:
+    with open_text(path) as handle:
         header = handle.readline().rstrip("\n")
         if header.split("\t") != ["signature", "id", "count"]:
             raise MissingColumn(f"{path} is not a vocabulary TSV")

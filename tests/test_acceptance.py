@@ -16,7 +16,7 @@ from molmask import (
     MaskConfig,
     NodeScores,
     analysis_records,
-    bind_strategy,
+    bind_corpus,
     build_vocab,
     coverage,
     exact_joint_counts,
@@ -84,7 +84,7 @@ def test_sampling_correctness(fixture_graphs):
     rng = np.random.default_rng(0)
     draws = 100_000
     hits = np.zeros(10)
-    bound = bind_strategy("uniform", config)(g)
+    (bound,) = bind_corpus(["uniform"], config, [g])(0)
     for _ in range(draws):
         for atom in bound.plan(rng):
             hits[atom] += 1
@@ -93,15 +93,14 @@ def test_sampling_correctness(fixture_graphs):
 
     # At the final epoch with a dominating bonus, the noisy top-k must
     # equal the exact top-k under the same lower-index tie rule.
-    bind = bind_strategy("pagerank", MaskConfig(ratio=0.3, beta=10.0))
-    for graph in fixture_graphs:
-        scores = pagerank_all([graph])[0]
+    bind = bind_corpus(["pagerank"], MaskConfig(ratio=0.3, beta=10.0), fixture_graphs)
+    for g, (graph, scores) in enumerate(zip(fixture_graphs, pagerank_all(fixture_graphs))):
         values = scores.as_array()
         k = max(1, math.floor(0.3 * graph.n_atoms + 0.5))
         expected = tuple(sorted(
             sorted(range(graph.n_atoms), key=lambda i: (-values[i], i))[:k]
         ))
-        bound = bind(graph, scores)
+        (bound,) = bind(g)
         for trial in range(5):
             assert bound.plan(np.random.default_rng(trial)) == expected, graph.source_smiles
     assert time.perf_counter() - start < 10.0

@@ -482,6 +482,8 @@ def test_unconverged_pagerank_is_reported(argv, cli_corpus, tmp_path, capsys, mo
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
+# Tied per-atom scores for the demo corpus: (7 * atom + 3 * graph) % 5.
+DEMO_SCORES = Path(__file__).resolve().parent / "data" / "demo_scores.csv"
 
 
 GOLDEN_CASES = [
@@ -511,7 +513,9 @@ GOLDEN_CASES = [
                             "--epoch", "30", "--intra-frac", "0.4", "--repeats", "2"]),
     # Masks that hide part of a motif, some of them parts of several.
     ("views_motifpred.jsonl", ["export-views", "--strategy", "motifpred", "--target", "motif",
-                               "--draws-per-graph", "2"]),
+                               "--draws-per-graph", "2"]),    # The external strategy's score handling, with ties in every graph.
+    ("mask_sim_external.csv", ["mask-sim", "--label-col", "activity", "--strategies", "external,moama",
+                               "--repeats", "2", "--scores", DEMO_SCORES]),
 ]
 
 
@@ -609,6 +613,29 @@ def test_bad_score_row_names_its_file_line(text, line, message, tmp_path, capsys
     err = data_error_line(["mask-sim", "--strategies", "external", "--scores", scores],
                           corpus, tmp_path, capsys)
     assert err == f"data error: {scores}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (b"smiles,activity\nCCO,1\nC\xffC,0\n", ["mi", "--input", "BAD"]),
+    (b"signature\tid\tcount\nC\xff\t0\t1\n", ["mi", "--targets", "motif", "--vocab", "BAD"]),
+    (b"0.1,0.2,0.3\n\xff,0.5,0.6\n", ["mask-sim", "--strategies", "external", "--scores", "BAD"]),
+    (b"dataset,target_kind\n\xff,mi\n", ["plot", "--report", "BAD"]),
+], ids=["corpus", "vocab", "scores", "report"])
+def test_non_utf8_input_is_data_error(text, argv, tmp_path, capsys):
+    """A text input that is not UTF-8 fails as one data error line
+    naming the file, with exit code 2."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text)
+    argv = [bad if a == "BAD" else a for a in argv]
+    if argv[0] != "plot":
+        argv += ["--label-col", "activity"]
+        if "--input" not in argv:
+            argv += ["--input", write_corpus_csv(tmp_path / "corpus.csv", [("CCO", 1), ("CCN", 0)])]
+    out = tmp_path / "out"
+    assert run([*argv, "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: {bad} is not UTF-8 text")
+    assert captured.err.count("\n") == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["mi", "jsd", "shuffle-control", "export-views"])

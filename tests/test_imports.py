@@ -22,7 +22,8 @@ DEMO_CORPUS = ROOT / "demos" / "data" / "demo_corpus.csv"
 # modules eagerly, by the module it was imported from then, less the
 # library-only target wrappers, masked-graph builder, one-graph PageRank,
 # Atom/Bond classes, MaskPlan, read_views and ring_membership deleted or
-# moved to the tests since.
+# moved to the tests since, and with bind_strategy and strategy_scores
+# folded into bind_corpus.
 PUBLIC_NAMES = {
     "errors": "DataError DimMismatch DisconnectedMotif EmptyCounts EmptySupport MissingColumn "
               "MolmaskError MultiFragment NonFiniteScore OutOfRangeIndex ParseError "
@@ -31,8 +32,7 @@ PUBLIC_NAMES = {
     "motif": "CoverageStats MotifPartition MotifVocab build_vocab canonical_signature coverage "
              "decompose motif_adjacency motif_signatures",
     "scoring": "NodeScores load_external_scores pagerank_all",
-    "masking": "MaskConfig STRATEGIES bind_strategy export_views mask_count strategy_scores "
-               "substream",
+    "masking": "MaskConfig STRATEGIES bind_corpus export_views mask_count substream",
     "targets": "load_codebook load_embeddings",
     "infotheory": "DEFAULT_TAUS JointCounts JsdCurve SampledMi ShuffleResult entropy_y jsd "
                   "jsd_curve low_freq_conditionals mutual_information relative_gain "
@@ -90,10 +90,13 @@ def test_unknown_name_is_attribute_error():
         from molmask import no_such_name  # noqa: F401
 
 
-@pytest.mark.parametrize("name", ["MaskPlan", "read_views", "ring_membership"])
+@pytest.mark.parametrize("name", [
+    "MaskPlan", "read_views", "ring_membership", "bind_strategy", "strategy_scores",
+])
 def test_removed_names_are_attribute_errors(name):
-    # A mask is its sorted atom tuple, views are plain JSON lines, and
-    # the ring-flag oracle lives in tests/ring_reference.py.
+    # A mask is its sorted atom tuple, views are plain JSON lines, the
+    # ring-flag oracle lives in tests/ring_reference.py, and a run binds
+    # its strategies and scores through bind_corpus.
     with pytest.raises(AttributeError, match=name):
         getattr(molmask, name)
 

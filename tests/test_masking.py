@@ -13,7 +13,7 @@ from molmask import (
     MaskConfig,
     NodeScores,
     OutOfRangeIndex,
-    bind_strategy,
+    bind_corpus,
     decompose,
     mask_count,
     motif_adjacency,
@@ -86,8 +86,8 @@ def tied_scores(graph):
 
 
 def supplied_scores(strategy, graph):
-    """The scores a run hands the binder: PageRank for 'pagerank', tied
-    external scores otherwise (the unscored strategies ignore them)."""
+    """The scores bound_for's binding reads: PageRank for 'pagerank',
+    tied external scores otherwise (the unscored strategies ignore them)."""
     return pagerank_all([graph])[0] if strategy == "pagerank" else tied_scores(graph)
 
 
@@ -107,8 +107,20 @@ def reference_fn(strategy, graph):
     return lambda rng: ref_motifpred(graph, partition, BATCH_CONFIG, rng)
 
 
+def bind_one(strategy, config, graph, scores=None, partition=None):
+    """The graph's binding under one strategy, as bind_corpus makes it
+    for a corpus of that one graph."""
+    return bind_corpus(
+        [strategy], config, [graph],
+        None if scores is None else [scores],
+        None if partition is None else [partition],
+    )(0)[0]
+
+
 def bound_for(strategy, graph, config=BATCH_CONFIG):
-    return bind_strategy(strategy, config)(graph, supplied_scores(strategy, graph))
+    """The binding a run makes: PageRank over the graph for 'pagerank',
+    tied external scores for 'external'."""
+    return bind_one(strategy, config, graph, tied_scores(graph))
 
 
 def batch_draw(strategy, graph):
@@ -215,7 +227,7 @@ class TestAnnealing:
 class TestUniformMask:
     def test_size_and_order(self):
         g = parse_smiles("CCCCCCCCCC")
-        bound = bind_strategy("uniform", MaskConfig(ratio=0.3))(g)
+        bound = bind_one("uniform", MaskConfig(ratio=0.3), g)
         rng = np.random.default_rng(0)
         assert bound.strategy == "uniform"
         for _ in range(50):
@@ -225,7 +237,7 @@ class TestUniformMask:
 
     def test_deterministic_per_stream(self):
         g = parse_smiles("CCCCCCCCCC")
-        bound = bind_strategy("uniform", MaskConfig(ratio=0.3))(g)
+        bound = bind_one("uniform", MaskConfig(ratio=0.3), g)
         a = bound.plan(substream(7, 3, 1))
         b = bound.plan(substream(7, 3, 1))
         assert a == b
@@ -237,7 +249,7 @@ class TestUniformMask:
         # Uniform choice without replacement: every atom appears with
         # probability exactly k/n.
         g = parse_smiles("CCCCCCCCCC")
-        bound = bind_strategy("uniform", MaskConfig(ratio=0.3))(g)
+        bound = bind_one("uniform", MaskConfig(ratio=0.3), g)
         rng = np.random.default_rng(123)
         hits = np.zeros(10)
         draws = 20000
@@ -251,7 +263,7 @@ class TestPerturbedTopk:
     def test_large_beta_recovers_exact_topk(self):
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
-        bound = bind_strategy("external", MaskConfig(ratio=0.3, beta=10.0))(g, scores)
+        bound = bind_one("external", MaskConfig(ratio=0.3, beta=10.0), g, scores)
         rng = np.random.default_rng(5)
         for _ in range(100):
             assert bound.plan(rng) == (7, 8, 9)
@@ -259,13 +271,13 @@ class TestPerturbedTopk:
     def test_tied_scores_prefer_low_index(self):
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=(1.0,) * 10, source="external")
-        bound = bind_strategy("external", MaskConfig(ratio=0.3, beta=10.0))(g, scores)
+        bound = bind_one("external", MaskConfig(ratio=0.3, beta=10.0), g, scores)
         assert bound.plan(np.random.default_rng(0)) == (0, 1, 2)
 
     def test_beta_zero_ignores_scores(self):
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
-        bound = bind_strategy("external", MaskConfig(ratio=0.3, beta=0.0))(g, scores)
+        bound = bind_one("external", MaskConfig(ratio=0.3, beta=0.0), g, scores)
         rng = np.random.default_rng(11)
         hits = np.zeros(10)
         draws = 20000
@@ -280,7 +292,7 @@ class TestPerturbedTopk:
         g = parse_smiles("CCCCCCCCCC")
         scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
         config = MaskConfig(ratio=0.3, beta=10.0, epoch=1, max_epoch=100)
-        bound = bind_strategy("external", config)(g, scores)
+        bound = bind_one("external", config, g, scores)
         rng = np.random.default_rng(3)
         for _ in range(100):
             atoms = bound.plan(rng)
@@ -293,13 +305,13 @@ class TestPerturbedTopk:
         rng = np.random.default_rng(9)
         for epoch in (1, 10, 50, 100):
             config = MaskConfig(ratio=0.3, beta=0.5, epoch=epoch, max_epoch=100)
-            assert len(bind_strategy("external", config)(g, scores).plan(rng)) == 3
+            assert len(bind_one("external", config, g, scores).plan(rng)) == 3
 
     def test_score_length_mismatch(self):
         g = parse_smiles("CCO")
         scores = NodeScores(values=(0.1, 0.2), source="external")
         with pytest.raises(OutOfRangeIndex):
-            bind_strategy("external", MaskConfig())(g, scores)
+            bind_one("external", MaskConfig(), g, scores)
 
 
 class TestMoamaMask:
@@ -311,7 +323,7 @@ class TestMoamaMask:
 
     @staticmethod
     def _bind(g, partition, config):
-        return bind_strategy("moama", config)(g, None, partition)
+        return bind_one("moama", config, g, partition=partition)
 
     def test_single_motif_graph_fully_masked(self):
         # The first drawn motif is accepted unconditionally, even when
@@ -373,7 +385,7 @@ class TestMotifpredMask:
         g, partition = self._setup("C1CC1CCC1CC1CCC1CC1CCC1CC1")
         config = MaskConfig(ratio=0.3, intra_motif_fraction=0.5)
         k = mask_count(0.3, g.n_atoms)
-        bound = bind_strategy("motifpred", config)(g, None, partition)
+        bound = bind_one("motifpred", config, g, partition=partition)
         rng = np.random.default_rng(4)
         for _ in range(200):
             atoms = bound.plan(rng)
@@ -388,7 +400,7 @@ class TestMotifpredMask:
     def test_per_motif_fraction(self):
         g, partition = self._setup("C1CC1CCC1CC1")
         config = MaskConfig(ratio=0.9, intra_motif_fraction=0.5)
-        bound = bind_strategy("motifpred", config)(g, None, partition)
+        bound = bind_one("motifpred", config, g, partition=partition)
         rng = np.random.default_rng(2)
         for _ in range(100):
             atoms = bound.plan(rng)
@@ -401,7 +413,7 @@ class TestMotifpredMask:
     def test_full_fraction_masks_whole_motifs(self):
         g, partition = self._setup("C1CC1CCC1CC1")
         config = MaskConfig(ratio=0.5, intra_motif_fraction=1.0)
-        bound = bind_strategy("motifpred", config)(g, None, partition)
+        bound = bind_one("motifpred", config, g, partition=partition)
         atoms = bound.plan(np.random.default_rng(6))
         expected = sorted(a for m in masked_motifs(partition, atoms) for a in partition.motifs[m])
         assert list(atoms) == expected
@@ -466,7 +478,7 @@ class TestBatchDraw:
             partition = decompose(graph)
             adjacency = motif_adjacency(graph, partition)
             k = mask_count(config.ratio, graph.n_atoms)
-            draw = bind_strategy("moama", config)(graph).draw
+            draw = bind_one("moama", config, graph).draw
             for atoms in draw(np.random.default_rng(gi), 40):
                 chosen = {partition.motif_of[a] for a in atoms}
                 assert atoms == sorted(a for m in chosen for a in partition.motifs[m])
@@ -495,12 +507,12 @@ class TestBatchDraw:
     def test_tied_scores_prefer_low_index_in_every_row(self):
         g = parse_smiles("CCCCCCCCCC")
         equal = NodeScores(values=(1.0,) * 10, source="external")
-        bind = bind_strategy("external", MaskConfig(ratio=0.3, beta=10.0))
-        masks = bind(g, equal).draw(np.random.default_rng(0), 50)
+        masks = bind_one("external", MaskConfig(ratio=0.3, beta=10.0), g, equal).draw(
+            np.random.default_rng(0), 50)
         assert all(atoms == [0, 1, 2] for atoms in masks)
         # Tied noise as well: every key equal.
         for strategy in ("uniform", "external"):
-            masks = bind_strategy(strategy, MaskConfig(ratio=0.3))(g, equal).draw(ConstantRng(), 5)
+            masks = bind_one(strategy, MaskConfig(ratio=0.3), g, equal).draw(ConstantRng(), 5)
             assert all(atoms == [0, 1, 2] for atoms in masks), strategy
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -519,7 +531,7 @@ class TestBatchDraw:
         # stream, same mask.
         for strategy in STRATEGIES:
             for gi, graph in enumerate(fixture_graphs):
-                bound = bind_strategy(strategy, BATCH_CONFIG)(graph, supplied_scores(strategy, graph))
+                bound = bound_for(strategy, graph)
                 plan = bound.plan(substream(3, gi, 0))
                 (atoms,) = bound.draw(substream(3, gi, 0), 1)
                 assert plan == tuple(atoms)
@@ -608,52 +620,54 @@ class TestSubstream:
 
 
 class TestPlanFn:
-    """bind_strategy's per-graph bindings and their plan functions."""
+    """bind_corpus's per-graph bindings and their plan functions."""
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            bind_strategy("random", MaskConfig())
+        with pytest.raises(ValueError, match="random"):
+            bind_corpus(["uniform", "random"], MaskConfig(), [parse_smiles("CCO")])
 
     def test_external_requires_scores(self):
-        bind = bind_strategy("external", MaskConfig())
         with pytest.raises(ValueError):
-            bind(parse_smiles("CCO"))
+            bind_corpus(["external"], MaskConfig(), [parse_smiles("CCO")])
 
-    def test_pagerank_requires_scores(self):
-        # PageRank is a per-run input (strategy_scores); the binder
-        # does not compute it.
-        bind = bind_strategy("pagerank", MaskConfig())
-        with pytest.raises(ValueError):
-            bind(parse_smiles("CCO"))
+    def test_pagerank_scores_are_pagerank_all(self, fixture_graphs):
+        # PageRank is a per-run input the binder computes itself: its
+        # masks are those of 'external' given pagerank_all of the corpus.
+        config = MaskConfig(ratio=0.3, beta=10.0, epoch=30)
+        pagerank = bind_corpus(["pagerank"], config, fixture_graphs)
+        external = bind_corpus(["external"], config, fixture_graphs, pagerank_all(fixture_graphs))
+        for g in range(len(fixture_graphs)):
+            (by_pagerank,), (by_external,) = pagerank(g), external(g)
+            assert by_pagerank.draw(substream(1, g), 20) == by_external.draw(substream(1, g), 20)
 
     def test_all_strategies_produce_plans(self, fixture_graphs):
-        config = MaskConfig(ratio=0.25)
-        for strategy in STRATEGIES:
-            bind = bind_strategy(strategy, config)
-            for gi, g in enumerate(fixture_graphs):
-                scores = pagerank_all([g])[0] if strategy == "pagerank" else NodeScores(
-                    values=tuple(float(i) for i in range(g.n_atoms)), source="external"
-                )
-                bound = bind(g, scores)
-                atoms = bound.plan(substream(0, gi, 0))
-                assert atoms, (strategy, g.source_smiles)
+        external = [
+            NodeScores(values=tuple(float(i) for i in range(g.n_atoms)), source="external")
+            for g in fixture_graphs
+        ]
+        bind = bind_corpus(STRATEGIES, MaskConfig(ratio=0.25), fixture_graphs, external)
+        for gi, g in enumerate(fixture_graphs):
+            bound = bind(gi)
+            assert [b.strategy for b in bound] == list(STRATEGIES)
+            for b in bound:
+                atoms = b.plan(substream(0, gi, 0))
+                assert atoms, (b.strategy, g.source_smiles)
                 assert list(atoms) == sorted(set(atoms))
                 assert all(0 <= a < g.n_atoms for a in atoms)
-                assert bound.strategy == strategy
-                assert bound._fields == ("draw", "members", "widths", "strategy")
+                assert b._fields == ("draw", "members", "widths", "strategy")
 
     def test_replay_reproduces(self, fixture_graphs):
-        bind = bind_strategy("moama", MaskConfig(ratio=0.25))
-        bound = [bind(g) for g in fixture_graphs]
+        bind = bind_corpus(["moama"], MaskConfig(ratio=0.25), fixture_graphs)
+        bound = [bind(g)[0] for g in range(len(fixture_graphs))]
         first = [b.plan(substream(5, i, 0)) for i, b in enumerate(bound)]
         second = [b.plan(substream(5, i, 0)) for i, b in enumerate(bound)]
-        rebound = [bind(g).plan(substream(5, i, 0)) for i, g in enumerate(fixture_graphs)]
+        rebound = [bind(i)[0].plan(substream(5, i, 0)) for i in range(len(fixture_graphs))]
         assert first == second == rebound
 
 
 def bind_all(strategy, config, corpus):
-    bind = bind_strategy(strategy, config)
-    return (bind(graph) for graph in corpus)
+    bind = bind_corpus([strategy], config, corpus)
+    return (bind(g)[0] for g in range(len(corpus)))
 
 
 class TestViews:

@@ -16,12 +16,11 @@ from molmask import (
     NodeScores,
     NonFiniteScore,
     ShapeMismatch,
-    bind_strategy,
+    bind_corpus,
     build_vocab,
     canonical_signature,
     load_codebook,
     load_embeddings,
-    pagerank_all,
     parse_smiles,
     substream,
 )
@@ -96,17 +95,16 @@ def test_motif_units_are_the_motifs_of_the_masked_atoms(strategy, fixture_graphs
     # A vocabulary of half the corpus, so that some units are UNK.
     vocab = build_vocab(fixture_graphs[::2])
     resources = TargetResources(vocab=vocab, motifs=motifs)
-    if strategy == "pagerank":
-        scores = pagerank_all(fixture_graphs)
-    else:
-        scores = [
-            NodeScores(values=tuple(float(i) for i in range(g.n_atoms)), source="external")
-            for g in fixture_graphs
-        ]
-    bind = bind_strategy(strategy, MaskConfig(ratio=0.4))
+    external = [
+        NodeScores(values=tuple(float(i) for i in range(g.n_atoms)), source="external")
+        for g in fixture_graphs
+    ]
+    bind = bind_corpus(
+        [strategy], MaskConfig(ratio=0.4), fixture_graphs, external, [m.partition for m in motifs],
+    )
     for pos, graph in enumerate(fixture_graphs):
         partition = motifs[pos].partition
-        bound = bind(graph, scores[pos], partition)
+        (bound,) = bind(pos)
         for draw in range(3):
             atoms = bound.plan(substream(2, pos, draw))
             units, labels = resources.view_targets("motif", pos, graph, atoms)

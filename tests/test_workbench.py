@@ -14,12 +14,14 @@ import pytest
 
 import molmask
 from molmask import (
+    STRATEGIES,
     DataError,
     DatasetManifest,
     EmptyCounts,
     LabeledRecord,
     MaskConfig,
     MissingColumn,
+    NodeScores,
     ShapeMismatch,
     analysis_records,
     build_vocab,
@@ -40,8 +42,11 @@ from molmask import (
     run_shuffle_control,
     write_report_csv,
 )
+from molmask import masking
+from molmask.cli import main
 from molmask.workbench import JSD_COLUMNS, MI_COLUMNS
 
+from conftest import ring_marker_corpus, write_corpus_csv
 from test_infotheory import cells
 
 
@@ -437,6 +442,74 @@ class TestRunners:
         assert row[2] == 1.0
         assert row[4] == 100.0
         assert row[5] == 0.0
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """What masking.pagerank_all and masking.decompose are called on,
+    one entry per call."""
+    calls = {"pagerank_all": [], "decompose": []}
+    for name, seen in calls.items():
+        def counted(arg, *rest, seen=seen, original=getattr(masking, name), **kwargs):
+            seen.append(arg)
+            return original(arg, *rest, **kwargs)
+
+        monkeypatch.setattr(masking, name, counted)
+    return calls
+
+
+class TestPerRunInputs:
+    """PageRank runs once per run that asks for it, over the whole
+    corpus, and each graph is decomposed at most once, however many
+    motif strategies read its partition."""
+
+    @pytest.mark.parametrize("strategies", [
+        ["uniform"], ["uniform", "pagerank"], ["external", "moama", "motifpred"], list(STRATEGIES),
+    ])
+    def test_mask_sim(self, strategies, calls, ring_marker_records):
+        records = ring_marker_records[:20]
+        external = [
+            NodeScores(values=tuple(float(i % 3) for i in range(r.graph.n_atoms)), source="external")
+            for r in records
+        ]
+        run_mask_sim(records, strategies, MaskConfig(ratio=0.25), dataset_name="ring_marker",
+                     repeats=2, external_scores=external)
+        usable = [id(r.graph) for r in analysis_records(records)[0]]
+        pagerank_runs = [[id(g) for g in graphs] for graphs in calls["pagerank_all"]]
+        assert pagerank_runs == ([usable] if "pagerank" in strategies else [])
+        motif = "moama" in strategies or "motifpred" in strategies
+        assert sorted(map(id, calls["decompose"])) == (sorted(usable) if motif else [])
+
+    @pytest.mark.parametrize("strategy, target, pagerank_runs, decomposed", [
+        ("uniform", "atom_type", 0, False),
+        ("pagerank", "atom_type", 1, False),
+        ("moama", "atom_type", 0, True),
+        # The motif target's pass supplies the partitions.
+        ("motifpred", "motif", 0, False),
+    ])
+    def test_export_views(self, strategy, target, pagerank_runs, decomposed, calls, tmp_path, capsys):
+        corpus = write_corpus_csv(tmp_path / "corpus.csv", ring_marker_corpus(5, seed=2))
+        argv = ["export-views", "--input", corpus, "--strategy", strategy, "--target", target,
+                "--draws-per-graph", "2", "--output", tmp_path / "views.jsonl"]
+        assert main([str(a) for a in argv]) == 0
+        assert len(calls["pagerank_all"]) == pagerank_runs
+        assert len(set(map(id, calls["decompose"]))) == len(calls["decompose"])
+        assert len(calls["decompose"]) == (10 if decomposed else 0)
+
+    def test_given_partitions_are_not_recomputed(self, calls, fixture_graphs):
+        partitions = [molmask.decompose(g) for g in fixture_graphs]
+        bind = molmask.bind_corpus(["moama", "motifpred"], MaskConfig(), fixture_graphs,
+                                   partitions=partitions)
+        for g in range(len(fixture_graphs)):
+            bind(g)
+        assert calls["decompose"] == []
+
+    @pytest.mark.parametrize("strategies", [["pagerank", "random"], ["pagerank", "external"]])
+    def test_bad_request_raises_before_pagerank(self, strategies, calls, ring_marker_records):
+        with pytest.raises(ValueError):
+            run_mask_sim(ring_marker_records[:20], strategies, MaskConfig(),
+                         dataset_name="ring_marker", repeats=1)
+        assert calls["pagerank_all"] == []
 
 
 class TestReportFiles:
