@@ -21,8 +21,8 @@ print(f"masked atoms: {atoms}\n")
 # per-graph entries are keyed by corpus position, here 0.
 # view_targets takes the mask's atom tuple and returns the masked units
 # and their labels.
-def labels(kind, **resources):
-    return TargetResources(**resources).view_targets(kind, 0, g, atoms)[1]
+def labels(kind, resources=TargetResources()):
+    return resources.view_targets(kind, 0, g, atoms)[1]
 
 
 # Atom types are the plain reconstruction target: the element hidden at
@@ -34,7 +34,7 @@ print(f"atom_type labels: {labels('atom_type')} (atomic numbers, 0 for unknown)"
 # motif signatures.  Motifs outside the
 # vocabulary collapse to one reserved UNK id.
 vocab = build_vocab([parse_smiles(s) for s in ("c1ccccc1", "CC(=O)N", "CO")])
-motif = labels("motif", vocab=vocab, motifs=[graph_motifs(g)])
+motif = labels("motif", TargetResources(vocab=vocab, motifs=[graph_motifs(g)]))
 print(f"motif labels:     {motif} (space {vocab.size + 1}, unk id {vocab.unk_id})")
 
 # Vector-quantized targets snap per-atom embeddings to their nearest
@@ -43,11 +43,11 @@ print(f"motif labels:     {motif} (space {vocab.size + 1}, unk id {vocab.unk_id}
 rng = np.random.default_rng(7)
 embeddings = rng.normal(size=(g.n_atoms, 4))
 codebook = rng.normal(size=(5, 4))
-vq = labels("vq_code", embeddings={0: embeddings}, codebook=codebook)
+vq = labels("vq_code", TargetResources(embeddings={0: embeddings}, codebook=codebook))
 print(f"vq labels:        {vq} (space {codebook.shape[0]})")
 
 # Argmax targets read a pretrained head's per-atom logits and keep the
 # winning class, ties to the lower index.
 logits = rng.normal(size=(g.n_atoms, 8))
-arg = labels("argmax_token", logits={0: logits})
+arg = labels("argmax_token", TargetResources(logits={0: logits}))
 print(f"argmax labels:    {arg} (space {logits.shape[1]})")

@@ -14,8 +14,6 @@ from pathlib import Path
 from molmask import (
     DatasetManifest,
     MaskConfig,
-    analysis_records,
-    build_vocab,
     entropy_y,
     exact_joint_counts,
     ingest,
@@ -25,6 +23,8 @@ from molmask import (
     run_mask_sim,
     shuffle_control,
 )
+from molmask.motif import vocab_from_signatures
+from molmask.targets import TargetResources, graph_motifs
 
 corpus = Path(__file__).parent / "data" / "demo_corpus.csv"
 manifest = DatasetManifest(
@@ -35,11 +35,14 @@ records, stats = ingest(manifest)
 print(f"ingested {stats.parsed} of {stats.rows_total} rows\n")
 
 # Exact MI: every (target label, task label) pair in the corpus is
-# counted, one observation per unit (atom or motif).
-usable, _ = analysis_records(records)
-vocab = build_vocab([r.graph for r in usable])
+# counted, one observation per unit (atom or motif).  Motif labels are
+# read from the resources: each record's motifs and signatures, found
+# once, and the vocabulary counted from those signatures.
+motifs = [graph_motifs(r.graph) for r in records]
+vocab = vocab_from_signatures(m.signatures for m in motifs)
+resources = TargetResources(vocab=vocab, motifs=motifs)
 joint_atom, _ = exact_joint_counts(records, "atom_type")
-joint_motif, _ = exact_joint_counts(records, "motif", vocab=vocab)
+joint_motif, _ = exact_joint_counts(records, "motif", resources)
 for name, joint in (("atom_type", joint_atom), ("motif", joint_motif)):
     mi = mutual_information(joint)
     h = entropy_y(joint)

@@ -13,8 +13,6 @@ from pathlib import Path
 
 from molmask import (
     DatasetManifest,
-    analysis_records,
-    build_vocab,
     ingest,
     read_report_csv,
     render_svg,
@@ -24,6 +22,8 @@ from molmask import (
     run_shuffle_control,
     write_report_csv,
 )
+from molmask.motif import vocab_from_signatures
+from molmask.targets import TargetResources, graph_motifs
 
 corpus = Path(__file__).parent / "data" / "demo_corpus.csv"
 manifest = DatasetManifest(
@@ -31,17 +31,20 @@ manifest = DatasetManifest(
     name="demo",
 )
 records, _ = ingest(manifest)
-usable, _ = analysis_records(records)
-vocab = build_vocab([r.graph for r in usable])
+# Motif targets read each record's motifs, found once here, and a
+# vocabulary counted from their signatures, as the commands do.
+motifs = [graph_motifs(r.graph) for r in records]
+vocab = vocab_from_signatures(m.signatures for m in motifs)
+resources = TargetResources(vocab=vocab, motifs=motifs)
 
 # Each runner returns an AnalysisReport: typed rows plus a fixed column
 # order, with seed and a config hash in every row for provenance.
 mi = run_mi_analysis(records, ["atom_type", "motif"], dataset_name="demo",
-                     seed=0, vocab=vocab)
+                     seed=0, resources=resources)
 jsd = run_jsd_analysis(records, ["atom_type", "motif"], dataset_name="demo",
-                       seed=0, vocab=vocab)
+                       seed=0, resources=resources)
 shuffle = run_shuffle_control(records, "motif", dataset_name="demo",
-                              repeats=5, seed=0, vocab=vocab)
+                              repeats=5, seed=0, resources=resources)
 cov = run_coverage(vocab, records, dataset_name="demo")
 
 print("mi rows:")

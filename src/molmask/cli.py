@@ -121,10 +121,14 @@ def _manifest(args) -> DatasetManifest:
     )
 
 
-def _ingest_for_analysis(args):
+def _ingest_for_analysis(args, command: str = ""):
+    """The parsed corpus; a ``command`` that needs labels is checked
+    for --label-col before the corpus is read."""
     from .workbench import ingest
 
     manifest = _manifest(args)
+    if command and not manifest.label_column:
+        raise _UsageError(f"{command} needs --label-col")
     records, stats = ingest(manifest)
     if not records:
         raise DataError(f"no parseable molecules in {args.input}")
@@ -184,29 +188,29 @@ def _external_scores(args, strategies: Sequence[str], records):
     return load_external_scores(args.scores, [rec.graph.n_atoms for rec in records])
 
 
-def _target_resources(args, records, kinds: Sequence[str]) -> dict:
-    """TargetResources fields as the flags ask for them.
+def _target_resources(args, records, kinds: Sequence[str]) -> TargetResources:
+    """What the flags ask target labels to be read from.
 
     A motif kind gets the command's one motif pass over all parsed
     records, in this process; without --vocab, the same pass builds the
     vocabulary.
     """
     from .motif import vocab_from_signatures
-    from .targets import graph_motifs, load_codebook, load_embeddings
+    from .targets import TargetResources, graph_motifs, load_codebook, load_embeddings
     from .workbench import load_vocab_tsv
 
     vocab = load_vocab_tsv(args.vocab) if args.vocab else None
-    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
-    codebook = load_codebook(args.codebook) if args.codebook else None
-    logits = load_embeddings(args.logits) if args.logits else None
     motifs = None
     if "motif" in kinds:
         motifs = [graph_motifs(rec.graph) for rec in records]
         if vocab is None:
             vocab = vocab_from_signatures(m.signatures for m in motifs)
-    return dict(
-        vocab=vocab, motifs=motifs, embeddings=embeddings, codebook=codebook,
-        logits=logits, vq_normalize=getattr(args, "vq_normalize", False),
+    return TargetResources(
+        vocab=vocab, motifs=motifs,
+        embeddings=load_embeddings(args.embeddings) if args.embeddings else None,
+        codebook=load_codebook(args.codebook) if args.codebook else None,
+        logits=load_embeddings(args.logits) if args.logits else None,
+        vq_normalize=getattr(args, "vq_normalize", False),
     )
 
 
@@ -278,9 +282,7 @@ def cmd_mask_sim(args) -> int:
 
     strategies = _split_list(args.strategies, STRATEGIES, "strategy")
     config = _mask_config(args)
-    manifest, records, _ = _ingest_for_analysis(args)
-    if not manifest.label_column:
-        raise _UsageError("mask-sim needs --label-col")
+    manifest, records, _ = _ingest_for_analysis(args, "mask-sim")
     external = _external_scores(args, strategies, records)
     report = run_mask_sim(
         records, strategies, config,
@@ -298,12 +300,10 @@ def cmd_mi(args) -> int:
     from .workbench import run_mi_analysis
 
     kinds = _target_kinds(args, args.targets)
-    manifest, records, _ = _ingest_for_analysis(args)
-    if not manifest.label_column:
-        raise _UsageError("mi needs --label-col")
+    manifest, records, _ = _ingest_for_analysis(args, "mi")
     report = run_mi_analysis(
         records, kinds, dataset_name=manifest.display_name,
-        seed=args.seed, **_target_resources(args, records, kinds),
+        seed=args.seed, resources=_target_resources(args, records, kinds),
     )
     path = _out_path(args, "mi.csv")
     write_report_csv(report, path)
@@ -316,13 +316,11 @@ def cmd_jsd(args) -> int:
     from .workbench import run_jsd_analysis
 
     kinds = _target_kinds(args, args.targets)
-    manifest, records, _ = _ingest_for_analysis(args)
-    if not manifest.label_column:
-        raise _UsageError("jsd needs --label-col")
+    manifest, records, _ = _ingest_for_analysis(args, "jsd")
     taus = args.taus or list(DEFAULT_TAUS)
     report = run_jsd_analysis(
         records, kinds, dataset_name=manifest.display_name, taus=taus,
-        seed=args.seed, **_target_resources(args, records, kinds),
+        seed=args.seed, resources=_target_resources(args, records, kinds),
     )
     path = _out_path(args, "jsd.csv")
     write_report_csv(report, path)
@@ -335,12 +333,10 @@ def cmd_shuffle_control(args) -> int:
     from .workbench import run_shuffle_control
 
     kinds = _target_kinds(args, args.target)
-    manifest, records, _ = _ingest_for_analysis(args)
-    if not manifest.label_column:
-        raise _UsageError("shuffle-control needs --label-col")
+    manifest, records, _ = _ingest_for_analysis(args, "shuffle-control")
     report = run_shuffle_control(
         records, kinds[0], dataset_name=manifest.display_name,
-        repeats=args.repeats, seed=args.seed, **_target_resources(args, records, kinds),
+        repeats=args.repeats, seed=args.seed, resources=_target_resources(args, records, kinds),
     )
     path = _out_path(args, "shuffle.csv")
     write_report_csv(report, path)
@@ -350,13 +346,12 @@ def cmd_shuffle_control(args) -> int:
 
 def cmd_export_views(args) -> int:
     from .masking import bind_corpus, export_views
-    from .targets import TargetResources
 
     [kind] = _target_kinds(args, args.target)
     manifest, records, _ = _ingest_for_analysis(args)
     config = _mask_config(args)
     external = _external_scores(args, [args.strategy], records)
-    resources = TargetResources(**_target_resources(args, records, [kind]))
+    resources = _target_resources(args, records, [kind])
     graphs = [rec.graph for rec in records]
     partitions = None if resources.motifs is None else [m.partition for m in resources.motifs]
     bind = bind_corpus([args.strategy], config, graphs, external, partitions)

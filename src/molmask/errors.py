@@ -76,11 +76,12 @@ class MissingColumn(DataError):
 
 
 @contextmanager
-def open_text(path, encoding: str = "utf-8", newline=None):
-    """Open a text input for reading; bytes that do not decode raise
-    DataError naming the file."""
+def open_text(path, newline=None):
+    """Open a text input for reading as UTF-8, with or without a
+    byte-order mark; bytes that do not decode raise DataError naming
+    the file."""
     try:
-        with open(path, encoding=encoding, newline=newline) as handle:
+        with open(path, encoding="utf-8-sig", newline=newline) as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None

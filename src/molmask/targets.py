@@ -143,13 +143,15 @@ class TargetResources:
 
 
 def _read_matrix(path: str | Path, what: str) -> np.ndarray:
-    """A headerless numeric CSV as one 2-d float array; blank lines are
-    skipped.  Raises ShapeMismatch on ragged rows or non-numeric cells
-    and NonFiniteScore on NaN or infinity."""
+    """A headerless numeric CSV, UTF-8 with or without a byte-order
+    mark, as one 2-d float array; blank lines are skipped.  Raises
+    ShapeMismatch on ragged rows, non-numeric cells or bytes that are
+    not UTF-8 and NonFiniteScore on NaN or infinity."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty input: checked by callers
         try:
-            table = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, quotechar='"')
+            table = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, quotechar='"',
+                               encoding="utf-8-sig")
         except ValueError as exc:
             raise ShapeMismatch(f"{what} {path}: {exc}") from None
     finite = np.isfinite(table).all(axis=1)

@@ -14,14 +14,14 @@ import hashlib
 import json
 import os
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .errors import DataError, EmptyCounts, MissingColumn, ParseError, ShapeMismatch, open_text
+from .errors import EmptyCounts, MissingColumn, ParseError, ShapeMismatch, open_text
 from .infotheory import (
     DEFAULT_TAUS,
     JointCounts,
@@ -45,7 +45,7 @@ from .report import (
     read_report_csv,
     write_report_csv,
 )
-from .targets import TargetResources, atom_labels, graph_motifs
+from .targets import TargetResources, atom_labels
 
 if TYPE_CHECKING:
     from .masking import MaskConfig
@@ -180,7 +180,7 @@ def ingest(manifest: DatasetManifest) -> tuple[list[LabeledRecord], IngestStats]
     """
     stats = IngestStats()
     records: list[LabeledRecord] = []
-    with open_text(manifest.path, "utf-8-sig", newline="") as handle:
+    with open_text(manifest.path, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         if manifest.smiles_column not in header:
@@ -248,39 +248,29 @@ def analysis_records(records: Sequence[LabeledRecord]) -> tuple[list[LabeledReco
 def exact_joint_counts(
     records: Sequence[LabeledRecord],
     kind: str,
-    **resources,
+    resources: TargetResources = TargetResources(),
 ) -> tuple[JointCounts, dict[str, int]]:
     """Enumerate every unit of every usable graph into joint counts.
 
     Units are atoms for atom_type / argmax_token / vq_code and motifs
-    for motif.  Motifs outside the vocabulary are excluded from the
-    counts and tallied under 'excluded_unk'.  ``resources`` are
-    TargetResources fields (vocab, motifs, embeddings, codebook, logits,
-    vq_normalize), per-graph ones keyed by position in ``records``;
-    without ``motifs``, a motif count first decomposes and signs every
-    graph, serially.  Raises EmptyCounts, with the skip tallies, when no
+    for motif; labels come from ``resources``, whose per-graph entries
+    are keyed by position in ``records``.  Motifs outside the
+    vocabulary are excluded from the counts and tallied under
+    'excluded_unk'.  Raises EmptyCounts, with the skip tallies, when no
     unit is left to count.
     """
-    target = TargetResources(**resources)
     positions, extras = _usable_positions(records)
     extras["excluded_unk"] = 0
-    unk = None
-    if kind == "motif":
-        if target.vocab is None:
-            raise DataError("motif analysis needs a vocabulary")
-        if target.motifs is None:
-            target = replace(target, motifs=[graph_motifs(rec.graph) for rec in records])
-        unk = target.vocab.unk_id
     xs: list[int] = []
     ys: list[int] = []
     for pos in positions:
         record = records[pos]
-        units = target.unit_labels(kind, pos, record.graph)
+        units = resources.unit_labels(kind, pos, record.graph)
         xs += units
         ys += [record.label] * len(units)
     x, y = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-    if unk is not None:
-        keep = x != unk
+    if kind == "motif" and x.size:  # with no unit read, no vocabulary was checked
+        keep = x != resources.vocab.unk_id
         extras["excluded_unk"] = int(np.count_nonzero(~keep))
         x, y = x[keep], y[keep]
     if not x.size:
@@ -294,18 +284,16 @@ def run_mi_analysis(
     *,
     dataset_name: str,
     seed: int = 0,
-    **resources,
+    resources: TargetResources = TargetResources(),
 ) -> AnalysisReport:
-    """Exact MI of each target kind against the graph label.
-
-    ``resources`` are TargetResources fields, as for exact_joint_counts.
-    """
+    """Exact MI of each target kind against the graph label; labels
+    come from ``resources``, as for exact_joint_counts."""
     chash = config_hash(
         {"analysis": "mi", "dataset": dataset_name, "kinds": list(kinds), "seed": seed}
     )
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for kind in kinds:
-        joint, _ = exact_joint_counts(records, kind, **resources)
+        joint, _ = exact_joint_counts(records, kind, resources)
         mi = mutual_information(joint)
         h_y = entropy_y(joint)
         report.rows.append((
@@ -323,7 +311,7 @@ def run_jsd_analysis(
     dataset_name: str,
     taus: Sequence[float] = DEFAULT_TAUS,
     seed: int = 0,
-    **resources,
+    resources: TargetResources = TargetResources(),
 ) -> AnalysisReport:
     """Low-frequency JSD curves of each target kind; ``resources`` as
     for run_mi_analysis."""
@@ -335,7 +323,7 @@ def run_jsd_analysis(
     )
     report = AnalysisReport(kind="jsd", columns=JSD_COLUMNS)
     for kind in kinds:
-        joint, _ = exact_joint_counts(records, kind, **resources)
+        joint, _ = exact_joint_counts(records, kind, resources)
         curve = jsd_curve(joint, taus)
         for tau, value, kept, ok in zip(curve.taus, curve.values, curve.labels_kept, curve.defined):
             report.rows.append((
@@ -415,7 +403,7 @@ def run_shuffle_control(
     dataset_name: str,
     repeats: int = 5,
     seed: int = 0,
-    **resources,
+    resources: TargetResources = TargetResources(),
 ) -> AnalysisReport:
     """Original MI next to its label-shuffled control; ``resources`` as
     for run_mi_analysis."""
@@ -425,7 +413,7 @@ def run_shuffle_control(
             "repeats": repeats, "seed": seed,
         }
     )
-    joint, _ = exact_joint_counts(records, kind, **resources)
+    joint, _ = exact_joint_counts(records, kind, resources)
     mi = mutual_information(joint)
     h_y = entropy_y(joint)
     shuffled = shuffle_control(joint, repeats=repeats, seed=seed)

@@ -120,6 +120,15 @@ def write_corpus_csv(path: Path, rows) -> Path:
     return path
 
 
+def motif_resources(records, vocab):
+    """Target resources for a motif count over ``records``, built the
+    way a command builds them: one graph_motifs pass over every record,
+    keyed by position, next to the given vocabulary."""
+    from molmask.targets import TargetResources, graph_motifs
+
+    return TargetResources(vocab=vocab, motifs=[graph_motifs(rec.graph) for rec in records])
+
+
 @pytest.fixture
 def four_cpus(monkeypatch):
     """Four usable CPUs, whatever the host has, so that parallel_map

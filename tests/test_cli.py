@@ -482,8 +482,17 @@ def test_unconverged_pagerank_is_reported(argv, cli_corpus, tmp_path, capsys, mo
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO_CORPUS = Path(__file__).resolve().parent.parent / "demos" / "data" / "demo_corpus.csv"
+DEMO_DATA = Path(__file__).resolve().parent / "data"
 # Tied per-atom scores for the demo corpus: (7 * atom + 3 * graph) % 5.
-DEMO_SCORES = Path(__file__).resolve().parent / "data" / "demo_scores.csv"
+DEMO_SCORES = DEMO_DATA / "demo_scores.csv"
+# Per-atom embeddings (dim 4) and logits (5 tokens) for every parsed
+# demo record, and an 8-code codebook; some atoms tie between two codes
+# and some logit rows between two tokens.
+DEMO_EMBEDDINGS = DEMO_DATA / "demo_embeddings.csv"
+VECTOR_TARGET_FLAGS = [
+    "--embeddings", DEMO_EMBEDDINGS, "--codebook", DEMO_DATA / "demo_codebook.csv",
+    "--logits", DEMO_DATA / "demo_logits.csv",
+]
 
 
 GOLDEN_CASES = [
@@ -513,9 +522,15 @@ GOLDEN_CASES = [
                             "--epoch", "30", "--intra-frac", "0.4", "--repeats", "2"]),
     # Masks that hide part of a motif, some of them parts of several.
     ("views_motifpred.jsonl", ["export-views", "--strategy", "motifpred", "--target", "motif",
-                               "--draws-per-graph", "2"]),    # The external strategy's score handling, with ties in every graph.
+                               "--draws-per-graph", "2"]),
+    # The external strategy's score handling, with ties in every graph.
     ("mask_sim_external.csv", ["mask-sim", "--label-col", "activity", "--strategies", "external,moama",
                                "--repeats", "2", "--scores", DEMO_SCORES]),
+    # Every target kind, the vectors read from their files.
+    ("mi_vectors.csv", ["mi", "--label-col", "activity",
+                        "--targets", "atom_type,motif,vq_code,argmax_token", *VECTOR_TARGET_FLAGS]),
+    # A vocabulary read from --vocab, not built by the command's motif pass.
+    ("jsd_vocab.csv", ["jsd", "--label-col", "activity", "--vocab", GOLDEN / "vocab.tsv"]),
 ]
 
 
@@ -717,3 +732,79 @@ def test_unplottable_report_is_data_error(columns, row, message, tmp_path, capsy
     assert err.startswith("data error:") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mi", "jsd", "shuffle-control", "mask-sim"])
+def test_label_col_is_checked_before_the_corpus_is_read(command, tmp_path, capsys):
+    """A command that needs labels and has no --label-col is a usage
+    error, whether or not its --input can be read."""
+    assert run([command, "--input", tmp_path / "absent.csv"]) == 1
+    assert capsys.readouterr().err == f"usage error: {command} needs --label-col\n"
+
+
+@pytest.mark.parametrize("name, argv, source", [
+    ("mask_sim_external.csv", ["mask-sim", "--input", DEMO_CORPUS, "--label-col", "activity",
+                               "--strategies", "external,moama", "--repeats", "2", "--scores", "BOM"],
+     DEMO_SCORES),
+    ("jsd_vocab.csv", ["jsd", "--input", DEMO_CORPUS, "--label-col", "activity", "--vocab", "BOM"],
+     GOLDEN / "vocab.tsv"),
+    ("jsd.svg", ["plot", "--report", "BOM"], GOLDEN / "jsd.csv"),
+    ("mi_vectors.csv", ["mi", "--input", DEMO_CORPUS, "--label-col", "activity",
+                        "--targets", "atom_type,motif,vq_code,argmax_token",
+                        *["BOM" if a == DEMO_EMBEDDINGS else a for a in VECTOR_TARGET_FLAGS]],
+     DEMO_EMBEDDINGS),
+], ids=["scores", "vocab", "report", "embeddings"])
+def test_byte_order_mark_is_accepted(name, argv, source, tmp_path, capsys):
+    """A text input that starts with a UTF-8 byte-order mark, as
+    spreadsheets save "CSV UTF-8", reads as the same file without it."""
+    marked = tmp_path / f"bom_{source.name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    out = tmp_path / name
+    assert run([marked if a == "BOM" else a for a in argv] + ["--output", out]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture
+def motif_passes(monkeypatch):
+    """The graphs targets.graph_motifs is called on, one entry per call."""
+    from molmask import targets
+
+    seen = []
+
+    def counted(graph, original=targets.graph_motifs):
+        seen.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(targets, "graph_motifs", counted)
+    return seen
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["mi", "--targets", "atom_type,motif"], 1),
+    (["jsd"], 1),
+    (["shuffle-control", "--target", "motif"], 1),
+    (["mi", "--targets", "atom_type"], 0),
+], ids=["mi", "jsd", "shuffle-control", "mi-atom_type"])
+def test_motif_pass_runs_once_per_command(argv, passes, motif_passes, tmp_path, capsys):
+    """A command that counts motifs decomposes and signs every parsed
+    record once, however many analyses read the motifs; one that
+    counts no motif never does."""
+    from molmask import DatasetManifest, ingest
+
+    records, _ = ingest(DatasetManifest(path=str(DEMO_CORPUS), label_column="activity"))
+    assert run([*argv, "--label-col", "activity", "--input", DEMO_CORPUS,
+                "--output", tmp_path / "out.csv"]) == 0
+    assert motif_passes == [rec.graph for rec in records] * passes
+
+
+def test_library_motif_count_runs_no_motif_pass(motif_passes):
+    """exact_joint_counts reads motifs from its resources: without them
+    a motif count is a DataError, not a motif pass of its own."""
+    from molmask import DataError, LabeledRecord, build_vocab, exact_joint_counts, parse_smiles
+    from molmask.targets import TargetResources
+
+    graph = parse_smiles("c1ccccc1CCO")
+    vocab = build_vocab([graph])
+    with pytest.raises(DataError, match="motif targets need a vocabulary and the corpus motifs"):
+        exact_joint_counts([LabeledRecord(graph=graph, label=1)], "motif", TargetResources(vocab=vocab))
+    assert motif_passes == []

@@ -27,6 +27,8 @@ from molmask import (
 )
 from molmask.molgraph import LabeledRecord
 
+from conftest import motif_resources
+
 
 def brute_force_mi(matrix):
     """Plug-in MI from a count matrix, written as bare nested loops."""
@@ -342,7 +344,8 @@ class TestShuffleControl:
     def test_matches_pair_list_reference_on_fixture_corpora(self, kind, ring_marker_records):
         usable, _ = analysis_records(ring_marker_records)
         vocab = build_vocab([r.graph for r in usable])
-        joint, _ = exact_joint_counts(ring_marker_records, kind, vocab=vocab)
+        resources = motif_resources(ring_marker_records, vocab)
+        joint, _ = exact_joint_counts(ring_marker_records, kind, resources)
         result = shuffle_control(joint, repeats=5, seed=3)
         assert result.per_repeat == reference_shuffle(sorted_pairs(joint), 5, 3)
 

@@ -14,13 +14,16 @@ from molmask import (
 )
 from molmask.workbench import AnalysisReport, COVERAGE_COLUMNS, JSD_COLUMNS, MI_COLUMNS
 
+from conftest import motif_resources
+
 
 def reports(records):
     usable, _ = analysis_records(records)
     vocab = build_vocab([r.graph for r in usable])
+    resources = motif_resources(records, vocab)
     return [
-        run_mi_analysis(records, ["atom_type", "motif"], dataset_name="d", vocab=vocab),
-        run_jsd_analysis(records, ["atom_type", "motif"], dataset_name="d", vocab=vocab),
+        run_mi_analysis(records, ["atom_type", "motif"], dataset_name="d", resources=resources),
+        run_jsd_analysis(records, ["atom_type", "motif"], dataset_name="d", resources=resources),
         run_coverage(vocab, usable, dataset_name="d"),
         run_mask_sim(
             records[:20], ["uniform", "motifpred"], MaskConfig(ratio=0.25),
@@ -70,7 +73,7 @@ class TestRenderSvg:
         vocab = build_vocab([r.graph for r in usable])
         report = run_jsd_analysis(
             ring_marker_records, ["motif"], dataset_name="d",
-            taus=(1.0, 0.5, 1e-9), vocab=vocab,
+            taus=(1.0, 0.5, 1e-9), resources=motif_resources(ring_marker_records, vocab),
         )
         flags = [row[5] for row in report.rows]
         assert False in flags and True in flags

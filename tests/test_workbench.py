@@ -44,9 +44,10 @@ from molmask import (
 )
 from molmask import masking
 from molmask.cli import main
+from molmask.targets import TargetResources
 from molmask.workbench import JSD_COLUMNS, MI_COLUMNS
 
-from conftest import ring_marker_corpus, write_corpus_csv
+from conftest import motif_resources, ring_marker_corpus, write_corpus_csv
 from test_infotheory import cells
 
 
@@ -273,7 +274,7 @@ class TestExactJointCounts:
     def test_motif_unk_excluded_but_tallied(self):
         vocab = build_vocab([parse_smiles("c1ccccc1")])
         records = [record("Cc1ccccc1", 0), record("c1ccccc1", 1)]
-        joint, info = exact_joint_counts(records, "motif", vocab=vocab)
+        joint, info = exact_joint_counts(records, "motif", motif_resources(records, vocab))
         # Ring id 0 appears once per graph; the methyl motif is unseen.
         assert cells(joint) == {(0, 0): 1, (0, 1): 1}
         assert info["excluded_unk"] == 1
@@ -287,7 +288,7 @@ class TestExactJointCounts:
         vocab = build_vocab([parse_smiles("C1CCCCC1")])
         records = [record("CCO", None), record("C", 1), *usable]
         with pytest.raises(EmptyCounts) as err:
-            exact_joint_counts(records, kind, vocab=vocab)
+            exact_joint_counts(records, kind, motif_resources(records, vocab))
         assert str(err.value) == (
             f"no {kind} units to count: 1 graphs skipped for a missing label, "
             f"1 single-atom graphs skipped, {unk} motifs excluded as UNK"
@@ -307,7 +308,7 @@ class TestExactJointCounts:
         }
         codebook = np.array([[0.0, 0.0], [5.0, 5.0]])
         joint, info = exact_joint_counts(
-            records, "vq_code", embeddings=embeddings, codebook=codebook
+            records, "vq_code", TargetResources(embeddings=embeddings, codebook=codebook)
         )
         assert cells(joint) == {(0, 0): 2, (1, 1): 2}
         assert info["singleton"] == 1
@@ -316,7 +317,7 @@ class TestExactJointCounts:
         records = [record("CC", 0)]
         with pytest.raises((DataError, ShapeMismatch)):
             exact_joint_counts(
-                records, "vq_code", embeddings={}, codebook=np.zeros((2, 2))
+                records, "vq_code", TargetResources(embeddings={}, codebook=np.zeros((2, 2)))
             )
 
     def test_argmax_counts(self):
@@ -325,7 +326,7 @@ class TestExactJointCounts:
             0: np.array([[1.0, 0.0], [1.0, 0.0]]),
             1: np.array([[0.0, 1.0], [0.0, 1.0]]),
         }
-        joint, _ = exact_joint_counts(records, "argmax_token", logits=logits)
+        joint, _ = exact_joint_counts(records, "argmax_token", TargetResources(logits=logits))
         assert cells(joint) == {(0, 0): 2, (1, 1): 2}
 
 
@@ -337,7 +338,7 @@ class TestRunners:
             ring_marker_records,
             ["atom_type", "motif"],
             dataset_name="ring_marker",
-            vocab=vocab,
+            resources=motif_resources(ring_marker_records, vocab),
         )
         assert report.kind == "mi"
         assert report.columns == MI_COLUMNS
@@ -361,7 +362,7 @@ class TestRunners:
             ["motif"],
             dataset_name="ring_marker",
             taus=taus,
-            vocab=vocab,
+            resources=motif_resources(ring_marker_records, vocab),
         )
         assert report.columns == JSD_COLUMNS
         assert [row[2] for row in report.rows] == [1.0, 0.5, 0.05]
@@ -376,7 +377,8 @@ class TestRunners:
         usable, _ = analysis_records(ring_marker_records)
         vocab = build_vocab([r.graph for r in usable])
         report = run_shuffle_control(
-            ring_marker_records, "motif", dataset_name="ring_marker", vocab=vocab
+            ring_marker_records, "motif", dataset_name="ring_marker",
+            resources=motif_resources(ring_marker_records, vocab),
         )
         assert [row[2] for row in report.rows] == ["exact", "shuffled"]
         exact_row, shuffled_row = report.rows
@@ -516,11 +518,12 @@ class TestReportFiles:
     def test_round_trip_and_kind_inference(self, ring_marker_records, tmp_path):
         usable, _ = analysis_records(ring_marker_records)
         vocab = build_vocab([r.graph for r in usable])
+        resources = motif_resources(ring_marker_records, vocab)
         mi = run_mi_analysis(
-            ring_marker_records, ["atom_type"], dataset_name="d", vocab=vocab
+            ring_marker_records, ["atom_type"], dataset_name="d", resources=resources
         )
         jsd_rep = run_jsd_analysis(
-            ring_marker_records, ["motif"], dataset_name="d", vocab=vocab
+            ring_marker_records, ["motif"], dataset_name="d", resources=resources
         )
         cov = run_coverage(vocab, usable, dataset_name="d")
         for report in (mi, jsd_rep, cov):
