@@ -13,8 +13,8 @@ from molmask import (
     pagerank_all,
     parse_smiles,
     substream,
+    target_column,
 )
-from molmask.targets import TargetResources
 
 g = parse_smiles("CC(=O)Nc1ccc(O)cc1")
 config = MaskConfig(ratio=0.25, beta=10.0, intra_motif_fraction=0.5)
@@ -38,11 +38,12 @@ for bound in bind_corpus(STRATEGIES, config, [g], external=scores)(0):
 # scattered singletons.
 
 # A view leaves the graph as it is: it records the indices of the
-# masked atoms and the targets read off them, here their atom types.
+# masked atoms and the targets read off them, here their atom types
+# from the corpus's atom-type column (graph 0's slice).
 (bound,) = bind_corpus(["moama"], config, [g])(0)
 atoms = bound.plan(substream(seed=0, graph_index=0, draw_index=1))
-units, atom_types = TargetResources().view_targets("atom_type", 0, g, atoms)
-print(f"\nmoama view: masked atoms {units}, atom types {atom_types}")
+atom_types = target_column("atom_type", [g]).view_targets(0, atoms)
+print(f"\nmoama view: masked atoms {atoms}, atom types {atom_types}")
 
 # Draws are seeded per (graph, draw) cell, so replaying a cell gives
 # the same plan no matter what was drawn before it.

@@ -22,9 +22,8 @@ from molmask import (
     relative_gain,
     run_mask_sim,
     shuffle_control,
+    target_columns,
 )
-from molmask.motif import vocab_from_signatures
-from molmask.targets import TargetResources, graph_motifs
 
 corpus = Path(__file__).parent / "data" / "demo_corpus.csv"
 manifest = DatasetManifest(
@@ -35,14 +34,12 @@ records, stats = ingest(manifest)
 print(f"ingested {stats.parsed} of {stats.rows_total} rows\n")
 
 # Exact MI: every (target label, task label) pair in the corpus is
-# counted, one observation per unit (atom or motif).  Motif labels are
-# read from the resources: each record's motifs and signatures, found
-# once, and the vocabulary counted from those signatures.
-motifs = [graph_motifs(r.graph) for r in records]
-vocab = vocab_from_signatures(m.signatures for m in motifs)
-resources = TargetResources(vocab=vocab, motifs=motifs)
-joint_atom, _ = exact_joint_counts(records, "atom_type")
-joint_motif, _ = exact_joint_counts(records, "motif", resources)
+# counted, one observation per unit (atom or motif).  Each kind's
+# labels are one column over the records; the motif column comes from
+# one motif pass and the vocabulary counted from its signatures.
+atom_column, motif_column = target_columns(["atom_type", "motif"], [r.graph for r in records])
+joint_atom, _ = exact_joint_counts(records, atom_column)
+joint_motif, _ = exact_joint_counts(records, motif_column)
 for name, joint in (("atom_type", joint_atom), ("motif", joint_motif)):
     mi = mutual_information(joint)
     h = entropy_y(joint)

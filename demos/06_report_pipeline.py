@@ -20,10 +20,11 @@ from molmask import (
     run_jsd_analysis,
     run_mi_analysis,
     run_shuffle_control,
+    target_column,
     write_report_csv,
 )
 from molmask.motif import vocab_from_signatures
-from molmask.targets import TargetResources, graph_motifs
+from molmask.targets import graph_motifs
 
 corpus = Path(__file__).parent / "data" / "demo_corpus.csv"
 manifest = DatasetManifest(
@@ -31,20 +32,21 @@ manifest = DatasetManifest(
     name="demo",
 )
 records, _ = ingest(manifest)
-# Motif targets read each record's motifs, found once here, and a
-# vocabulary counted from their signatures, as the commands do.
-motifs = [graph_motifs(r.graph) for r in records]
+# Each target kind is one label column over the records.  Motif labels
+# read each record's motifs, found once here, and a vocabulary counted
+# from their signatures, as the commands do; the coverage report below
+# reuses that vocabulary.
+graphs = [r.graph for r in records]
+motifs = [graph_motifs(graph) for graph in graphs]
 vocab = vocab_from_signatures(m.signatures for m in motifs)
-resources = TargetResources(vocab=vocab, motifs=motifs)
+columns = [target_column(kind, graphs, {"vocab": vocab, "motifs": motifs})
+           for kind in ("atom_type", "motif")]
 
 # Each runner returns an AnalysisReport: typed rows plus a fixed column
 # order, with seed and a config hash in every row for provenance.
-mi = run_mi_analysis(records, ["atom_type", "motif"], dataset_name="demo",
-                     seed=0, resources=resources)
-jsd = run_jsd_analysis(records, ["atom_type", "motif"], dataset_name="demo",
-                       seed=0, resources=resources)
-shuffle = run_shuffle_control(records, "motif", dataset_name="demo",
-                              repeats=5, seed=0, resources=resources)
+mi = run_mi_analysis(records, columns, dataset_name="demo", seed=0)
+jsd = run_jsd_analysis(records, columns, dataset_name="demo", seed=0)
+shuffle = run_shuffle_control(records, columns[1], dataset_name="demo", repeats=5, seed=0)
 cov = run_coverage(vocab, records, dataset_name="demo")
 
 print("mi rows:")

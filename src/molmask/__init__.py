@@ -37,7 +37,9 @@ _EXPORTS = {
     "masking": (
         "MaskConfig", "bind_corpus", "export_views", "mask_count", "substream",
     ),
-    "targets": ("load_codebook", "load_embeddings"),
+    "targets": (
+        "TargetColumn", "load_codebook", "load_embeddings", "target_column", "target_columns",
+    ),
     "infotheory": (
         "JointCounts", "JsdCurve", "SampledMi", "ShuffleResult", "entropy_y",
         "jsd", "jsd_curve", "low_freq_conditionals", "mutual_information",
@@ -48,7 +50,7 @@ _EXPORTS = {
         "DatasetManifest", "IngestStats", "analysis_records", "build_vocab_tsv",
         "config_hash", "exact_joint_counts", "ingest", "load_vocab_tsv",
         "parallel_map", "run_coverage", "run_jsd_analysis", "run_mask_sim",
-        "run_mi_analysis", "run_shuffle_control",
+        "run_mi_analysis", "run_shuffle_control", "usable_positions",
     ),
     "svg": ("render_svg",),
 }

@@ -8,6 +8,17 @@ analysis layer.
 
 STRATEGIES = ("uniform", "pagerank", "external", "moama", "motifpred")
 
-TARGET_KINDS = ("atom_type", "motif", "argmax_token", "vq_code")
+# Each target kind and the inputs its labels are read from, by the
+# name of their command-line flag; True marks an input the kind cannot
+# do without.  Without --vocab, a motif vocabulary is counted from the
+# corpus.  targets._LABELLERS labels each kind.
+TARGET_INPUTS = {
+    "atom_type": {},
+    "motif": {"vocab": False},
+    "argmax_token": {"logits": True},
+    "vq_code": {"embeddings": True, "codebook": True, "vq_normalize": False},
+}
+
+TARGET_KINDS = tuple(TARGET_INPUTS)
 
 DEFAULT_TAUS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001)

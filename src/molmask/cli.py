@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 # Only what the parser needs is imported here.  Each command imports the
 # layers it runs, so start-up, --help, --version and plot load no numpy.
 from ._version import __version__
-from .choices import DEFAULT_TAUS, STRATEGIES, TARGET_KINDS
+from .choices import DEFAULT_TAUS, STRATEGIES, TARGET_INPUTS, TARGET_KINDS
 from .errors import DataError
 
 
@@ -46,14 +46,25 @@ def _add_target_flags(
         sub.add_argument("--target", default=one_kind, choices=TARGET_KINDS, help="one target kind")
     else:
         sub.add_argument("--targets", default="atom_type,motif", help="comma-separated target kinds")
-    sub.add_argument("--vocab", default="", help="motif vocabulary TSV (default: build from input)")
-    sub.add_argument("--embeddings", default="", help="per-atom embedding CSV")
-    sub.add_argument("--codebook", default="", help="codebook CSV")
-    sub.add_argument("--logits", default="", help="per-atom logits CSV")
+    for name, text in (("vocab", "motif vocabulary TSV of the {} target "
+                                 "(default: build from input)"),
+                       ("embeddings", "per-atom embedding CSV of the {} target"),
+                       ("codebook", "codebook CSV of the {} target"),
+                       ("logits", "per-atom logits CSV of the {} target")):
+        sub.add_argument(_flag(name), default="", help=text.format(_read_by(name)))
     if vq_normalize:
-        sub.add_argument("--vq-normalize", action="store_true",
-                         help="L2-normalize before quantizing")
+        sub.add_argument("--vq-normalize", action="store_true", help="L2-normalize before "
+                         f"quantizing, for the {_read_by('vq_normalize')} target")
     sub.add_argument("--output", default="", help=f"output path (default: {output} in --out-dir)")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _read_by(name: str) -> str:
+    """The target kinds that read input ``name``, quoted."""
+    return " and ".join(repr(kind) for kind, inputs in TARGET_INPUTS.items() if name in inputs)
 
 
 def _add_mask_flags(sub: argparse.ArgumentParser) -> None:
@@ -152,6 +163,15 @@ def _out_path(args, default_name: str) -> Path:
     return out_dir / default_name
 
 
+def _write_report(args, report, default_name: str) -> int:
+    from .report import write_report_csv
+
+    path = _out_path(args, default_name)
+    write_report_csv(report, path)
+    print(f"wrote {path}")
+    return 0
+
+
 def _split_list(raw: str, allowed: Sequence[str], what: str) -> list[str]:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
@@ -165,12 +185,18 @@ def _split_list(raw: str, allowed: Sequence[str], what: str) -> list[str]:
 
 
 def _target_kinds(args, raw: str) -> list[str]:
-    """The target kinds in ``raw``, checked before the corpus is read."""
+    """The target kinds in ``raw``, checked with the inputs they read
+    before the corpus is read: a kind without an input it needs, or an
+    input flag that none of them reads, is a usage error."""
     kinds = _split_list(raw, TARGET_KINDS, "target kind")
-    if "vq_code" in kinds and not (args.embeddings and args.codebook):
-        raise _UsageError("target 'vq_code' needs --embeddings and --codebook")
-    if "argmax_token" in kinds and not args.logits:
-        raise _UsageError("target 'argmax_token' needs --logits")
+    for kind in kinds:
+        needed = [name for name, required in TARGET_INPUTS[kind].items() if required]
+        if not all(getattr(args, name) for name in needed):
+            raise _UsageError(f"target {kind!r} needs {' and '.join(map(_flag, needed))}")
+    read = {name for kind in kinds for name in TARGET_INPUTS[kind]}
+    for name in dict.fromkeys(name for inputs in TARGET_INPUTS.values() for name in inputs):
+        if name not in read and getattr(args, name, False):
+            raise _UsageError(f"{_flag(name)} is read only by the {_read_by(name)} target")
     return kinds
 
 
@@ -188,30 +214,15 @@ def _external_scores(args, strategies: Sequence[str], records):
     return load_external_scores(args.scores, [rec.graph.n_atoms for rec in records])
 
 
-def _target_resources(args, records, kinds: Sequence[str]) -> TargetResources:
-    """What the flags ask target labels to be read from.
+def _target_columns(args, kinds: Sequence[str], records, counted: bool) -> list[TargetColumn]:
+    """Each kind's TargetColumn over ``records``, read as target_columns
+    reads it; with ``counted``, it labels only the records an analysis
+    counts, so the input files need no rows for the others."""
+    from .targets import target_columns
+    from .workbench import usable_positions
 
-    A motif kind gets the command's one motif pass over all parsed
-    records, in this process; without --vocab, the same pass builds the
-    vocabulary.
-    """
-    from .motif import vocab_from_signatures
-    from .targets import TargetResources, graph_motifs, load_codebook, load_embeddings
-    from .workbench import load_vocab_tsv
-
-    vocab = load_vocab_tsv(args.vocab) if args.vocab else None
-    motifs = None
-    if "motif" in kinds:
-        motifs = [graph_motifs(rec.graph) for rec in records]
-        if vocab is None:
-            vocab = vocab_from_signatures(m.signatures for m in motifs)
-    return TargetResources(
-        vocab=vocab, motifs=motifs,
-        embeddings=load_embeddings(args.embeddings) if args.embeddings else None,
-        codebook=load_codebook(args.codebook) if args.codebook else None,
-        logits=load_embeddings(args.logits) if args.logits else None,
-        vq_normalize=getattr(args, "vq_normalize", False),
-    )
+    positions = usable_positions(records)[0] if counted else None
+    return target_columns(kinds, [rec.graph for rec in records], vars(args), positions)
 
 
 def cmd_parse_check(args) -> int:
@@ -264,20 +275,15 @@ def cmd_vocab_build(args) -> int:
 
 
 def cmd_vocab_coverage(args) -> int:
-    from .report import write_report_csv
     from .workbench import load_vocab_tsv, run_coverage
 
     manifest, records, _ = _ingest_for_analysis(args)
     vocab = load_vocab_tsv(args.vocab)
     report = run_coverage(vocab, records, dataset_name=manifest.display_name, seed=args.seed)
-    path = _out_path(args, "coverage.csv")
-    write_report_csv(report, path)
-    print(f"wrote {path}")
-    return 0
+    return _write_report(args, report, "coverage.csv")
 
 
 def cmd_mask_sim(args) -> int:
-    from .report import write_report_csv
     from .workbench import run_mask_sim
 
     strategies = _split_list(args.strategies, STRATEGIES, "strategy")
@@ -289,80 +295,62 @@ def cmd_mask_sim(args) -> int:
         dataset_name=manifest.display_name, repeats=args.repeats,
         seed=args.seed, workers=args.workers, external_scores=external,
     )
-    path = _out_path(args, "mask_sim.csv")
-    write_report_csv(report, path)
-    print(f"wrote {path}")
-    return 0
+    return _write_report(args, report, "mask_sim.csv")
 
 
 def cmd_mi(args) -> int:
-    from .report import write_report_csv
     from .workbench import run_mi_analysis
 
     kinds = _target_kinds(args, args.targets)
     manifest, records, _ = _ingest_for_analysis(args, "mi")
     report = run_mi_analysis(
-        records, kinds, dataset_name=manifest.display_name,
-        seed=args.seed, resources=_target_resources(args, records, kinds),
+        records, _target_columns(args, kinds, records, counted=True),
+        dataset_name=manifest.display_name, seed=args.seed,
     )
-    path = _out_path(args, "mi.csv")
-    write_report_csv(report, path)
-    print(f"wrote {path}")
-    return 0
+    return _write_report(args, report, "mi.csv")
 
 
 def cmd_jsd(args) -> int:
-    from .report import write_report_csv
     from .workbench import run_jsd_analysis
 
     kinds = _target_kinds(args, args.targets)
     manifest, records, _ = _ingest_for_analysis(args, "jsd")
     taus = args.taus or list(DEFAULT_TAUS)
     report = run_jsd_analysis(
-        records, kinds, dataset_name=manifest.display_name, taus=taus,
-        seed=args.seed, resources=_target_resources(args, records, kinds),
+        records, _target_columns(args, kinds, records, counted=True),
+        dataset_name=manifest.display_name, taus=taus, seed=args.seed,
     )
-    path = _out_path(args, "jsd.csv")
-    write_report_csv(report, path)
-    print(f"wrote {path}")
-    return 0
+    return _write_report(args, report, "jsd.csv")
 
 
 def cmd_shuffle_control(args) -> int:
-    from .report import write_report_csv
     from .workbench import run_shuffle_control
 
     kinds = _target_kinds(args, args.target)
     manifest, records, _ = _ingest_for_analysis(args, "shuffle-control")
+    [column] = _target_columns(args, kinds, records, counted=True)
     report = run_shuffle_control(
-        records, kinds[0], dataset_name=manifest.display_name,
-        repeats=args.repeats, seed=args.seed, resources=_target_resources(args, records, kinds),
+        records, column, dataset_name=manifest.display_name,
+        repeats=args.repeats, seed=args.seed,
     )
-    path = _out_path(args, "shuffle.csv")
-    write_report_csv(report, path)
-    print(f"wrote {path}")
-    return 0
+    return _write_report(args, report, "shuffle.csv")
 
 
 def cmd_export_views(args) -> int:
     from .masking import bind_corpus, export_views
 
-    [kind] = _target_kinds(args, args.target)
+    kinds = _target_kinds(args, args.target)
     manifest, records, _ = _ingest_for_analysis(args)
     config = _mask_config(args)
     external = _external_scores(args, [args.strategy], records)
-    resources = _target_resources(args, records, [kind])
+    # Built before the views file is opened: a labelling error leaves no
+    # partial file behind.  A motif column's partitions are the masks' too.
+    [column] = _target_columns(args, kinds, records, counted=False)
     graphs = [rec.graph for rec in records]
-    partitions = None if resources.motifs is None else [m.partition for m in resources.motifs]
-    bind = bind_corpus([args.strategy], config, graphs, external, partitions)
-
-    def target_fn(graph, graph_index, atoms):
-        _, labels = resources.view_targets(kind, graph_index, graph, atoms)
-        return kind, list(labels)
-
+    bind = bind_corpus([args.strategy], config, graphs, external, column.partitions)
     path = _out_path(args, "views.jsonl")
     lines = export_views(
-        graphs, (bind(g)[0] for g in range(len(graphs))), target_fn, path,
+        graphs, (bind(g)[0] for g in range(len(graphs))), column, path,
         draws_per_graph=args.draws_per_graph, seed=args.seed,
     )
     print(f"wrote {lines} views to {path}")
@@ -477,10 +465,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

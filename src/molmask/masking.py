@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .errors import OutOfRangeIndex
 from .molgraph import MolGraph
 from .motif import MotifPartition, decompose, motif_adjacency
 from .scoring import NodeScores, pagerank_all
+
+if TYPE_CHECKING:
+    from .targets import TargetColumn
 
 @dataclass(frozen=True)
 class MaskConfig:
@@ -378,14 +381,10 @@ def bind_corpus(
     return bind
 
 
-TargetFn = Callable[[MolGraph, int, tuple[int, ...]], tuple[str, list[int]]]
-"""(graph, corpus position, masked atoms) -> (target type, target labels)."""
-
-
 def export_views(
     corpus: Sequence[MolGraph],
     strategies: Iterable[BoundStrategy],
-    target_fn: TargetFn,
+    column: TargetColumn,
     path: str | Path,
     draws_per_graph: int = 1,
     seed: int = 0,
@@ -393,9 +392,10 @@ def export_views(
     """Write masked views with their prediction targets as JSON lines.
 
     ``strategies`` gives each graph's BoundStrategy in corpus order, so
-    a generator binds each graph only when its views are written.  One
-    line per (graph, draw): smiles, masked_atoms, target_type,
-    targets, strategy, seed.  Output is byte-identical across runs with
+    a generator binds each graph only when its views are written; the
+    targets are ``column``'s, built over ``corpus``.  One line per
+    (graph, draw): smiles, masked_atoms, target_type, targets,
+    strategy, seed.  Output is byte-identical across runs with
     the same inputs and seed.  Returns the number of lines written.
     """
     lines = 0
@@ -403,12 +403,11 @@ def export_views(
         for graph_index, (graph, bound) in enumerate(zip(corpus, strategies, strict=True)):
             for draw in range(draws_per_graph):
                 atoms = bound.plan(substream(seed, graph_index, draw))
-                target_type, targets = target_fn(graph, graph_index, atoms)
                 record = {
                     "smiles": graph.source_smiles,
                     "masked_atoms": list(atoms),
-                    "target_type": target_type,
-                    "targets": list(targets),
+                    "target_type": column.kind,
+                    "targets": column.view_targets(graph_index, atoms),
                     "strategy": bound.strategy,
                     "seed": seed,
                 }

@@ -24,6 +24,8 @@ _MARGIN_L = 70
 _MARGIN_R = 160
 _MARGIN_T = 40
 _MARGIN_B = 60
+_X0, _Y0 = _MARGIN_L, _HEIGHT - _MARGIN_B  # the plot's bottom left corner
+_PLOT_W, _PLOT_H = _WIDTH - _MARGIN_R - _MARGIN_L, _Y0 - _MARGIN_T
 
 _PALETTE = ("#4878a8", "#e49444", "#5fa052", "#c65b5b", "#8268a8", "#a8a24e")
 
@@ -36,10 +38,6 @@ def _esc(text: str) -> str:
     return (
         str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
-
-
-def _row_maps(report: AnalysisReport) -> list[dict[str, str]]:
-    return [dict(zip(report.columns, (str(c) for c in row))) for row in report.rows]
 
 
 def _number(row: dict[str, str], column: str, positive: bool = False) -> float:
@@ -68,8 +66,7 @@ def _nice_max(value: float) -> float:
 
 
 def _axes(y_max: float, y_label: str, title: str) -> list[str]:
-    x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
-    x1, y1 = _WIDTH - _MARGIN_R, _MARGIN_T
+    x0, y0, x1, y1 = _X0, _Y0, _X0 + _PLOT_W, _MARGIN_T
     parts = [
         f'<text x="{_WIDTH // 2}" y="22" text-anchor="middle" '
         f'font-size="15" font-family="sans-serif">{_esc(title)}</text>',
@@ -92,13 +89,10 @@ def _axes(y_max: float, y_label: str, title: str) -> list[str]:
     return parts
 
 
-def _no_data(parts: list[str]) -> None:
-    cx = (_MARGIN_L + _WIDTH - _MARGIN_R) // 2
-    cy = (_MARGIN_T + _HEIGHT - _MARGIN_B) // 2
-    parts.append(
-        f'<text x="{cx}" y="{cy}" text-anchor="middle" font-size="14" '
-        f'fill="#888" font-family="sans-serif">no data</text>'
-    )
+_NO_DATA = (
+    f'<text x="{_X0 + _PLOT_W // 2}" y="{_Y0 - _PLOT_H // 2}" text-anchor="middle" font-size="14" '
+    f'fill="#888" font-family="sans-serif">no data</text>'
+)
 
 
 def _legend(parts: list[str], names: Sequence[str]) -> None:
@@ -113,14 +107,41 @@ def _legend(parts: list[str], names: Sequence[str]) -> None:
         )
 
 
-def _render_mi(report: AnalysisReport) -> list[str]:
-    rows = _row_maps(report)
+def _bars(groups: list[tuple[str, list[tuple[int, float, float]]]], series: Sequence[str],
+          y_max: float) -> list[str]:
+    """Grouped bars: each group is its label and its bars, each a
+    (series index, value, std) with a whisker where std > 0."""
     parts: list[str] = []
-    if not rows:
-        parts.extend(_axes(1.0, "MI (bits)", "mutual information"))
-        _no_data(parts)
-        return parts
+    group_w = _PLOT_W / len(groups)
+    bar_w = min(40.0, group_w * 0.8 / len(series))
+    for gi, (label, bars) in enumerate(groups):
+        start = _X0 + gi * group_w + (group_w - bar_w * len(bars)) / 2
+        for bi, (si, value, std) in enumerate(bars):
+            height = max(0.0, value / y_max * _PLOT_H)
+            x = start + bi * bar_w
+            parts.append(
+                f'<rect x="{_fmt(x)}" y="{_fmt(_Y0 - height)}" width="{_fmt(bar_w - 2)}" '
+                f'height="{_fmt(height)}" fill="{_PALETTE[si % len(_PALETTE)]}"/>'
+            )
+            if std > 0:
+                cx = x + (bar_w - 2) / 2
+                lo = _Y0 - max(0.0, (value - std) / y_max * _PLOT_H)
+                hi = _Y0 - min(_PLOT_H, (value + std) / y_max * _PLOT_H)
+                parts.append(
+                    f'<line x1="{_fmt(cx)}" y1="{_fmt(lo)}" x2="{_fmt(cx)}" y2="{_fmt(hi)}" '
+                    f'stroke="#222" stroke-width="1"/>'
+                )
+        parts.append(
+            f'<text x="{_fmt(_X0 + gi * group_w + group_w / 2)}" y="{_Y0 + 18}" '
+            f'text-anchor="middle" font-size="11" font-family="sans-serif">{_esc(label)}</text>'
+        )
+    _legend(parts, series)
+    return parts
 
+
+def _render_mi(rows: list[dict[str, str]]) -> Optional[tuple[float, list[str]]]:
+    if not rows:
+        return None
     groups: list[str] = []
     strategies: list[str] = []
     values: dict[tuple[str, str], tuple[float, float]] = {}
@@ -132,52 +153,16 @@ def _render_mi(report: AnalysisReport) -> list[str]:
             strategies.append(s)
         std = _number(row, "seed_std") if row.get("seed_std") else 0.0
         values[(g, s)] = (_number(row, "mi_bits"), std)
-
     y_max = _nice_max(max(v + s for v, s in values.values()))
-    parts.extend(_axes(y_max, "MI (bits)", "mutual information"))
-    x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
-    plot_w = _WIDTH - _MARGIN_R - _MARGIN_L
-    plot_h = y0 - _MARGIN_T
-    group_w = plot_w / len(groups)
-    bar_w = min(40.0, group_w * 0.8 / len(strategies))
-
-    for gi, group in enumerate(groups):
-        present = [s for s in strategies if (group, s) in values]
-        total_w = bar_w * len(present)
-        start = x0 + gi * group_w + (group_w - total_w) / 2
-        for bi, strategy in enumerate(present):
-            value, std = values[(group, strategy)]
-            height = max(0.0, value / y_max * plot_h)
-            x = start + bi * bar_w
-            color = _PALETTE[strategies.index(strategy) % len(_PALETTE)]
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y0 - height)}" width="{_fmt(bar_w - 2)}" '
-                f'height="{_fmt(height)}" fill="{color}"/>'
-            )
-            if std > 0:
-                cx = x + (bar_w - 2) / 2
-                lo = y0 - max(0.0, (value - std) / y_max * plot_h)
-                hi = y0 - min(plot_h, (value + std) / y_max * plot_h)
-                parts.append(
-                    f'<line x1="{_fmt(cx)}" y1="{_fmt(lo)}" x2="{_fmt(cx)}" y2="{_fmt(hi)}" '
-                    f'stroke="#222" stroke-width="1"/>'
-                )
-        parts.append(
-            f'<text x="{_fmt(x0 + gi * group_w + group_w / 2)}" y="{y0 + 18}" '
-            f'text-anchor="middle" font-size="11" font-family="sans-serif">{_esc(group)}</text>'
-        )
-    _legend(parts, strategies)
-    return parts
+    bars = [(g, [(si, *values[(g, s)]) for si, s in enumerate(strategies) if (g, s) in values])
+            for g in groups]
+    return y_max, _bars(bars, strategies, y_max)
 
 
-def _render_jsd(report: AnalysisReport) -> list[str]:
-    rows = _row_maps(report)
+def _render_jsd(rows: list[dict[str, str]]) -> Optional[tuple[float, list[str]]]:
     defined_rows = [r for r in rows if r.get("defined") in ("1", "True", "true")]
-    parts: list[str] = []
     if not defined_rows:
-        parts.extend(_axes(1.0, "JSD (bits)", "low-frequency divergence"))
-        _no_data(parts)
-        return parts
+        return None
 
     series: dict[str, list[tuple[float, float]]] = {}
     for row in defined_rows:
@@ -188,25 +173,21 @@ def _render_jsd(report: AnalysisReport) -> list[str]:
     log_lo, log_hi = math.log10(taus[0]), math.log10(taus[-1])
     span = (log_hi - log_lo) or 1.0
     y_max = _nice_max(max(v for pts in series.values() for _, v in pts))
-    parts.extend(_axes(y_max, "JSD (bits)", "low-frequency divergence"))
-
-    x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
-    plot_w = _WIDTH - _MARGIN_R - _MARGIN_L
-    plot_h = y0 - _MARGIN_T
+    parts: list[str] = []
 
     def to_xy(tau: float, value: float) -> tuple[float, float]:
-        x = x0 + (math.log10(tau) - log_lo) / span * plot_w
-        y = y0 - value / y_max * plot_h
+        x = _X0 + (math.log10(tau) - log_lo) / span * _PLOT_W
+        y = _Y0 - value / y_max * _PLOT_H
         return x, y
 
     for tau in taus:
         x, _ = to_xy(tau, 0.0)
         parts.append(
-            f'<text x="{_fmt(x)}" y="{y0 + 18}" text-anchor="middle" '
+            f'<text x="{_fmt(x)}" y="{_Y0 + 18}" text-anchor="middle" '
             f'font-size="10" font-family="sans-serif">{tau:g}</text>'
         )
     parts.append(
-        f'<text x="{(x0 + _WIDTH - _MARGIN_R) // 2}" y="{y0 + 38}" text-anchor="middle" '
+        f'<text x="{(_X0 + _WIDTH - _MARGIN_R) // 2}" y="{_Y0 + 38}" text-anchor="middle" '
         f'font-size="12" font-family="sans-serif">marginal threshold tau (log scale)</text>'
     )
 
@@ -223,57 +204,41 @@ def _render_jsd(report: AnalysisReport) -> list[str]:
         for x, y in coords:
             parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
     _legend(parts, names)
-    return parts
+    return y_max, parts
 
 
-def _render_coverage(report: AnalysisReport) -> list[str]:
-    rows = _row_maps(report)
-    parts: list[str] = []
+def _render_coverage(rows: list[dict[str, str]]) -> Optional[tuple[float, list[str]]]:
     if not rows:
-        parts.extend(_axes(1.0, "ratio", "vocabulary coverage"))
-        _no_data(parts)
-        return parts
+        return None
     metrics = ("overlap_ratio", "mean_r", "median_r")
-    parts.extend(_axes(1.0, "ratio", "vocabulary coverage"))
-    x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
-    plot_w = _WIDTH - _MARGIN_R - _MARGIN_L
-    plot_h = y0 - _MARGIN_T
-    group_w = plot_w / len(rows)
-    bar_w = min(40.0, group_w * 0.8 / len(metrics))
-    for gi, row in enumerate(rows):
-        start = x0 + gi * group_w + (group_w - bar_w * len(metrics)) / 2
-        for bi, metric in enumerate(metrics):
-            value = _number(row, metric)
-            height = max(0.0, min(1.0, value)) * plot_h
-            parts.append(
-                f'<rect x="{_fmt(start + bi * bar_w)}" y="{_fmt(y0 - height)}" '
-                f'width="{_fmt(bar_w - 2)}" height="{_fmt(height)}" '
-                f'fill="{_PALETTE[bi % len(_PALETTE)]}"/>'
-            )
-        parts.append(
-            f'<text x="{_fmt(x0 + gi * group_w + group_w / 2)}" y="{y0 + 18}" '
-            f'text-anchor="middle" font-size="11" font-family="sans-serif">{_esc(row["dataset"])}</text>'
-        )
-    _legend(parts, metrics)
-    return parts
+    bars = [(row["dataset"], [(mi, min(1.0, _number(row, m)), 0.0) for mi, m in enumerate(metrics)])
+            for row in rows]
+    return 1.0, _bars(bars, metrics, 1.0)
+
+
+# Each report kind's y-axis label, title and renderer; a renderer
+# returns the y-axis maximum and the chart's body, or None for no data.
+_CHARTS = {
+    "mi": ("MI (bits)", "mutual information", _render_mi),
+    "jsd": ("JSD (bits)", "low-frequency divergence", _render_jsd),
+    "coverage": ("ratio", "vocabulary coverage", _render_coverage),
+}
 
 
 def render_svg(report: AnalysisReport, path: Optional[str | Path] = None) -> str:
     """Render a report to SVG markup; optionally write it to a file.
 
-    Dispatch follows report.kind; an empty report still yields a valid
-    chart frame with a "no data" annotation.
+    Dispatch follows report.kind (any other kind draws as MI); an empty
+    report still yields a valid chart frame with a "no data" annotation.
     """
-    if report.kind == "jsd":
-        body = _render_jsd(report)
-    elif report.kind == "coverage":
-        body = _render_coverage(report)
-    else:
-        body = _render_mi(report)
+    y_label, title, render = _CHARTS.get(report.kind, _CHARTS["mi"])
+    rows = [dict(zip(report.columns, map(str, row))) for row in report.rows]
+    y_max, body = render(rows) or (1.0, [_NO_DATA])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        *_axes(y_max, y_label, title),
         *body,
         "</svg>",
     ]

@@ -1,29 +1,30 @@
-"""Prediction-target extraction for masked views.
+"""Prediction targets as corpus columns.
 
-Four target families: raw atom types, motif vocabulary ids, argmax
-tokens from externally supplied logits, and nearest-codebook (vector
-quantized) codes from externally supplied embeddings.  Every kind's
-labels come from TargetResources.unit_labels, built on the whole-graph
-label helpers; exact analyses count all units, masked views select the
-hidden ones.
+A target kind labels every unit of a graph: its atoms by atomic number
+(atom_type), by the argmax token of per-atom logits (argmax_token) or
+by the nearest codebook row of per-atom embeddings (vq_code), or its
+motifs by vocabulary id (motif).  ``target_column`` labels the graphs a
+command labels into one column plus per-graph offsets, the layout of
+PyTorch Geometric's ``Batch``: exact analyses count the counted graphs'
+slices, and a masked view reads its units from its graph's slice.
+``target_columns`` reads what the kinds read (choices.TARGET_INPUTS)
+once per command.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .choices import TARGET_INPUTS
 from .errors import DataError, DimMismatch, NonFiniteScore, ShapeMismatch
 from .molgraph import MolGraph
-from .motif import MotifPartition, MotifVocab, decompose, motif_signatures
-
-def atom_labels(graph: MolGraph) -> tuple[int, ...]:
-    """Atom-type label of every atom: its atomic number."""
-    return graph.z
+from .motif import MotifPartition, decompose, motif_signatures, vocab_from_signatures
 
 
 def argmax_labels(logits: np.ndarray) -> list[int]:
@@ -72,13 +73,10 @@ def graph_motifs(graph: MolGraph) -> GraphMotifs:
     return GraphMotifs(partition, tuple(motif_signatures(graph, partition)))
 
 
-def _atom_rows(
-    table: Optional[dict[int, np.ndarray]], what: str, pos: int, graph: MolGraph
-) -> np.ndarray:
-    """The per-atom rows of the graph at corpus position pos."""
-    if table is None:
-        raise DataError(f"these targets need per-atom {what}")
-    rows = table.get(pos)
+def _atom_rows(inputs: Mapping[str, Any], what: str, pos: int, graph: MolGraph) -> np.ndarray:
+    """The rows of per-atom input ``what`` for the graph at corpus
+    position pos."""
+    rows = inputs[what].get(pos)
     if rows is None:
         raise ShapeMismatch(f"no {what} for graph at corpus position {pos}")
     if rows.ndim != 2 or rows.shape[0] != graph.n_atoms:
@@ -89,57 +87,110 @@ def _atom_rows(
 
 
 @dataclass(frozen=True)
-class TargetResources:
-    """What target labels are read from, besides the graph itself.
+class TargetColumn:
+    """One target kind's labels for a corpus, as one column.
 
-    Per-graph entries are keyed by corpus position: ``motifs`` holds one
-    graph_motifs result per graph, ``embeddings`` and ``logits`` are as
-    load_embeddings returns them.
+    Graph g's units are labelled ``labels[offsets[g]:offsets[g + 1]]``;
+    a graph the column does not label has an empty slice.  The units
+    are atoms, or the motifs of ``partitions``; ``unk``, if not None,
+    labels the motifs outside the vocabulary, which counts exclude.
     """
 
-    vocab: Optional[MotifVocab] = None
-    motifs: Optional[Sequence[GraphMotifs]] = None
-    embeddings: Optional[dict[int, np.ndarray]] = None
-    codebook: Optional[np.ndarray] = None
-    logits: Optional[dict[int, np.ndarray]] = None
-    vq_normalize: bool = False
+    kind: str
+    labels: np.ndarray
+    offsets: np.ndarray
+    partitions: Optional[Sequence[MotifPartition]] = None
+    unk: Optional[int] = None
 
-    def unit_labels(self, kind: str, pos: int, graph: MolGraph) -> Sequence[int]:
-        """Label of every unit of the graph at corpus position ``pos``.
+    def graph_labels(self, g: int) -> np.ndarray:
+        return self.labels[self.offsets[g]:self.offsets[g + 1]]
 
-        Units are atoms, or motifs for kind 'motif'; motifs outside the
-        vocabulary get its UNK id.  Raises DataError when the kind's
-        resources are absent and ShapeMismatch when the graph's rows are
-        missing or do not match its atom count.
-        """
-        if kind == "atom_type":
-            return atom_labels(graph)
-        if kind == "motif":
-            if self.vocab is None or self.motifs is None:
-                raise DataError("motif targets need a vocabulary and the corpus motifs")
-            return [self.vocab.lookup(sig) for sig in self.motifs[pos].signatures]
-        if kind == "argmax_token":
-            return argmax_labels(_atom_rows(self.logits, "logits", pos, graph))
-        if kind == "vq_code":
-            if self.codebook is None:
-                raise DataError("vq_code targets need a codebook")
-            rows = _atom_rows(self.embeddings, "embeddings", pos, graph)
-            return vq_labels(rows, self.codebook, normalize=self.vq_normalize)
+    def view_targets(self, g: int, atoms: Sequence[int]) -> list[int]:
+        """Labels of what a mask of graph g hides: its atoms, or the
+        sorted motifs that hold at least one of them, whole or in part."""
+        units = atoms if self.partitions is None else sorted(
+            {self.partitions[g].motif_of[a] for a in atoms})
+        return self.graph_labels(g)[list(units)].tolist()
+
+
+def _motif_ids(graph: MolGraph, pos: int, inputs: Mapping[str, Any]) -> list[int]:
+    motifs = inputs["motifs"][pos]
+    if len(motifs.partition.motif_of) != graph.n_atoms:
+        raise ShapeMismatch(f"graph {pos}: its motif partition is of another graph")
+    return [inputs["vocab"].lookup(sig) for sig in motifs.signatures]
+
+
+# Each kind's column dtype, the inputs it cannot do without, its
+# labeller, (graph, corpus position, inputs) -> the labels of the
+# graph's units, and whether those units are the graph's motifs in
+# inputs["motifs"], not its atoms.  Atom types fit uint8: the parser
+# emits 0..118 and MolGraph bounds the rest to 0..119.
+_LABELLERS = {
+    "atom_type": (np.uint8, (), lambda graph, pos, inputs: graph.z, False),
+    "motif": (np.int32, ("vocab", "motifs"), _motif_ids, True),
+    "argmax_token": (np.int32, ("logits",), lambda graph, pos, inputs: argmax_labels(
+        _atom_rows(inputs, "logits", pos, graph)), False),
+    "vq_code": (np.int32, ("embeddings", "codebook"), lambda graph, pos, inputs: vq_labels(
+        _atom_rows(inputs, "embeddings", pos, graph), inputs["codebook"],
+        inputs.get("vq_normalize", False)), False),
+}
+
+
+def target_column(
+    kind: str, graphs: Sequence[MolGraph], inputs: Mapping[str, Any] = {},
+    positions: Optional[Sequence[int]] = None,
+) -> TargetColumn:
+    """Label every unit of the graphs at ``positions`` (default: all)
+    into one column over ``graphs``.
+
+    ``inputs`` holds what the kind reads, loaded: ``vocab``,
+    ``motifs`` (one graph_motifs per graph), ``embeddings`` and
+    ``logits`` (as load_embeddings returns them, keyed by position in
+    ``graphs``), ``codebook`` and ``vq_normalize``.  Raises DataError
+    for an unknown kind or a missing input, and ShapeMismatch when a
+    labelled graph's rows are missing or do not fit it, or the motifs
+    are not those of the graphs.
+    """
+    if kind not in _LABELLERS:
         raise DataError(f"unknown target kind {kind!r}")
+    dtype, needs, label, motif_units = _LABELLERS[kind]
+    missing = [name for name in needs if inputs.get(name) is None]
+    if missing:
+        raise DataError(f"{kind} targets need {' and '.join(missing)}")
+    partitions = unk = None
+    if motif_units:
+        partitions, unk = [m.partition for m in inputs["motifs"]], inputs["vocab"].unk_id
+        if len(partitions) != len(graphs):
+            raise ShapeMismatch(f"{len(partitions)} motif partitions for {len(graphs)} graphs")
+    positions = range(len(graphs)) if positions is None else positions
+    per_graph = [label(graphs[pos], pos, inputs) for pos in positions]
+    sizes = np.zeros(len(graphs), dtype=np.int64)
+    sizes[list(positions)] = [len(labels) for labels in per_graph]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    labels = np.fromiter(itertools.chain.from_iterable(per_graph), dtype, int(offsets[-1]))
+    return TargetColumn(kind, labels, offsets, partitions, unk)
 
-    def view_targets(
-        self, kind: str, pos: int, graph: MolGraph, atoms: Sequence[int]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(unit ids, labels) of what a mask hides: its atoms, or for kind
-        'motif' the sorted motifs of this graph's partition that hold at
-        least one of them, whole or in part."""
-        labels = self.unit_labels(kind, pos, graph)
-        if kind == "motif":
-            motif_of = self.motifs[pos].partition.motif_of
-            units = tuple(sorted({motif_of[a] for a in atoms}))
-        else:
-            units = tuple(atoms)
-        return units, tuple(labels[u] for u in units)
+
+def target_columns(
+    kinds: Sequence[str], graphs: Sequence[MolGraph], flags: Mapping[str, Any] = {},
+    positions: Optional[Sequence[int]] = None,
+) -> list[TargetColumn]:
+    """Each kind's target_column, its inputs read once: each input of
+    the kinds that ``flags`` names (a path, or True for
+    ``vq_normalize``) and, for a motif kind, the ``motifs`` of one
+    graph_motifs pass over ``graphs`` and, without a ``vocab``, the
+    vocabulary counted from their signatures."""
+    from .workbench import load_vocab_tsv
+
+    readers = {"vocab": load_vocab_tsv, "embeddings": load_embeddings,
+               "codebook": load_codebook, "logits": load_embeddings, "vq_normalize": bool}
+    names = dict.fromkeys(name for kind in kinds for name in TARGET_INPUTS[kind])
+    inputs = {name: readers[name](flags[name]) for name in names if flags.get(name)}
+    if "motif" in kinds:
+        inputs["motifs"] = [graph_motifs(graph) for graph in graphs]
+        if "vocab" not in inputs:
+            inputs["vocab"] = vocab_from_signatures(m.signatures for m in inputs["motifs"])
+    return [target_column(kind, graphs, inputs, positions) for kind in kinds]
 
 
 def _read_matrix(path: str | Path, what: str) -> np.ndarray:

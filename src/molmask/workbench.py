@@ -45,7 +45,7 @@ from .report import (
     read_report_csv,
     write_report_csv,
 )
-from .targets import TargetResources, atom_labels
+from .targets import TargetColumn, target_column
 
 if TYPE_CHECKING:
     from .masking import MaskConfig
@@ -212,7 +212,7 @@ def ingest(manifest: DatasetManifest) -> tuple[list[LabeledRecord], IngestStats]
     return records, stats
 
 
-def _usable_positions(records: Sequence[LabeledRecord]) -> tuple[list[int], dict[str, int]]:
+def usable_positions(records: Sequence[LabeledRecord]) -> tuple[list[int], dict[str, int]]:
     """Corpus positions of the records usable for label analyses, and
     what was skipped: graphs with a missing label and single-atom
     graphs."""
@@ -241,93 +241,89 @@ def analysis_records(records: Sequence[LabeledRecord]) -> tuple[list[LabeledReco
 
     Skips graphs with a missing label and single-atom graphs.
     """
-    positions, skipped = _usable_positions(records)
+    positions, skipped = usable_positions(records)
     return [records[pos] for pos in positions], skipped
 
 
 def exact_joint_counts(
-    records: Sequence[LabeledRecord],
-    kind: str,
-    resources: TargetResources = TargetResources(),
+    records: Sequence[LabeledRecord], column: TargetColumn
 ) -> tuple[JointCounts, dict[str, int]]:
-    """Enumerate every unit of every usable graph into joint counts.
-
-    Units are atoms for atom_type / argmax_token / vq_code and motifs
-    for motif; labels come from ``resources``, whose per-graph entries
-    are keyed by position in ``records``.  Motifs outside the
-    vocabulary are excluded from the counts and tallied under
-    'excluded_unk'.  Raises EmptyCounts, with the skip tallies, when no
-    unit is left to count.
+    """Count every unit of every usable graph against its graph label:
+    the usable graphs' slices of ``column``, built over ``records``.
+    Units with the column's UNK label are excluded and tallied under
+    'excluded_unk'.  Raises ShapeMismatch when the column does not
+    label every usable record and EmptyCounts, with the skip tallies,
+    when no unit is left to count.
     """
-    positions, extras = _usable_positions(records)
+    positions, extras = usable_positions(records)
+    sizes = np.diff(column.offsets)
+    if len(sizes) != len(records) or not sizes[positions].all():
+        raise ShapeMismatch(f"the {column.kind} column does not label every usable record")
+    counted = np.zeros(len(records), dtype=bool)
+    counted[positions] = True
+    keep = np.repeat(counted, sizes)
     extras["excluded_unk"] = 0
-    xs: list[int] = []
-    ys: list[int] = []
-    for pos in positions:
-        record = records[pos]
-        units = resources.unit_labels(kind, pos, record.graph)
-        xs += units
-        ys += [record.label] * len(units)
-    x, y = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-    if kind == "motif" and x.size:  # with no unit read, no vocabulary was checked
-        keep = x != resources.vocab.unk_id
-        extras["excluded_unk"] = int(np.count_nonzero(~keep))
-        x, y = x[keep], y[keep]
-    if not x.size:
-        raise _nothing_to_count(kind, extras)
-    return JointCounts.from_arrays(x, y), extras
+    if column.unk is not None:
+        unk = keep & (column.labels == column.unk)
+        extras["excluded_unk"] = int(np.count_nonzero(unk))
+        keep &= ~unk
+    if not keep.any():
+        raise _nothing_to_count(column.kind, extras)
+    y = np.repeat([record.label or 0 for record in records], sizes)
+    return JointCounts.from_arrays(column.labels[keep], y[keep]), extras
+
+
+def _mi_row(dataset_name: str, kind: str, strategy: str, mi: float, h_y: float, n_pairs: int,
+            seed: int, chash: str, spread: tuple = ("", "")) -> tuple:
+    """One MI_COLUMNS row; ``spread`` is a sampled row's (seed_mean, seed_std)."""
+    return (dataset_name, kind, strategy, mi, h_y, relative_gain(mi, h_y), n_pairs, *spread,
+            __version__, seed, chash)
 
 
 def run_mi_analysis(
     records: Sequence[LabeledRecord],
-    kinds: Sequence[str],
+    columns: Sequence[TargetColumn],
     *,
     dataset_name: str,
     seed: int = 0,
-    resources: TargetResources = TargetResources(),
 ) -> AnalysisReport:
-    """Exact MI of each target kind against the graph label; labels
-    come from ``resources``, as for exact_joint_counts."""
+    """Exact MI of each target column against the graph label, counted
+    as by exact_joint_counts."""
+    kinds = [column.kind for column in columns]
     chash = config_hash(
-        {"analysis": "mi", "dataset": dataset_name, "kinds": list(kinds), "seed": seed}
+        {"analysis": "mi", "dataset": dataset_name, "kinds": kinds, "seed": seed}
     )
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
-    for kind in kinds:
-        joint, _ = exact_joint_counts(records, kind, resources)
-        mi = mutual_information(joint)
-        h_y = entropy_y(joint)
-        report.rows.append((
-            dataset_name, kind, "exact",
-            mi, h_y, relative_gain(mi, h_y), joint.total, "", "",
-            __version__, seed, chash,
-        ))
+    for column in columns:
+        joint, _ = exact_joint_counts(records, column)
+        report.rows.append(_mi_row(dataset_name, column.kind, "exact", mutual_information(joint),
+                                   entropy_y(joint), joint.total, seed, chash))
     return report
 
 
 def run_jsd_analysis(
     records: Sequence[LabeledRecord],
-    kinds: Sequence[str],
+    columns: Sequence[TargetColumn],
     *,
     dataset_name: str,
     taus: Sequence[float] = DEFAULT_TAUS,
     seed: int = 0,
-    resources: TargetResources = TargetResources(),
 ) -> AnalysisReport:
-    """Low-frequency JSD curves of each target kind; ``resources`` as
-    for run_mi_analysis."""
+    """Low-frequency JSD curves of each target column, counted as by
+    exact_joint_counts."""
     chash = config_hash(
         {
-            "analysis": "jsd", "dataset": dataset_name, "kinds": list(kinds),
+            "analysis": "jsd", "dataset": dataset_name, "kinds": [c.kind for c in columns],
             "taus": [float(t) for t in taus], "seed": seed,
         }
     )
     report = AnalysisReport(kind="jsd", columns=JSD_COLUMNS)
-    for kind in kinds:
-        joint, _ = exact_joint_counts(records, kind, resources)
+    for column in columns:
+        joint, _ = exact_joint_counts(records, column)
         curve = jsd_curve(joint, taus)
         for tau, value, kept, ok in zip(curve.taus, curve.values, curve.labels_kept, curve.defined):
             report.rows.append((
-                dataset_name, kind, tau, value, kept, int(ok),
+                dataset_name, column.kind, tau, value, kept, int(ok),
                 __version__, seed, chash,
             ))
     return report
@@ -355,7 +351,7 @@ def run_mask_sim(
     """
     from .masking import bind_corpus
 
-    positions, skipped = _usable_positions(records)
+    positions, skipped = usable_positions(records)
     if not positions:
         raise _nothing_to_count("atom_type", skipped)
     chash = config_hash(
@@ -374,61 +370,50 @@ def run_mask_sim(
         strategies, config, graphs,
         None if external_scores is None else [external_scores[pos] for pos in positions],
     )
-    # Atom types fit uint8 (the parser emits 0..118 and MolGraph bounds
-    # the rest to 0..119), which keeps the label arrays the workers send
-    # back small.
-    labels = [np.asarray(atom_labels(graph), dtype=np.uint8) for graph in graphs]
+    # The atom-type column is uint8, which keeps the label arrays the
+    # workers send back small.
+    atom_types = target_column("atom_type", graphs)
     # Each graph is bound in its worker as it is sampled: binding the
     # corpus up front would hold every graph's bindings at once.
     per_graph = parallel_map(
-        lambda g: sample_pairs_for_graph(graphs[g], g, labels[g], bind(g), repeats, seed),
+        lambda g: sample_pairs_for_graph(
+            graphs[g], g, atom_types.graph_labels(g), bind(g), repeats, seed),
         range(len(graphs)), workers,
     )
     graph_labels = [records[pos].label for pos in positions]
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for s, strategy in enumerate(strategies):
         sampled = repeat_mi([samples[s] for samples in per_graph], graph_labels, repeats)
-        report.rows.append((
-            dataset_name, "atom_type", strategy,
-            sampled.mean, sampled.h_y, relative_gain(sampled.mean, sampled.h_y),
-            sampled.n_pairs, sampled.mean, sampled.std, __version__, seed, chash,
-        ))
+        report.rows.append(_mi_row(dataset_name, "atom_type", strategy, sampled.mean, sampled.h_y,
+                                   sampled.n_pairs, seed, chash, (sampled.mean, sampled.std)))
     return report
 
 
 def run_shuffle_control(
     records: Sequence[LabeledRecord],
-    kind: str,
+    column: TargetColumn,
     *,
     dataset_name: str,
     repeats: int = 5,
     seed: int = 0,
-    resources: TargetResources = TargetResources(),
 ) -> AnalysisReport:
-    """Original MI next to its label-shuffled control; ``resources`` as
-    for run_mi_analysis."""
+    """Original MI of a target column next to its label-shuffled
+    control, counted as by exact_joint_counts."""
+    kind = column.kind
     chash = config_hash(
         {
             "analysis": "shuffle", "dataset": dataset_name, "kind": kind,
             "repeats": repeats, "seed": seed,
         }
     )
-    joint, _ = exact_joint_counts(records, kind, resources)
-    mi = mutual_information(joint)
+    joint, _ = exact_joint_counts(records, column)
     h_y = entropy_y(joint)
     shuffled = shuffle_control(joint, repeats=repeats, seed=seed)
-    report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
-    report.rows.append((
-        dataset_name, kind, "exact",
-        mi, h_y, relative_gain(mi, h_y), joint.total, "", "",
-        __version__, seed, chash,
-    ))
-    report.rows.append((
-        dataset_name, kind, "shuffled",
-        shuffled.mean, h_y, relative_gain(shuffled.mean, h_y), joint.total,
-        shuffled.mean, shuffled.std, __version__, seed, chash,
-    ))
-    return report
+    return AnalysisReport(kind="mi", columns=MI_COLUMNS, rows=[
+        _mi_row(dataset_name, kind, "exact", mutual_information(joint), h_y, joint.total, seed, chash),
+        _mi_row(dataset_name, kind, "shuffled", shuffled.mean, h_y, joint.total, seed, chash,
+                (shuffled.mean, shuffled.std)),
+    ])
 
 
 def run_coverage(

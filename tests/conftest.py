@@ -120,13 +120,18 @@ def write_corpus_csv(path: Path, rows) -> Path:
     return path
 
 
-def motif_resources(records, vocab):
-    """Target resources for a motif count over ``records``, built the
-    way a command builds them: one graph_motifs pass over every record,
-    keyed by position, next to the given vocabulary."""
-    from molmask.targets import TargetResources, graph_motifs
+def counted_column(records, kind, vocab=None, **inputs):
+    """The ``kind`` target column over the records an analysis counts,
+    built the way a command builds it: with a vocabulary, one
+    graph_motifs pass over every record next to it; other inputs as
+    given, keyed by position in ``records``."""
+    from molmask import target_column, usable_positions
+    from molmask.targets import graph_motifs
 
-    return TargetResources(vocab=vocab, motifs=[graph_motifs(rec.graph) for rec in records])
+    graphs = [rec.graph for rec in records]
+    if vocab is not None:
+        inputs.update(vocab=vocab, motifs=[graph_motifs(graph) for graph in graphs])
+    return target_column(kind, graphs, inputs, usable_positions(records)[0])
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from molmask import (
 )
 from molmask.cli import main
 
-from conftest import load_reference_dataset, motif_resources
+from conftest import counted_column, load_reference_dataset
 from test_infotheory import brute_force_mi, counts_from_matrix
 from test_scoring import dense_pagerank
 
@@ -39,8 +39,8 @@ def motif_atom_shuffle_summary(records, seed=0):
     """Exact motif MI, its shuffled control, and exact atom MI."""
     usable, _ = analysis_records(records)
     vocab = build_vocab([r.graph for r in usable])
-    joint_motif, _ = exact_joint_counts(records, "motif", motif_resources(records, vocab))
-    joint_atom, _ = exact_joint_counts(records, "atom_type")
+    joint_motif, _ = exact_joint_counts(records, counted_column(records, "motif", vocab))
+    joint_atom, _ = exact_joint_counts(records, counted_column(records, "atom_type"))
     shuffled = shuffle_control(joint_motif, repeats=5, seed=seed)
     return mutual_information(joint_motif), shuffled, mutual_information(joint_atom), vocab
 
@@ -110,7 +110,7 @@ def test_sampling_correctness(fixture_graphs):
 def test_bace_atom_mi():
     records, _ = load_reference_dataset("bace")
     start = time.perf_counter()
-    joint, _ = exact_joint_counts(records, "atom_type")
+    joint, _ = exact_joint_counts(records, counted_column(records, "atom_type"))
     mi = mutual_information(joint)
     h_y = entropy_y(joint)
     assert abs(mi - 0.0022) <= 0.0005, mi
@@ -137,8 +137,8 @@ def test_bace_jsd_shape():
     start = time.perf_counter()
     usable, _ = analysis_records(records)
     vocab = build_vocab([r.graph for r in usable])
-    joint_motif, _ = exact_joint_counts(records, "motif", motif_resources(records, vocab))
-    joint_atom, _ = exact_joint_counts(records, "atom_type")
+    joint_motif, _ = exact_joint_counts(records, counted_column(records, "motif", vocab))
+    joint_atom, _ = exact_joint_counts(records, counted_column(records, "atom_type"))
     curve_motif = jsd_curve(joint_motif)
     curve_atom = jsd_curve(joint_atom)
     at = {tau: v for tau, v in zip(curve_motif.taus, curve_motif.values)}
@@ -274,9 +274,10 @@ class TestFixtureScaleBehavior:
     def test_rare_motifs_sharpen_jsd(self, ring_marker_records):
         usable, _ = analysis_records(ring_marker_records)
         vocab = build_vocab([r.graph for r in usable])
-        resources = motif_resources(ring_marker_records, vocab)
-        joint_motif, _ = exact_joint_counts(ring_marker_records, "motif", resources)
-        joint_atom, _ = exact_joint_counts(ring_marker_records, "atom_type")
+        joint_motif, _ = exact_joint_counts(
+            ring_marker_records, counted_column(ring_marker_records, "motif", vocab))
+        joint_atom, _ = exact_joint_counts(
+            ring_marker_records, counted_column(ring_marker_records, "atom_type"))
         curve_motif = jsd_curve(joint_motif, taus=(1.0, 0.05))
         curve_atom = jsd_curve(joint_atom, taus=(1.0, 0.05))
         assert curve_motif.defined == (True, True)

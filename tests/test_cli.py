@@ -531,6 +531,11 @@ GOLDEN_CASES = [
                         "--targets", "atom_type,motif,vq_code,argmax_token", *VECTOR_TARGET_FLAGS]),
     # A vocabulary read from --vocab, not built by the command's motif pass.
     ("jsd_vocab.csv", ["jsd", "--label-col", "activity", "--vocab", GOLDEN / "vocab.tsv"]),
+    # Views of the vector kinds, their labels read from their files.
+    ("views_vq.jsonl", ["export-views", "--strategy", "uniform", "--target", "vq_code",
+                        *VECTOR_TARGET_FLAGS[:4], "--draws-per-graph", "2"]),
+    ("views_argmax.jsonl", ["export-views", "--strategy", "uniform", "--target", "argmax_token",
+                            *VECTOR_TARGET_FLAGS[4:], "--draws-per-graph", "2"]),
 ]
 
 
@@ -798,13 +803,84 @@ def test_motif_pass_runs_once_per_command(argv, passes, motif_passes, tmp_path, 
 
 
 def test_library_motif_count_runs_no_motif_pass(motif_passes):
-    """exact_joint_counts reads motifs from its resources: without them
-    a motif count is a DataError, not a motif pass of its own."""
-    from molmask import DataError, LabeledRecord, build_vocab, exact_joint_counts, parse_smiles
-    from molmask.targets import TargetResources
+    """A motif column reads the motifs it is given: without them it is
+    a DataError, not a motif pass of its own."""
+    from molmask import DataError, build_vocab, parse_smiles, target_column
 
     graph = parse_smiles("c1ccccc1CCO")
     vocab = build_vocab([graph])
-    with pytest.raises(DataError, match="motif targets need a vocabulary and the corpus motifs"):
-        exact_joint_counts([LabeledRecord(graph=graph, label=1)], "motif", TargetResources(vocab=vocab))
+    with pytest.raises(DataError, match="motif targets need motifs"):
+        target_column("motif", [graph], {"vocab": vocab})
     assert motif_passes == []
+
+
+UNREAD_INPUTS = [
+    ("atom_type", "--vocab", "--vocab is read only by the 'motif' target"),
+    ("atom_type", "--embeddings", "--embeddings is read only by the 'vq_code' target"),
+    ("motif", "--codebook", "--codebook is read only by the 'vq_code' target"),
+    ("vq_code", "--logits", "--logits is read only by the 'argmax_token' target"),
+    ("argmax_token", "--vq-normalize", "--vq-normalize is read only by the 'vq_code' target"),
+]
+
+
+# export-views has no --vq-normalize.
+@pytest.mark.parametrize("command, kind, flag, message", [
+    pytest.param(command, *case, id=f"{command}-{case[1][2:]}")
+    for command in ("mi", "jsd", "shuffle-control", "export-views")
+    for case in UNREAD_INPUTS
+    if (command, case[1]) != ("export-views", "--vq-normalize")
+])
+def test_unread_target_input_is_usage_error(command, kind, flag, message, tmp_path, capsys):
+    """An input flag that no requested target kind reads is a usage
+    error, found before the corpus, which does not exist here, or the
+    flag's file is read."""
+    target_flag = "--targets" if command in ("mi", "jsd") else "--target"
+    needs = {"vq_code": ["--embeddings", "e.csv", "--codebook", "b.csv"],
+             "argmax_token": ["--logits", "l.csv"]}.get(kind, [])
+    value = [] if flag == "--vq-normalize" else [tmp_path / "bad.tsv"]
+    out = tmp_path / "out"
+    assert run([command, "--input", tmp_path / "absent.csv", "--label-col", "activity",
+                target_flag, kind, *needs, flag, *value, "--output", out]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+# Rows for graphs 0 and 3 only: graph 1 has a missing label and graph 2
+# is a single atom, so an analysis counts neither.
+UNEVEN_CORPUS = [("CCO", 1), ("CCN", ""), ("C", 0), ("CCCl", 0)]
+UNEVEN_ROWS = "".join(f"{g},{a},{a % 2}.0,1.0\n" for g in (0, 3) for a in range(3))
+
+
+def uneven_inputs(tmp_path):
+    """The uneven corpus, and the flags of each vector kind's inputs."""
+    corpus = write_corpus_csv(tmp_path / "corpus.csv", UNEVEN_CORPUS)
+    (tmp_path / "rows.csv").write_text(UNEVEN_ROWS)
+    (tmp_path / "book.csv").write_text("0.0,1.0\n1.0,1.0\n")
+    return corpus, {
+        "vq_code": ["--embeddings", tmp_path / "rows.csv", "--codebook", tmp_path / "book.csv"],
+        "argmax_token": ["--logits", tmp_path / "rows.csv"],
+    }
+
+
+def test_uncounted_graphs_need_no_rows(tmp_path, capsys):
+    """mi labels only the graphs it counts, so the vector inputs need
+    no rows for the others."""
+    corpus, flags = uneven_inputs(tmp_path)
+    out = tmp_path / "mi.csv"
+    assert run(["mi", "--input", corpus, "--label-col", "activity",
+                "--targets", "vq_code,argmax_token", *flags["vq_code"], *flags["argmax_token"],
+                "--output", out]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[MI_COLUMNS.index("n_pairs")] for row in rows] == ["6", "6"]
+
+
+@pytest.mark.parametrize("kind, what", [("vq_code", "embeddings"), ("argmax_token", "logits")])
+def test_export_views_missing_rows_leave_no_file(kind, what, tmp_path, capsys):
+    """export-views labels every record before it opens its output, so
+    rows missing for a later graph leave no partial views file."""
+    corpus, flags = uneven_inputs(tmp_path)
+    out = tmp_path / "views.jsonl"
+    assert run(["export-views", "--input", corpus, "--target", kind, *flags[kind],
+                "--output", out]) == 2
+    assert capsys.readouterr().err == f"data error: no {what} for graph at corpus position 1\n"
+    assert not out.exists()

@@ -22,8 +22,8 @@ DEMO_CORPUS = ROOT / "demos" / "data" / "demo_corpus.csv"
 # modules eagerly, by the module it was imported from then, less the
 # library-only target wrappers, masked-graph builder, one-graph PageRank,
 # Atom/Bond classes, MaskPlan, read_views and ring_membership deleted or
-# moved to the tests since, and with bind_strategy and strategy_scores
-# folded into bind_corpus.
+# moved to the tests since, with bind_strategy and strategy_scores
+# folded into bind_corpus, and with the target-column names added.
 PUBLIC_NAMES = {
     "errors": "DataError DimMismatch DisconnectedMotif EmptyCounts EmptySupport MissingColumn "
               "MolmaskError MultiFragment NonFiniteScore OutOfRangeIndex ParseError "
@@ -33,14 +33,14 @@ PUBLIC_NAMES = {
              "decompose motif_adjacency motif_signatures",
     "scoring": "NodeScores load_external_scores pagerank_all",
     "masking": "MaskConfig STRATEGIES bind_corpus export_views mask_count substream",
-    "targets": "load_codebook load_embeddings",
+    "targets": "TargetColumn load_codebook load_embeddings target_column target_columns",
     "infotheory": "DEFAULT_TAUS JointCounts JsdCurve SampledMi ShuffleResult entropy_y jsd "
                   "jsd_curve low_freq_conditionals mutual_information relative_gain "
                   "sample_pairs_for_graph shuffle_control",
     "workbench": "AnalysisReport DatasetManifest IngestStats analysis_records build_vocab_tsv "
                  "config_hash exact_joint_counts ingest load_vocab_tsv parallel_map "
                  "read_report_csv run_coverage run_jsd_analysis run_mask_sim run_mi_analysis "
-                 "run_shuffle_control write_report_csv",
+                 "run_shuffle_control usable_positions write_report_csv",
     "svg": "render_svg",
     "_version": "__version__",
 }

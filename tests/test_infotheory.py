@@ -27,7 +27,7 @@ from molmask import (
 )
 from molmask.molgraph import LabeledRecord
 
-from conftest import motif_resources
+from conftest import counted_column
 
 
 def brute_force_mi(matrix):
@@ -271,7 +271,7 @@ class TestSampledMi:
     @staticmethod
     def _exact_mi(smiles, ys):
         records = [LabeledRecord(graph=parse_smiles(s), label=y) for s, y in zip(smiles, ys)]
-        exact, _ = exact_joint_counts(records, "atom_type")
+        exact, _ = exact_joint_counts(records, counted_column(records, "atom_type"))
         return mutual_information(exact)
 
     def test_homogeneous_graphs_equal_exact_enumeration(self):
@@ -344,8 +344,8 @@ class TestShuffleControl:
     def test_matches_pair_list_reference_on_fixture_corpora(self, kind, ring_marker_records):
         usable, _ = analysis_records(ring_marker_records)
         vocab = build_vocab([r.graph for r in usable])
-        resources = motif_resources(ring_marker_records, vocab)
-        joint, _ = exact_joint_counts(ring_marker_records, kind, resources)
+        joint, _ = exact_joint_counts(
+            ring_marker_records, counted_column(ring_marker_records, kind, vocab))
         result = shuffle_control(joint, repeats=5, seed=3)
         assert result.per_repeat == reference_shuffle(sorted_pairs(joint), 5, 3)
 

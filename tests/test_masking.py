@@ -22,6 +22,7 @@ from molmask import (
     export_views,
     sample_pairs_for_graph,
     substream,
+    target_column,
 )
 from test_molgraph import ring_smiles
 
@@ -673,13 +674,10 @@ def bind_all(strategy, config, corpus):
 class TestViews:
     def test_round_trip(self, tmp_path):
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1", "CC(C)O")]
-
-        def target_fn(graph, graph_index, atoms):
-            return "atom_type", [graph.z[i] for i in atoms]
-
         path = tmp_path / "views.jsonl"
         bound = bind_all("uniform", MaskConfig(ratio=0.34), corpus)
-        n = export_views(corpus, bound, target_fn, path, draws_per_graph=2, seed=9)
+        n = export_views(corpus, bound, target_column("atom_type", corpus), path,
+                         draws_per_graph=2, seed=9)
         assert n == 6
         views = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(views) == 6
@@ -690,17 +688,16 @@ class TestViews:
             assert view["strategy"] == "uniform"
             assert view["seed"] == 9
             assert len(view["targets"]) == len(view["masked_atoms"])
+            graph = next(g for g in corpus if g.source_smiles == view["smiles"])
+            assert view["targets"] == [graph.z[a] for a in view["masked_atoms"]]
 
     def test_byte_identical_reruns(self, tmp_path):
         corpus = [parse_smiles(s) for s in ("CCO", "c1ccccc1")]
-
-        def target_fn(graph, graph_index, atoms):
-            return "atom_type", [graph.z[i] for i in atoms]
-
+        column = target_column("atom_type", corpus)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         config = MaskConfig(ratio=0.3)
-        export_views(corpus, bind_all("motifpred", config, corpus), target_fn, p1,
+        export_views(corpus, bind_all("motifpred", config, corpus), column, p1,
                      draws_per_graph=3, seed=4)
-        export_views(corpus, bind_all("motifpred", config, corpus), target_fn, p2,
+        export_views(corpus, bind_all("motifpred", config, corpus), column, p2,
                      draws_per_graph=3, seed=4)
         assert p1.read_bytes() == p2.read_bytes()

@@ -14,16 +14,16 @@ from molmask import (
 )
 from molmask.workbench import AnalysisReport, COVERAGE_COLUMNS, JSD_COLUMNS, MI_COLUMNS
 
-from conftest import motif_resources
+from conftest import counted_column
 
 
 def reports(records):
     usable, _ = analysis_records(records)
     vocab = build_vocab([r.graph for r in usable])
-    resources = motif_resources(records, vocab)
+    columns = [counted_column(records, kind, vocab) for kind in ("atom_type", "motif")]
     return [
-        run_mi_analysis(records, ["atom_type", "motif"], dataset_name="d", resources=resources),
-        run_jsd_analysis(records, ["atom_type", "motif"], dataset_name="d", resources=resources),
+        run_mi_analysis(records, columns, dataset_name="d"),
+        run_jsd_analysis(records, columns, dataset_name="d"),
         run_coverage(vocab, usable, dataset_name="d"),
         run_mask_sim(
             records[:20], ["uniform", "motifpred"], MaskConfig(ratio=0.25),
@@ -72,8 +72,8 @@ class TestRenderSvg:
         usable, _ = analysis_records(ring_marker_records)
         vocab = build_vocab([r.graph for r in usable])
         report = run_jsd_analysis(
-            ring_marker_records, ["motif"], dataset_name="d",
-            taus=(1.0, 0.5, 1e-9), resources=motif_resources(ring_marker_records, vocab),
+            ring_marker_records, [counted_column(ring_marker_records, "motif", vocab)],
+            dataset_name="d", taus=(1.0, 0.5, 1e-9),
         )
         flags = [row[5] for row in report.rows]
         assert False in flags and True in flags

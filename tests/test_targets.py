@@ -1,8 +1,8 @@
 """Target extraction: atom types, motif ids, argmax tokens, VQ codes.
 
-Masked views get their labels from TargetResources.view_targets, the
-path export-views takes; exact analyses read every unit through
-unit_labels.
+Every kind's labels come from target_column, as one TargetColumn per
+command; masked views read theirs with TargetColumn.view_targets, the
+path export-views takes, and exact analyses count the column's slices.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from molmask import (
     STRATEGIES,
+    TARGET_KINDS,
     DataError,
     DimMismatch,
     MaskConfig,
@@ -23,8 +24,9 @@ from molmask import (
     load_embeddings,
     parse_smiles,
     substream,
+    target_column,
 )
-from molmask.targets import TargetResources, argmax_labels, graph_motifs, vq_labels
+from molmask.targets import _LABELLERS, argmax_labels, graph_motifs, vq_labels
 
 
 def brute_force_vq(embeddings, codebook):
@@ -40,38 +42,46 @@ def brute_force_vq(embeddings, codebook):
     return out
 
 
+def test_every_target_kind_has_a_labeller():
+    assert tuple(_LABELLERS) == TARGET_KINDS
+
+
+def view(kind, graph, atoms, **inputs):
+    """The targets of one mask of a one-graph corpus."""
+    return target_column(kind, [graph], inputs).view_targets(0, atoms)
+
+
 class TestAtomTypeTargets:
     def test_labels_are_atomic_numbers(self):
         g = parse_smiles("CCO")
-        units, labels = TargetResources().view_targets("atom_type", 0, g, (0, 2))
-        assert units == (0, 2)
-        assert labels == (6, 8)
+        assert view("atom_type", g, (0, 2)) == [6, 8]
+        column = target_column("atom_type", [g, parse_smiles("N")])
+        assert column.labels.dtype == np.uint8
+        assert column.offsets.tolist() == [0, 3, 4]
 
     def test_unknown_element_is_label_zero(self):
-        g = parse_smiles("[Xx]C")
-        assert TargetResources().view_targets("atom_type", 0, g, (0,)) == ((0,), (0,))
+        assert view("atom_type", parse_smiles("[Xx]C"), (0,)) == [0]
 
 
 def motif_view(vocab, graph, atoms):
-    resources = TargetResources(vocab=vocab, motifs=[graph_motifs(graph)])
-    return resources.view_targets("motif", 0, graph, atoms)
+    return view("motif", graph, atoms, vocab=vocab, motifs=[graph_motifs(graph)])
 
 
 class TestMotifTargets:
     def test_known_and_unknown(self):
         vocab = build_vocab([parse_smiles("c1ccccc1")])
         g = parse_smiles("Cc1ccccc1")
-        units, labels = motif_view(vocab, g, tuple(range(7)))
-        assert units == (0, 1)
-        # Methyl motif is unseen, ring is known.
+        labels = motif_view(vocab, g, tuple(range(7)))
+        # Two motifs: the methyl is unseen, the ring is known.
+        assert len(labels) == 2
         assert labels[0] == vocab.unk_id
         assert labels[1] != vocab.unk_id
 
     def test_motifs_derived_from_atoms_when_absent(self):
         vocab = build_vocab([parse_smiles("Cc1ccccc1")])
         g = parse_smiles("Cc1ccccc1")
-        units, labels = motif_view(vocab, g, (2, 3))
-        assert units == (1,)
+        labels = motif_view(vocab, g, (2, 3))
+        assert len(labels) == 1
         assert vocab.unk_id not in labels
 
     def test_same_signature_same_id(self):
@@ -82,57 +92,51 @@ class TestMotifTargets:
             g = parse_smiles(smiles)
             partition = graph_motifs(g).partition
             ring_motif = max(range(len(partition.motifs)), key=lambda m: len(partition.motifs[m]))
-            _, labels = motif_view(vocab, g, partition.motifs[ring_motif])
-            assert labels == (vocab.lookup(ring_sig),)
+            labels = motif_view(vocab, g, partition.motifs[ring_motif])
+            assert labels == [vocab.lookup(ring_sig)]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_motif_units_are_the_motifs_of_the_masked_atoms(strategy, fixture_graphs):
     """Under every strategy, a view's motif units are the motifs of the
-    resources' partition that hold a masked atom, whole or in part, and
+    column's partition that hold a masked atom, whole or in part, and
     its labels are those motifs' vocabulary ids."""
     motifs = [graph_motifs(g) for g in fixture_graphs]
     # A vocabulary of half the corpus, so that some units are UNK.
     vocab = build_vocab(fixture_graphs[::2])
-    resources = TargetResources(vocab=vocab, motifs=motifs)
+    column = target_column("motif", fixture_graphs, {"vocab": vocab, "motifs": motifs})
+    assert column.partitions == [m.partition for m in motifs]
     external = [
         NodeScores(values=tuple(float(i) for i in range(g.n_atoms)), source="external")
         for g in fixture_graphs
     ]
-    bind = bind_corpus(
-        [strategy], MaskConfig(ratio=0.4), fixture_graphs, external, [m.partition for m in motifs],
-    )
+    bind = bind_corpus([strategy], MaskConfig(ratio=0.4), fixture_graphs, external, column.partitions)
     for pos, graph in enumerate(fixture_graphs):
         partition = motifs[pos].partition
         (bound,) = bind(pos)
         for draw in range(3):
             atoms = bound.plan(substream(2, pos, draw))
-            units, labels = resources.view_targets("motif", pos, graph, atoms)
-            assert list(units) == sorted({partition.motif_of[a] for a in atoms})
-            assert labels == tuple(vocab.lookup(motifs[pos].signatures[u]) for u in units)
+            units = sorted({partition.motif_of[a] for a in atoms})
+            assert column.view_targets(pos, atoms) == [
+                vocab.lookup(motifs[pos].signatures[u]) for u in units
+            ]
 
 
 class TestArgmaxTargets:
     def test_argmax_rows(self):
         g = parse_smiles("CCO")
         logits = np.array([[0.1, 0.9, 0.0], [0.5, 0.2, 0.3], [0.0, 0.0, 1.0]])
-        resources = TargetResources(logits={0: logits})
-        units, labels = resources.view_targets("argmax_token", 0, g, (0, 1, 2))
-        assert units == (0, 1, 2)
-        assert labels == (1, 0, 2)
+        assert view("argmax_token", g, (0, 1, 2), logits={0: logits}) == [1, 0, 2]
 
     def test_ties_take_lower_token(self):
         logits = np.array([[0.5, 0.5, 0.1], [9.0, 0.0, 0.0], [0.2, 0.7, 0.7]])
         assert argmax_labels(logits) == [0, 0, 1]
-        resources = TargetResources(logits={0: logits})
-        _, labels = resources.view_targets("argmax_token", 0, parse_smiles("CCO"), (0, 2))
-        assert labels == (0, 1)
+        assert view("argmax_token", parse_smiles("CCO"), (0, 2), logits={0: logits}) == [0, 1]
 
     def test_shape_checked(self):
         g = parse_smiles("CCO")
-        resources = TargetResources(logits={0: np.zeros((2, 4))})
         with pytest.raises(ShapeMismatch):
-            resources.view_targets("argmax_token", 0, g, (0,))
+            target_column("argmax_token", [g], {"logits": {0: np.zeros((2, 4))}})
         with pytest.raises(ShapeMismatch):
             argmax_labels(np.zeros(3))
 
@@ -151,11 +155,9 @@ class TestVqTargets:
         book = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         assert vq_labels(emb, book) == [0]
         # Atoms 1 and 2 sit halfway between codes 1 and 2, and 0 and 2.
-        resources = TargetResources(
-            embeddings={0: np.array([[1.0, 0.0], [-0.5, 0.5], [0.5, 0.5]])}, codebook=book
-        )
-        _, labels = resources.view_targets("vq_code", 0, parse_smiles("CCO"), (1, 2))
-        assert labels == (1, 0)
+        embeddings = {0: np.array([[1.0, 0.0], [-0.5, 0.5], [0.5, 0.5]])}
+        labels = view("vq_code", parse_smiles("CCO"), (1, 2), embeddings=embeddings, codebook=book)
+        assert labels == [1, 0]
 
     def test_normalize_flag(self):
         # Unnormalized, the long vector is nearer code 1; on the unit
@@ -164,14 +166,18 @@ class TestVqTargets:
         book = np.array([[0.5, 0.0], [8.0, 3.0]])
         assert vq_labels(emb, book, normalize=False) == [1]
         assert vq_labels(emb, book, normalize=True) == [0]
+        g = parse_smiles("C")
+        for normalize, code in ((False, 1), (True, 0)):
+            labels = view("vq_code", g, (0,), embeddings={0: emb}, codebook=book,
+                          vq_normalize=normalize)
+            assert labels == [code]
 
     def test_graph_wrapper(self):
-        # view_targets wraps vq_labels for the masked atoms of one graph.
+        # The column wraps vq_labels for the masked atoms of one graph.
         g = parse_smiles("CCO")
         emb = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
         book = np.array([[0.0, 0.0], [5.0, 5.0]])
-        resources = TargetResources(embeddings={0: emb}, codebook=book)
-        assert resources.view_targets("vq_code", 0, g, (1, 2)) == ((1, 2), (0, 1))
+        assert view("vq_code", g, (1, 2), embeddings={0: emb}, codebook=book) == [0, 1]
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -179,35 +185,49 @@ class TestVqTargets:
 
     def test_embedding_row_count_checked(self):
         g = parse_smiles("CCO")
-        resources = TargetResources(embeddings={0: np.zeros((2, 3))}, codebook=np.zeros((4, 3)))
         with pytest.raises(ShapeMismatch):
-            resources.view_targets("vq_code", 0, g, (0,))
+            target_column("vq_code", [g], {"embeddings": {0: np.zeros((2, 3))},
+                                           "codebook": np.zeros((4, 3))})
 
 
 class TestUnitLabelErrors:
-    @pytest.mark.parametrize("kind, resources", [
+    @pytest.mark.parametrize("kind, inputs", [
         ("motif", {}),
         ("motif", {"vocab": build_vocab([parse_smiles("CO")])}),
         ("motif", {"motifs": [graph_motifs(parse_smiles("CO"))]}),
         ("vq_code", {"embeddings": {0: np.zeros((2, 2))}}),
         ("argmax_token", {}),
     ], ids=["motif-none", "motif-no-motifs", "motif-no-vocab", "vq-no-codebook", "argmax-no-logits"])
-    def test_missing_resources_are_data_errors(self, kind, resources):
+    def test_missing_resources_are_data_errors(self, kind, inputs):
         with pytest.raises(DataError) as err:
-            TargetResources(**resources).unit_labels(kind, 0, parse_smiles("CO"))
+            target_column(kind, [parse_smiles("CO")], inputs)
         assert type(err.value) is DataError
 
     def test_unknown_kind(self):
         with pytest.raises(DataError, match="unknown target kind 'charge'"):
-            TargetResources().unit_labels("charge", 0, parse_smiles("CO"))
+            target_column("charge", [parse_smiles("CO")])
 
-    @pytest.mark.parametrize("kind, resources", [
+    @pytest.mark.parametrize("kind, inputs", [
         ("vq_code", {"embeddings": {0: np.zeros((2, 2))}, "codebook": np.zeros((3, 2))}),
         ("argmax_token", {"logits": {0: np.zeros((2, 4))}}),
     ], ids=["vq", "argmax"])
-    def test_position_without_rows(self, kind, resources):
+    def test_position_without_rows(self, kind, inputs):
+        graphs = [parse_smiles("CO"), parse_smiles("CO")]
         with pytest.raises(ShapeMismatch, match="corpus position 1"):
-            TargetResources(**resources).unit_labels(kind, 1, parse_smiles("CO"))
+            target_column(kind, graphs, inputs)
+        # A graph the column does not label needs no rows.
+        column = target_column(kind, graphs, inputs, positions=[0])
+        assert column.offsets.tolist() == [0, 2, 2]
+
+    @pytest.mark.parametrize("order", [[0], [1, 0]], ids=["short", "swapped"])
+    def test_motifs_must_match_the_graphs(self, order):
+        """Motifs that are too few, or belong to other graphs, are a
+        ShapeMismatch, not an IndexError or a silent miscount."""
+        graphs = [parse_smiles("c1ccccc1CCO"), parse_smiles("C1CCCCC1N")]
+        motifs = [graph_motifs(graph) for graph in graphs]
+        inputs = {"vocab": build_vocab(graphs), "motifs": [motifs[i] for i in order]}
+        with pytest.raises(ShapeMismatch):
+            target_column("motif", graphs, inputs)
 
 
 class TestLoaders:

@@ -44,10 +44,9 @@ from molmask import (
 )
 from molmask import masking
 from molmask.cli import main
-from molmask.targets import TargetResources
 from molmask.workbench import JSD_COLUMNS, MI_COLUMNS
 
-from conftest import motif_resources, ring_marker_corpus, write_corpus_csv
+from conftest import counted_column, ring_marker_corpus, write_corpus_csv
 from test_infotheory import cells
 
 
@@ -267,14 +266,14 @@ class TestAnalysisRecords:
 class TestExactJointCounts:
     def test_atom_type_counts(self):
         records = [record("CCO", 0), record("CCN", 1)]
-        joint, info = exact_joint_counts(records, "atom_type")
+        joint, info = exact_joint_counts(records, counted_column(records, "atom_type"))
         assert cells(joint) == {(6, 0): 2, (8, 0): 1, (6, 1): 2, (7, 1): 1}
         assert info == {"missing_label": 0, "singleton": 0, "excluded_unk": 0}
 
     def test_motif_unk_excluded_but_tallied(self):
         vocab = build_vocab([parse_smiles("c1ccccc1")])
         records = [record("Cc1ccccc1", 0), record("c1ccccc1", 1)]
-        joint, info = exact_joint_counts(records, "motif", motif_resources(records, vocab))
+        joint, info = exact_joint_counts(records, counted_column(records, "motif", vocab))
         # Ring id 0 appears once per graph; the methyl motif is unseen.
         assert cells(joint) == {(0, 0): 1, (0, 1): 1}
         assert info["excluded_unk"] == 1
@@ -288,7 +287,7 @@ class TestExactJointCounts:
         vocab = build_vocab([parse_smiles("C1CCCCC1")])
         records = [record("CCO", None), record("C", 1), *usable]
         with pytest.raises(EmptyCounts) as err:
-            exact_joint_counts(records, kind, motif_resources(records, vocab))
+            exact_joint_counts(records, counted_column(records, kind, vocab))
         assert str(err.value) == (
             f"no {kind} units to count: 1 graphs skipped for a missing label, "
             f"1 single-atom graphs skipped, {unk} motifs excluded as UNK"
@@ -296,7 +295,7 @@ class TestExactJointCounts:
 
     def test_motif_requires_vocab(self):
         with pytest.raises(DataError):
-            exact_joint_counts([record("CCO", 0)], "motif")
+            counted_column([record("CCO", 0)], "motif")
 
     def test_resources_keyed_by_corpus_position(self):
         # A skipped singleton sits between two usable graphs; embedding
@@ -308,7 +307,7 @@ class TestExactJointCounts:
         }
         codebook = np.array([[0.0, 0.0], [5.0, 5.0]])
         joint, info = exact_joint_counts(
-            records, "vq_code", TargetResources(embeddings=embeddings, codebook=codebook)
+            records, counted_column(records, "vq_code", embeddings=embeddings, codebook=codebook)
         )
         assert cells(joint) == {(0, 0): 2, (1, 1): 2}
         assert info["singleton"] == 1
@@ -316,9 +315,7 @@ class TestExactJointCounts:
     def test_missing_embeddings_rejected(self):
         records = [record("CC", 0)]
         with pytest.raises((DataError, ShapeMismatch)):
-            exact_joint_counts(
-                records, "vq_code", TargetResources(embeddings={}, codebook=np.zeros((2, 2)))
-            )
+            counted_column(records, "vq_code", embeddings={}, codebook=np.zeros((2, 2)))
 
     def test_argmax_counts(self):
         records = [record("CC", 0), record("CO", 1)]
@@ -326,7 +323,7 @@ class TestExactJointCounts:
             0: np.array([[1.0, 0.0], [1.0, 0.0]]),
             1: np.array([[0.0, 1.0], [0.0, 1.0]]),
         }
-        joint, _ = exact_joint_counts(records, "argmax_token", TargetResources(logits=logits))
+        joint, _ = exact_joint_counts(records, counted_column(records, "argmax_token", logits=logits))
         assert cells(joint) == {(0, 0): 2, (1, 1): 2}
 
 
@@ -336,15 +333,14 @@ class TestRunners:
         vocab = build_vocab([r.graph for r in usable])
         report = run_mi_analysis(
             ring_marker_records,
-            ["atom_type", "motif"],
+            [counted_column(ring_marker_records, kind, vocab) for kind in ("atom_type", "motif")],
             dataset_name="ring_marker",
-            resources=motif_resources(ring_marker_records, vocab),
         )
         assert report.kind == "mi"
         assert report.columns == MI_COLUMNS
         assert len(report.rows) == 2
         by_kind = {row[1]: row for row in report.rows}
-        joint, _ = exact_joint_counts(ring_marker_records, "atom_type")
+        joint, _ = exact_joint_counts(ring_marker_records, counted_column(ring_marker_records, "atom_type"))
         np.testing.assert_allclose(by_kind["atom_type"][3], mutual_information(joint))
         np.testing.assert_allclose(by_kind["atom_type"][4], entropy_y(joint))
         assert by_kind["atom_type"][6] == joint.total
@@ -359,10 +355,9 @@ class TestRunners:
         taus = (0.5, 0.05, 1.0)
         report = run_jsd_analysis(
             ring_marker_records,
-            ["motif"],
+            [counted_column(ring_marker_records, "motif", vocab)],
             dataset_name="ring_marker",
             taus=taus,
-            resources=motif_resources(ring_marker_records, vocab),
         )
         assert report.columns == JSD_COLUMNS
         assert [row[2] for row in report.rows] == [1.0, 0.5, 0.05]
@@ -377,8 +372,8 @@ class TestRunners:
         usable, _ = analysis_records(ring_marker_records)
         vocab = build_vocab([r.graph for r in usable])
         report = run_shuffle_control(
-            ring_marker_records, "motif", dataset_name="ring_marker",
-            resources=motif_resources(ring_marker_records, vocab),
+            ring_marker_records, counted_column(ring_marker_records, "motif", vocab),
+            dataset_name="ring_marker",
         )
         assert [row[2] for row in report.rows] == ["exact", "shuffled"]
         exact_row, shuffled_row = report.rows
@@ -518,12 +513,11 @@ class TestReportFiles:
     def test_round_trip_and_kind_inference(self, ring_marker_records, tmp_path):
         usable, _ = analysis_records(ring_marker_records)
         vocab = build_vocab([r.graph for r in usable])
-        resources = motif_resources(ring_marker_records, vocab)
         mi = run_mi_analysis(
-            ring_marker_records, ["atom_type"], dataset_name="d", resources=resources
+            ring_marker_records, [counted_column(ring_marker_records, "atom_type")], dataset_name="d"
         )
         jsd_rep = run_jsd_analysis(
-            ring_marker_records, ["motif"], dataset_name="d", resources=resources
+            ring_marker_records, [counted_column(ring_marker_records, "motif", vocab)], dataset_name="d"
         )
         cov = run_coverage(vocab, usable, dataset_name="d")
         for report in (mi, jsd_rep, cov):
