@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 # Only what the parser needs is imported here.  Each command imports the
 # layers it runs, so start-up, --help, --version and plot load no numpy.
 from ._version import __version__
-from .choices import DEFAULT_TAUS, STRATEGIES, TARGET_INPUTS, TARGET_KINDS
+from .choices import DEFAULT_TAUS, STRATEGY_INPUTS, TARGET_INPUTS
 from .errors import DataError
 
 
@@ -37,38 +37,45 @@ def _add_dataset_flags(sub: argparse.ArgumentParser, labeled: bool = True) -> No
         sub.add_argument("--label-col", default="", help="binary task column name")
 
 
-def _add_target_flags(
-    sub: argparse.ArgumentParser, output: str, one_kind: str = "", vq_normalize: bool = True
+def _add_choice_flags(
+    sub: argparse.ArgumentParser, flag: str, table: dict, default: str, output: str, several: bool
 ) -> None:
-    """The target kinds (one --target when one_kind is its default), the
-    files their labels are read from, and the command's --output."""
-    if one_kind:
-        sub.add_argument("--target", default=one_kind, choices=TARGET_KINDS, help="one target kind")
-    else:
-        sub.add_argument("--targets", default="atom_type,motif", help="comma-separated target kinds")
-    for name, text in (("vocab", "motif vocabulary TSV of the {} target "
-                                 "(default: build from input)"),
-                       ("embeddings", "per-atom embedding CSV of the {} target"),
-                       ("codebook", "codebook CSV of the {} target"),
-                       ("logits", "per-atom logits CSV of the {} target")):
-        sub.add_argument(_flag(name), default="", help=text.format(_read_by(name)))
-    if vq_normalize:
-        sub.add_argument("--vq-normalize", action="store_true", help="L2-normalize before "
-                         f"quantizing, for the {_read_by('vq_normalize')} target")
-    sub.add_argument("--output", default="", help=f"output path (default: {output} in --out-dir)")
+    """The choice flag ``flag`` over ``table`` (comma-separated names
+    when ``several``), every input flag its choices read, and, unless
+    ``output`` is empty, --output with ``output`` as its default name."""
+    what = _nouns(table)[0]
+    sub.add_argument(flag, default=default, choices=None if several else tuple(table),
+                     help=f"comma-separated {what} names" if several else f"one {what}")
+    helps = {"vocab": "motif vocabulary TSV of the {} (default: build from input)",
+             "logits": "per-atom logits CSV of the {}",
+             "embeddings": "per-atom embedding CSV of the {}",
+             "codebook": "codebook CSV of the {}",
+             "vq_normalize": "L2-normalize before quantizing, for the {}",
+             "scores": "per-atom score CSV of the {}"}
+    for name in dict.fromkeys(name for inputs in table.values() for name in inputs):
+        how = {"action": "store_true"} if name == "vq_normalize" else {"default": ""}
+        sub.add_argument(_flag(name), **how, help=helps[name].format(_read_by(name, table)))
+    if output:
+        sub.add_argument("--output", default="", help=f"output path (default: {output} in --out-dir)")
+
+
+def _nouns(table: dict) -> tuple[str, str]:
+    """What usage errors call a choice of ``table``: in a list, and alone."""
+    return ("target kind", "target") if table is TARGET_INPUTS else ("strategy", "strategy")
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _read_by(name: str) -> str:
-    """The target kinds that read input ``name``, quoted."""
-    return " and ".join(repr(kind) for kind, inputs in TARGET_INPUTS.items() if name in inputs)
+def _read_by(name: str, table: dict) -> str:
+    """The choices of ``table`` that read input ``name``, quoted, and their noun."""
+    readers = " and ".join(repr(choice) for choice, inputs in table.items() if name in inputs)
+    return f"{readers} {_nouns(table)[1]}"
 
 
-def _add_mask_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--strategy", default="uniform", choices=STRATEGIES, help="masking strategy")
+def _add_mask_flags(sub: argparse.ArgumentParser, flag: str, output: str, several: bool) -> None:
+    _add_choice_flags(sub, flag, STRATEGY_INPUTS, "uniform", output, several)
     sub.add_argument("--ratio", type=float, default=0.15, help="mask ratio gamma")
     sub.add_argument("--beta", type=float, default=None,
                      help="candidate bonus of the scored strategies "
@@ -77,7 +84,6 @@ def _add_mask_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-epoch", type=int, default=100, help="annealing horizon E")
     sub.add_argument("--intra-frac", type=float, default=0.5,
                      help="fraction of atoms masked inside a selected motif")
-    sub.add_argument("--scores", default="", help="external per-atom score CSV")
 
 
 def _int_at_least(low: int):
@@ -103,6 +109,9 @@ def _taus(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
     if not all(math.isfinite(tau) and tau > 0 for tau in taus):
         raise argparse.ArgumentTypeError(f"thresholds must be finite and positive, got {text!r}")
+    for tau in taus:
+        if taus.count(tau) > 1:
+            raise argparse.ArgumentTypeError(f"tau {tau} given more than once")
     return taus
 
 
@@ -128,7 +137,7 @@ def _manifest(args) -> DatasetManifest:
         path=args.input,
         smiles_column=args.smiles_col,
         label_column=getattr(args, "label_col", ""),
-        name=args.dataset_name,
+        name=getattr(args, "dataset_name", ""),
     )
 
 
@@ -172,43 +181,34 @@ def _write_report(args, report, default_name: str) -> int:
     return 0
 
 
-def _split_list(raw: str, allowed: Sequence[str], what: str) -> list[str]:
-    items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not items:
+def _choices(args, flag: str, table: dict) -> list[str]:
+    """The choices of ``table`` that ``flag`` names, checked with their
+    inputs before the corpus is read: a choice without an input it
+    needs, or an input flag that none of them reads, is a usage error."""
+    what, noun = _nouns(table)
+    chosen = [piece.strip() for piece in getattr(args, flag[2:]).split(",") if piece.strip()]
+    if not chosen:
         raise _UsageError(f"no {what} given")
-    for item in items:
-        if item not in allowed:
-            raise _UsageError(f"unknown {what} {item!r}; choose from {', '.join(allowed)}")
-        if items.count(item) > 1:
-            raise _UsageError(f"{what} {item!r} given more than once")
-    return items
-
-
-def _target_kinds(args, raw: str) -> list[str]:
-    """The target kinds in ``raw``, checked with the inputs they read
-    before the corpus is read: a kind without an input it needs, or an
-    input flag that none of them reads, is a usage error."""
-    kinds = _split_list(raw, TARGET_KINDS, "target kind")
-    for kind in kinds:
-        needed = [name for name, required in TARGET_INPUTS[kind].items() if required]
+    for choice in chosen:
+        if choice not in table:
+            raise _UsageError(f"unknown {what} {choice!r}; choose from {', '.join(table)}")
+        if chosen.count(choice) > 1:
+            raise _UsageError(f"{what} {choice!r} given more than once")
+    for choice in chosen:
+        needed = [name for name, required in table[choice].items() if required]
         if not all(getattr(args, name) for name in needed):
-            raise _UsageError(f"target {kind!r} needs {' and '.join(map(_flag, needed))}")
-    read = {name for kind in kinds for name in TARGET_INPUTS[kind]}
-    for name in dict.fromkeys(name for inputs in TARGET_INPUTS.values() for name in inputs):
-        if name not in read and getattr(args, name, False):
-            raise _UsageError(f"{_flag(name)} is read only by the {_read_by(name)} target")
-    return kinds
+            raise _UsageError(f"{noun} {choice!r} needs {' and '.join(map(_flag, needed))}")
+    read = {name for choice in chosen for name in table[choice]}
+    for name in dict.fromkeys(name for inputs in table.values() for name in inputs):
+        if name not in read and getattr(args, name):
+            raise _UsageError(f"{_flag(name)} is read only by the {_read_by(name, table)}")
+    return chosen
 
 
-def _external_scores(args, strategies: Sequence[str], records):
-    """Scores from --scores when the 'external' strategy is asked for;
-    --scores without it is a usage error."""
-    if "external" not in strategies:
-        if args.scores:
-            raise _UsageError("--scores is read only by the 'external' strategy")
-        return None
+def _external_scores(args, records):
+    """The per-atom scores of --scores, when it is given."""
     if not args.scores:
-        raise _UsageError("strategy 'external' needs --scores")
+        return None
     from .scoring import load_external_scores
 
     return load_external_scores(args.scores, [rec.graph.n_atoms for rec in records])
@@ -286,10 +286,10 @@ def cmd_vocab_coverage(args) -> int:
 def cmd_mask_sim(args) -> int:
     from .workbench import run_mask_sim
 
-    strategies = _split_list(args.strategies, STRATEGIES, "strategy")
+    strategies = _choices(args, "--strategies", STRATEGY_INPUTS)
     config = _mask_config(args)
     manifest, records, _ = _ingest_for_analysis(args, "mask-sim")
-    external = _external_scores(args, strategies, records)
+    external = _external_scores(args, records)
     report = run_mask_sim(
         records, strategies, config,
         dataset_name=manifest.display_name, repeats=args.repeats,
@@ -301,7 +301,7 @@ def cmd_mask_sim(args) -> int:
 def cmd_mi(args) -> int:
     from .workbench import run_mi_analysis
 
-    kinds = _target_kinds(args, args.targets)
+    kinds = _choices(args, "--targets", TARGET_INPUTS)
     manifest, records, _ = _ingest_for_analysis(args, "mi")
     report = run_mi_analysis(
         records, _target_columns(args, kinds, records, counted=True),
@@ -313,7 +313,7 @@ def cmd_mi(args) -> int:
 def cmd_jsd(args) -> int:
     from .workbench import run_jsd_analysis
 
-    kinds = _target_kinds(args, args.targets)
+    kinds = _choices(args, "--targets", TARGET_INPUTS)
     manifest, records, _ = _ingest_for_analysis(args, "jsd")
     taus = args.taus or list(DEFAULT_TAUS)
     report = run_jsd_analysis(
@@ -326,7 +326,7 @@ def cmd_jsd(args) -> int:
 def cmd_shuffle_control(args) -> int:
     from .workbench import run_shuffle_control
 
-    kinds = _target_kinds(args, args.target)
+    kinds = _choices(args, "--target", TARGET_INPUTS)
     manifest, records, _ = _ingest_for_analysis(args, "shuffle-control")
     [column] = _target_columns(args, kinds, records, counted=True)
     report = run_shuffle_control(
@@ -339,15 +339,16 @@ def cmd_shuffle_control(args) -> int:
 def cmd_export_views(args) -> int:
     from .masking import bind_corpus, export_views
 
-    kinds = _target_kinds(args, args.target)
-    manifest, records, _ = _ingest_for_analysis(args)
+    strategies = _choices(args, "--strategy", STRATEGY_INPUTS)
+    kinds = _choices(args, "--target", TARGET_INPUTS)
     config = _mask_config(args)
-    external = _external_scores(args, [args.strategy], records)
+    manifest, records, _ = _ingest_for_analysis(args)
+    external = _external_scores(args, records)
     # Built before the views file is opened: a labelling error leaves no
     # partial file behind.  A motif column's partitions are the masks' too.
     [column] = _target_columns(args, kinds, records, counted=False)
     graphs = [rec.graph for rec in records]
-    bind = bind_corpus([args.strategy], config, graphs, external, column.partitions)
+    bind = bind_corpus(strategies, config, graphs, external, column.partitions)
     path = _out_path(args, "views.jsonl")
     lines = export_views(
         graphs, (bind(g)[0] for g in range(len(graphs))), column, path,
@@ -388,9 +389,8 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("decompose", help="print motifs and signatures")
     sub.add_argument("--smiles", action="append", default=[], help="molecule (repeatable)")
     sub.add_argument("--input", default="", help="CSV corpus path")
-    sub.add_argument("--smiles-col", default="smiles")
-    sub.add_argument("--dataset-name", default="")
-    sub.set_defaults(func=cmd_decompose, label_col="")
+    sub.add_argument("--smiles-col", default="smiles", help="SMILES column name of --input")
+    sub.set_defaults(func=cmd_decompose)
 
     vocab_parser = subs.add_parser("vocab", help="build or evaluate motif vocabularies")
     vocab_subs = vocab_parser.add_subparsers(dest="vocab_command", required=True)
@@ -398,49 +398,46 @@ def build_parser() -> _Parser:
     sub = vocab_subs.add_parser("build", help="count motif signatures into a TSV vocabulary")
     _add_dataset_flags(sub, labeled=False)
     sub.add_argument("--output", default="", help="vocabulary TSV path")
-    sub.set_defaults(func=cmd_vocab_build, label_col="")
+    sub.set_defaults(func=cmd_vocab_build)
 
     sub = vocab_subs.add_parser("coverage", help="coverage of a corpus by a vocabulary")
     _add_dataset_flags(sub, labeled=False)
     sub.add_argument("--vocab", required=True, help="pretraining vocabulary TSV")
     sub.add_argument("--output", default="", help="coverage CSV path")
-    sub.set_defaults(func=cmd_vocab_coverage, label_col="")
+    sub.set_defaults(func=cmd_vocab_coverage)
 
     sub = subs.add_parser("mask-sim", help="sampled MI under masking strategies")
     _add_dataset_flags(sub)
-    _add_mask_flags(sub)
-    sub.add_argument("--strategies", default="uniform", help="comma-separated strategy list")
+    _add_mask_flags(sub, "--strategies", "mask_sim.csv", several=True)
     sub.add_argument("--repeats", type=_positive_int, default=5,
                      help="sampling repeats, whose mean and spread each row reports")
-    sub.add_argument("--output", default="",
-                     help="output path (default: mask_sim.csv in --out-dir)")
     sub.set_defaults(func=cmd_mask_sim)
 
     sub = subs.add_parser("mi", help="exact MI of target labels vs the task label")
     _add_dataset_flags(sub)
-    _add_target_flags(sub, "mi.csv")
+    _add_choice_flags(sub, "--targets", TARGET_INPUTS, "atom_type,motif", "mi.csv", several=True)
     sub.set_defaults(func=cmd_mi)
 
     sub = subs.add_parser("jsd", help="low-frequency JSD curves")
     _add_dataset_flags(sub)
     sub.add_argument("--taus", type=_taus, default=None,
                      help="comma-separated thresholds (default grid)")
-    _add_target_flags(sub, "jsd.csv")
+    _add_choice_flags(sub, "--targets", TARGET_INPUTS, "atom_type,motif", "jsd.csv", several=True)
     sub.set_defaults(func=cmd_jsd)
 
     sub = subs.add_parser("shuffle-control", help="MI against a label-shuffled control")
     _add_dataset_flags(sub)
     sub.add_argument("--repeats", type=_positive_int, default=5,
                      help="label shuffles averaged into the control row")
-    _add_target_flags(sub, "shuffle.csv", one_kind="motif")
+    _add_choice_flags(sub, "--target", TARGET_INPUTS, "motif", "shuffle.csv", several=False)
     sub.set_defaults(func=cmd_shuffle_control)
 
     sub = subs.add_parser("export-views", help="write masked views with targets as JSONL")
     _add_dataset_flags(sub)
-    _add_mask_flags(sub)
+    _add_mask_flags(sub, "--strategy", "", several=False)
     sub.add_argument("--draws-per-graph", type=_positive_int, default=1,
                      help="masked views written per molecule")
-    _add_target_flags(sub, "views.jsonl", one_kind="atom_type", vq_normalize=False)
+    _add_choice_flags(sub, "--target", TARGET_INPUTS, "atom_type", "views.jsonl", several=False)
     sub.set_defaults(func=cmd_export_views)
 
     sub = subs.add_parser("plot", help="render a report CSV as SVG")

@@ -286,6 +286,7 @@ class TestPlot:
 @pytest.mark.parametrize("command", ["mask-sim", "export-views"])
 @pytest.mark.parametrize("flag, value", [
     ("--ratio", "0"),
+    ("--ratio", "2"),
     ("--beta", "-1"),
     ("--beta", "nan"),
     ("--beta", "inf"),
@@ -293,9 +294,10 @@ class TestPlot:
     ("--max-epoch", "0"),
     ("--intra-frac", "0"),
 ])
-def test_bad_mask_flag_is_usage_error(command, flag, value, cli_corpus, tmp_path, capsys):
+def test_bad_mask_flag_is_usage_error(command, flag, value, tmp_path, capsys):
+    """Found before the corpus, which does not exist here, is read."""
     out = tmp_path / "out"
-    assert run([command, "--input", cli_corpus, "--label-col", "activity",
+    assert run([command, "--input", tmp_path / "absent.csv", "--label-col", "activity",
                 flag, value, "--output", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
@@ -394,6 +396,7 @@ def test_count_flag_below_one_is_usage_error(command, flag, value, cli_corpus, t
     ["--seed", "1.5", "mask-sim"],
     ["shuffle-control", "--target", "motif,motif"],
     ["export-views", "--target", "atom_type,motif"],
+    ["mask-sim", "--strategy", "moama"],
 ])
 def test_bad_flag_value_is_usage_error(argv, cli_corpus, tmp_path, capsys):
     out = tmp_path / "out"
@@ -403,20 +406,36 @@ def test_bad_flag_value_is_usage_error(argv, cli_corpus, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["mi", "jsd", "shuffle-control", "export-views"])
-@pytest.mark.parametrize("flags, message", [
-    (["vq_code"], "target 'vq_code' needs --embeddings and --codebook"),
-    (["vq_code", "--embeddings", "emb.csv"], "target 'vq_code' needs --embeddings and --codebook"),
-    (["vq_code", "--codebook", "book.csv"], "target 'vq_code' needs --embeddings and --codebook"),
-    (["argmax_token"], "target 'argmax_token' needs --logits"),
-], ids=["vq_code", "vq_code_no_codebook", "vq_code_no_embeddings", "argmax_token"])
+def target_flag(command: str) -> str:
+    return "--targets" if command in ("mi", "jsd") else "--target"
+
+
+NEEDED_INPUTS = [
+    ("vq_code", ["vq_code"], "target 'vq_code' needs --embeddings and --codebook"),
+    ("vq_code_no_codebook", ["vq_code", "--embeddings", "emb.csv"],
+     "target 'vq_code' needs --embeddings and --codebook"),
+    ("vq_code_no_embeddings", ["vq_code", "--codebook", "book.csv"],
+     "target 'vq_code' needs --embeddings and --codebook"),
+    ("argmax_token", ["argmax_token"], "target 'argmax_token' needs --logits"),
+]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    *(pytest.param(command, [target_flag(command), *flags], message, id=f"{case}-{command}")
+      for command in ("mi", "jsd", "shuffle-control", "export-views")
+      for case, flags, message in NEEDED_INPUTS),
+    pytest.param("mask-sim", ["--strategies", "uniform,external"],
+                 "strategy 'external' needs --scores", id="external-mask-sim"),
+    pytest.param("export-views", ["--strategy", "external"],
+                 "strategy 'external' needs --scores", id="external-export-views"),
+])
 def test_target_without_its_input_is_usage_error(command, flags, message, tmp_path, capsys):
-    """Checked before the corpus is read: the corpus named here does not
-    exist, and the error is still a usage error."""
-    target_flag = "--targets" if command in ("mi", "jsd") else "--target"
+    """A target kind or strategy without an input it reads is checked
+    before the corpus is read: the corpus named here does not exist,
+    and the error is still a usage error."""
     out = tmp_path / "out"
     assert run([command, "--input", tmp_path / "absent.csv", "--label-col", "activity",
-                target_flag, *flags, "--output", out]) == 1
+                *flags, "--output", out]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
 
@@ -425,7 +444,8 @@ def test_target_without_its_input_is_usage_error(command, flags, message, tmp_pa
     (["mask-sim", "--strategies", "uniform,pagerank,uniform"], "strategy 'uniform'"),
     (["mi", "--targets", "motif,motif"], "target kind 'motif'"),
     (["jsd", "--targets", "atom_type,motif,atom_type"], "target kind 'atom_type'"),
-], ids=["mask-sim", "mi", "jsd"])
+    (["jsd", "--taus", "0.1,0.5,0.1"], "argument --taus: tau 0.1"),
+], ids=["mask-sim", "mi", "jsd", "jsd-taus"])
 def test_name_given_twice_is_usage_error(argv, message, tmp_path, capsys):
     """Found before the corpus, which does not exist here, is read."""
     out = tmp_path / "out"
@@ -536,6 +556,9 @@ GOLDEN_CASES = [
                         *VECTOR_TARGET_FLAGS[:4], "--draws-per-graph", "2"]),
     ("views_argmax.jsonl", ["export-views", "--strategy", "uniform", "--target", "argmax_token",
                             *VECTOR_TARGET_FLAGS[4:], "--draws-per-graph", "2"]),
+    ("views_vq_normalized.jsonl", ["export-views", "--strategy", "uniform", "--target", "vq_code",
+                                   *VECTOR_TARGET_FLAGS[:4], "--vq-normalize",
+                                   "--draws-per-graph", "2"]),
 ]
 
 
@@ -658,21 +681,32 @@ def test_non_utf8_input_is_data_error(text, argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and not out.exists()
 
 
-@pytest.mark.parametrize("command", ["mi", "jsd", "shuffle-control", "export-views"])
-def test_help_describes_every_flag(command, monkeypatch, capsys):
-    """--help gives every flag of the commands that read target labels a
-    text of its own; export-views has no --vq-normalize."""
-    monkeypatch.setenv("COLUMNS", "200")  # one line per flag, nothing wrapped
-    parser = build_parser()
+def subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subs.choices[command]
-    assert run([command, "--help"]) == 0
+    return subs.choices[name]
+
+
+@pytest.mark.parametrize("command", [
+    "parse-check", "decompose", "vocab build", "vocab coverage", "mask-sim", "mi", "jsd",
+    "shuffle-control", "export-views", "plot",
+], ids=lambda command: command.replace(" ", "-"))
+def test_help_describes_every_flag(command, monkeypatch, capsys):
+    """--help gives every flag of every command a text of its own; a
+    command with a target or strategy flag has every input flag its
+    choices read."""
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag, nothing wrapped
+    sub = build_parser()
+    for name in command.split():
+        sub = subparser(sub, name)
+    assert run([*command.split(), "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     formatter = sub._get_formatter()
     flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
     names = {flag for action in flags for flag in action.option_strings}
-    assert {"--vocab", "--embeddings", "--codebook", "--logits", "--output"} <= names
-    assert ("--vq-normalize" in names) == (command != "export-views")
+    targets = {"--vocab", "--embeddings", "--codebook", "--logits", "--vq-normalize"}
+    assert (targets <= names) == bool({"--target", "--targets"} & names)
+    assert ("--scores" in names) == bool({"--strategy", "--strategies"} & names)
+    assert ("--output" in names) == (command not in ("parse-check", "decompose"))
     for action in flags:
         assert action.help, action.option_strings
         assert f"{formatter._format_action_invocation(action)} {action.help}" in text
@@ -821,26 +855,29 @@ UNREAD_INPUTS = [
     ("vq_code", "--logits", "--logits is read only by the 'argmax_token' target"),
     ("argmax_token", "--vq-normalize", "--vq-normalize is read only by the 'vq_code' target"),
 ]
+SCORES_UNREAD = "--scores is read only by the 'external' strategy"
 
 
-# export-views has no --vq-normalize.
-@pytest.mark.parametrize("command, kind, flag, message", [
-    pytest.param(command, *case, id=f"{command}-{case[1][2:]}")
-    for command in ("mi", "jsd", "shuffle-control", "export-views")
-    for case in UNREAD_INPUTS
-    if (command, case[1]) != ("export-views", "--vq-normalize")
+@pytest.mark.parametrize("command, choice, flag, message", [
+    *(pytest.param(command, [target_flag(command), kind], flag, message,
+                   id=f"{command}-{flag[2:]}")
+      for command in ("mi", "jsd", "shuffle-control", "export-views")
+      for kind, flag, message in UNREAD_INPUTS),
+    pytest.param("mask-sim", ["--strategies", "uniform,moama"], "--scores", SCORES_UNREAD,
+                 id="mask-sim-scores"),
+    pytest.param("export-views", ["--strategy", "pagerank"], "--scores", SCORES_UNREAD,
+                 id="export-views-scores"),
 ])
-def test_unread_target_input_is_usage_error(command, kind, flag, message, tmp_path, capsys):
-    """An input flag that no requested target kind reads is a usage
-    error, found before the corpus, which does not exist here, or the
-    flag's file is read."""
-    target_flag = "--targets" if command in ("mi", "jsd") else "--target"
+def test_unread_target_input_is_usage_error(command, choice, flag, message, tmp_path, capsys):
+    """An input flag that no requested target kind or strategy reads is
+    a usage error, found before the corpus, which does not exist here,
+    or the flag's file is read."""
     needs = {"vq_code": ["--embeddings", "e.csv", "--codebook", "b.csv"],
-             "argmax_token": ["--logits", "l.csv"]}.get(kind, [])
+             "argmax_token": ["--logits", "l.csv"]}.get(choice[-1], [])
     value = [] if flag == "--vq-normalize" else [tmp_path / "bad.tsv"]
     out = tmp_path / "out"
     assert run([command, "--input", tmp_path / "absent.csv", "--label-col", "activity",
-                target_flag, kind, *needs, flag, *value, "--output", out]) == 1
+                *choice, *needs, flag, *value, "--output", out]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
 
