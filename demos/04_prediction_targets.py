@@ -7,8 +7,15 @@ Run from the repository root:
 
 import numpy as np
 
-from molmask import MaskConfig, bind_corpus, build_vocab, parse_smiles, substream, target_column
-from molmask.targets import graph_motifs
+from molmask import (
+    MaskConfig,
+    bind_corpus,
+    build_vocab,
+    graph_motifs,
+    parse_smiles,
+    substream,
+    target_column,
+)
 
 g = parse_smiles("CC(=O)Nc1ccc(O)cc1")
 (bound,) = bind_corpus(["motifpred"], MaskConfig(ratio=0.4), [g])(0)
@@ -34,7 +41,8 @@ print(f"atom_type labels: {labels('atom_type')} (atomic numbers, 0 for unknown)"
 # label per motif hidden whole or in part, via a vocabulary of canonical
 # motif signatures.  Motifs outside the
 # vocabulary collapse to one reserved UNK id.
-vocab = build_vocab([parse_smiles(s) for s in ("c1ccccc1", "CC(=O)N", "CO")])
+vocab = build_vocab(graph_motifs(parse_smiles(s)).signatures
+                    for s in ("c1ccccc1", "CC(=O)N", "CO"))
 motif = labels("motif", vocab=vocab, motifs=[graph_motifs(g)])
 print(f"motif labels:     {motif} (space {vocab.size + 1}, unk id {vocab.unk_id})")
 

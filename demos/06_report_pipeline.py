@@ -13,6 +13,8 @@ from pathlib import Path
 
 from molmask import (
     DatasetManifest,
+    build_vocab,
+    graph_motifs,
     ingest,
     read_report_csv,
     render_svg,
@@ -23,8 +25,6 @@ from molmask import (
     target_column,
     write_report_csv,
 )
-from molmask.motif import vocab_from_signatures
-from molmask.targets import graph_motifs
 
 corpus = Path(__file__).parent / "data" / "demo_corpus.csv"
 manifest = DatasetManifest(
@@ -38,7 +38,7 @@ records, _ = ingest(manifest)
 # reuses that vocabulary.
 graphs = [r.graph for r in records]
 motifs = [graph_motifs(graph) for graph in graphs]
-vocab = vocab_from_signatures(m.signatures for m in motifs)
+vocab = build_vocab(m.signatures for m in motifs)
 columns = [target_column(kind, graphs, {"vocab": vocab, "motifs": motifs})
            for kind in ("atom_type", "motif")]
 

@@ -30,8 +30,7 @@ _EXPORTS = {
     ),
     "motif": (
         "CoverageStats", "MotifPartition", "MotifVocab", "build_vocab",
-        "canonical_signature", "coverage", "decompose", "motif_adjacency",
-        "motif_signatures",
+        "coverage", "decompose", "graph_motifs", "motif_adjacency", "motif_signatures",
     ),
     "scoring": ("NodeScores", "load_external_scores", "pagerank_all"),
     "masking": (
@@ -47,7 +46,7 @@ _EXPORTS = {
     ),
     "report": ("AnalysisReport", "read_report_csv", "write_report_csv"),
     "workbench": (
-        "DatasetManifest", "IngestStats", "analysis_records", "build_vocab_tsv",
+        "DatasetManifest", "IngestStats", "build_vocab_tsv",
         "config_hash", "exact_joint_counts", "ingest", "load_vocab_tsv",
         "parallel_map", "run_coverage", "run_jsd_analysis", "run_mask_sim",
         "run_mi_analysis", "run_shuffle_control", "usable_positions",

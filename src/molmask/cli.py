@@ -29,10 +29,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_dataset_flags(sub: argparse.ArgumentParser, labeled: bool = True) -> None:
+def _add_dataset_flags(
+    sub: argparse.ArgumentParser, named: bool = True, labeled: bool = True
+) -> None:
+    """The corpus flags, with --dataset-name for a command that names
+    the corpus in its output and --label-col for one that reads labels."""
     sub.add_argument("--input", required=True, help="CSV corpus path")
     sub.add_argument("--smiles-col", default="smiles", help="SMILES column name")
-    sub.add_argument("--dataset-name", default="", help="name used in report rows")
+    if named:
+        sub.add_argument("--dataset-name", default="", help="name used in report rows")
     if labeled:
         sub.add_argument("--label-col", default="", help="binary task column name")
 
@@ -243,7 +248,7 @@ def cmd_parse_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     from .molgraph import parse_smiles
-    from .targets import graph_motifs
+    from .motif import graph_motifs
     from .workbench import ingest
 
     if args.smiles:
@@ -263,11 +268,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_vocab_build(args) -> int:
-    from .motif import build_vocab
+    from .motif import build_vocab, graph_motifs
     from .workbench import build_vocab_tsv
 
-    manifest, records, _ = _ingest_for_analysis(args)
-    vocab = build_vocab([rec.graph for rec in records])
+    _, records, _ = _ingest_for_analysis(args)
+    vocab = build_vocab(graph_motifs(rec.graph).signatures for rec in records)
     path = _out_path(args, "vocab.tsv")
     build_vocab_tsv(vocab, path)
     print(f"wrote {vocab.size} signatures to {path}")
@@ -342,7 +347,7 @@ def cmd_export_views(args) -> int:
     strategies = _choices(args, "--strategy", STRATEGY_INPUTS)
     kinds = _choices(args, "--target", TARGET_INPUTS)
     config = _mask_config(args)
-    manifest, records, _ = _ingest_for_analysis(args)
+    _, records, _ = _ingest_for_analysis(args)
     external = _external_scores(args, records)
     # Built before the views file is opened: a labelling error leaves no
     # partial file behind.  A motif column's partitions are the masks' too.
@@ -396,7 +401,7 @@ def build_parser() -> _Parser:
     vocab_subs = vocab_parser.add_subparsers(dest="vocab_command", required=True)
 
     sub = vocab_subs.add_parser("build", help="count motif signatures into a TSV vocabulary")
-    _add_dataset_flags(sub, labeled=False)
+    _add_dataset_flags(sub, named=False, labeled=False)
     sub.add_argument("--output", default="", help="vocabulary TSV path")
     sub.set_defaults(func=cmd_vocab_build)
 
@@ -433,7 +438,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=cmd_shuffle_control)
 
     sub = subs.add_parser("export-views", help="write masked views with targets as JSONL")
-    _add_dataset_flags(sub)
+    _add_dataset_flags(sub, named=False, labeled=False)
     _add_mask_flags(sub, "--strategy", "", several=False)
     sub.add_argument("--draws-per-graph", type=_positive_int, default=1,
                      help="masked views written per molecule")

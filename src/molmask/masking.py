@@ -399,7 +399,7 @@ def export_views(
     the same inputs and seed.  Returns the number of lines written.
     """
     lines = 0
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for graph_index, (graph, bound) in enumerate(zip(corpus, strategies, strict=True)):
             for draw in range(draws_per_graph):
                 atoms = bound.plan(substream(seed, graph_index, draw))

@@ -6,15 +6,18 @@ Signatures come from iterative color refinement with a bounded
 exhaustive tie-break, so isomorphic motifs map to the same string no
 matter which molecule or atom order produced them.
 
+``graph_motifs`` is the one motif pass: it decomposes a graph and signs
+its motifs.  Vocabularies (``build_vocab``) and coverage (``coverage``)
+count the signature lists it returns, one list per graph.
+
 A signature depends only on the motif's labelled subgraph: its atoms'
 (atomic number, aromatic) pairs in ascending atom order and its bonds
-renumbered to that order.  ``_signature_keys`` reduces motifs to those
-keys, all of a molecule's motifs in one pass over its bond columns
-(``motif_signatures``) or one atom set (``canonical_signature``).  Each
-key is looked up in an LRU memo of at most ``_SIGNATURE_MEMO_SIZE``
-(16,384) keys, so each distinct labelled motif is signed once while the
-memo holds it.  A 5,000-molecule synthetic corpus has 4,014 keys for
-its 24,911 motifs.
+renumbered to that order.  ``_signature_keys`` reduces all of a
+partition's motifs to those keys in one pass over the graph's bond
+columns.  Each key is looked up in an LRU memo of at most
+``_SIGNATURE_MEMO_SIZE`` (16,384) keys, so each distinct labelled motif
+is signed once while the memo holds it.  A 5,000-molecule synthetic
+corpus has 4,014 keys for its 24,911 motifs.
 """
 
 from __future__ import annotations
@@ -90,6 +93,14 @@ class CoverageStats:
     median_r: float
     pct_r_ge_080: float
     pct_r_le_020: float
+
+
+@dataclass(frozen=True)
+class GraphMotifs:
+    """One graph's motif partition and the signature of each motif."""
+
+    partition: MotifPartition
+    signatures: tuple[str, ...]
 
 
 def decompose(graph: MolGraph) -> MotifPartition:
@@ -176,36 +187,13 @@ def _refine_colors(
         colors = new_colors
 
 
-def canonical_signature(graph: MolGraph, atoms: Iterable[int]) -> str:
-    """Canonical string for the subgraph induced by ``atoms``.
-
-    Raises DisconnectedMotif when the induced subgraph is not connected.
-    Relabeling the molecule's atoms never changes the signature; for
-    subgraphs whose symmetry exceeds the tie-break budget the emission
-    collapses to refinement classes, which stays order-invariant but may
-    merge some rare non-isomorphic pairs.  The subgraph is reduced to
-    its labelled form in relative atom order, and the signature of that
-    key is memoised (``_signature_of``).
-    """
-    node_list = tuple(sorted(set(atoms)))
-    if not node_list:
-        raise DisconnectedMotif("empty atom set has no signature")
-    for i in node_list:
-        if not (0 <= i < graph.n_atoms):
-            raise DisconnectedMotif(f"atom index {i} outside graph")
-    motif_of = [-1] * graph.n_atoms
-    for i in node_list:
-        motif_of[i] = 0
-    (key,) = _signature_keys(graph, (node_list,), motif_of)
-    return _signature_of(*key)
-
-
 def _signature_keys(
-    graph: MolGraph, motifs: Sequence[tuple[int, ...]], motif_of: Sequence[int]
+    graph: MolGraph, partition: MotifPartition
 ) -> list[tuple[tuple[tuple[int, bool], ...], tuple[tuple[int, int, str], ...]]]:
-    """The ``_signature_of`` key of each atom set in ``motifs`` (disjoint,
-    each in ascending atom order), from one pass over the bonds:
-    motif_of[a] is the index of the set holding atom a, or -1."""
+    """The ``_signature_of`` key of each motif of ``partition``, from
+    one pass over the bonds; an atom whose motif_of is -1 is in no
+    motif."""
+    motifs, motif_of = partition.motifs, partition.motif_of
     z, aromatic = graph.z, graph.aromatic
     local = [0] * graph.n_atoms
     for motif in motifs:
@@ -231,6 +219,8 @@ def _signature_of(
     bonds with i < j.  A pure function of its key, so it is memoised;
     a DisconnectedMotif raised here is never cached."""
     k = len(labels)
+    if not k:
+        raise DisconnectedMotif("an empty atom set has no signature")
     adjacency: list[list[tuple[int, str]]] = [[] for _ in range(k)]
     for u, v, order in edges:
         adjacency[u].append((v, order))
@@ -317,22 +307,22 @@ def _factorial_capped(k: int) -> int:
     return out
 
 
-def motif_signatures(graph: MolGraph, partition: MotifPartition | None = None) -> list[str]:
-    """Signatures of every motif of a graph, in motif index order."""
-    if partition is None:
-        partition = decompose(graph)
-    keys = _signature_keys(graph, partition.motifs, partition.motif_of)
-    return [_signature_of(labels, edges) for labels, edges in keys]
+def motif_signatures(graph: MolGraph, partition: MotifPartition) -> list[str]:
+    """Signatures of every motif of a partition of ``graph``, in motif
+    index order.  Raises DisconnectedMotif for a motif whose atoms
+    induce a disconnected subgraph."""
+    return [_signature_of(labels, edges) for labels, edges in _signature_keys(graph, partition)]
 
 
-def build_vocab(graphs: Iterable[MolGraph]) -> MotifVocab:
-    """Count motif signatures over a corpus and assign dense ids."""
-    return vocab_from_signatures(motif_signatures(graph) for graph in graphs)
+def graph_motifs(graph: MolGraph) -> GraphMotifs:
+    """Decompose a graph and sign each of its motifs."""
+    partition = decompose(graph)
+    return GraphMotifs(partition, tuple(motif_signatures(graph, partition)))
 
 
-def vocab_from_signatures(signature_lists: Iterable[Iterable[str]]) -> MotifVocab:
-    """Count already computed motif signatures (one list per graph) and
-    assign dense ids.
+def build_vocab(signature_lists: Iterable[Iterable[str]]) -> MotifVocab:
+    """Count motif signatures (one list per graph, as graph_motifs
+    gives them) and assign dense ids.
 
     Ids go to frequent signatures first; equal counts order by signature
     string, so any corpus ordering yields the same vocabulary.
@@ -346,8 +336,9 @@ def vocab_from_signatures(signature_lists: Iterable[Iterable[str]]) -> MotifVoca
     return MotifVocab(ids=ids, counts=dict(counts))
 
 
-def coverage(vocab: MotifVocab, graphs: Iterable[MolGraph]) -> CoverageStats:
-    """Coverage of a downstream corpus by a pretraining vocabulary.
+def coverage(vocab: MotifVocab, signature_lists: Iterable[Sequence[str]]) -> CoverageStats:
+    """Coverage of a downstream corpus, given as the motif signatures of
+    each graph, by a pretraining vocabulary.
 
     overlap_ratio is the fraction of the downstream corpus's distinct
     signatures present in the vocabulary; r(G) is the per-graph fraction
@@ -359,8 +350,7 @@ def coverage(vocab: MotifVocab, graphs: Iterable[MolGraph]) -> CoverageStats:
         raise DataError("coverage needs a non-empty vocabulary")
     downstream_sigs: set[str] = set()
     per_graph_r: list[float] = []
-    for graph in graphs:
-        sigs = motif_signatures(graph)
+    for sigs in signature_lists:
         downstream_sigs.update(sigs)
         known = sum(1 for sig in sigs if sig in vocab.ids)
         per_graph_r.append(known / len(sigs))

@@ -50,8 +50,8 @@ def _format_cell(value) -> str:
 
 def write_report_csv(report: AnalysisReport, path: str | Path) -> None:
     """Emit a report deterministically: fixed column order, fixed float
-    format, newline-terminated lines."""
-    with open(path, "w", newline="") as handle:
+    format, newline-terminated lines, UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(report.columns)
         for row in report.rows:

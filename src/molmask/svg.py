@@ -244,6 +244,6 @@ def render_svg(report: AnalysisReport, path: Optional[str | Path] = None) -> str
     ]
     markup = "\n".join(parts) + "\n"
     if path is not None:
-        with open(path, "w", newline="\n") as handle:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(markup)
     return markup

@@ -24,7 +24,7 @@ import numpy as np
 from .choices import TARGET_INPUTS
 from .errors import DataError, DimMismatch, NonFiniteScore, ShapeMismatch
 from .molgraph import MolGraph
-from .motif import MotifPartition, decompose, motif_signatures, vocab_from_signatures
+from .motif import MotifPartition, build_vocab, graph_motifs
 
 
 def argmax_labels(logits: np.ndarray) -> list[int]:
@@ -57,20 +57,6 @@ def vq_labels(
     # inputs are exactly symmetric.
     d2 = np.sum(emb * emb, axis=1, keepdims=True) - 2.0 * emb @ book.T + np.sum(book * book, axis=1)
     return [int(i) for i in np.argmin(d2, axis=1)]
-
-
-@dataclass(frozen=True)
-class GraphMotifs:
-    """One graph's motif partition and the signature of each motif."""
-
-    partition: MotifPartition
-    signatures: tuple[str, ...]
-
-
-def graph_motifs(graph: MolGraph) -> GraphMotifs:
-    """Decompose a graph and sign each of its motifs."""
-    partition = decompose(graph)
-    return GraphMotifs(partition, tuple(motif_signatures(graph, partition)))
 
 
 def _atom_rows(inputs: Mapping[str, Any], what: str, pos: int, graph: MolGraph) -> np.ndarray:
@@ -189,7 +175,7 @@ def target_columns(
     if "motif" in kinds:
         inputs["motifs"] = [graph_motifs(graph) for graph in graphs]
         if "vocab" not in inputs:
-            inputs["vocab"] = vocab_from_signatures(m.signatures for m in inputs["motifs"])
+            inputs["vocab"] = build_vocab(m.signatures for m in inputs["motifs"])
     return [target_column(kind, graphs, inputs, positions) for kind in kinds]
 
 

@@ -34,7 +34,7 @@ from .infotheory import (
     shuffle_control,
 )
 from .molgraph import LabeledRecord, parse_smiles
-from .motif import MotifVocab, coverage
+from .motif import MotifVocab, coverage, graph_motifs
 # read_report_csv and write_report_csv stay importable from here, where
 # perfbench/spans.py looks them up.
 from .report import (
@@ -236,15 +236,6 @@ def _nothing_to_count(kind: str, tallies: dict[str, int]) -> EmptyCounts:
                        + ", ".join(f"{n} {reasons[r]}" for r, n in tallies.items()))
 
 
-def analysis_records(records: Sequence[LabeledRecord]) -> tuple[list[LabeledRecord], dict[str, int]]:
-    """Keep records usable for label analyses; count what was skipped.
-
-    Skips graphs with a missing label and single-atom graphs.
-    """
-    positions, skipped = usable_positions(records)
-    return [records[pos] for pos in positions], skipped
-
-
 def exact_joint_counts(
     records: Sequence[LabeledRecord], column: TargetColumn
 ) -> tuple[JointCounts, dict[str, int]]:
@@ -423,9 +414,10 @@ def run_coverage(
     dataset_name: str,
     seed: int = 0,
 ) -> AnalysisReport:
-    """Vocabulary coverage of a downstream corpus."""
+    """Vocabulary coverage of a downstream corpus, whose motifs are
+    signed by one graph_motifs pass."""
     chash = config_hash({"analysis": "coverage", "dataset": dataset_name, "seed": seed})
-    stats = coverage(vocab, [rec.graph for rec in records])
+    stats = coverage(vocab, (graph_motifs(rec.graph).signatures for rec in records))
     report = AnalysisReport(kind="coverage", columns=COVERAGE_COLUMNS)
     report.rows.append((
         dataset_name, stats.overlap_ratio, stats.mean_r, stats.median_r,
@@ -438,7 +430,7 @@ def run_coverage(
 def build_vocab_tsv(vocab: MotifVocab, path: str | Path) -> None:
     """Write a vocabulary as TSV: signature, id, count."""
     ranked = sorted(vocab.ids.items(), key=lambda kv: kv[1])
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("signature\tid\tcount\n")
         for sig, idx in ranked:
             handle.write(f"{sig}\t{idx}\t{vocab.counts[sig]}\n")

@@ -125,13 +125,45 @@ def counted_column(records, kind, vocab=None, **inputs):
     built the way a command builds it: with a vocabulary, one
     graph_motifs pass over every record next to it; other inputs as
     given, keyed by position in ``records``."""
-    from molmask import target_column, usable_positions
-    from molmask.targets import graph_motifs
+    from molmask import graph_motifs, target_column, usable_positions
 
     graphs = [rec.graph for rec in records]
     if vocab is not None:
         inputs.update(vocab=vocab, motifs=[graph_motifs(graph) for graph in graphs])
     return target_column(kind, graphs, inputs, usable_positions(records)[0])
+
+
+def usable_records(records):
+    """The records a label analysis counts, in corpus order."""
+    from molmask import usable_positions
+
+    return [records[pos] for pos in usable_positions(records)[0]]
+
+
+def signature_lists(graphs):
+    """Each graph's motif signatures, from one graph_motifs pass."""
+    from molmask import graph_motifs
+
+    return [graph_motifs(graph).signatures for graph in graphs]
+
+
+def vocab_of(graphs):
+    """The motif vocabulary counted over ``graphs``."""
+    from molmask import build_vocab
+
+    return build_vocab(signature_lists(graphs))
+
+
+def atoms_signature(graph, atoms):
+    """The signature of the subgraph that ``atoms`` induce, signed as
+    the one motif of a partition made by hand; the other atoms are in
+    no motif."""
+    from molmask import MotifPartition, motif_signatures
+
+    motif = tuple(sorted(set(atoms)))
+    motif_of = tuple(0 if atom in motif else -1 for atom in range(graph.n_atoms))
+    [signature] = motif_signatures(graph, MotifPartition((motif,), (), motif_of))
+    return signature
 
 
 @pytest.fixture

@@ -15,9 +15,7 @@ import pytest
 from molmask import (
     MaskConfig,
     NodeScores,
-    analysis_records,
     bind_corpus,
-    build_vocab,
     coverage,
     exact_joint_counts,
     entropy_y,
@@ -30,15 +28,21 @@ from molmask import (
 )
 from molmask.cli import main
 
-from conftest import counted_column, load_reference_dataset
+from conftest import (
+    counted_column,
+    load_reference_dataset,
+    signature_lists,
+    usable_records,
+    vocab_of,
+)
 from test_infotheory import brute_force_mi, counts_from_matrix
 from test_scoring import dense_pagerank
 
 
 def motif_atom_shuffle_summary(records, seed=0):
     """Exact motif MI, its shuffled control, and exact atom MI."""
-    usable, _ = analysis_records(records)
-    vocab = build_vocab([r.graph for r in usable])
+    usable = usable_records(records)
+    vocab = vocab_of([r.graph for r in usable])
     joint_motif, _ = exact_joint_counts(records, counted_column(records, "motif", vocab))
     joint_atom, _ = exact_joint_counts(records, counted_column(records, "atom_type"))
     shuffled = shuffle_control(joint_motif, repeats=5, seed=seed)
@@ -135,8 +139,8 @@ def test_reference_mi_ordering():
 def test_bace_jsd_shape():
     records, _ = load_reference_dataset("bace")
     start = time.perf_counter()
-    usable, _ = analysis_records(records)
-    vocab = build_vocab([r.graph for r in usable])
+    usable = usable_records(records)
+    vocab = vocab_of([r.graph for r in usable])
     joint_motif, _ = exact_joint_counts(records, counted_column(records, "motif", vocab))
     joint_atom, _ = exact_joint_counts(records, counted_column(records, "atom_type"))
     curve_motif = jsd_curve(joint_motif)
@@ -203,12 +207,12 @@ def test_coverage_properties(fixture_graphs, ring_marker_records):
         [rec.graph for rec in ring_marker_records],
     ]
     for graphs in corpora:
-        vocab = build_vocab(graphs)
-        stats = coverage(vocab, graphs)
+        vocab = vocab_of(graphs)
+        stats = coverage(vocab, signature_lists(graphs))
         assert stats.overlap_ratio == 1.0
         assert all(r == 1.0 for r in stats.per_graph_r)
-    disjoint_vocab = build_vocab([parse_smiles("B1BB1BB1BB1")])
-    stats = coverage(disjoint_vocab, fixture_graphs)
+    disjoint_vocab = vocab_of([parse_smiles("B1BB1BB1BB1")])
+    stats = coverage(disjoint_vocab, signature_lists(fixture_graphs))
     assert all(r == 0.0 for r in stats.per_graph_r)
     assert stats.overlap_ratio == 0.0
 
@@ -272,8 +276,8 @@ class TestFixtureScaleBehavior:
         assert shuffled.mean < 0.40 * motif_mi
 
     def test_rare_motifs_sharpen_jsd(self, ring_marker_records):
-        usable, _ = analysis_records(ring_marker_records)
-        vocab = build_vocab([r.graph for r in usable])
+        usable = usable_records(ring_marker_records)
+        vocab = vocab_of([r.graph for r in usable])
         joint_motif, _ = exact_joint_counts(
             ring_marker_records, counted_column(ring_marker_records, "motif", vocab))
         joint_atom, _ = exact_joint_counts(

@@ -27,6 +27,15 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# The commands that read a corpus's label column.
+LABELLED = {"parse-check", "mask-sim", "mi", "jsd", "shuffle-control"}
+
+
+def label_col(argv) -> list:
+    """--label-col activity, when the command in ``argv`` reads labels."""
+    return ["--label-col", "activity"] if LABELLED & set(map(str, argv)) else []
+
+
 class TestBasics:
     def test_version(self, capsys):
         assert run(["--version"]) == 0
@@ -96,7 +105,9 @@ class TestVocab:
         ])
         assert code == 2
 
-    def test_coverage_of_empty_vocab_is_data_error(self, cli_corpus, tmp_path, capsys):
+    def test_coverage_of_empty_vocab_is_data_error(self, cli_corpus, tmp_path, capsys,
+                                                   motif_passes):
+        """Found before the corpus's motifs are signed."""
         vocab_path = tmp_path / "empty.tsv"
         vocab_path.write_text("signature\tid\tcount\n")
         out = tmp_path / "coverage.csv"
@@ -106,6 +117,7 @@ class TestVocab:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert not out.exists()
+        assert motif_passes == []
 
 
 class TestAnalysisCommands:
@@ -223,7 +235,7 @@ class TestExportViews:
     def test_atom_type_views(self, cli_corpus, tmp_path, capsys):
         out = tmp_path / "views.jsonl"
         code = run([
-            "export-views", "--input", cli_corpus, "--label-col", "activity",
+            "export-views", "--input", cli_corpus,
             "--strategy", "moama", "--target", "motif",
             "--draws-per-graph", "2", "--output", out,
         ])
@@ -239,8 +251,7 @@ class TestExportViews:
 
     def test_vq_needs_resources(self, cli_corpus, capsys):
         code = run([
-            "export-views", "--input", cli_corpus, "--label-col", "activity",
-            "--target", "vq_code",
+            "export-views", "--input", cli_corpus, "--target", "vq_code",
         ])
         assert code == 1
 
@@ -250,7 +261,7 @@ class TestExportViews:
             out = tmp_path / name
             assert run([
                 "--seed", "11",
-                "export-views", "--input", cli_corpus, "--label-col", "activity",
+                "export-views", "--input", cli_corpus,
                 "--strategy", "motifpred", "--target", "atom_type",
                 "--output", out,
             ]) == 0
@@ -297,7 +308,7 @@ class TestPlot:
 def test_bad_mask_flag_is_usage_error(command, flag, value, tmp_path, capsys):
     """Found before the corpus, which does not exist here, is read."""
     out = tmp_path / "out"
-    assert run([command, "--input", tmp_path / "absent.csv", "--label-col", "activity",
+    assert run([command, "--input", tmp_path / "absent.csv", *label_col([command]),
                 flag, value, "--output", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
@@ -373,7 +384,7 @@ def test_all_labels_missing_says_why(argv, unk, tmp_path, capsys):
 ])
 def test_count_flag_below_one_is_usage_error(command, flag, value, cli_corpus, tmp_path, capsys):
     out = tmp_path / "out"
-    assert run([command, "--input", cli_corpus, "--label-col", "activity",
+    assert run([command, "--input", cli_corpus, *label_col([command]),
                 flag, value, "--output", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
@@ -400,7 +411,7 @@ def test_count_flag_below_one_is_usage_error(command, flag, value, cli_corpus, t
 ])
 def test_bad_flag_value_is_usage_error(argv, cli_corpus, tmp_path, capsys):
     out = tmp_path / "out"
-    assert run([*argv, "--input", cli_corpus, "--label-col", "activity", "--output", out]) == 1
+    assert run([*argv, "--input", cli_corpus, *label_col(argv), "--output", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert not out.exists()
@@ -434,7 +445,7 @@ def test_target_without_its_input_is_usage_error(command, flags, message, tmp_pa
     before the corpus is read: the corpus named here does not exist,
     and the error is still a usage error."""
     out = tmp_path / "out"
-    assert run([command, "--input", tmp_path / "absent.csv", "--label-col", "activity",
+    assert run([command, "--input", tmp_path / "absent.csv", *label_col([command]),
                 *flags, "--output", out]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
@@ -474,7 +485,7 @@ def test_malformed_input_file_is_data_error(name, text, argv, cli_corpus, tmp_pa
 ], ids=["mask-sim", "export-views"])
 def test_unconverged_pagerank_is_reported(argv, cli_corpus, tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
-    argv = [*argv, "--input", cli_corpus, "--label-col", "activity", "--output", out]
+    argv = [*argv, "--input", cli_corpus, *label_col(argv), "--output", out]
     assert run(argv) == 0
     quiet = capsys.readouterr()
     assert quiet.err == ""
@@ -559,6 +570,8 @@ GOLDEN_CASES = [
     ("views_vq_normalized.jsonl", ["export-views", "--strategy", "uniform", "--target", "vq_code",
                                    *VECTOR_TARGET_FLAGS[:4], "--vq-normalize",
                                    "--draws-per-graph", "2"]),
+    # Coverage of the demo corpus by the vocabulary built from it.
+    ("coverage.csv", ["vocab", "coverage", "--vocab", GOLDEN / "vocab.tsv"]),
 ]
 
 
@@ -707,9 +720,53 @@ def test_help_describes_every_flag(command, monkeypatch, capsys):
     assert (targets <= names) == bool({"--target", "--targets"} & names)
     assert ("--scores" in names) == bool({"--strategy", "--strategies"} & names)
     assert ("--output" in names) == (command not in ("parse-check", "decompose"))
+    assert ("--label-col" in names) == (command in LABELLED)
+    assert ("--dataset-name" in names) == (command in LABELLED | {"vocab coverage"})
     for action in flags:
         assert action.help, action.option_strings
         assert f"{formatter._format_action_invocation(action)} {action.help}" in text
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("mi.csv", ["mi", "--input", DEMO_CORPUS, "--label-col", "activity"]),
+    ("views.jsonl", ["export-views", "--input", DEMO_CORPUS, "--strategy", "moama",
+                     "--target", "motif", "--draws-per-graph", "2"]),
+    ("jsd.svg", ["plot", "--report", GOLDEN / "jsd.csv"]),
+    ("vocab.tsv", ["vocab", "build", "--input", DEMO_CORPUS]),
+], ids=["mi", "export-views", "plot", "vocab-build"])
+def test_outputs_are_written_as_utf8(golden, argv, tmp_path):
+    """Every writer names its encoding, so no output depends on the
+    locale: with EncodingWarning an error, the command still writes its
+    golden bytes."""
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / golden
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "molmask.cli", *map(str, argv), "--output", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vocab", "build", "--dataset-name", "demo"],
+    ["export-views", "--dataset-name", "demo"],
+    ["export-views", "--label-col", "activity"],
+], ids=["vocab-build-dataset-name", "export-views-dataset-name", "export-views-label-col"])
+def test_flag_the_command_does_not_read_is_unrecognized(argv, tmp_path, capsys):
+    """A command offers --dataset-name only when its output names the
+    corpus, and --label-col only when it reads labels."""
+    out = tmp_path / "out"
+    assert run([*argv, "--input", DEMO_CORPUS, "--output", out]) == 1
+    unread = " ".join(argv[-2:])
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {unread}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("embeddings, codebook", [
@@ -805,34 +862,46 @@ def test_byte_order_mark_is_accepted(name, argv, source, tmp_path, capsys):
 
 @pytest.fixture
 def motif_passes(monkeypatch):
-    """The graphs targets.graph_motifs is called on, one entry per call."""
-    from molmask import targets
+    """The graphs graph_motifs is called on, one entry per call, in
+    every molmask module that holds it by name."""
+    import sys
+
+    from molmask import motif
 
     seen = []
+    original = motif.graph_motifs
 
-    def counted(graph, original=targets.graph_motifs):
+    def counted(graph):
         seen.append(graph)
         return original(graph)
 
-    monkeypatch.setattr(targets, "graph_motifs", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "molmask" and getattr(module, "graph_motifs", None) is original:
+            monkeypatch.setattr(module, "graph_motifs", counted)
     return seen
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["mi", "--targets", "atom_type,motif"], 1),
-    (["jsd"], 1),
-    (["shuffle-control", "--target", "motif"], 1),
-    (["mi", "--targets", "atom_type"], 0),
-], ids=["mi", "jsd", "shuffle-control", "mi-atom_type"])
+    (["mi", "--label-col", "activity", "--targets", "atom_type,motif"], 1),
+    (["jsd", "--label-col", "activity"], 1),
+    (["shuffle-control", "--label-col", "activity", "--target", "motif"], 1),
+    (["mi", "--label-col", "activity", "--targets", "atom_type"], 0),
+    (["vocab", "build"], 1),
+    (["vocab", "coverage", "--vocab", GOLDEN / "vocab.tsv"], 1),
+    (["decompose"], 1),
+    (["export-views", "--target", "motif"], 1),
+    (["export-views", "--strategy", "moama", "--target", "atom_type"], 0),
+], ids=["mi", "jsd", "shuffle-control", "mi-atom_type", "vocab-build", "vocab-coverage",
+        "decompose", "export-views-motif", "export-views-moama-atom_type"])
 def test_motif_pass_runs_once_per_command(argv, passes, motif_passes, tmp_path, capsys):
-    """A command that counts motifs decomposes and signs every parsed
-    record once, however many analyses read the motifs; one that
-    counts no motif never does."""
+    """A command that reads motif signatures decomposes and signs every
+    parsed record once, however many analyses read them; one that reads
+    none never does, even when its strategy masks whole motifs."""
     from molmask import DatasetManifest, ingest
 
     records, _ = ingest(DatasetManifest(path=str(DEMO_CORPUS), label_column="activity"))
-    assert run([*argv, "--label-col", "activity", "--input", DEMO_CORPUS,
-                "--output", tmp_path / "out.csv"]) == 0
+    output = [] if argv[0] == "decompose" else ["--output", tmp_path / "out"]
+    assert run([*argv, "--input", DEMO_CORPUS, *output]) == 0
     assert motif_passes == [rec.graph for rec in records] * passes
 
 
@@ -841,10 +910,9 @@ def test_library_motif_count_runs_no_motif_pass(motif_passes):
     a DataError, not a motif pass of its own."""
     from molmask import DataError, build_vocab, parse_smiles, target_column
 
-    graph = parse_smiles("c1ccccc1CCO")
-    vocab = build_vocab([graph])
+    vocab = build_vocab([["a signature"]])
     with pytest.raises(DataError, match="motif targets need motifs"):
-        target_column("motif", [graph], {"vocab": vocab})
+        target_column("motif", [parse_smiles("c1ccccc1CCO")], {"vocab": vocab})
     assert motif_passes == []
 
 
@@ -876,7 +944,7 @@ def test_unread_target_input_is_usage_error(command, choice, flag, message, tmp_
              "argmax_token": ["--logits", "l.csv"]}.get(choice[-1], [])
     value = [] if flag == "--vq-normalize" else [tmp_path / "bad.tsv"]
     out = tmp_path / "out"
-    assert run([command, "--input", tmp_path / "absent.csv", "--label-col", "activity",
+    assert run([command, "--input", tmp_path / "absent.csv", *label_col([command]),
                 *choice, *needs, flag, *value, "--output", out]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()

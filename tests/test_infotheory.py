@@ -12,8 +12,6 @@ from molmask import (
     EmptySupport,
     JointCounts,
     MaskConfig,
-    analysis_records,
-    build_vocab,
     entropy_y,
     exact_joint_counts,
     jsd,
@@ -27,7 +25,7 @@ from molmask import (
 )
 from molmask.molgraph import LabeledRecord
 
-from conftest import counted_column
+from conftest import counted_column, usable_records, vocab_of
 
 
 def brute_force_mi(matrix):
@@ -342,8 +340,8 @@ class TestShuffleControl:
 
     @pytest.mark.parametrize("kind", ["atom_type", "motif"])
     def test_matches_pair_list_reference_on_fixture_corpora(self, kind, ring_marker_records):
-        usable, _ = analysis_records(ring_marker_records)
-        vocab = build_vocab([r.graph for r in usable])
+        usable = usable_records(ring_marker_records)
+        vocab = vocab_of([r.graph for r in usable])
         joint, _ = exact_joint_counts(
             ring_marker_records, counted_column(ring_marker_records, kind, vocab))
         result = shuffle_control(joint, repeats=5, seed=3)

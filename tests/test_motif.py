@@ -9,9 +9,9 @@ from molmask import (
     DisconnectedMotif,
     MolGraph,
     build_vocab,
-    canonical_signature,
     coverage,
     decompose,
+    graph_motifs,
     motif_adjacency,
     motif_signatures,
     parse_smiles,
@@ -20,7 +20,14 @@ from molmask.errors import ParseError
 from molmask.motif import _signature_of
 from molmask.workbench import build_vocab_tsv
 
-from conftest import mixed_corpus, ring_marker_corpus, template_corpus
+from conftest import (
+    atoms_signature,
+    mixed_corpus,
+    ring_marker_corpus,
+    signature_lists,
+    template_corpus,
+    vocab_of,
+)
 
 
 
@@ -127,8 +134,8 @@ class TestCanonicalSignature:
         ]
         for a, b in pairs:
             ga, gb = parse_smiles(a), parse_smiles(b)
-            sa = canonical_signature(ga, range(ga.n_atoms))
-            sb = canonical_signature(gb, range(gb.n_atoms))
+            sa = atoms_signature(ga, range(ga.n_atoms))
+            sb = atoms_signature(gb, range(gb.n_atoms))
             assert sa == sb, (a, b)
 
     def test_known_distinctions(self):
@@ -137,57 +144,57 @@ class TestCanonicalSignature:
         sigs = []
         for s in molecules:
             g = parse_smiles(s)
-            sigs.append(canonical_signature(g, range(g.n_atoms)))
+            sigs.append(atoms_signature(g, range(g.n_atoms)))
         assert len(set(sigs)) == len(sigs)
 
     def test_permutation_invariance(self, fixture_graphs):
         rng = np.random.default_rng(42)
         for g in fixture_graphs:
-            base = canonical_signature(g, range(g.n_atoms))
-            base_motif_sigs = sorted(motif_signatures(g))
+            base = atoms_signature(g, range(g.n_atoms))
+            base_motif_sigs = sorted(graph_motifs(g).signatures)
             for trial in range(200):
                 perm = [int(x) for x in rng.permutation(g.n_atoms)]
                 h = permuted(g, perm)
                 mapped = [perm[i] for i in range(g.n_atoms)]
-                assert canonical_signature(h, mapped) == base, g.source_smiles
+                assert atoms_signature(h, mapped) == base, g.source_smiles
                 if trial % 20 == 0:
                     # Motif structure is also label-independent.
-                    assert sorted(motif_signatures(h)) == base_motif_sigs
+                    assert sorted(graph_motifs(h).signatures) == base_motif_sigs
 
     def test_charge_not_in_signature(self):
         # Signatures see element and aromaticity, not formal charge:
         # protonation states collapse to one motif identity.
         ga = parse_smiles("[O-]C")
         gb = parse_smiles("OC")
-        sa = canonical_signature(ga, range(2))
-        sb = canonical_signature(gb, range(2))
+        sa = atoms_signature(ga, range(2))
+        sb = atoms_signature(gb, range(2))
         assert sa == sb
 
     def test_bond_order_distinguishes(self):
         ga = parse_smiles("C=CC")
         gb = parse_smiles("CC=C")
         gc = parse_smiles("CCC")
-        sa = canonical_signature(ga, range(3))
-        sb = canonical_signature(gb, range(3))
-        sc = canonical_signature(gc, range(3))
+        sa = atoms_signature(ga, range(3))
+        sb = atoms_signature(gb, range(3))
+        sc = atoms_signature(gc, range(3))
         assert sa == sb
         assert sa != sc
 
     def test_disconnected_motif_rejected(self):
         g = parse_smiles("CCO")
         with pytest.raises(DisconnectedMotif):
-            canonical_signature(g, (0, 2))
+            atoms_signature(g, (0, 2))
         with pytest.raises(DisconnectedMotif):
-            canonical_signature(g, ())
+            atoms_signature(g, ())
 
     def test_symmetric_ring_uses_stable_fallback(self):
         # A six-ring has 720 same-class orderings, far past the
         # exhaustive limit; the class-level form must still be stable.
         g = parse_smiles("C1CCCCC1")
-        sig = canonical_signature(g, range(6))
-        assert sig == canonical_signature(g, range(6))
+        sig = atoms_signature(g, range(6))
+        assert sig == atoms_signature(g, range(6))
         benz = parse_smiles("c1ccccc1")
-        assert sig != canonical_signature(benz, range(6))
+        assert sig != atoms_signature(benz, range(6))
 
 
 def fixture_corpus_graphs(fixture_graphs):
@@ -212,16 +219,16 @@ class TestSignatureMemo:
             for atoms in (*decompose(g).motifs, tuple(range(g.n_atoms)))
         ]
         _signature_of.cache_clear()
-        cached = [canonical_signature(g, atoms) for g, atoms in units]
+        cached = [atoms_signature(g, atoms) for g, atoms in units]
         assert _signature_of.cache_info().hits > 0
         for (g, atoms), sig in zip(units, cached):
             _signature_of.cache_clear()
-            assert canonical_signature(g, atoms) == sig, (g.source_smiles, atoms)
+            assert atoms_signature(g, atoms) == sig, (g.source_smiles, atoms)
 
     def test_shuffled_corpus_gives_identical_vocab_tsv(self, fixture_graphs, tmp_path):
         graphs = fixture_corpus_graphs(fixture_graphs)
         _signature_of.cache_clear()
-        build_vocab_tsv(build_vocab(graphs), tmp_path / "forward.tsv")
+        build_vocab_tsv(vocab_of(graphs), tmp_path / "forward.tsv")
         # Other corpus order and other atom orders: other keys are
         # computed first and every graph's motifs get new keys.
         rng = random.Random(5)
@@ -230,7 +237,7 @@ class TestSignatureMemo:
             for g in rng.sample(graphs, len(graphs))
         ]
         _signature_of.cache_clear()
-        build_vocab_tsv(build_vocab(shuffled), tmp_path / "shuffled.tsv")
+        build_vocab_tsv(vocab_of(shuffled), tmp_path / "shuffled.tsv")
         assert (tmp_path / "shuffled.tsv").read_bytes() == (tmp_path / "forward.tsv").read_bytes()
 
     def test_motif_signatures_reuse_induced_subgraph_keys(self, fixture_graphs):
@@ -252,23 +259,34 @@ class TestSignatureMemo:
                 expected.append(_signature_of(labels, edges))
             misses = _signature_of.cache_info().misses
             assert motif_signatures(g, partition) == expected, g.source_smiles
-            assert [canonical_signature(g, m) for m in partition.motifs] == expected
+            assert [atoms_signature(g, m) for m in partition.motifs] == expected
             assert _signature_of.cache_info().misses == misses, g.source_smiles
+
+    def test_graph_motifs_signs_the_decomposition(self, fixture_graphs):
+        for g in fixture_graphs:
+            motifs = graph_motifs(g)
+            assert motifs.partition == decompose(g)
+            assert motifs.signatures == tuple(motif_signatures(g, motifs.partition))
 
     def test_disconnected_motif_is_not_cached(self):
         g = parse_smiles("CCO")
         _signature_of.cache_clear()
         for _ in range(2):
             with pytest.raises(DisconnectedMotif):
-                canonical_signature(g, (0, 2))
+                atoms_signature(g, (0, 2))
         assert _signature_of.cache_info().currsize == 0
-        canonical_signature(g, (0, 1))
+        atoms_signature(g, (0, 1))
         assert _signature_of.cache_info().currsize == 1
 
 
 class TestVocab:
+    def test_counts_signature_lists(self):
+        vocab = build_vocab([("b", "a"), ("a",), ()])
+        assert vocab.ids == {"a": 0, "b": 1}
+        assert vocab.counts == {"a": 2, "b": 1}
+
     def test_ids_dense_and_frequency_ranked(self, fixture_graphs):
-        vocab = build_vocab(fixture_graphs)
+        vocab = vocab_of(fixture_graphs)
         assert sorted(vocab.ids.values()) == list(range(vocab.size))
         ranked = sorted(vocab.ids, key=vocab.ids.get)
         counts = [vocab.counts[s] for s in ranked]
@@ -279,13 +297,13 @@ class TestVocab:
                 assert a < b
 
     def test_order_independent(self, fixture_graphs):
-        forward = build_vocab(fixture_graphs)
-        backward = build_vocab(list(reversed(fixture_graphs)))
+        forward = vocab_of(fixture_graphs)
+        backward = vocab_of(list(reversed(fixture_graphs)))
         assert forward.ids == backward.ids
         assert forward.counts == backward.counts
 
     def test_lookup_and_unk(self, fixture_graphs):
-        vocab = build_vocab(fixture_graphs)
+        vocab = vocab_of(fixture_graphs)
         assert vocab.unk_id == vocab.size
         for sig, idx in vocab.ids.items():
             assert vocab.lookup(sig) == idx
@@ -294,8 +312,8 @@ class TestVocab:
 
 class TestCoverage:
     def test_self_coverage_is_exact(self, fixture_graphs):
-        vocab = build_vocab(fixture_graphs)
-        stats = coverage(vocab, fixture_graphs)
+        vocab = vocab_of(fixture_graphs)
+        stats = coverage(vocab, signature_lists(fixture_graphs))
         assert stats.overlap_ratio == 1.0
         assert all(r == 1.0 for r in stats.per_graph_r)
         assert stats.mean_r == 1.0
@@ -304,20 +322,20 @@ class TestCoverage:
         assert stats.pct_r_le_020 == 0.0
 
     def test_disjoint_coverage_is_zero(self):
-        vocab = build_vocab([parse_smiles("c1ccccc1")])
-        stats = coverage(vocab, [parse_smiles("CCO"), parse_smiles("CCN")])
+        vocab = vocab_of([parse_smiles("c1ccccc1")])
+        stats = coverage(vocab, signature_lists([parse_smiles("CCO"), parse_smiles("CCN")]))
         assert stats.overlap_ratio == 0.0
         assert stats.mean_r == 0.0
         assert stats.pct_r_le_020 == 100.0
 
     def test_partial_coverage(self):
-        vocab = build_vocab([parse_smiles("c1ccccc1")])
+        vocab = vocab_of([parse_smiles("c1ccccc1")])
         downstream = [
             parse_smiles("c1ccccc1"),
             parse_smiles("Cc1ccccc1"),
             parse_smiles("CCO"),
         ]
-        stats = coverage(vocab, downstream)
+        stats = coverage(vocab, signature_lists(downstream))
         np.testing.assert_allclose(stats.per_graph_r, [1.0, 0.5, 0.0])
         # Downstream distinct signatures: ring, methyl, CCO chain.
         np.testing.assert_allclose(stats.overlap_ratio, 1.0 / 3.0)

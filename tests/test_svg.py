@@ -3,8 +3,6 @@
 import xml.etree.ElementTree as ET
 
 from molmask import (
-    analysis_records,
-    build_vocab,
     render_svg,
     run_coverage,
     run_jsd_analysis,
@@ -14,12 +12,12 @@ from molmask import (
 )
 from molmask.workbench import AnalysisReport, COVERAGE_COLUMNS, JSD_COLUMNS, MI_COLUMNS
 
-from conftest import counted_column
+from conftest import counted_column, usable_records, vocab_of
 
 
 def reports(records):
-    usable, _ = analysis_records(records)
-    vocab = build_vocab([r.graph for r in usable])
+    usable = usable_records(records)
+    vocab = vocab_of([r.graph for r in usable])
     columns = [counted_column(records, kind, vocab) for kind in ("atom_type", "motif")]
     return [
         run_mi_analysis(records, columns, dataset_name="d"),
@@ -69,8 +67,8 @@ class TestRenderSvg:
     def test_undefined_jsd_points_rendered(self, ring_marker_records):
         # A grid reaching far below the rarest label produces undefined
         # points; the curve must still render as valid markup.
-        usable, _ = analysis_records(ring_marker_records)
-        vocab = build_vocab([r.graph for r in usable])
+        usable = usable_records(ring_marker_records)
+        vocab = vocab_of([r.graph for r in usable])
         report = run_jsd_analysis(
             ring_marker_records, [counted_column(ring_marker_records, "motif", vocab)],
             dataset_name="d", taus=(1.0, 0.5, 1e-9),

@@ -18,15 +18,16 @@ from molmask import (
     NonFiniteScore,
     ShapeMismatch,
     bind_corpus,
-    build_vocab,
-    canonical_signature,
+    graph_motifs,
     load_codebook,
     load_embeddings,
     parse_smiles,
     substream,
     target_column,
 )
-from molmask.targets import _LABELLERS, argmax_labels, graph_motifs, vq_labels
+from molmask.targets import _LABELLERS, argmax_labels, vq_labels
+
+from conftest import atoms_signature, vocab_of
 
 
 def brute_force_vq(embeddings, codebook):
@@ -69,7 +70,7 @@ def motif_view(vocab, graph, atoms):
 
 class TestMotifTargets:
     def test_known_and_unknown(self):
-        vocab = build_vocab([parse_smiles("c1ccccc1")])
+        vocab = vocab_of([parse_smiles("c1ccccc1")])
         g = parse_smiles("Cc1ccccc1")
         labels = motif_view(vocab, g, tuple(range(7)))
         # Two motifs: the methyl is unseen, the ring is known.
@@ -78,7 +79,7 @@ class TestMotifTargets:
         assert labels[1] != vocab.unk_id
 
     def test_motifs_derived_from_atoms_when_absent(self):
-        vocab = build_vocab([parse_smiles("Cc1ccccc1")])
+        vocab = vocab_of([parse_smiles("Cc1ccccc1")])
         g = parse_smiles("Cc1ccccc1")
         labels = motif_view(vocab, g, (2, 3))
         assert len(labels) == 1
@@ -86,8 +87,8 @@ class TestMotifTargets:
 
     def test_same_signature_same_id(self):
         corpus = [parse_smiles("c1ccccc1"), parse_smiles("Cc1ccccc1")]
-        vocab = build_vocab(corpus)
-        ring_sig = canonical_signature(parse_smiles("c1ccccc1"), range(6))
+        vocab = vocab_of(corpus)
+        ring_sig = atoms_signature(parse_smiles("c1ccccc1"), range(6))
         for smiles in ("c1ccccc1C", "c1ccccc1"):
             g = parse_smiles(smiles)
             partition = graph_motifs(g).partition
@@ -103,7 +104,7 @@ def test_motif_units_are_the_motifs_of_the_masked_atoms(strategy, fixture_graphs
     its labels are those motifs' vocabulary ids."""
     motifs = [graph_motifs(g) for g in fixture_graphs]
     # A vocabulary of half the corpus, so that some units are UNK.
-    vocab = build_vocab(fixture_graphs[::2])
+    vocab = vocab_of(fixture_graphs[::2])
     column = target_column("motif", fixture_graphs, {"vocab": vocab, "motifs": motifs})
     assert column.partitions == [m.partition for m in motifs]
     external = [
@@ -193,7 +194,7 @@ class TestVqTargets:
 class TestUnitLabelErrors:
     @pytest.mark.parametrize("kind, inputs", [
         ("motif", {}),
-        ("motif", {"vocab": build_vocab([parse_smiles("CO")])}),
+        ("motif", {"vocab": vocab_of([parse_smiles("CO")])}),
         ("motif", {"motifs": [graph_motifs(parse_smiles("CO"))]}),
         ("vq_code", {"embeddings": {0: np.zeros((2, 2))}}),
         ("argmax_token", {}),
@@ -225,7 +226,7 @@ class TestUnitLabelErrors:
         ShapeMismatch, not an IndexError or a silent miscount."""
         graphs = [parse_smiles("c1ccccc1CCO"), parse_smiles("C1CCCCC1N")]
         motifs = [graph_motifs(graph) for graph in graphs]
-        inputs = {"vocab": build_vocab(graphs), "motifs": [motifs[i] for i in order]}
+        inputs = {"vocab": vocab_of(graphs), "motifs": [motifs[i] for i in order]}
         with pytest.raises(ShapeMismatch):
             target_column("motif", graphs, inputs)
 

@@ -23,8 +23,6 @@ from molmask import (
     MissingColumn,
     NodeScores,
     ShapeMismatch,
-    analysis_records,
-    build_vocab,
     build_vocab_tsv,
     config_hash,
     entropy_y,
@@ -40,13 +38,20 @@ from molmask import (
     run_mask_sim,
     run_mi_analysis,
     run_shuffle_control,
+    usable_positions,
     write_report_csv,
 )
 from molmask import masking
 from molmask.cli import main
 from molmask.workbench import JSD_COLUMNS, MI_COLUMNS
 
-from conftest import counted_column, ring_marker_corpus, write_corpus_csv
+from conftest import (
+    counted_column,
+    ring_marker_corpus,
+    usable_records,
+    vocab_of,
+    write_corpus_csv,
+)
 from test_infotheory import cells
 
 
@@ -258,8 +263,8 @@ class TestAnalysisRecords:
             LabeledRecord(graph=parse_smiles("CCN"), label=None),
             record("CCS", 1),
         ]
-        kept, skipped = analysis_records(records)
-        assert [r.graph.source_smiles for r in kept] == ["CCO", "CCS"]
+        kept, skipped = usable_positions(records)
+        assert kept == [0, 3]
         assert skipped == {"missing_label": 1, "singleton": 1}
 
 
@@ -271,7 +276,7 @@ class TestExactJointCounts:
         assert info == {"missing_label": 0, "singleton": 0, "excluded_unk": 0}
 
     def test_motif_unk_excluded_but_tallied(self):
-        vocab = build_vocab([parse_smiles("c1ccccc1")])
+        vocab = vocab_of([parse_smiles("c1ccccc1")])
         records = [record("Cc1ccccc1", 0), record("c1ccccc1", 1)]
         joint, info = exact_joint_counts(records, counted_column(records, "motif", vocab))
         # Ring id 0 appears once per graph; the methyl motif is unseen.
@@ -284,7 +289,7 @@ class TestExactJointCounts:
         ("motif", [record("CC(N)O", 0)], 1),
     ], ids=["atom_type", "motif"])
     def test_nothing_to_count_says_why(self, kind, usable, unk):
-        vocab = build_vocab([parse_smiles("C1CCCCC1")])
+        vocab = vocab_of([parse_smiles("C1CCCCC1")])
         records = [record("CCO", None), record("C", 1), *usable]
         with pytest.raises(EmptyCounts) as err:
             exact_joint_counts(records, counted_column(records, kind, vocab))
@@ -329,8 +334,8 @@ class TestExactJointCounts:
 
 class TestRunners:
     def test_mi_report_values(self, ring_marker_records):
-        usable, _ = analysis_records(ring_marker_records)
-        vocab = build_vocab([r.graph for r in usable])
+        usable = usable_records(ring_marker_records)
+        vocab = vocab_of([r.graph for r in usable])
         report = run_mi_analysis(
             ring_marker_records,
             [counted_column(ring_marker_records, kind, vocab) for kind in ("atom_type", "motif")],
@@ -350,8 +355,8 @@ class TestRunners:
             assert len(row[11]) == 12
 
     def test_jsd_report_layout(self, ring_marker_records):
-        usable, _ = analysis_records(ring_marker_records)
-        vocab = build_vocab([r.graph for r in usable])
+        usable = usable_records(ring_marker_records)
+        vocab = vocab_of([r.graph for r in usable])
         taus = (0.5, 0.05, 1.0)
         report = run_jsd_analysis(
             ring_marker_records,
@@ -369,8 +374,8 @@ class TestRunners:
                 assert math.isnan(value)
 
     def test_shuffle_control_rows(self, ring_marker_records):
-        usable, _ = analysis_records(ring_marker_records)
-        vocab = build_vocab([r.graph for r in usable])
+        usable = usable_records(ring_marker_records)
+        vocab = vocab_of([r.graph for r in usable])
         report = run_shuffle_control(
             ring_marker_records, counted_column(ring_marker_records, "motif", vocab),
             dataset_name="ring_marker",
@@ -414,7 +419,7 @@ class TestRunners:
         records = ring_marker_records[:20]
         run_mask_sim(records, strategies, MaskConfig(ratio=0.25), dataset_name="ring_marker",
                      repeats=3)
-        assert len(built) == 3 * len(analysis_records(records)[0])
+        assert len(built) == 3 * len(usable_positions(records)[0])
 
     def test_mask_sim_columns(self, ring_marker_records):
         report = run_mask_sim(
@@ -431,8 +436,8 @@ class TestRunners:
         assert row[8] >= 0.0
 
     def test_coverage_report(self, ring_marker_records):
-        usable, _ = analysis_records(ring_marker_records)
-        vocab = build_vocab([r.graph for r in usable])
+        usable = usable_records(ring_marker_records)
+        vocab = vocab_of([r.graph for r in usable])
         report = run_coverage(vocab, usable, dataset_name="ring_marker")
         (row,) = report.rows
         assert row[1] == 1.0
@@ -471,7 +476,7 @@ class TestPerRunInputs:
         ]
         run_mask_sim(records, strategies, MaskConfig(ratio=0.25), dataset_name="ring_marker",
                      repeats=2, external_scores=external)
-        usable = [id(r.graph) for r in analysis_records(records)[0]]
+        usable = [id(r.graph) for r in usable_records(records)]
         pagerank_runs = [[id(g) for g in graphs] for graphs in calls["pagerank_all"]]
         assert pagerank_runs == ([usable] if "pagerank" in strategies else [])
         motif = "moama" in strategies or "motifpred" in strategies
@@ -511,8 +516,8 @@ class TestPerRunInputs:
 
 class TestReportFiles:
     def test_round_trip_and_kind_inference(self, ring_marker_records, tmp_path):
-        usable, _ = analysis_records(ring_marker_records)
-        vocab = build_vocab([r.graph for r in usable])
+        usable = usable_records(ring_marker_records)
+        vocab = vocab_of([r.graph for r in usable])
         mi = run_mi_analysis(
             ring_marker_records, [counted_column(ring_marker_records, "atom_type")], dataset_name="d"
         )
@@ -563,7 +568,7 @@ class TestReportFiles:
 
 class TestVocabTsv:
     def test_round_trip(self, fixture_graphs, tmp_path):
-        vocab = build_vocab(fixture_graphs)
+        vocab = vocab_of(fixture_graphs)
         path = tmp_path / "vocab.tsv"
         build_vocab_tsv(vocab, path)
         loaded = load_vocab_tsv(path)
