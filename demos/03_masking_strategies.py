@@ -25,10 +25,11 @@ print(f"mask budget at ratio 0.25: {mask_count(config.ratio, g.n_atoms)} atoms\n
 # graph, and makes what they need once per run: PageRank scores for
 # perturbed top-k (one pagerank_all over the whole corpus), and for the
 # motif-aware strategies one motif partition per graph, which they
-# share.  External reads caller-supplied scores, here PageRank's again.
-# bind(0) binds every strategy to graph 0.  A plan is one mask: the
-# sorted tuple of the atoms it hides.
-scores = pagerank_all([g])
+# share.  External reads caller-supplied scores, one float64 array per
+# graph, here PageRank's again (pagerank_all also counts the graphs that
+# did not converge).  bind(0) binds every strategy to graph 0.  A plan
+# is one mask: the sorted tuple of the atoms it hides.
+scores, _ = pagerank_all([g])
 for bound in bind_corpus(STRATEGIES, config, [g], external=scores)(0):
     atoms = bound.plan(substream(seed=0, graph_index=0, draw_index=0))
     print(f"{bound.strategy:15} masks atoms {atoms}")

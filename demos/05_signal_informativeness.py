@@ -12,7 +12,6 @@ Run from the repository root:
 from pathlib import Path
 
 from molmask import (
-    DatasetManifest,
     MaskConfig,
     entropy_y,
     exact_joint_counts,
@@ -26,11 +25,7 @@ from molmask import (
 )
 
 corpus = Path(__file__).parent / "data" / "demo_corpus.csv"
-manifest = DatasetManifest(
-    path=str(corpus), smiles_column="smiles", label_column="activity",
-    name="demo",
-)
-records, stats = ingest(manifest)
+records, stats = ingest(corpus, smiles_column="smiles", label_column="activity")
 print(f"ingested {stats.parsed} of {stats.rows_total} rows\n")
 
 # Exact MI: every (target label, task label) pair in the corpus is

@@ -12,7 +12,6 @@ import tempfile
 from pathlib import Path
 
 from molmask import (
-    DatasetManifest,
     build_vocab,
     graph_motifs,
     ingest,
@@ -27,15 +26,11 @@ from molmask import (
 )
 
 corpus = Path(__file__).parent / "data" / "demo_corpus.csv"
-manifest = DatasetManifest(
-    path=str(corpus), smiles_column="smiles", label_column="activity",
-    name="demo",
-)
-records, _ = ingest(manifest)
+records, _ = ingest(corpus, smiles_column="smiles", label_column="activity")
 # Each target kind is one label column over the records.  Motif labels
 # read each record's motifs, found once here, and a vocabulary counted
 # from their signatures, as the commands do; the coverage report below
-# reuses that vocabulary.
+# reuses that vocabulary and those signatures.
 graphs = [r.graph for r in records]
 motifs = [graph_motifs(graph) for graph in graphs]
 vocab = build_vocab(m.signatures for m in motifs)
@@ -47,7 +42,7 @@ columns = [target_column(kind, graphs, {"vocab": vocab, "motifs": motifs})
 mi = run_mi_analysis(records, columns, dataset_name="demo", seed=0)
 jsd = run_jsd_analysis(records, columns, dataset_name="demo", seed=0)
 shuffle = run_shuffle_control(records, columns[1], dataset_name="demo", repeats=5, seed=0)
-cov = run_coverage(vocab, records, dataset_name="demo")
+cov = run_coverage(vocab, (m.signatures for m in motifs), dataset_name="demo")
 
 print("mi rows:")
 for row in mi.rows:

@@ -32,7 +32,7 @@ _EXPORTS = {
         "CoverageStats", "MotifPartition", "MotifVocab", "build_vocab",
         "coverage", "decompose", "graph_motifs", "motif_adjacency", "motif_signatures",
     ),
-    "scoring": ("NodeScores", "load_external_scores", "pagerank_all"),
+    "scoring": ("load_external_scores", "pagerank_all"),
     "masking": (
         "MaskConfig", "bind_corpus", "export_views", "mask_count", "substream",
     ),
@@ -40,13 +40,13 @@ _EXPORTS = {
         "TargetColumn", "load_codebook", "load_embeddings", "target_column", "target_columns",
     ),
     "infotheory": (
-        "JointCounts", "JsdCurve", "SampledMi", "ShuffleResult", "entropy_y",
+        "JointCounts", "JsdCurve", "SampledMi", "entropy_y",
         "jsd", "jsd_curve", "low_freq_conditionals", "mutual_information",
         "relative_gain", "sample_pairs_for_graph", "shuffle_control",
     ),
     "report": ("AnalysisReport", "read_report_csv", "write_report_csv"),
     "workbench": (
-        "DatasetManifest", "IngestStats", "build_vocab_tsv",
+        "IngestStats", "build_vocab_tsv",
         "config_hash", "exact_joint_counts", "ingest", "load_vocab_tsv",
         "parallel_map", "run_coverage", "run_jsd_analysis", "run_mask_sim",
         "run_mi_analysis", "run_shuffle_control", "usable_positions",

@@ -135,29 +135,23 @@ def _mask_config(args) -> MaskConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _manifest(args) -> DatasetManifest:
-    from .workbench import DatasetManifest
-
-    return DatasetManifest(
-        path=args.input,
-        smiles_column=args.smiles_col,
-        label_column=getattr(args, "label_col", ""),
-        name=getattr(args, "dataset_name", ""),
-    )
+def _dataset_name(args) -> str:
+    """A report's dataset name: --dataset-name, or else the input file's stem."""
+    return args.dataset_name or Path(args.input).stem
 
 
 def _ingest_for_analysis(args, command: str = ""):
-    """The parsed corpus; a ``command`` that needs labels is checked
+    """The parsed records; a ``command`` that needs labels is checked
     for --label-col before the corpus is read."""
     from .workbench import ingest
 
-    manifest = _manifest(args)
-    if command and not manifest.label_column:
+    label_col = getattr(args, "label_col", "")
+    if command and not label_col:
         raise _UsageError(f"{command} needs --label-col")
-    records, stats = ingest(manifest)
+    records, _ = ingest(args.input, args.smiles_col, label_col)
     if not records:
         raise DataError(f"no parseable molecules in {args.input}")
-    return manifest, records, stats
+    return records
 
 
 def _output_path(explicit: str) -> Path:
@@ -233,9 +227,8 @@ def _target_columns(args, kinds: Sequence[str], records, counted: bool) -> list[
 def cmd_parse_check(args) -> int:
     from .workbench import ingest
 
-    manifest = _manifest(args)
-    records, stats = ingest(manifest)
-    print(f"dataset: {manifest.display_name}")
+    _, stats = ingest(args.input, args.smiles_col, args.label_col)
+    print(f"dataset: {_dataset_name(args)}")
     print(f"rows: {stats.rows_total}")
     print(f"parsed: {stats.parsed}")
     print(f"failed: {stats.rows_total - stats.parsed}")
@@ -254,7 +247,7 @@ def cmd_decompose(args) -> int:
     if args.smiles:
         graphs = (parse_smiles(smiles) for smiles in args.smiles)
     elif args.input:
-        records, _ = ingest(_manifest(args))
+        records, _ = ingest(args.input, args.smiles_col)
         graphs = (rec.graph for rec in records)
     else:
         raise _UsageError("decompose needs --smiles or --input")
@@ -271,7 +264,7 @@ def cmd_vocab_build(args) -> int:
     from .motif import build_vocab, graph_motifs
     from .workbench import build_vocab_tsv
 
-    _, records, _ = _ingest_for_analysis(args)
+    records = _ingest_for_analysis(args)
     vocab = build_vocab(graph_motifs(rec.graph).signatures for rec in records)
     path = _out_path(args, "vocab.tsv")
     build_vocab_tsv(vocab, path)
@@ -280,11 +273,14 @@ def cmd_vocab_build(args) -> int:
 
 
 def cmd_vocab_coverage(args) -> int:
+    from .motif import graph_motifs
     from .workbench import load_vocab_tsv, run_coverage
 
-    manifest, records, _ = _ingest_for_analysis(args)
-    vocab = load_vocab_tsv(args.vocab)
-    report = run_coverage(vocab, records, dataset_name=manifest.display_name, seed=args.seed)
+    vocab = load_vocab_tsv(args.vocab)  # a bad file fails before the corpus is read
+    records = _ingest_for_analysis(args)
+    # Lazy: an empty vocabulary fails before any motif is signed.
+    signatures = (graph_motifs(rec.graph).signatures for rec in records)
+    report = run_coverage(vocab, signatures, dataset_name=_dataset_name(args), seed=args.seed)
     return _write_report(args, report, "coverage.csv")
 
 
@@ -293,11 +289,11 @@ def cmd_mask_sim(args) -> int:
 
     strategies = _choices(args, "--strategies", STRATEGY_INPUTS)
     config = _mask_config(args)
-    manifest, records, _ = _ingest_for_analysis(args, "mask-sim")
+    records = _ingest_for_analysis(args, "mask-sim")
     external = _external_scores(args, records)
     report = run_mask_sim(
         records, strategies, config,
-        dataset_name=manifest.display_name, repeats=args.repeats,
+        dataset_name=_dataset_name(args), repeats=args.repeats,
         seed=args.seed, workers=args.workers, external_scores=external,
     )
     return _write_report(args, report, "mask_sim.csv")
@@ -307,10 +303,10 @@ def cmd_mi(args) -> int:
     from .workbench import run_mi_analysis
 
     kinds = _choices(args, "--targets", TARGET_INPUTS)
-    manifest, records, _ = _ingest_for_analysis(args, "mi")
+    records = _ingest_for_analysis(args, "mi")
     report = run_mi_analysis(
         records, _target_columns(args, kinds, records, counted=True),
-        dataset_name=manifest.display_name, seed=args.seed,
+        dataset_name=_dataset_name(args), seed=args.seed,
     )
     return _write_report(args, report, "mi.csv")
 
@@ -319,11 +315,11 @@ def cmd_jsd(args) -> int:
     from .workbench import run_jsd_analysis
 
     kinds = _choices(args, "--targets", TARGET_INPUTS)
-    manifest, records, _ = _ingest_for_analysis(args, "jsd")
+    records = _ingest_for_analysis(args, "jsd")
     taus = args.taus or list(DEFAULT_TAUS)
     report = run_jsd_analysis(
         records, _target_columns(args, kinds, records, counted=True),
-        dataset_name=manifest.display_name, taus=taus, seed=args.seed,
+        dataset_name=_dataset_name(args), taus=taus, seed=args.seed,
     )
     return _write_report(args, report, "jsd.csv")
 
@@ -332,10 +328,10 @@ def cmd_shuffle_control(args) -> int:
     from .workbench import run_shuffle_control
 
     kinds = _choices(args, "--target", TARGET_INPUTS)
-    manifest, records, _ = _ingest_for_analysis(args, "shuffle-control")
+    records = _ingest_for_analysis(args, "shuffle-control")
     [column] = _target_columns(args, kinds, records, counted=True)
     report = run_shuffle_control(
-        records, column, dataset_name=manifest.display_name,
+        records, column, dataset_name=_dataset_name(args),
         repeats=args.repeats, seed=args.seed,
     )
     return _write_report(args, report, "shuffle.csv")
@@ -347,7 +343,7 @@ def cmd_export_views(args) -> int:
     strategies = _choices(args, "--strategy", STRATEGY_INPUTS)
     kinds = _choices(args, "--target", TARGET_INPUTS)
     config = _mask_config(args)
-    _, records, _ = _ingest_for_analysis(args)
+    records = _ingest_for_analysis(args)
     external = _external_scores(args, records)
     # Built before the views file is opened: a labelling error leaves no
     # partial file behind.  A motif column's partitions are the masks' too.

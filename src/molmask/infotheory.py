@@ -93,13 +93,26 @@ def relative_gain(mi: float, h_y: float) -> float:
 
 @dataclass(frozen=True)
 class SampledMi:
-    """Monte-Carlo MI estimate over several seeded repeats."""
+    """MI estimated over several seeded repeats: their mean and sample
+    standard deviation (0 for one repeat), and the pair count and label
+    entropy of the tables they share."""
 
     mean: float
     std: float
     per_repeat: tuple[float, ...]
     n_pairs: int
     h_y: float
+
+    @classmethod
+    def from_estimates(cls, estimates: Sequence[float], joint: JointCounts) -> "SampledMi":
+        """Summarize the estimates; n_pairs and h_y are ``joint``'s."""
+        return cls(
+            mean=float(np.mean(estimates)),
+            std=float(np.std(estimates, ddof=1)) if len(estimates) > 1 else 0.0,
+            per_repeat=tuple(estimates),
+            n_pairs=joint.total,
+            h_y=entropy_y(joint),
+        )
 
 
 def sample_pairs_for_graph(
@@ -164,13 +177,7 @@ def repeat_mi(
     y = np.repeat(np.asarray(graph_labels, dtype=np.int64), sizes)
     per_repeat = [JointCounts.from_arrays(x[r], y) for r in range(repeats)]
     estimates = [mutual_information(joint) for joint in per_repeat]
-    return SampledMi(
-        mean=float(np.mean(estimates)),
-        std=float(np.std(estimates, ddof=1)) if repeats > 1 else 0.0,
-        per_repeat=tuple(estimates),
-        n_pairs=per_repeat[0].total,
-        h_y=entropy_y(per_repeat[0]),
-    )
+    return SampledMi.from_estimates(estimates, per_repeat[0])
 
 
 def low_freq_conditionals(
@@ -255,18 +262,10 @@ def _count_below(counts: JointCounts, tau: float) -> int:
     return int(np.sum(counts.table.sum(axis=1) / counts.total < tau))
 
 
-@dataclass(frozen=True)
-class ShuffleResult:
-    """MI after destroying the X-Y pairing, over several permutations."""
-
-    mean: float
-    std: float
-    per_repeat: tuple[float, ...]
-
-
-def shuffle_control(counts: JointCounts, repeats: int = 5, seed: int = 0) -> ShuffleResult:
+def shuffle_control(counts: JointCounts, repeats: int = 5, seed: int = 0) -> SampledMi:
     """Permute the unit labels across all units of the table, keeping
-    each unit's Y fixed, and recompute MI.
+    each unit's Y fixed, and recompute MI.  A permutation keeps the
+    pair count and label entropy, so those are ``counts``'.
 
     The table expands once into one (x, y) unit per count, in (x, y)
     order; repeat r permutes the x column with the generator keyed by
@@ -284,6 +283,4 @@ def shuffle_control(counts: JointCounts, repeats: int = 5, seed: int = 0) -> Shu
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         shuffled = JointCounts.from_arrays(x[rng.permutation(len(x))], y)
         estimates.append(mutual_information(shuffled))
-    mean = float(np.mean(estimates))
-    std = float(np.std(estimates, ddof=1)) if repeats > 1 else 0.0
-    return ShuffleResult(mean=mean, std=std, per_repeat=tuple(estimates))
+    return SampledMi.from_estimates(estimates, counts)

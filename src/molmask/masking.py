@@ -33,7 +33,7 @@ from .choices import STRATEGIES
 from .errors import OutOfRangeIndex
 from .molgraph import MolGraph
 from .motif import MotifPartition, decompose, motif_adjacency
-from .scoring import NodeScores, pagerank_all
+from .scoring import MAX_ITER, pagerank_all
 
 if TYPE_CHECKING:
     from .targets import TargetColumn
@@ -145,7 +145,7 @@ def _uniform_draw(graph: MolGraph, config: MaskConfig) -> tuple[BatchDraw, Membe
 
 
 def _perturbed_topk_draw(
-    graph: MolGraph, scores: NodeScores, config: MaskConfig
+    graph: MolGraph, scores: np.ndarray, config: MaskConfig
 ) -> tuple[BatchDraw, Members, tuple[int, ...]]:
     """Score-guided masking via noisy top-k selection.
 
@@ -160,7 +160,7 @@ def _perturbed_topk_draw(
     if len(scores) != n:
         raise OutOfRangeIndex(f"scores cover {len(scores)} atoms, graph has {n}")
     k_final = mask_count(config.ratio, n)
-    order = (-scores.as_array()).argsort(kind="stable")
+    order = (-np.asarray(scores, dtype=float)).argsort(kind="stable")
     bonus = np.zeros(n)
     bonus[order[: mask_count(config.annealed_ratio, n)]] = config.beta
     return (
@@ -324,7 +324,7 @@ def bind_corpus(
     strategies: Sequence[str],
     config: MaskConfig,
     graphs: Sequence[MolGraph],
-    external: Optional[Sequence[NodeScores]] = None,
+    external: Optional[Sequence[np.ndarray]] = None,
     partitions: Optional[Sequence[MotifPartition]] = None,
 ) -> Callable[[int], tuple[BoundStrategy, ...]]:
     """Resolve strategy names once per run, into a per-graph binder.
@@ -334,12 +334,13 @@ def bind_corpus(
     with one ``members`` call per strategy.  Per-run inputs are made
     here, once: 'pagerank' gets one pagerank_all over ``graphs`` (when
     some graphs do not converge, one line on stderr says how many), and
-    'external' reads ``external``, aligned with ``graphs``.  Without an
-    explicit beta, pagerank uses 0.25 and external 0.5.  The motif
-    strategies share one partition per graph: ``partitions[g]`` if
-    given, else one decompose at bind time.  An unknown name, or
-    'external' without scores, raises ValueError before any of that.
-    This is the one place where strategy names are told apart.
+    'external' reads ``external``, one score array per graph, aligned
+    with ``graphs``.  Without an explicit beta, pagerank uses 0.25 and
+    external 0.5.  The motif strategies share one partition per graph:
+    ``partitions[g]`` if given, else one decompose at bind time.  An
+    unknown name, or 'external' without scores, raises ValueError
+    before any of that.  This is the one place where strategy names are
+    told apart.
     """
     for strategy in strategies:
         if strategy not in STRATEGIES:
@@ -348,12 +349,11 @@ def bind_corpus(
         raise ValueError("external strategy needs loaded scores")
     scores = {"external": external}
     if "pagerank" in strategies:
-        scores["pagerank"] = pagerank_all(graphs)
-        stuck = [s for s in scores["pagerank"] if not s.converged]
+        scores["pagerank"], stuck = pagerank_all(graphs)
         if stuck:
             print(
-                f"pagerank: {len(stuck)} of {len(graphs)} graphs did not converge "
-                f"in {stuck[0].iterations} iterations",
+                f"pagerank: {stuck} of {len(graphs)} graphs did not converge "
+                f"in {MAX_ITER} iterations",
                 file=sys.stderr,
             )
 

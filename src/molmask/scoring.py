@@ -10,7 +10,6 @@ single-atom case, which is handled directly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -20,53 +19,36 @@ import numpy as np
 from .errors import NonFiniteScore, ShapeMismatch, open_text
 from .molgraph import MolGraph
 
-
-@dataclass(frozen=True)
-class NodeScores:
-    """One score per atom plus how the scores were produced.
-
-    For pagerank the values sum to 1 (within 1e-9) and ``iterations``
-    reports the power-iteration count actually spent, which is always
-    <= max_iter; ``converged`` is False when the tolerance was not
-    reached within the budget.
-    """
-
-    values: tuple[float, ...]
-    source: str
-    iterations: int = 0
-    converged: bool = True
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+MAX_ITER = 200
+"""pagerank_all's default iteration budget."""
 
 
 def pagerank_all(
     graphs: Sequence[MolGraph],
     alpha: float = 0.85,
     tol: float = 1e-8,
-    max_iter: int = 200,
-) -> list[NodeScores]:
+    max_iter: int = MAX_ITER,
+) -> tuple[list[np.ndarray], int]:
     """Power-iteration PageRank with uniform teleport, for a whole corpus.
 
     Iterates x <- alpha * A D^-1 x + (1 - alpha) * p until the L1 change
-    drops below tol; each result is normalized to sum exactly 1.  Hitting
-    max_iter returns the last iterate with converged=False rather than
+    drops below tol; each graph's float64 scores are normalized to sum
+    1 (within 1e-9), and a single atom scores [1.0].  Returns the
+    scores and how many graphs did not converge: those spent all
+    max_iter iterations and keep their last iterate, rather than
     raising.
 
     The multi-atom graphs share one edge list, with per-graph atom
     offsets, so an iteration is one sparse matvec (np.bincount) and one
     per-graph L1 change (np.add.reduceat) over every graph still running.
     A graph leaves the batch at the first iteration where its own change
-    drops below tol, so its values, iterations and converged flag do not
+    drops below tol, so its scores and whether it converged do not
     depend on what else is in the batch.
     """
-    out = [NodeScores(values=(1.0,), source="pagerank")] * len(graphs)
+    out = [np.ones(1) for _ in graphs]
     ids = np.flatnonzero([g.n_atoms > 1 for g in graphs])
     if not ids.size:
-        return out
+        return out, 0
     sizes = np.array([graphs[g].n_atoms for g in ids])
     starts = _starts(sizes)
     neighbors = [nb for g in ids for nb in graphs[g].adjacency]
@@ -81,16 +63,15 @@ def pagerank_all(
     x = np.repeat(1.0 / sizes, sizes)  # the teleport vector p is the start
     leak = (1.0 - alpha) * x
 
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         x_next = alpha * np.bincount(dst, weights=(x * inv_degree)[src], minlength=len(x)) + leak
         done = np.add.reduceat(np.abs(x_next - x), starts) < tol
         x = x_next
         if not done.any():
             continue
-        _store(out, ids[done], x, starts[done], sizes[done], iterations, True)
+        _store(out, ids[done], x, starts[done], sizes[done])
         if done.all():
-            return out
+            return out, 0
         # Drop the converged graphs; renumbering keeps the atom order, so
         # each remaining atom still sums its neighbors in the same order.
         keep = ~done
@@ -101,8 +82,8 @@ def pagerank_all(
         x, inv_degree, leak = x[kept_atoms], inv_degree[kept_atoms], leak[kept_atoms]
         ids, sizes = ids[keep], sizes[keep]
         starts = _starts(sizes)
-    _store(out, ids, x, starts, sizes, iterations, False)
-    return out
+    _store(out, ids, x, starts, sizes)
+    return out, len(ids)
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -110,20 +91,15 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
 
-def _store(out, ids, x, starts, sizes, iterations: int, converged: bool) -> None:
+def _store(out, ids, x, starts, sizes) -> None:
     """Normalize graph ids[i]'s slice of x into out[ids[i]]."""
     for g, start, size in zip(ids.tolist(), starts.tolist(), sizes.tolist()):
         values = x[start:start + size]
-        out[g] = NodeScores(
-            values=tuple((values / values.sum()).tolist()),
-            source="pagerank",
-            iterations=iterations,
-            converged=converged,
-        )
+        out[g] = values / values.sum()
 
 
-def load_external_scores(path: str | Path, atom_counts: Sequence[int]) -> list[NodeScores]:
-    """Load per-atom scores from a CSV file, one row per graph.
+def load_external_scores(path: str | Path, atom_counts: Sequence[int]) -> list[np.ndarray]:
+    """Load per-atom scores from a CSV file, one float64 row per graph.
 
     Blank lines are skipped; the i-th non-blank row must hold exactly
     atom_counts[i] comma-separated floats.  Raises ShapeMismatch on any
@@ -152,7 +128,8 @@ def load_external_scores(path: str | Path, atom_counts: Sequence[int]) -> list[N
             raise ShapeMismatch(
                 f"{path}:{line}: {len(values)} scores but graph {i} has {expected} atoms"
             )
-        if not all(np.isfinite(values)):
+        scores = np.array(values)
+        if not np.isfinite(scores).all():
             raise NonFiniteScore(f"{path}:{line}: non-finite score")
-        out.append(NodeScores(values=tuple(values), source="external"))
+        out.append(scores)
     return out

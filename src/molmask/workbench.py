@@ -16,7 +16,7 @@ import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .infotheory import (
     shuffle_control,
 )
 from .molgraph import LabeledRecord, parse_smiles
-from .motif import MotifVocab, coverage, graph_motifs
+from .motif import MotifVocab, coverage
 # read_report_csv and write_report_csv stay importable from here, where
 # perfbench/spans.py looks them up.
 from .report import (
@@ -49,21 +49,6 @@ from .targets import TargetColumn, target_column
 
 if TYPE_CHECKING:
     from .masking import MaskConfig
-    from .scoring import NodeScores
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Where a labeled SMILES corpus lives and how to read it."""
-
-    path: str
-    smiles_column: str = "smiles"
-    label_column: str = ""
-    name: str = ""
-
-    @property
-    def display_name(self) -> str:
-        return self.name or Path(self.path).stem
 
 
 @dataclass
@@ -165,46 +150,46 @@ def _read_label(cell: str) -> tuple[Optional[int], bool]:
     return None, True
 
 
-def ingest(manifest: DatasetManifest) -> tuple[list[LabeledRecord], IngestStats]:
+def ingest(
+    path: str | Path, smiles_column: str = "smiles", label_column: str = ""
+) -> tuple[list[LabeledRecord], IngestStats]:
     """Read a CSV corpus into labeled records.
 
     Rows whose SMILES fail to parse are skipped and tallied by failure
-    kind.  Each record's label comes from ``manifest.label_column`` (no
-    column: every label is missing); unparseable or non-binary label
-    cells become missing labels.  A row with fewer or more cells than
-    the header raises ShapeMismatch naming its line.  The file is read
-    as UTF-8, with or without a byte-order mark.
+    kind.  Each record's label comes from ``label_column`` (no column:
+    every label is missing); unparseable or non-binary label cells
+    become missing labels.  A row with fewer or more cells than the
+    header raises ShapeMismatch naming its line.  The file is read as
+    UTF-8, with or without a byte-order mark.
     Single-atom molecules are kept but counted, since the analysis
-    stages will skip them.  Parsing runs in this process: a parsed
-    graph costs more to ship back from a worker than to parse.
+    stages will skip them.  Parsing runs in this process: on a shared
+    two-core host a worker parsing half the rows can run at half speed,
+    and then saves nothing and adds the pickling of its graphs.
     """
     stats = IngestStats()
     records: list[LabeledRecord] = []
-    with open_text(manifest.path, newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
-        if manifest.smiles_column not in header:
-            raise MissingColumn(
-                f"column {manifest.smiles_column!r} not in {manifest.path}"
-            )
-        if manifest.label_column and manifest.label_column not in header:
-            raise MissingColumn(f"column {manifest.label_column!r} not in {manifest.path}")
+        for column in (smiles_column, label_column):
+            if column and column not in header:
+                raise MissingColumn(f"column {column!r} not in {path}")
         for row in reader:
             if None in row.values() or None in row:
                 raise ShapeMismatch(
-                    f"{manifest.path}:{reader.line_num}: row has "
+                    f"{path}:{reader.line_num}: row has "
                     f"{'more' if None in row else 'fewer'} cells than the header"
                 )
             stats.rows_total += 1
             try:
-                graph = parse_smiles(row[manifest.smiles_column].strip())
+                graph = parse_smiles(row[smiles_column].strip())
             except ParseError as exc:
                 tag = type(exc).__name__
                 stats.parse_failures[tag] = stats.parse_failures.get(tag, 0) + 1
                 continue
             label, bad = None, False
-            if manifest.label_column:
-                label, bad = _read_label(row[manifest.label_column])
+            if label_column:
+                label, bad = _read_label(row[label_column])
             stats.invalid_labels += int(bad)
             records.append(LabeledRecord(graph=graph, label=label))
             stats.parsed += 1
@@ -329,7 +314,7 @@ def run_mask_sim(
     repeats: int = 5,
     seed: int = 0,
     workers: int = 1,
-    external_scores: Optional[Sequence[NodeScores]] = None,
+    external_scores: Optional[Sequence[np.ndarray]] = None,
 ) -> AnalysisReport:
     """Sampled atom-type MI under each masking strategy.
 
@@ -398,26 +383,26 @@ def run_shuffle_control(
         }
     )
     joint, _ = exact_joint_counts(records, column)
-    h_y = entropy_y(joint)
     shuffled = shuffle_control(joint, repeats=repeats, seed=seed)
     return AnalysisReport(kind="mi", columns=MI_COLUMNS, rows=[
-        _mi_row(dataset_name, kind, "exact", mutual_information(joint), h_y, joint.total, seed, chash),
-        _mi_row(dataset_name, kind, "shuffled", shuffled.mean, h_y, joint.total, seed, chash,
-                (shuffled.mean, shuffled.std)),
+        _mi_row(dataset_name, kind, "exact", mutual_information(joint), shuffled.h_y,
+                shuffled.n_pairs, seed, chash),
+        _mi_row(dataset_name, kind, "shuffled", shuffled.mean, shuffled.h_y, shuffled.n_pairs,
+                seed, chash, (shuffled.mean, shuffled.std)),
     ])
 
 
 def run_coverage(
     vocab: MotifVocab,
-    records: Sequence[LabeledRecord],
+    signature_lists: Iterable[Sequence[str]],
     *,
     dataset_name: str,
     seed: int = 0,
 ) -> AnalysisReport:
-    """Vocabulary coverage of a downstream corpus, whose motifs are
-    signed by one graph_motifs pass."""
+    """Vocabulary coverage of a downstream corpus, given as each graph's
+    motif signatures (coverage reads them)."""
     chash = config_hash({"analysis": "coverage", "dataset": dataset_name, "seed": seed})
-    stats = coverage(vocab, (graph_motifs(rec.graph).signatures for rec in records))
+    stats = coverage(vocab, signature_lists)
     report = AnalysisReport(kind="coverage", columns=COVERAGE_COLUMNS)
     report.rows.append((
         dataset_name, stats.overlap_ratio, stats.mean_r, stats.median_r,

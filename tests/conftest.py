@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from molmask import DatasetManifest, ingest
+from molmask import ingest
 
 # Diverse, hand-picked molecules exercising every token family the
 # parser supports.  Parser, signature, and masking property tests all
@@ -192,13 +192,7 @@ def corpus_dir(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="session")
 def ring_marker_records(corpus_dir):
-    manifest = DatasetManifest(
-        path=str(corpus_dir / "ring_marker.csv"),
-        smiles_column="smiles",
-        label_column="activity",
-        name="ring_marker",
-    )
-    records, _ = ingest(manifest)
+    records, _ = ingest(corpus_dir / "ring_marker.csv", label_column="activity")
     return records
 
 
@@ -227,11 +221,7 @@ def load_reference_dataset(stem: str):
     label_col = next((c for c in _LABEL_CANDIDATES if c in header), None)
     if smiles_col is None or label_col is None:
         pytest.skip(f"{path} lacks a recognizable smiles/label column pair: {header}")
-    manifest = DatasetManifest(
-        path=str(path), smiles_column=smiles_col, label_column=label_col, name=stem
-    )
-    records, stats = ingest(manifest)
-    return records, stats
+    return ingest(path, smiles_col, label_col)
 
 
 # Acceptance reporting: every test marked criterion(n, title) feeds one

@@ -4,7 +4,6 @@ import argparse
 import json
 import os
 import re
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -104,6 +103,15 @@ class TestVocab:
             "--vocab", tmp_path / "absent.tsv",
         ])
         assert code == 2
+
+    def test_coverage_reads_its_vocab_before_the_corpus(self, tmp_path, capsys):
+        """A file that is not a vocabulary TSV is the error, although
+        the corpus does not exist either."""
+        vocab_path = tmp_path / "bad.tsv"
+        vocab_path.write_text("not a vocabulary\n")
+        assert run(["vocab", "coverage", "--input", tmp_path / "absent.csv",
+                    "--vocab", vocab_path]) == 2
+        assert "is not a vocabulary TSV" in capsys.readouterr().err
 
     def test_coverage_of_empty_vocab_is_data_error(self, cli_corpus, tmp_path, capsys,
                                                    motif_passes):
@@ -491,21 +499,23 @@ def test_unconverged_pagerank_is_reported(argv, cli_corpus, tmp_path, capsys, mo
     assert quiet.err == ""
     report = out.read_bytes()
 
-    # Same scores, flagged unconverged: one stderr line, same report.
+    # Same scores, every graph counted unconverged: one stderr line
+    # naming the budget, same report.
     def flagged(graphs):
-        return [replace(s, converged=False) for s in pagerank_all(graphs)]
+        return pagerank_all(graphs)[0], len(graphs)
 
     monkeypatch.setattr(masking, "pagerank_all", flagged)
     assert run(argv) == 0
     loud = capsys.readouterr()
-    assert re.fullmatch(r"pagerank: (\d+) of \1 graphs did not converge in \d+ iterations\n", loud.err)
+    assert re.fullmatch(r"pagerank: (\d+) of \1 graphs did not converge in 200 iterations\n", loud.err)
     assert loud.out == quiet.out and out.read_bytes() == report
 
-    # A real iteration budget of one leaves most graphs unconverged.
-    monkeypatch.setattr(masking, "pagerank_all", partial(pagerank_all, max_iter=1))
+    # A tolerance that no change drops below leaves every multi-atom
+    # graph unconverged after the whole budget.
+    monkeypatch.setattr(masking, "pagerank_all", partial(pagerank_all, tol=0.0))
     assert run(argv) == 0
     match = re.fullmatch(
-        r"pagerank: (\d+) of (\d+) graphs did not converge in 1 iterations\n",
+        r"pagerank: (\d+) of (\d+) graphs did not converge in 200 iterations\n",
         capsys.readouterr().err,
     )
     assert match and 0 < int(match[1]) <= int(match[2])
@@ -572,6 +582,11 @@ GOLDEN_CASES = [
                                    "--draws-per-graph", "2"]),
     # Coverage of the demo corpus by the vocabulary built from it.
     ("coverage.csv", ["vocab", "coverage", "--vocab", GOLDEN / "vocab.tsv"]),
+    # Views of the external strategy at an epoch whose bonus pool cuts
+    # inside the score ranking, where the demo scores tie in every graph.
+    ("views_external_epoch.jsonl", ["export-views", "--strategy", "external", "--scores", DEMO_SCORES,
+                                    "--epoch", "30", "--target", "atom_type",
+                                    "--draws-per-graph", "2"]),
 ]
 
 
@@ -897,12 +912,23 @@ def test_motif_pass_runs_once_per_command(argv, passes, motif_passes, tmp_path, 
     """A command that reads motif signatures decomposes and signs every
     parsed record once, however many analyses read them; one that reads
     none never does, even when its strategy masks whole motifs."""
-    from molmask import DatasetManifest, ingest
+    from molmask import ingest
 
-    records, _ = ingest(DatasetManifest(path=str(DEMO_CORPUS), label_column="activity"))
+    records, _ = ingest(DEMO_CORPUS, label_column="activity")
     output = [] if argv[0] == "decompose" else ["--output", tmp_path / "out"]
     assert run([*argv, "--input", DEMO_CORPUS, *output]) == 0
     assert motif_passes == [rec.graph for rec in records] * passes
+
+
+def test_report_demo_signs_each_record_once(motif_passes, capsys):
+    """The report demo holds its records' motifs and hands their
+    signatures to run_coverage, which signs nothing itself: one
+    graph_motifs call for each of the demo corpus's 80 records."""
+    import runpy
+
+    runpy.run_path(str(DEMO_CORPUS.parent.parent / "06_report_pipeline.py"), run_name="__main__")
+    assert "coverage: overlap=" in capsys.readouterr().out
+    assert len(motif_passes) == 80
 
 
 def test_library_motif_count_runs_no_motif_pass(motif_passes):

@@ -25,7 +25,8 @@ DEMO_CORPUS = ROOT / "demos" / "data" / "demo_corpus.csv"
 # moved to the tests since, with bind_strategy and strategy_scores
 # folded into bind_corpus, with the target-column names added, and with
 # canonical_signature and analysis_records deleted and graph_motifs, the
-# one motif pass, added.
+# one motif pass, added, and with the NodeScores, DatasetManifest and
+# ShuffleResult wrappers deleted.
 PUBLIC_NAMES = {
     "errors": "DataError DimMismatch DisconnectedMotif EmptyCounts EmptySupport MissingColumn "
               "MolmaskError MultiFragment NonFiniteScore OutOfRangeIndex ParseError "
@@ -33,13 +34,13 @@ PUBLIC_NAMES = {
     "molgraph": "LabeledRecord MASK_SENTINEL MolGraph parse_smiles write_smiles",
     "motif": "CoverageStats MotifPartition MotifVocab build_vocab coverage decompose "
              "graph_motifs motif_adjacency motif_signatures",
-    "scoring": "NodeScores load_external_scores pagerank_all",
+    "scoring": "load_external_scores pagerank_all",
     "masking": "MaskConfig STRATEGIES bind_corpus export_views mask_count substream",
     "targets": "TargetColumn load_codebook load_embeddings target_column target_columns",
-    "infotheory": "DEFAULT_TAUS JointCounts JsdCurve SampledMi ShuffleResult entropy_y jsd "
+    "infotheory": "DEFAULT_TAUS JointCounts JsdCurve SampledMi entropy_y jsd "
                   "jsd_curve low_freq_conditionals mutual_information relative_gain "
                   "sample_pairs_for_graph shuffle_control",
-    "workbench": "AnalysisReport DatasetManifest IngestStats build_vocab_tsv "
+    "workbench": "AnalysisReport IngestStats build_vocab_tsv "
                  "config_hash exact_joint_counts ingest load_vocab_tsv parallel_map "
                  "read_report_csv run_coverage run_jsd_analysis run_mask_sim run_mi_analysis "
                  "run_shuffle_control usable_positions write_report_csv",
@@ -95,13 +96,16 @@ def test_unknown_name_is_attribute_error():
 @pytest.mark.parametrize("name", [
     "MaskPlan", "read_views", "ring_membership", "bind_strategy", "strategy_scores",
     "analysis_records", "canonical_signature", "vocab_from_signatures",
+    "NodeScores", "DatasetManifest", "ShuffleResult",
 ])
 def test_removed_names_are_attribute_errors(name):
     # A mask is its sorted atom tuple, views are plain JSON lines, the
     # ring-flag oracle lives in tests/ring_reference.py, a run binds its
     # strategies and scores through bind_corpus, a graph's motifs are
     # signed only by graph_motifs and counted by build_vocab, and the
-    # usable records are read by position (usable_positions).
+    # usable records are read by position (usable_positions).  Scores
+    # are float64 arrays, ingest takes the corpus path and columns, and
+    # shuffle_control returns a SampledMi.
     with pytest.raises(AttributeError, match=name):
         getattr(molmask, name)
 

@@ -337,6 +337,9 @@ class TestShuffleControl:
             joint = counts_from_matrix(matrix)
             result = shuffle_control(joint, repeats=4, seed=trial)
             assert result.per_repeat == reference_shuffle(sorted_pairs(joint), 4, trial)
+            # A permutation keeps the table's pair count and label entropy.
+            assert (result.n_pairs, result.h_y) == (joint.total, entropy_y(joint))
+            assert result.std == np.std(result.per_repeat, ddof=1)
 
     @pytest.mark.parametrize("kind", ["atom_type", "motif"])
     def test_matches_pair_list_reference_on_fixture_corpora(self, kind, ring_marker_records):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from molmask import (
     STRATEGIES,
     MaskConfig,
-    NodeScores,
     OutOfRangeIndex,
     bind_corpus,
     decompose,
@@ -43,8 +42,7 @@ def ref_uniform(graph, config, rng):
 
 def ref_perturbed_topk(graph, scores, config, rng):
     n = graph.n_atoms
-    values = scores.as_array()
-    candidates = np.lexsort((np.arange(n), -values))[: mask_count(config.annealed_ratio, n)]
+    candidates = np.lexsort((np.arange(n), -scores))[: mask_count(config.annealed_ratio, n)]
     noise = rng.random(n)
     noise[candidates] += config.beta
     return sorted(int(i) for i in np.lexsort((np.arange(n), -noise))[: mask_count(config.ratio, n)])
@@ -83,13 +81,13 @@ BATCH_CONFIG = MaskConfig(ratio=0.25, epoch=30, max_epoch=100, intra_motif_fract
 
 def tied_scores(graph):
     """External scores with many ties, so the tie rule is exercised."""
-    return NodeScores(values=tuple(float(i * 7 % 3) for i in range(graph.n_atoms)), source="external")
+    return np.arange(graph.n_atoms) * 7 % 3.0
 
 
 def supplied_scores(strategy, graph):
     """The scores bound_for's binding reads: PageRank for 'pagerank',
     tied external scores otherwise (the unscored strategies ignore them)."""
-    return pagerank_all([graph])[0] if strategy == "pagerank" else tied_scores(graph)
+    return pagerank_all([graph])[0][0] if strategy == "pagerank" else tied_scores(graph)
 
 
 def reference_fn(strategy, graph):
@@ -263,7 +261,7 @@ class TestUniformMask:
 class TestPerturbedTopk:
     def test_large_beta_recovers_exact_topk(self):
         g = parse_smiles("CCCCCCCCCC")
-        scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
+        scores = np.arange(10.0)
         bound = bind_one("external", MaskConfig(ratio=0.3, beta=10.0), g, scores)
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -271,13 +269,13 @@ class TestPerturbedTopk:
 
     def test_tied_scores_prefer_low_index(self):
         g = parse_smiles("CCCCCCCCCC")
-        scores = NodeScores(values=(1.0,) * 10, source="external")
+        scores = np.ones(10)
         bound = bind_one("external", MaskConfig(ratio=0.3, beta=10.0), g, scores)
         assert bound.plan(np.random.default_rng(0)) == (0, 1, 2)
 
     def test_beta_zero_ignores_scores(self):
         g = parse_smiles("CCCCCCCCCC")
-        scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
+        scores = np.arange(10.0)
         bound = bind_one("external", MaskConfig(ratio=0.3, beta=0.0), g, scores)
         rng = np.random.default_rng(11)
         hits = np.zeros(10)
@@ -291,7 +289,7 @@ class TestPerturbedTopk:
         # At epoch 1 the candidate pool shrinks to a single top-scored
         # atom; a large bonus forces it into every mask.
         g = parse_smiles("CCCCCCCCCC")
-        scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
+        scores = np.arange(10.0)
         config = MaskConfig(ratio=0.3, beta=10.0, epoch=1, max_epoch=100)
         bound = bind_one("external", config, g, scores)
         rng = np.random.default_rng(3)
@@ -302,7 +300,7 @@ class TestPerturbedTopk:
 
     def test_mask_size_fixed_across_epochs(self):
         g = parse_smiles("CCCCCCCCCC")
-        scores = NodeScores(values=tuple(float(i) for i in range(10)), source="external")
+        scores = np.arange(10.0)
         rng = np.random.default_rng(9)
         for epoch in (1, 10, 50, 100):
             config = MaskConfig(ratio=0.3, beta=0.5, epoch=epoch, max_epoch=100)
@@ -310,7 +308,7 @@ class TestPerturbedTopk:
 
     def test_score_length_mismatch(self):
         g = parse_smiles("CCO")
-        scores = NodeScores(values=(0.1, 0.2), source="external")
+        scores = np.array([0.1, 0.2])
         with pytest.raises(OutOfRangeIndex):
             bind_one("external", MaskConfig(), g, scores)
 
@@ -507,7 +505,7 @@ class TestBatchDraw:
 
     def test_tied_scores_prefer_low_index_in_every_row(self):
         g = parse_smiles("CCCCCCCCCC")
-        equal = NodeScores(values=(1.0,) * 10, source="external")
+        equal = np.ones(10)
         masks = bind_one("external", MaskConfig(ratio=0.3, beta=10.0), g, equal).draw(
             np.random.default_rng(0), 50)
         assert all(atoms == [0, 1, 2] for atoms in masks)
@@ -636,16 +634,13 @@ class TestPlanFn:
         # masks are those of 'external' given pagerank_all of the corpus.
         config = MaskConfig(ratio=0.3, beta=10.0, epoch=30)
         pagerank = bind_corpus(["pagerank"], config, fixture_graphs)
-        external = bind_corpus(["external"], config, fixture_graphs, pagerank_all(fixture_graphs))
+        external = bind_corpus(["external"], config, fixture_graphs, pagerank_all(fixture_graphs)[0])
         for g in range(len(fixture_graphs)):
             (by_pagerank,), (by_external,) = pagerank(g), external(g)
             assert by_pagerank.draw(substream(1, g), 20) == by_external.draw(substream(1, g), 20)
 
     def test_all_strategies_produce_plans(self, fixture_graphs):
-        external = [
-            NodeScores(values=tuple(float(i) for i in range(g.n_atoms)), source="external")
-            for g in fixture_graphs
-        ]
+        external = [np.arange(float(g.n_atoms)) for g in fixture_graphs]
         bind = bind_corpus(STRATEGIES, MaskConfig(ratio=0.25), fixture_graphs, external)
         for gi, g in enumerate(fixture_graphs):
             bound = bind(gi)

@@ -12,7 +12,7 @@ from molmask import (
 )
 from molmask.workbench import AnalysisReport, COVERAGE_COLUMNS, JSD_COLUMNS, MI_COLUMNS
 
-from conftest import counted_column, usable_records, vocab_of
+from conftest import counted_column, signature_lists, usable_records, vocab_of
 
 
 def reports(records):
@@ -22,7 +22,7 @@ def reports(records):
     return [
         run_mi_analysis(records, columns, dataset_name="d"),
         run_jsd_analysis(records, columns, dataset_name="d"),
-        run_coverage(vocab, usable, dataset_name="d"),
+        run_coverage(vocab, signature_lists([r.graph for r in usable]), dataset_name="d"),
         run_mask_sim(
             records[:20], ["uniform", "motifpred"], MaskConfig(ratio=0.25),
             dataset_name="d", repeats=2,

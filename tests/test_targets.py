@@ -14,7 +14,6 @@ from molmask import (
     DataError,
     DimMismatch,
     MaskConfig,
-    NodeScores,
     NonFiniteScore,
     ShapeMismatch,
     bind_corpus,
@@ -107,10 +106,7 @@ def test_motif_units_are_the_motifs_of_the_masked_atoms(strategy, fixture_graphs
     vocab = vocab_of(fixture_graphs[::2])
     column = target_column("motif", fixture_graphs, {"vocab": vocab, "motifs": motifs})
     assert column.partitions == [m.partition for m in motifs]
-    external = [
-        NodeScores(values=tuple(float(i) for i in range(g.n_atoms)), source="external")
-        for g in fixture_graphs
-    ]
+    external = [np.arange(float(g.n_atoms)) for g in fixture_graphs]
     bind = bind_corpus([strategy], MaskConfig(ratio=0.4), fixture_graphs, external, column.partitions)
     for pos, graph in enumerate(fixture_graphs):
         partition = motifs[pos].partition

@@ -16,12 +16,10 @@ import molmask
 from molmask import (
     STRATEGIES,
     DataError,
-    DatasetManifest,
     EmptyCounts,
     LabeledRecord,
     MaskConfig,
     MissingColumn,
-    NodeScores,
     ShapeMismatch,
     build_vocab_tsv,
     config_hash,
@@ -48,6 +46,7 @@ from molmask.workbench import JSD_COLUMNS, MI_COLUMNS
 from conftest import (
     counted_column,
     ring_marker_corpus,
+    signature_lists,
     usable_records,
     vocab_of,
     write_corpus_csv,
@@ -200,13 +199,7 @@ class TestParallelMap:
 
 class TestIngest:
     def test_mixed_corpus_stats(self, corpus_dir):
-        manifest = DatasetManifest(
-            path=str(corpus_dir / "mixed.csv"),
-            smiles_column="smiles",
-            label_column="activity",
-            name="mixed",
-        )
-        records, stats = ingest(manifest)
+        records, stats = ingest(corpus_dir / "mixed.csv", "smiles", "activity")
         assert stats.rows_total == 129
         assert stats.parsed == 125
         assert len(records) == 125
@@ -224,16 +217,14 @@ class TestIngest:
         path = tmp_path / "bad.csv"
         path.write_text("smiles,activity\nCC,1\n")
         with pytest.raises(MissingColumn):
-            ingest(DatasetManifest(path=str(path), smiles_column="mol"))
+            ingest(path, smiles_column="mol")
         with pytest.raises(MissingColumn):
-            ingest(DatasetManifest(path=str(path), label_column="label"))
+            ingest(path, label_column="label")
 
     def test_invalid_label_counted(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("smiles,activity\nCC,1\nCC,2\nCC,yes\nCC,\nCC,0.0\n")
-        records, stats = ingest(
-            DatasetManifest(path=str(path), label_column="activity")
-        )
+        records, stats = ingest(path, label_column="activity")
         assert stats.invalid_labels == 2
         assert [r.label for r in records] == [1, None, None, None, 0]
 
@@ -241,7 +232,7 @@ class TestIngest:
         path = tmp_path / "short.csv"
         path.write_text("activity,smiles\n1,CCO\n0\n1,CCN\n")
         with pytest.raises(ShapeMismatch, match=r"short\.csv:3: row has fewer cells"):
-            ingest(DatasetManifest(path=str(path), label_column="activity"))
+            ingest(path, label_column="activity")
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # Spreadsheets save "CSV UTF-8" with a BOM before the header.
@@ -249,8 +240,7 @@ class TestIngest:
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_bytes(text.encode())
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        read = [ingest(DatasetManifest(path=str(p), label_column="activity"))
-                for p in (plain, marked)]
+        read = [ingest(p, label_column="activity") for p in (plain, marked)]
         assert read[0] == read[1]
         assert read[1][1].parsed == 3
 
@@ -438,7 +428,8 @@ class TestRunners:
     def test_coverage_report(self, ring_marker_records):
         usable = usable_records(ring_marker_records)
         vocab = vocab_of([r.graph for r in usable])
-        report = run_coverage(vocab, usable, dataset_name="ring_marker")
+        report = run_coverage(vocab, signature_lists([r.graph for r in usable]),
+                              dataset_name="ring_marker")
         (row,) = report.rows
         assert row[1] == 1.0
         assert row[2] == 1.0
@@ -470,10 +461,7 @@ class TestPerRunInputs:
     ])
     def test_mask_sim(self, strategies, calls, ring_marker_records):
         records = ring_marker_records[:20]
-        external = [
-            NodeScores(values=tuple(float(i % 3) for i in range(r.graph.n_atoms)), source="external")
-            for r in records
-        ]
+        external = [np.arange(r.graph.n_atoms) % 3.0 for r in records]
         run_mask_sim(records, strategies, MaskConfig(ratio=0.25), dataset_name="ring_marker",
                      repeats=2, external_scores=external)
         usable = [id(r.graph) for r in usable_records(records)]
@@ -524,7 +512,7 @@ class TestReportFiles:
         jsd_rep = run_jsd_analysis(
             ring_marker_records, [counted_column(ring_marker_records, "motif", vocab)], dataset_name="d"
         )
-        cov = run_coverage(vocab, usable, dataset_name="d")
+        cov = run_coverage(vocab, signature_lists([r.graph for r in usable]), dataset_name="d")
         for report in (mi, jsd_rep, cov):
             path = tmp_path / f"{report.kind}_{report.columns[1]}.csv"
             write_report_csv(report, path)
