@@ -246,11 +246,9 @@ def cmd_decompose(args) -> int:
 
     if args.smiles:
         graphs = (parse_smiles(smiles) for smiles in args.smiles)
-    elif args.input:
+    else:
         records, _ = ingest(args.input, args.smiles_col)
         graphs = (rec.graph for rec in records)
-    else:
-        raise _UsageError("decompose needs --smiles or --input")
     for graph in graphs:
         motifs = graph_motifs(graph)
         print(graph.source_smiles)
@@ -388,8 +386,9 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=cmd_parse_check)
 
     sub = subs.add_parser("decompose", help="print motifs and signatures")
-    sub.add_argument("--smiles", action="append", default=[], help="molecule (repeatable)")
-    sub.add_argument("--input", default="", help="CSV corpus path")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--smiles", action="append", help="molecule (repeatable); not with --input")
+    source.add_argument("--input", help="CSV corpus path; not with --smiles")
     sub.add_argument("--smiles-col", default="smiles", help="SMILES column name of --input")
     sub.set_defaults(func=cmd_decompose)
 

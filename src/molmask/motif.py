@@ -2,9 +2,10 @@
 
 Decomposition severs acyclic single bonds at fragment boundaries (rule
 in ``decompose``); the resulting connected components are the motifs.
-Signatures come from iterative color refinement with a bounded
-exhaustive tie-break, so isomorphic motifs map to the same string no
-matter which molecule or atom order produced them.
+Signatures are exact: two motifs get the same string if and only if
+they are isomorphic, whatever molecule or atom order produced them.
+The string is the smallest leaf of an individualization-refinement
+search (McKay & Piperno 2014) over colour refinement.
 
 ``graph_motifs`` is the one motif pass: it decomposes a graph and signs
 its motifs.  Vocabularies (``build_vocab``) and coverage (``coverage``)
@@ -23,16 +24,11 @@ corpus has 4,014 keys for its 24,911 motifs.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataError, DisconnectedMotif
 from .molgraph import SINGLE, MolGraph
-
-# Exhaustive tie-break budget: orderings beyond this fall back to a
-# refinement-class emission that is coarser but still order-invariant.
-_TIE_BREAK_LIMIT = 8
 
 # Bound of the signature memo, in distinct labelled motifs (a motif read
 # in another atom order is another key); about 1.5 kB each.
@@ -217,7 +213,17 @@ def _signature_of(
     """Signature of a labelled graph on atoms 0..k-1: ``labels[i]`` is
     atom i's (atomic number, aromatic) and ``edges`` the (i, j, order)
     bonds with i < j.  A pure function of its key, so it is memoised;
-    a DisconnectedMotif raised here is never cached."""
+    a DisconnectedMotif raised here is never cached.
+
+    The search refines the atoms' colours; while some colour is shared,
+    it branches once per atom of the lowest shared colour, giving that
+    atom a colour of its own, and refines again.  Each discrete
+    colouring is a leaf that orders the atoms, and it is written as
+    ``k|node_part|edge_part``: the atoms' labels in that order and the
+    sorted bonds between positions.  The smallest leaf string is the
+    signature.  The tree is the same for every atom order of the graph,
+    so isomorphic graphs get the same signature, and a leaf spells out
+    the whole graph, so non-isomorphic ones cannot."""
     k = len(labels)
     if not k:
         raise DisconnectedMotif("an empty atom set has no signature")
@@ -238,73 +244,36 @@ def _signature_of(
     if len(seen) != k:
         raise DisconnectedMotif("atom set induces a disconnected subgraph")
 
-    colors = _refine_colors(labels, adjacency)
-
-    classes: dict[int, list[int]] = {}
-    for node in range(k):
-        classes.setdefault(colors[node], []).append(node)
-    class_order = sorted(classes)
-
     def attr_text(node: int) -> str:
         z, arom = labels[node]
         return f"{z}{'a' if arom else ''}"
 
-    n_orderings = 1
-    for color in class_order:
-        n_orderings *= _factorial_capped(len(classes[color]))
-        if n_orderings > _TIE_BREAK_LIMIT:
-            break
-
-    if n_orderings <= _TIE_BREAK_LIMIT:
-        # Exhaustive tie-break: try every ordering consistent with the
-        # refinement classes, keep the lexicographically smallest string.
-        best = None
-        pools = [classes[color] for color in class_order]
-        for perm_combo in itertools.product(*(itertools.permutations(p) for p in pools)):
-            flat = [node for pool in perm_combo for node in pool]
-            position = [0] * k
-            for pos, node in enumerate(flat):
-                position[node] = pos
-            node_part = ",".join(attr_text(node) for node in flat)
-            edge_part = ";".join(
-                sorted(
-                    "{}-{}{}".format(
-                        min(position[u], position[v]),
-                        max(position[u], position[v]),
-                        _ORDER_CHAR[order],
-                    )
-                    for u, v, order in edges
-                )
+    best = None
+    pending = [_refine_colors(labels, adjacency)]  # colourings still to branch on
+    while pending:
+        colors = pending.pop()
+        shared = min((color for color in colors if colors.count(color) > 1), default=None)
+        if shared is not None:
+            pending.extend(
+                _refine_colors([(color, node == pick) for node, color in enumerate(colors)], adjacency)
+                for pick in range(k)
+                if colors[pick] == shared
             )
-            candidate = f"{k}|{node_part}|{edge_part}"
-            if best is None or candidate < best:
-                best = candidate
-        return best
-
-    # Fallback: emit refinement classes and the edge multiset between
-    # them.  Depends only on the refined partition, never on atom order.
-    node_part = ",".join(
-        f"{len(classes[color])}x{attr_text(classes[color][0])}" for color in class_order
-    )
-    edge_counts: dict[tuple[int, int, str], int] = {}
-    for u, v, order in edges:
-        cu, cv = colors[u], colors[v]
-        key = (min(cu, cv), max(cu, cv), order)
-        edge_counts[key] = edge_counts.get(key, 0) + 1
-    edge_part = ";".join(
-        f"{cu}~{cv}{_ORDER_CHAR[order]}x{count}"
-        for (cu, cv, order), count in sorted(edge_counts.items())
-    )
-    return f"{k}|cls:{node_part}|{edge_part}"
-
-
-def _factorial_capped(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-        if out > _TIE_BREAK_LIMIT:
-            return out
-    return out
+            continue
+        # Discrete: each atom's colour is its position.
+        node_part = ",".join(attr_text(node) for node in sorted(range(k), key=colors.__getitem__))
+        edge_part = ";".join(
+            sorted(
+                "{}-{}{}".format(
+                    min(colors[u], colors[v]), max(colors[u], colors[v]), _ORDER_CHAR[order]
+                )
+                for u, v, order in edges
+            )
+        )
+        leaf = f"{k}|{node_part}|{edge_part}"
+        if best is None or leaf < best:
+            best = leaf
+    return best
 
 
 def motif_signatures(graph: MolGraph, partition: MotifPartition) -> list[str]:

@@ -412,25 +412,36 @@ def run_coverage(
     return report
 
 
+# Tag "v2": exact signatures.  A file headed "signature\tid\tcount" is
+# of the older format, which signed some motifs by refinement classes.
+_VOCAB_HEADER = "signature:v2\tid\tcount"
+
+
 def build_vocab_tsv(vocab: MotifVocab, path: str | Path) -> None:
-    """Write a vocabulary as TSV: signature, id, count."""
+    """Write a vocabulary as TSV: signature, id, count.  The header's
+    first field tags the signature format."""
     ranked = sorted(vocab.ids.items(), key=lambda kv: kv[1])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("signature\tid\tcount\n")
+        handle.write(_VOCAB_HEADER + "\n")
         for sig, idx in ranked:
             handle.write(f"{sig}\t{idx}\t{vocab.counts[sig]}\n")
 
 
 def load_vocab_tsv(path: str | Path) -> MotifVocab:
-    """Read a vocabulary TSV written by build_vocab_tsv.  A signature
-    listed twice raises ShapeMismatch naming both lines."""
+    """Read a vocabulary TSV written by build_vocab_tsv.  Another
+    header, such as that of an older signature format, raises
+    MissingColumn; a signature listed twice raises ShapeMismatch naming
+    both lines."""
     ids: dict[str, int] = {}
     counts: dict[str, int] = {}
     seen: dict[str, int] = {}  # the line each signature is listed on
     with open_text(path) as handle:
         header = handle.readline().rstrip("\n")
-        if header.split("\t") != ["signature", "id", "count"]:
-            raise MissingColumn(f"{path} is not a vocabulary TSV")
+        if header != _VOCAB_HEADER:
+            raise MissingColumn(
+                f"{path} is not a vocabulary TSV of this signature format; "
+                "rebuild it with `molmask vocab build`"
+            )
         for line_no, line in enumerate(handle, start=2):
             line = line.rstrip("\n")
             if not line:

@@ -73,6 +73,15 @@ class TestDecompose:
     def test_needs_source(self, capsys):
         assert run(["decompose"]) == 1
 
+    def test_smiles_and_input_together_is_usage_error(self, cli_corpus, capsys):
+        """Neither source is silently dropped; --help states the rule."""
+        assert run(["decompose", "--smiles", "CCO", "--input", cli_corpus]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: argument --input: not allowed with argument --smiles\n"
+        assert run(["decompose", "--help"]) == 0
+        assert "(--smiles SMILES | --input INPUT)" in capsys.readouterr().out
+
     def test_bad_smiles_is_data_error(self, capsys):
         assert run(["decompose", "--smiles", "C1CC"]) == 2
 
@@ -85,7 +94,7 @@ class TestVocab:
         ])
         assert code == 0
         header = vocab_path.read_text().splitlines()[0]
-        assert header == "signature\tid\tcount"
+        assert header == "signature:v2\tid\tcount"
 
         cov_path = tmp_path / "coverage.csv"
         code = run([
@@ -117,7 +126,7 @@ class TestVocab:
                                                    motif_passes):
         """Found before the corpus's motifs are signed."""
         vocab_path = tmp_path / "empty.tsv"
-        vocab_path.write_text("signature\tid\tcount\n")
+        vocab_path.write_text("signature:v2\tid\tcount\n")
         out = tmp_path / "coverage.csv"
         assert run([
             "vocab", "coverage", "--input", cli_corpus, "--vocab", vocab_path, "--output", out,
@@ -363,7 +372,7 @@ def data_error_line(argv, corpus, tmp_path, capsys) -> str:
 def test_vocab_covering_no_motif_says_why(argv, tmp_path, capsys):
     corpus = write_corpus_csv(tmp_path / "corpus.csv", [("CCO", 1), ("c1ccccc1C", 0), ("C", 1)])
     vocab = tmp_path / "vocab.tsv"
-    vocab.write_text("signature\tid\tcount\nnot-a-motif\t0\t1\n")
+    vocab.write_text("signature:v2\tid\tcount\nnot-a-motif\t0\t1\n")
     err = data_error_line([*argv, "--vocab", vocab], corpus, tmp_path, capsys)
     assert err == (
         "data error: no motif units to count: 0 graphs skipped for a missing label, "
@@ -475,9 +484,13 @@ def test_name_given_twice_is_usage_error(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, text, argv", [
-    ("vocab.tsv", "signature\tid\tcount\nfoo\tx\t3\n", ["mi", "--targets", "motif", "--vocab"]),
+    ("vocab.tsv", "signature:v2\tid\tcount\nfoo\tx\t3\n", ["mi", "--targets", "motif", "--vocab"]),
+    # A vocabulary of the older signature format, which signed benzene
+    # by its refinement classes: an error, not every such motif as UNK.
+    ("vocab.tsv", "signature\tid\tcount\n6|cls:6x6a|0~0:x6\t0\t1\n",
+     ["mi", "--targets", "motif", "--vocab"]),
     ("report.csv", "a,b\n1,2\n", ["plot", "--report"]),
-], ids=["vocab", "plot"])
+], ids=["vocab", "vocab-older-format", "plot"])
 def test_malformed_input_file_is_data_error(name, text, argv, cli_corpus, tmp_path, capsys):
     path = tmp_path / name
     path.write_text(text)
@@ -688,7 +701,7 @@ def test_bad_score_row_names_its_file_line(text, line, message, tmp_path, capsys
 
 @pytest.mark.parametrize("text, argv", [
     (b"smiles,activity\nCCO,1\nC\xffC,0\n", ["mi", "--input", "BAD"]),
-    (b"signature\tid\tcount\nC\xff\t0\t1\n", ["mi", "--targets", "motif", "--vocab", "BAD"]),
+    (b"signature:v2\tid\tcount\nC\xff\t0\t1\n", ["mi", "--targets", "motif", "--vocab", "BAD"]),
     (b"0.1,0.2,0.3\n\xff,0.5,0.6\n", ["mask-sim", "--strategies", "external", "--scores", "BAD"]),
     (b"dataset,target_kind\n\xff,mi\n", ["plot", "--report", "BAD"]),
 ], ids=["corpus", "vocab", "scores", "report"])

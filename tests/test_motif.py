@@ -29,6 +29,18 @@ from conftest import (
     vocab_of,
 )
 
+# Cages whose atoms all share one colour after refinement, so only the
+# search tree tells their atoms apart.  Kept out of FIXTURE_SMILES,
+# whose graphs other tests count.
+CAGE_SMILES = [
+    "C12C3C4C1C5C2C3C45",  # cubane
+    "C12C3C1C4C2C5C3C45",  # a cubic cage of two 3-rings and two 4-rings
+    "C1C2CC3CC1CC(C2)C3",  # adamantane
+    "c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67",  # coronene
+    # C60, Kekulé form
+    "C12=C3C4=C5C6=C1C7=C8C9=C1C%10=C%11C(=C29)C3=C2C3=C4C4=C5C5=C9C6=C7C6=C7C8=C1C1=C8C%10"
+    "=C%10C%11=C2C2=C3C3=C4C4=C5C5=C%11C%12=C(C6=C95)C7=C1C1=C%12C5=C%11C4=C3C3=C5C(=C81)C%10=C23",
+]
 
 
 def permuted(graph, perm):
@@ -140,7 +152,11 @@ class TestCanonicalSignature:
 
     def test_known_distinctions(self):
         molecules = ["c1ccccc1", "C1CCCCC1", "c1ccncc1", "CCO", "CCN",
-                     "CC(C)C", "CCCC", "C1CC1", "C=CC", "CCC"]
+                     "CC(C)C", "CCCC", "C1CC1", "C=CC", "CCC",
+                     # Equal refinement classes and class-to-class bond
+                     # counts, yet not isomorphic.
+                     "C12C3C4C1C5C2C3C45", "C12C3C1C4C2C5C3C45",
+                     "C1CCC2CCCCC2C1", "C1CCC(C1)C1CCCC1"]
         sigs = []
         for s in molecules:
             g = parse_smiles(s)
@@ -149,10 +165,11 @@ class TestCanonicalSignature:
 
     def test_permutation_invariance(self, fixture_graphs):
         rng = np.random.default_rng(42)
-        for g in fixture_graphs:
+        cages = [parse_smiles(smiles) for smiles in CAGE_SMILES]
+        for g, trials in [*((g, 200) for g in fixture_graphs), *((g, 20) for g in cages)]:
             base = atoms_signature(g, range(g.n_atoms))
             base_motif_sigs = sorted(graph_motifs(g).signatures)
-            for trial in range(200):
+            for trial in range(trials):
                 perm = [int(x) for x in rng.permutation(g.n_atoms)]
                 h = permuted(g, perm)
                 mapped = [perm[i] for i in range(g.n_atoms)]
@@ -187,14 +204,52 @@ class TestCanonicalSignature:
         with pytest.raises(DisconnectedMotif):
             atoms_signature(g, ())
 
-    def test_symmetric_ring_uses_stable_fallback(self):
-        # A six-ring has 720 same-class orderings, far past the
-        # exhaustive limit; the class-level form must still be stable.
-        g = parse_smiles("C1CCCCC1")
-        sig = atoms_signature(g, range(6))
-        assert sig == atoms_signature(g, range(6))
-        benz = parse_smiles("c1ccccc1")
-        assert sig != atoms_signature(benz, range(6))
+    def test_equal_signature_iff_isomorphic(self, fixture_graphs):
+        """Checked against networkx: atoms match on (Z, aromatic) and
+        bonds on order, over every motif of the fixture corpora and the
+        cages and every whole molecule signed as one motif, each also
+        read in a random atom order."""
+        nx = pytest.importorskip("networkx")
+        graphs = fixture_corpus_graphs(fixture_graphs) + [parse_smiles(s) for s in CAGE_SMILES]
+        rng = random.Random(3)
+        graphs += [permuted(g, rng.sample(range(g.n_atoms), g.n_atoms)) for g in graphs]
+        units = {}  # the induced subgraph's key -> its networkx graph
+        by_signature = {}
+        for g in graphs:
+            for atoms in (*decompose(g).motifs, tuple(range(g.n_atoms))):
+                pos = {atom: i for i, atom in enumerate(atoms)}
+                labels = tuple((g.z[a], g.aromatic[a]) for a in atoms)
+                edges = tuple(sorted(
+                    (pos[u], pos[v], order)
+                    for u, v, order in zip(g.bond_u, g.bond_v, g.bond_order)
+                    if u in pos and v in pos
+                ))
+                if (labels, edges) in units:
+                    continue
+                h = units[labels, edges] = nx.Graph()
+                h.add_nodes_from((i, {"label": label}) for i, label in enumerate(labels))
+                h.add_edges_from((u, v, {"order": order}) for u, v, order in edges)
+                by_signature.setdefault(atoms_signature(g, atoms), []).append(h)
+        match = {"node_match": lambda a, b: a["label"] == b["label"],
+                 "edge_match": lambda a, b: a["order"] == b["order"]}
+        for sig, same in by_signature.items():
+            assert all(nx.is_isomorphic(same[0], h, **match) for h in same[1:]), sig
+        # Isomorphic graphs share these invariants, so only one graph of
+        # each signature, and only within a bucket, needs comparing.
+        buckets = {}
+        for sig, (h, *_) in by_signature.items():
+            invariant = (sorted(label for _, label in h.nodes(data="label")),
+                         sorted(order for *_, order in h.edges(data="order")),
+                         sorted(degree for _, degree in h.degree))
+            buckets.setdefault(repr(invariant), []).append((sig, h))
+        compared = 0
+        for bucket in buckets.values():
+            for i, (sig_a, a) in enumerate(bucket):
+                for sig_b, b in bucket[i + 1:]:
+                    assert not nx.is_isomorphic(a, b, **match), (sig_a, sig_b)
+                    compared += 1
+        assert any(len(same) > 1 for same in by_signature.values())
+        assert compared  # cubane and the cubic cage at least
 
 
 def fixture_corpus_graphs(fixture_graphs):

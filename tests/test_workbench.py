@@ -563,24 +563,24 @@ class TestVocabTsv:
         assert loaded.ids == vocab.ids
         assert loaded.counts == vocab.counts
         header = path.read_text().splitlines()[0]
-        assert header == "signature\tid\tcount"
+        assert header == "signature:v2\tid\tcount"
 
     def test_dense_id_validation(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("signature\tid\tcount\nsig_a\t0\t3\nsig_b\t2\t1\n")
+        path.write_text("signature:v2\tid\tcount\nsig_a\t0\t3\nsig_b\t2\t1\n")
         with pytest.raises(ShapeMismatch):
             load_vocab_tsv(path)
 
     @pytest.mark.parametrize("row", ["foo\tx\t3", "foo\t0\t3.5"])
     def test_non_integer_fields(self, row, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text(f"signature\tid\tcount\nsig_a\t1\t2\n{row}\n")
+        path.write_text(f"signature:v2\tid\tcount\nsig_a\t1\t2\n{row}\n")
         with pytest.raises(ShapeMismatch, match=r"vocab\.tsv:3:"):
             load_vocab_tsv(path)
 
     def test_repeated_signature_names_both_lines(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("signature\tid\tcount\nA\t0\t5\nB\t1\t3\nA\t0\t9\n")
+        path.write_text("signature:v2\tid\tcount\nA\t0\t5\nB\t1\t3\nA\t0\t9\n")
         with pytest.raises(ShapeMismatch, match=r"vocab\.tsv:4: signature already listed on line 2"):
             load_vocab_tsv(path)
 
@@ -588,4 +588,12 @@ class TestVocabTsv:
         path = tmp_path / "vocab.tsv"
         path.write_text("sig\tid\tn\n")
         with pytest.raises(MissingColumn):
+            load_vocab_tsv(path)
+
+    def test_older_signature_format_is_rejected(self, tmp_path):
+        """The header of a vocabulary signed before signatures were
+        exact no longer reads."""
+        path = tmp_path / "vocab.tsv"
+        path.write_text("signature\tid\tcount\n6|cls:6x6a|0~0:x6\t0\t80\n")
+        with pytest.raises(MissingColumn, match="rebuild it with `molmask vocab build`"):
             load_vocab_tsv(path)
