@@ -204,6 +204,12 @@ def _choices(args, flag: str, table: dict) -> list[str]:
     return chosen
 
 
+def _inputs(args, table: dict, chosen: Sequence[str]) -> dict:
+    """The input flags that the ``chosen`` choices of ``table`` read,
+    with their values, for a report's config_hash."""
+    return {name: getattr(args, name) for choice in chosen for name in table[choice]}
+
+
 def _external_scores(args, records):
     """The per-atom scores of --scores, when it is given."""
     if not args.scores:
@@ -278,7 +284,8 @@ def cmd_vocab_coverage(args) -> int:
     records = _ingest_for_analysis(args)
     # Lazy: an empty vocabulary fails before any motif is signed.
     signatures = (graph_motifs(rec.graph).signatures for rec in records)
-    report = run_coverage(vocab, signatures, dataset_name=_dataset_name(args), seed=args.seed)
+    report = run_coverage(vocab, signatures, dataset_name=_dataset_name(args), seed=args.seed,
+                          inputs={"vocab": args.vocab})
     return _write_report(args, report, "coverage.csv")
 
 
@@ -293,6 +300,7 @@ def cmd_mask_sim(args) -> int:
         records, strategies, config,
         dataset_name=_dataset_name(args), repeats=args.repeats,
         seed=args.seed, workers=args.workers, external_scores=external,
+        inputs=_inputs(args, STRATEGY_INPUTS, strategies),
     )
     return _write_report(args, report, "mask_sim.csv")
 
@@ -304,7 +312,7 @@ def cmd_mi(args) -> int:
     records = _ingest_for_analysis(args, "mi")
     report = run_mi_analysis(
         records, _target_columns(args, kinds, records, counted=True),
-        dataset_name=_dataset_name(args), seed=args.seed,
+        dataset_name=_dataset_name(args), seed=args.seed, inputs=_inputs(args, TARGET_INPUTS, kinds),
     )
     return _write_report(args, report, "mi.csv")
 
@@ -318,6 +326,7 @@ def cmd_jsd(args) -> int:
     report = run_jsd_analysis(
         records, _target_columns(args, kinds, records, counted=True),
         dataset_name=_dataset_name(args), taus=taus, seed=args.seed,
+        inputs=_inputs(args, TARGET_INPUTS, kinds),
     )
     return _write_report(args, report, "jsd.csv")
 
@@ -330,7 +339,7 @@ def cmd_shuffle_control(args) -> int:
     [column] = _target_columns(args, kinds, records, counted=True)
     report = run_shuffle_control(
         records, column, dataset_name=_dataset_name(args),
-        repeats=args.repeats, seed=args.seed,
+        repeats=args.repeats, seed=args.seed, inputs=_inputs(args, TARGET_INPUTS, kinds),
     )
     return _write_report(args, report, "shuffle.csv")
 

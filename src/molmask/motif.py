@@ -5,7 +5,9 @@ in ``decompose``); the resulting connected components are the motifs.
 Signatures are exact: two motifs get the same string if and only if
 they are isomorphic, whatever molecule or atom order produced them.
 The string is the smallest leaf of an individualization-refinement
-search (McKay & Piperno 2014) over colour refinement.
+search (McKay & Piperno 2014) over colour refinement on integer
+colours: an atom's bond to a neighbour of colour c is keyed
+``rank * k + c``, with rank the bond order's rank and k the atom count.
 
 ``graph_motifs`` is the one motif pass: it decomposes a graph and signs
 its motifs.  Vocabularies (``build_vocab``) and coverage (``coverage``)
@@ -35,6 +37,9 @@ from .molgraph import SINGLE, MolGraph
 _SIGNATURE_MEMO_SIZE = 1 << 14
 
 _ORDER_CHAR = {"single": "-", "double": "=", "triple": "#", "aromatic": ":"}
+# A bond order's rank among the sorted order names: aromatic 0, double
+# 1, single 2, triple 3.
+_ORDER_RANK = {order: rank for rank, order in enumerate(sorted(_ORDER_CHAR))}
 
 
 @dataclass(frozen=True)
@@ -157,32 +162,6 @@ def motif_adjacency(graph: MolGraph, partition: MotifPartition) -> tuple[tuple[i
     return tuple(tuple(sorted(ns)) for ns in neighbors)
 
 
-def _refine_colors(
-    attrs: Sequence[tuple[int, bool]],
-    edges: Sequence[list[tuple[int, str]]],
-) -> list[int]:
-    """Iterative color refinement over nodes 0..k-1; returns canonical
-    dense colors.
-
-    Colors are assigned each round by sorting signature tuples, so two
-    isomorphic inputs end with identical color assignments.
-    """
-    ranks = {sig: i for i, sig in enumerate(sorted(set(attrs)))}
-    colors = [ranks[attr] for attr in attrs]
-    n_classes = len(ranks)
-    while True:
-        sigs = [
-            (colors[node], tuple(sorted((order, colors[nb]) for nb, order in node_edges)))
-            for node, node_edges in enumerate(edges)
-        ]
-        ranks = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new_colors = [ranks[sig] for sig in sigs]
-        if len(ranks) == n_classes:
-            return new_colors
-        n_classes = len(ranks)
-        colors = new_colors
-
-
 def _signature_keys(
     graph: MolGraph, partition: MotifPartition
 ) -> list[tuple[tuple[tuple[int, bool], ...], tuple[tuple[int, int, str], ...]]]:
@@ -215,10 +194,16 @@ def _signature_of(
     bonds with i < j.  A pure function of its key, so it is memoised;
     a DisconnectedMotif raised here is never cached.
 
-    The search refines the atoms' colours; while some colour is shared,
-    it branches once per atom of the lowest shared colour, giving that
-    atom a colour of its own, and refines again.  Each discrete
-    colouring is a leaf that orders the atoms, and it is written as
+    Colours are dense integers 0..n-1, first the ranks of the sorted
+    labels.  A refinement round keys each atom by its colour and the
+    sorted keys ``rank * k + colour`` of its bonds, where rank is the
+    bond order's place in ``_ORDER_RANK``; colours stay below k, so a
+    key never collides and keys sort as (order, colour) pairs.  The
+    ranks of the atom keys are the new colours, and rounds stop when no
+    class splits.  While some colour is shared, the search branches
+    once per atom of the lowest shared colour s: colours above s move up
+    one, that atom takes s + 1, and refinement runs again.  Each
+    discrete colouring is a leaf that orders the atoms, written as
     ``k|node_part|edge_part``: the atoms' labels in that order and the
     sorted bonds between positions.  The smallest leaf string is the
     signature.  The tree is the same for every atom order of the graph,
@@ -227,10 +212,11 @@ def _signature_of(
     k = len(labels)
     if not k:
         raise DisconnectedMotif("an empty atom set has no signature")
-    adjacency: list[list[tuple[int, str]]] = [[] for _ in range(k)]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # (neighbour, rank * k)
     for u, v, order in edges:
-        adjacency[u].append((v, order))
-        adjacency[v].append((u, order))
+        weight = _ORDER_RANK[order] * k
+        adjacency[u].append((v, weight))
+        adjacency[v].append((u, weight))
 
     # Connectivity check over the induced subgraph.
     seen = {0}
@@ -244,32 +230,43 @@ def _signature_of(
     if len(seen) != k:
         raise DisconnectedMotif("atom set induces a disconnected subgraph")
 
-    def attr_text(node: int) -> str:
-        z, arom = labels[node]
-        return f"{z}{'a' if arom else ''}"
+    def refined(colors: list[int]) -> list[int]:
+        n_classes = len(set(colors))
+        while True:
+            keys = [
+                (colors[node], tuple(sorted([weight + colors[nb] for nb, weight in bonds])))
+                for node, bonds in enumerate(adjacency)
+            ]
+            ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
+            if len(ranks) == n_classes:
+                return colors
+            n_classes = len(ranks)
+            colors = [ranks[key] for key in keys]
 
+    texts = [f"{z}{'a' if arom else ''}" for z, arom in labels]
+    ranks = {label: i for i, label in enumerate(sorted(set(labels)))}
     best = None
-    pending = [_refine_colors(labels, adjacency)]  # colourings still to branch on
+    pending = [refined([ranks[label] for label in labels])]  # colourings still to branch on
     while pending:
         colors = pending.pop()
-        shared = min((color for color in colors if colors.count(color) > 1), default=None)
+        counts = [0] * k
+        for color in colors:
+            counts[color] += 1
+        shared = next((color for color, count in enumerate(counts) if count > 1), None)
         if shared is not None:
-            pending.extend(
-                _refine_colors([(color, node == pick) for node, color in enumerate(colors)], adjacency)
-                for pick in range(k)
-                if colors[pick] == shared
-            )
+            bumped = [color + (color > shared) for color in colors]
+            for pick in range(k):
+                if colors[pick] == shared:
+                    branch = bumped.copy()
+                    branch[pick] = shared + 1
+                    pending.append(refined(branch))
             continue
         # Discrete: each atom's colour is its position.
-        node_part = ",".join(attr_text(node) for node in sorted(range(k), key=colors.__getitem__))
-        edge_part = ";".join(
-            sorted(
-                "{}-{}{}".format(
-                    min(colors[u], colors[v]), max(colors[u], colors[v]), _ORDER_CHAR[order]
-                )
-                for u, v, order in edges
-            )
-        )
+        node_part = ",".join(texts[node] for node in sorted(range(k), key=colors.__getitem__))
+        edge_part = ";".join(sorted(
+            f"{min(colors[u], colors[v])}-{max(colors[u], colors[v])}{_ORDER_CHAR[order]}"
+            for u, v, order in edges
+        ))
         leaf = f"{k}|{node_part}|{edge_part}"
         if best is None or leaf < best:
             best = leaf

@@ -9,11 +9,13 @@ before they are counted, so --workers never changes any output byte.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
 import os
 import pickle
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
@@ -62,12 +64,24 @@ class IngestStats:
     singletons: int = 0
 
 
-def config_hash(params: dict[str, Any]) -> str:
+def config_hash(params: dict[str, Any], inputs: Optional[dict[str, Any]] = None) -> str:
     """Short stable hash of the analysis configuration.
 
-    Runtime-only knobs (worker count, output paths) must not be passed
-    in: they may vary between byte-identical runs.
+    ``inputs`` maps each input flag of the run, by name, to its path or,
+    for a switch, its value.  Each given file is hashed as the sha256 of
+    its bytes, a leading UTF-8 byte-order mark left out as open_text
+    leaves it, so the same content at another path hashes the same; a
+    run given none keeps the hash of ``params`` alone.  Runtime-only
+    knobs (worker count, output paths) must not be passed in: they may
+    vary between byte-identical runs.
     """
+    read = {
+        name: True if value is True
+        else hashlib.sha256(Path(value).read_bytes().removeprefix(codecs.BOM_UTF8)).hexdigest()
+        for name, value in (inputs or {}).items() if value
+    }
+    if read:
+        params = {**params, "inputs": read}
     blob = json.dumps(params, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -227,9 +241,10 @@ def exact_joint_counts(
     """Count every unit of every usable graph against its graph label:
     the usable graphs' slices of ``column``, built over ``records``.
     Units with the column's UNK label are excluded and tallied under
-    'excluded_unk'.  Raises ShapeMismatch when the column does not
-    label every usable record and EmptyCounts, with the skip tallies,
-    when no unit is left to count.
+    'excluded_unk', and one stderr line counts them when some units are
+    left.  Raises ShapeMismatch when the column does not label every
+    usable record and EmptyCounts, with the skip tallies, when no unit
+    is left to count.
     """
     positions, extras = usable_positions(records)
     sizes = np.diff(column.offsets)
@@ -245,6 +260,10 @@ def exact_joint_counts(
         keep &= ~unk
     if not keep.any():
         raise _nothing_to_count(column.kind, extras)
+    n_unk = extras["excluded_unk"]
+    if n_unk:
+        print(f"{column.kind}: {n_unk} of {n_unk + int(np.count_nonzero(keep))} units excluded as UNK "
+              "(not in the vocabulary)", file=sys.stderr)
     y = np.repeat([record.label or 0 for record in records], sizes)
     return JointCounts.from_arrays(column.labels[keep], y[keep]), extras
 
@@ -262,12 +281,13 @@ def run_mi_analysis(
     *,
     dataset_name: str,
     seed: int = 0,
+    inputs: Optional[dict[str, Any]] = None,
 ) -> AnalysisReport:
     """Exact MI of each target column against the graph label, counted
-    as by exact_joint_counts."""
+    as by exact_joint_counts; ``inputs`` as config_hash takes them."""
     kinds = [column.kind for column in columns]
     chash = config_hash(
-        {"analysis": "mi", "dataset": dataset_name, "kinds": kinds, "seed": seed}
+        {"analysis": "mi", "dataset": dataset_name, "kinds": kinds, "seed": seed}, inputs
     )
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for column in columns:
@@ -284,14 +304,16 @@ def run_jsd_analysis(
     dataset_name: str,
     taus: Sequence[float] = DEFAULT_TAUS,
     seed: int = 0,
+    inputs: Optional[dict[str, Any]] = None,
 ) -> AnalysisReport:
     """Low-frequency JSD curves of each target column, counted as by
-    exact_joint_counts."""
+    exact_joint_counts; ``inputs`` as config_hash takes them."""
     chash = config_hash(
         {
             "analysis": "jsd", "dataset": dataset_name, "kinds": [c.kind for c in columns],
             "taus": [float(t) for t in taus], "seed": seed,
-        }
+        },
+        inputs,
     )
     report = AnalysisReport(kind="jsd", columns=JSD_COLUMNS)
     for column in columns:
@@ -315,6 +337,7 @@ def run_mask_sim(
     seed: int = 0,
     workers: int = 1,
     external_scores: Optional[Sequence[np.ndarray]] = None,
+    inputs: Optional[dict[str, Any]] = None,
 ) -> AnalysisReport:
     """Sampled atom-type MI under each masking strategy.
 
@@ -322,7 +345,8 @@ def run_mask_sim(
     rows report the across-repeat mean and sample standard deviation.
     The corpus fans out once, one task per graph covering every
     strategy; PageRank runs once, over the usable graphs, before it.
-    External scores are keyed by position in ``records``.  Raises
+    External scores are keyed by position in ``records``; ``inputs``
+    as config_hash takes them.  Raises
     EmptyCounts, with the skip tallies, when no graph is usable.
     """
     from .masking import bind_corpus
@@ -339,7 +363,8 @@ def run_mask_sim(
             "intra": config.intra_motif_fraction,
             # Settings of earlier versions, kept so the hash stays the same.
             "samples_per_graph": None, "unique_nodes": False,
-        }
+        },
+        inputs,
     )
     graphs = [records[pos].graph for pos in positions]
     bind = bind_corpus(
@@ -372,15 +397,18 @@ def run_shuffle_control(
     dataset_name: str,
     repeats: int = 5,
     seed: int = 0,
+    inputs: Optional[dict[str, Any]] = None,
 ) -> AnalysisReport:
     """Original MI of a target column next to its label-shuffled
-    control, counted as by exact_joint_counts."""
+    control, counted as by exact_joint_counts; ``inputs`` as
+    config_hash takes them."""
     kind = column.kind
     chash = config_hash(
         {
             "analysis": "shuffle", "dataset": dataset_name, "kind": kind,
             "repeats": repeats, "seed": seed,
-        }
+        },
+        inputs,
     )
     joint, _ = exact_joint_counts(records, column)
     shuffled = shuffle_control(joint, repeats=repeats, seed=seed)
@@ -398,10 +426,12 @@ def run_coverage(
     *,
     dataset_name: str,
     seed: int = 0,
+    inputs: Optional[dict[str, Any]] = None,
 ) -> AnalysisReport:
     """Vocabulary coverage of a downstream corpus, given as each graph's
-    motif signatures (coverage reads them)."""
-    chash = config_hash({"analysis": "coverage", "dataset": dataset_name, "seed": seed})
+    motif signatures (coverage reads them); ``inputs`` as config_hash
+    takes them."""
+    chash = config_hash({"analysis": "coverage", "dataset": dataset_name, "seed": seed}, inputs)
     stats = coverage(vocab, signature_lists)
     report = AnalysisReport(kind="coverage", columns=COVERAGE_COLUMNS)
     report.rows.append((

@@ -166,6 +166,13 @@ def atoms_signature(graph, atoms):
     return signature
 
 
+def signature_golden_smiles() -> list[str]:
+    """The molecules of golden/signatures.txt, which ``decompose``
+    prints one unindented line each, before their motifs."""
+    golden = Path(__file__).resolve().parent / "golden" / "signatures.txt"
+    return [line for line in golden.read_text().splitlines() if not line.startswith(" ")]
+
+
 @pytest.fixture
 def four_cpus(monkeypatch):
     """Four usable CPUs, whatever the host has, so that parallel_map

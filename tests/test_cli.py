@@ -1,9 +1,11 @@
 """Command line behavior: subcommands, outputs, exit codes."""
 
 import argparse
+import csv
 import json
 import os
 import re
+import shutil
 from functools import partial
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from molmask import masking, pagerank_all
 from molmask.cli import build_parser, main
 from molmask.report import JSD_COLUMNS, MI_COLUMNS
 
-from conftest import ring_marker_corpus, write_corpus_csv
+from conftest import ring_marker_corpus, signature_golden_smiles, write_corpus_csv
 
 
 @pytest.fixture(scope="module")
@@ -625,6 +627,69 @@ def test_golden_bytes(name, argv, workers, tmp_path, capsys):
     """Report bytes on the demo corpus match the committed reference
     files at one and two workers."""
     assert golden_output(name, argv, workers, tmp_path, capsys) == (GOLDEN / name).read_bytes()
+
+
+def test_signature_golden_bytes(capsys):
+    """decompose prints golden/signatures.txt byte for byte: molecules
+    whose motifs make the signature search branch (cages, fused and
+    spiro rings, C60) or refine for many rounds (two 284-atom chains)."""
+    smiles = signature_golden_smiles()
+    assert run(["decompose", *(arg for s in smiles for arg in ("--smiles", s))]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "signatures.txt").read_bytes()
+
+
+def report_rows(path) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def benzene_vocab(path: Path) -> Path:
+    """A one-entry vocabulary, benzene, the first line of the demo's."""
+    path.write_text("".join((GOLDEN / "vocab.tsv").read_text().splitlines(keepends=True)[:2]))
+    return path
+
+
+def mi_config_hash(tmp_path, name, flags) -> str:
+    """The config_hash of an ``mi`` report on the demo corpus."""
+    out = tmp_path / f"{name}.csv"
+    assert run(["mi", "--input", DEMO_CORPUS, "--label-col", "activity", *flags, "--output", out]) == 0
+    [chash] = {row["config_hash"] for row in report_rows(out)}
+    return chash
+
+
+def test_config_hash_covers_vocab_content(tmp_path, capsys):
+    """The hash follows the bytes of --vocab, not its path."""
+    built = mi_config_hash(tmp_path, "built", ["--targets", "motif", "--vocab", GOLDEN / "vocab.tsv"])
+    copy = shutil.copy(GOLDEN / "vocab.tsv", tmp_path / "copy.tsv")
+    assert mi_config_hash(tmp_path, "copy", ["--targets", "motif", "--vocab", copy]) == built
+    benzene = benzene_vocab(tmp_path / "benzene.tsv")
+    assert mi_config_hash(tmp_path, "benzene", ["--targets", "motif", "--vocab", benzene]) != built
+    assert mi_config_hash(tmp_path, "counted", ["--targets", "motif"]) != built
+
+
+def test_config_hash_covers_vq_normalize(tmp_path, capsys):
+    flags = ["--targets", "vq_code", *VECTOR_TARGET_FLAGS[:4]]
+    assert (mi_config_hash(tmp_path, "raw", flags)
+            != mi_config_hash(tmp_path, "normalized", [*flags, "--vq-normalize"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mi", "--targets", "motif"],
+    ["jsd", "--targets", "motif"],
+    ["shuffle-control", "--target", "motif"],
+], ids=lambda argv: argv[0])
+def test_unk_exclusions_are_reported(argv, tmp_path, capsys):
+    """A vocabulary that leaves units out says how many on one stderr
+    line; the built vocabulary leaves none out and prints nothing."""
+    out = tmp_path / "report.csv"
+    base = [*argv, "--input", DEMO_CORPUS, "--label-col", "activity", "--output", out]
+    capsys.readouterr()
+    assert run([*base, "--vocab", benzene_vocab(tmp_path / "benzene.tsv")]) == 0
+    assert capsys.readouterr().err == "motif: 112 of 192 units excluded as UNK (not in the vocabulary)\n"
+    if argv[0] != "jsd":
+        assert {row["n_pairs"] for row in report_rows(out)} == {"80"}
+    assert run(base) == 0
+    assert capsys.readouterr().err == ""
 
 
 class _Forked(Exception):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molmask import (
     DisconnectedMotif,
@@ -24,6 +26,7 @@ from conftest import (
     atoms_signature,
     mixed_corpus,
     ring_marker_corpus,
+    signature_golden_smiles,
     signature_lists,
     template_corpus,
     vocab_of,
@@ -178,6 +181,16 @@ class TestCanonicalSignature:
                     # Motif structure is also label-independent.
                     assert sorted(graph_motifs(h).signatures) == base_motif_sigs
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_keeps_motif_signatures(self, fixture_graphs, data):
+        """Reading a graph in another atom order leaves its sorted motif
+        signatures as they are."""
+        for g in fixture_graphs:
+            perm = data.draw(st.permutations(range(g.n_atoms)), label=g.source_smiles)
+            assert sorted(graph_motifs(permuted(g, perm)).signatures) == sorted(
+                graph_motifs(g).signatures), g.source_smiles
+
     def test_charge_not_in_signature(self):
         # Signatures see element and aromaticity, not formal charge:
         # protonation states collapse to one motif identity.
@@ -206,11 +219,13 @@ class TestCanonicalSignature:
 
     def test_equal_signature_iff_isomorphic(self, fixture_graphs):
         """Checked against networkx: atoms match on (Z, aromatic) and
-        bonds on order, over every motif of the fixture corpora and the
-        cages and every whole molecule signed as one motif, each also
-        read in a random atom order."""
+        bonds on order, over every motif of the fixture corpora, the
+        cages and the molecules of golden/signatures.txt (two 284-atom
+        chains among them), and every whole molecule signed as one
+        motif, each also read in a random atom order."""
         nx = pytest.importorskip("networkx")
-        graphs = fixture_corpus_graphs(fixture_graphs) + [parse_smiles(s) for s in CAGE_SMILES]
+        graphs = fixture_corpus_graphs(fixture_graphs) + [
+            parse_smiles(s) for s in CAGE_SMILES + signature_golden_smiles()]
         rng = random.Random(3)
         graphs += [permuted(g, rng.sample(range(g.n_atoms), g.n_atoms)) for g in graphs]
         units = {}  # the induced subgraph's key -> its networkx graph
