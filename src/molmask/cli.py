@@ -205,9 +205,10 @@ def _choices(args, flag: str, table: dict) -> list[str]:
 
 
 def _inputs(args, table: dict, chosen: Sequence[str]) -> dict:
-    """The input flags that the ``chosen`` choices of ``table`` read,
-    with their values, for a report's config_hash."""
-    return {name: getattr(args, name) for choice in chosen for name in table[choice]}
+    """The corpus and the input flags that the ``chosen`` choices of
+    ``table`` read, with their values, for a report's config_hash."""
+    read = {name: getattr(args, name) for choice in chosen for name in table[choice]}
+    return {"input": args.input, **read}
 
 
 def _external_scores(args, records):
@@ -285,7 +286,7 @@ def cmd_vocab_coverage(args) -> int:
     # Lazy: an empty vocabulary fails before any motif is signed.
     signatures = (graph_motifs(rec.graph).signatures for rec in records)
     report = run_coverage(vocab, signatures, dataset_name=_dataset_name(args), seed=args.seed,
-                          inputs={"vocab": args.vocab})
+                          inputs={"input": args.input, "vocab": args.vocab})
     return _write_report(args, report, "coverage.csv")
 
 

@@ -22,6 +22,12 @@ from .molgraph import MolGraph
 MAX_ITER = 200
 """pagerank_all's default iteration budget."""
 
+BLOCK_ATOMS = 4096
+"""Most atoms in one pagerank_all batch; a larger graph is a batch of
+its own.  A batch's temporaries take about 130 bytes per atom, so about
+0.5 MB here whatever the corpus size; smaller blocks save little more
+and pay the per-iteration overhead more often."""
+
 
 def pagerank_all(
     graphs: Sequence[MolGraph],
@@ -38,20 +44,42 @@ def pagerank_all(
     max_iter iterations and keep their last iterate, rather than
     raising.
 
-    The multi-atom graphs share one edge list, with per-graph atom
-    offsets, so an iteration is one sparse matvec (np.bincount) and one
-    per-graph L1 change (np.add.reduceat) over every graph still running.
-    A graph leaves the batch at the first iteration where its own change
-    drops below tol, so its scores and whether it converged do not
-    depend on what else is in the batch.
+    The multi-atom graphs are split, in corpus order, into consecutive
+    blocks of at most BLOCK_ATOMS atoms, and each block is one batch:
+    its graphs share one edge list, with per-graph atom offsets, so an
+    iteration is one sparse matvec (np.bincount) and one per-graph L1
+    change (np.add.reduceat) over every graph of the block still
+    running.  A graph leaves its batch at the first iteration where its
+    own change drops below tol, so its scores and whether it converged
+    do not depend on what else is in the batch, and the blocks bound
+    the batch's memory without changing any score.
     """
-    out = [np.ones(1) for _ in graphs]
-    ids = np.flatnonzero([g.n_atoms > 1 for g in graphs])
-    if not ids.size:
-        return out, 0
-    sizes = np.array([graphs[g].n_atoms for g in ids])
+    out: list = [None] * len(graphs)
+    unconverged = 0
+    block: list[int] = []
+    atoms = 0
+    for g, graph in enumerate(graphs):
+        if graph.n_atoms < 2:
+            out[g] = np.ones(1)
+            continue
+        if block and atoms + graph.n_atoms > BLOCK_ATOMS:
+            unconverged += _pagerank_batch(graphs, block, out, alpha, tol, max_iter)
+            block, atoms = [], 0
+        block.append(g)
+        atoms += graph.n_atoms
+    if block:
+        unconverged += _pagerank_batch(graphs, block, out, alpha, tol, max_iter)
+    return out, unconverged
+
+
+def _pagerank_batch(graphs, block, out, alpha, tol, max_iter) -> int:
+    """Run the graphs ``graphs[g]`` for g in ``block`` (each of two or
+    more atoms) as one batch, storing each graph's scores in out[g];
+    returns how many did not converge."""
+    ids = np.array(block, dtype=np.intp)
+    sizes = np.array([graphs[g].n_atoms for g in block])
     starts = _starts(sizes)
-    neighbors = [nb for g in ids for nb in graphs[g].adjacency]
+    neighbors = [nb for g in block for nb in graphs[g].adjacency]
     degrees = np.fromiter(map(len, neighbors), dtype=np.intp, count=len(neighbors))
     # Edge j -> i for each neighbor j of atom i, grouped by i, so every
     # atom sums its neighbors' shares in ascending neighbor order.  The
@@ -71,7 +99,7 @@ def pagerank_all(
             continue
         _store(out, ids[done], x, starts[done], sizes[done])
         if done.all():
-            return out, 0
+            return 0
         # Drop the converged graphs; renumbering keeps the atom order, so
         # each remaining atom still sums its neighbors in the same order.
         keep = ~done
@@ -83,7 +111,7 @@ def pagerank_all(
         ids, sizes = ids[keep], sizes[keep]
         starts = _starts(sizes)
     _store(out, ids, x, starts, sizes)
-    return out, len(ids)
+    return len(ids)
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:

@@ -649,12 +649,17 @@ def benzene_vocab(path: Path) -> Path:
     return path
 
 
-def mi_config_hash(tmp_path, name, flags) -> str:
-    """The config_hash of an ``mi`` report on the demo corpus."""
-    out = tmp_path / f"{name}.csv"
-    assert run(["mi", "--input", DEMO_CORPUS, "--label-col", "activity", *flags, "--output", out]) == 0
+def report_config_hash(out, argv) -> str:
+    """The config_hash of the report that ``argv`` writes to ``out``."""
+    assert run([*argv, "--output", out]) == 0
     [chash] = {row["config_hash"] for row in report_rows(out)}
     return chash
+
+
+def mi_config_hash(tmp_path, name, flags) -> str:
+    """The config_hash of an ``mi`` report on the demo corpus."""
+    return report_config_hash(tmp_path / f"{name}.csv",
+                              ["mi", "--input", DEMO_CORPUS, "--label-col", "activity", *flags])
 
 
 def test_config_hash_covers_vocab_content(tmp_path, capsys):
@@ -665,6 +670,30 @@ def test_config_hash_covers_vocab_content(tmp_path, capsys):
     benzene = benzene_vocab(tmp_path / "benzene.tsv")
     assert mi_config_hash(tmp_path, "benzene", ["--targets", "motif", "--vocab", benzene]) != built
     assert mi_config_hash(tmp_path, "counted", ["--targets", "motif"]) != built
+
+
+@pytest.mark.parametrize("argv", [
+    ["mi", "--label-col", "activity", "--targets", "atom_type"],
+    ["jsd", "--label-col", "activity", "--targets", "atom_type"],
+    ["shuffle-control", "--label-col", "activity", "--target", "atom_type", "--repeats", "2"],
+    ["mask-sim", "--label-col", "activity", "--strategies", "uniform", "--repeats", "1"],
+    ["vocab", "coverage", "--vocab", GOLDEN / "vocab.tsv"],
+], ids=lambda argv: argv[0] if argv[0] != "vocab" else "vocab-coverage")
+def test_config_hash_covers_corpus_content(argv, tmp_path, capsys):
+    """The hash follows the bytes of --input, a byte-order mark left
+    out, not its path: two corpora both named corpus.csv hash apart,
+    and a copy in another directory hashes the same."""
+    demo = DEMO_CORPUS.read_bytes()
+    lines = demo.splitlines(keepends=True)
+    corpora = {"demo": demo, "copy": demo, "bom": b"\xef\xbb\xbf" + demo,
+               "half": b"".join(lines[:len(lines) // 2])}
+    hashes = {}
+    for name, content in corpora.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "corpus.csv").write_bytes(content)
+        hashes[name] = report_config_hash(tmp_path / f"{name}.csv",
+                                          [*argv, "--input", tmp_path / name / "corpus.csv"])
+    assert hashes["copy"] == hashes["bom"] == hashes["demo"] != hashes["half"]
 
 
 def test_config_hash_covers_vq_normalize(tmp_path, capsys):

@@ -19,7 +19,7 @@ from molmask import (
     parse_smiles,
 )
 from molmask.errors import ParseError
-from molmask.motif import _signature_of
+from molmask.motif import _ORDER_RANK, _signature_keys, _signature_of
 from molmask.workbench import build_vocab_tsv
 
 from conftest import (
@@ -267,6 +267,31 @@ class TestCanonicalSignature:
         assert compared  # cubane and the cubic cage at least
 
 
+def induced_subgraph(graph, motif):
+    """A motif's labelled subgraph read off the graph's columns by
+    hand: its atoms' (Z, aromatic) in ascending atom order and its
+    sorted (i, j, order) bonds between their positions."""
+    pos = {atom: i for i, atom in enumerate(motif)}
+    labels = tuple((graph.z[a], graph.aromatic[a]) for a in motif)
+    edges = tuple(sorted(
+        (pos[u], pos[v], order)
+        for u, v, order in zip(graph.bond_u, graph.bond_v, graph.bond_order)
+        if u in pos and v in pos
+    ))
+    return labels, edges
+
+
+def memo_key(graph, motif):
+    """The ``_signature_of`` key of a motif, built by hand from its
+    induced subgraph: one code point ``2 * Z + aromatic`` per atom and
+    three per bond, positions and order rank."""
+    labels, edges = induced_subgraph(graph, motif)
+    return (
+        "".join(chr(2 * z + aromatic) for z, aromatic in labels),
+        "".join(chr(i) + chr(j) + chr(_ORDER_RANK[order]) for i, j, order in edges),
+    )
+
+
 def fixture_corpus_graphs(fixture_graphs):
     """Every parseable molecule of the fixture list and the three
     synthetic fixture corpora."""
@@ -317,20 +342,24 @@ class TestSignatureMemo:
         for g in fixture_corpus_graphs(fixture_graphs):
             partition = decompose(g)
             _signature_of.cache_clear()
-            expected = []
-            for motif in partition.motifs:
-                pos = {atom: i for i, atom in enumerate(motif)}
-                labels = tuple((g.z[a], g.aromatic[a]) for a in motif)
-                edges = tuple(sorted(
-                    (pos[u], pos[v], order)
-                    for u, v, order in zip(g.bond_u, g.bond_v, g.bond_order)
-                    if u in pos and v in pos
-                ))
-                expected.append(_signature_of(labels, edges))
+            expected = [_signature_of(*memo_key(g, motif)) for motif in partition.motifs]
             misses = _signature_of.cache_info().misses
             assert motif_signatures(g, partition) == expected, g.source_smiles
             assert [atoms_signature(g, m) for m in partition.motifs] == expected
             assert _signature_of.cache_info().misses == misses, g.source_smiles
+
+    def test_keys_are_exact(self, fixture_graphs):
+        """Two motifs get equal memo keys if and only if their induced
+        labelled subgraphs are equal."""
+        graphs = fixture_corpus_graphs(fixture_graphs)
+        graphs += [parse_smiles(s) for s in signature_golden_smiles()]
+        pairs = set()
+        for g in graphs:
+            partition = decompose(g)
+            for motif, key in zip(partition.motifs, _signature_keys(g, partition)):
+                pairs.add((key, induced_subgraph(g, motif)))
+        keys, subgraphs = zip(*pairs)
+        assert len(set(keys)) == len(set(subgraphs)) == len(pairs)
 
     def test_graph_motifs_signs_the_decomposition(self, fixture_graphs):
         for g in fixture_graphs:

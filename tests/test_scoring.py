@@ -1,6 +1,8 @@
 """Node scoring: PageRank against a dense solve, batched PageRank,
 external files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from molmask import (
     load_external_scores,
     pagerank_all,
     parse_smiles,
+    scoring,
 )
 
 
@@ -143,6 +146,43 @@ class TestPagerankBatch:
 
     def test_empty_batch(self):
         assert pagerank_all([]) == ([], 0)
+
+    @pytest.mark.parametrize("block_atoms", [1, 7, 64])
+    def test_blocks_change_no_score(self, block_atoms, monkeypatch, fixture_graphs,
+                                    ring_marker_records):
+        """Blocks so small that the corpus spans many of them (and at 1
+        and 7 atoms, most graphs are each larger than one): every score
+        and unconverged count is that of one batch over the corpus."""
+        graphs = list(fixture_graphs) + [rec.graph for rec in ring_marker_records]
+        assert max(g.n_atoms for g in graphs) > 7
+        assert sum(g.n_atoms for g in graphs) > 20 * block_atoms
+        monkeypatch.setattr(scoring, "BLOCK_ATOMS", sum(g.n_atoms for g in graphs))
+        whole = [pagerank_all(graphs, max_iter=max_iter) for max_iter in (200, 20)]
+        monkeypatch.setattr(scoring, "BLOCK_ATOMS", block_atoms)
+        for max_iter, (scores, unconverged) in zip((200, 20), whole):
+            blocked, blocked_unconverged = pagerank_all(graphs, max_iter=max_iter)
+            assert blocked_unconverged == unconverged
+            for g, got, want in zip(graphs, blocked, scores):
+                assert np.array_equal(got, want), g.source_smiles
+        self.test_batch_matches_alone_and_shuffled(fixture_graphs, ring_marker_records)
+        self.test_mixed_batch_reports_each_graph()
+
+    def test_transient_does_not_grow_with_the_corpus(self, ring_marker_records):
+        """The memory pagerank_all frees before it returns is that of
+        one block, however many blocks the corpus fills."""
+        def transient(graphs):
+            tracemalloc.start()
+            try:
+                scores = pagerank_all(graphs)  # held, so current counts the scores
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - current
+
+        graphs = [rec.graph for rec in ring_marker_records]
+        assert 2 * sum(g.n_atoms for g in graphs) > scoring.BLOCK_ATOMS
+        small, large = transient(graphs * 2), transient(graphs * 8)
+        assert large <= small + 32 * 1024, (small, large)
 
 
 class TestExternalScores:
