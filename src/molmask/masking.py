@@ -14,8 +14,8 @@ Each strategy also decodes the same masks as arrays (the binding's
 (masks, atoms) boolean membership matrix.  The fixed-k strategies take
 the top k of each row of noise plus bonus; the motif strategies walk
 their pools one step at a time for every row at once.  Sampled MI
-decodes all of a graph's masks this way; views and plans use the
-draw, which is faster for one mask.
+decodes a graph's masks this way, a block of repeats at a time; views
+and plans use the draw, which is faster for one mask.
 """
 
 from __future__ import annotations
@@ -330,8 +330,8 @@ def bind_corpus(
     """Resolve strategy names once per run, into a per-graph binder.
 
     ``bind(g)`` returns graph g's BoundStrategy under each strategy, in
-    the order given; a sampled-MI run decodes all of a graph's masks
-    with one ``members`` call per strategy.  Per-run inputs are made
+    the order given; a sampled-MI run decodes a block of a graph's
+    repeats with one ``members`` call per strategy.  Per-run inputs are made
     here, once: 'pagerank' gets one pagerank_all over ``graphs`` (when
     some graphs do not converge, one line on stderr says how many), and
     'external' reads ``external``, one score array per graph, aligned

@@ -76,14 +76,23 @@ def config_hash(params: dict[str, Any], inputs: Optional[dict[str, Any]] = None)
     vary between byte-identical runs.
     """
     read = {
-        name: True if value is True
-        else hashlib.sha256(Path(value).read_bytes().removeprefix(codecs.BOM_UTF8)).hexdigest()
+        name: True if value is True else _file_sha256(value)
         for name, value in (inputs or {}).items() if value
     }
     if read:
         params = {**params, "inputs": read}
     blob = json.dumps(params, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _file_sha256(path: str | Path) -> str:
+    """Hex sha256 of a file's bytes less a leading UTF-8 byte-order
+    mark, read 64 KiB at a time so that memory does not grow with it."""
+    with open(path, "rb") as handle:
+        digest = hashlib.sha256(handle.read(1 << 16).removeprefix(codecs.BOM_UTF8))
+        while chunk := handle.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
@@ -157,11 +166,7 @@ def _read_label(cell: str) -> tuple[Optional[int], bool]:
         value = float(text)
     except ValueError:
         return None, True
-    if value == 0.0:
-        return 0, False
-    if value == 1.0:
-        return 1, False
-    return None, True
+    return (int(value), False) if value in (0.0, 1.0) else (None, True)
 
 
 def ingest(
@@ -308,22 +313,16 @@ def run_jsd_analysis(
 ) -> AnalysisReport:
     """Low-frequency JSD curves of each target column, counted as by
     exact_joint_counts; ``inputs`` as config_hash takes them."""
-    chash = config_hash(
-        {
-            "analysis": "jsd", "dataset": dataset_name, "kinds": [c.kind for c in columns],
-            "taus": [float(t) for t in taus], "seed": seed,
-        },
-        inputs,
-    )
+    chash = config_hash({"analysis": "jsd", "dataset": dataset_name, "seed": seed,
+                         "kinds": [c.kind for c in columns],
+                         "taus": [float(t) for t in taus]}, inputs)
     report = AnalysisReport(kind="jsd", columns=JSD_COLUMNS)
     for column in columns:
         joint, _ = exact_joint_counts(records, column)
         curve = jsd_curve(joint, taus)
         for tau, value, kept, ok in zip(curve.taus, curve.values, curve.labels_kept, curve.defined):
-            report.rows.append((
-                dataset_name, column.kind, tau, value, kept, int(ok),
-                __version__, seed, chash,
-            ))
+            report.rows.append((dataset_name, column.kind, tau, value, kept, int(ok),
+                                __version__, seed, chash))
     return report
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from molmask import masking, pagerank_all
+from molmask import infotheory, masking, pagerank_all
 from molmask.cli import build_parser, main
 from molmask.report import JSD_COLUMNS, MI_COLUMNS
 
@@ -549,6 +549,9 @@ VECTOR_TARGET_FLAGS = [
     "--embeddings", DEMO_EMBEDDINGS, "--codebook", DEMO_DATA / "demo_codebook.csv",
     "--logits", DEMO_DATA / "demo_logits.csv",
 ]
+# The demo corpus and two 242-atom chains, one per class: one repeat of
+# a chain draws more doubles than a mask-sim sampling block holds.
+LARGE_CORPUS = DEMO_DATA / "large_corpus.csv"
 
 
 GOLDEN_CASES = [
@@ -602,17 +605,21 @@ GOLDEN_CASES = [
     ("views_external_epoch.jsonl", ["export-views", "--strategy", "external", "--scores", DEMO_SCORES,
                                     "--epoch", "30", "--target", "atom_type",
                                     "--draws-per-graph", "2"]),
+    # Sampling in several blocks per graph, on a corpus of its own.
+    ("mask_sim_large.csv", ["mask-sim", "--input", LARGE_CORPUS, "--label-col", "activity",
+                            "--strategies", "uniform,pagerank,moama,motifpred", "--repeats", "5"]),
 ]
 
 
 def golden_output(name, argv, workers, tmp_path, capsys) -> bytes:
-    """Run a golden case on the demo corpus; return the bytes it wrote,
-    or its stdout for a .txt case."""
+    """Run a golden case on its --input, or else on the demo corpus;
+    return the bytes it wrote, or its stdout for a .txt case."""
     out = tmp_path / name
     stdout_case = name.endswith(".txt")
+    corpus = [] if "--input" in argv else ["--input", DEMO_CORPUS]
     output = [] if stdout_case else ["--output", out]
     capsys.readouterr()
-    assert run(["--workers", workers, *argv, "--input", DEMO_CORPUS, *output]) == 0
+    assert run(["--workers", workers, *argv, *corpus, *output]) == 0
     return capsys.readouterr().out.encode() if stdout_case else out.read_bytes()
 
 
@@ -626,6 +633,21 @@ def golden_output(name, argv, workers, tmp_path, capsys) -> bytes:
 def test_golden_bytes(name, argv, workers, tmp_path, capsys):
     """Report bytes on the demo corpus match the committed reference
     files at one and two workers."""
+    assert golden_output(name, argv, workers, tmp_path, capsys) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.usefixtures("four_cpus")
+@pytest.mark.parametrize("name, argv, workers", [
+    pytest.param(name, argv, workers, id=f"{name}-w{workers}")
+    for workers in (1, 2)
+    for name, argv in GOLDEN_CASES
+    if argv[0] == "mask-sim"
+])
+def test_mask_sim_golden_bytes_one_repeat_per_block(name, argv, workers, tmp_path, capsys,
+                                                    monkeypatch):
+    """With every repeat a sampling block of its own, mask-sim still
+    writes its golden bytes."""
+    monkeypatch.setattr(infotheory, "SAMPLE_BLOCK_DOUBLES", 1)
     assert golden_output(name, argv, workers, tmp_path, capsys) == (GOLDEN / name).read_bytes()
 
 

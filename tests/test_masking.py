@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from molmask import (
     OutOfRangeIndex,
     bind_corpus,
     decompose,
+    infotheory,
     mask_count,
     motif_adjacency,
     pagerank_all,
@@ -604,6 +606,59 @@ class TestMembers:
                     picks = rng.random(n)
                     expected = [labels[mask[int(u * len(mask))]] for mask, u in zip(masks, picks)]
                     assert sampled[s, r].tolist() == expected, (strategy.strategy, graph.source_smiles)
+
+
+class TestSampleBlocks:
+    """sample_pairs_for_graph draws and decodes its repeats in blocks of
+    at most SAMPLE_BLOCK_DOUBLES drawn doubles."""
+
+    REPEATS = 7
+
+    @staticmethod
+    def doubles_per_repeat(bound, graph):
+        return graph.n_atoms * (max(sum(b.widths) for b in bound) + 1)
+
+    def test_any_budget_gives_the_same_samples(self, fixture_graphs, ring_marker_records,
+                                               monkeypatch):
+        graphs = list(fixture_graphs) + [rec.graph for rec in ring_marker_records]
+        bind = bind_corpus(STRATEGIES, BATCH_CONFIG, graphs, [tied_scores(g) for g in graphs])
+        cases = [(g, graph, np.arange(graph.n_atoms) * 5 % 7, bind(g))
+                 for g, graph in enumerate(graphs)]
+        sizes = [self.doubles_per_repeat(bound, graph) for _, graph, _, bound in cases]
+        # Above every graph's whole stack, every graph is one block; at
+        # seven times the median repeat, the larger graphs split and the
+        # smaller ones do not; at 1, each repeat is a block of its own.
+        whole = self.REPEATS * max(sizes)
+        some = self.REPEATS * int(np.median(sizes))
+        assert min(sizes) * self.REPEATS <= some < max(sizes) * self.REPEATS
+        expected = {}
+        for budget in (whole, some, 1):
+            monkeypatch.setattr(infotheory, "SAMPLE_BLOCK_DOUBLES", budget)
+            for g, graph, labels, bound in cases:
+                got = sample_pairs_for_graph(graph, g, labels, bound, self.REPEATS, 29)
+                assert got.shape == (len(STRATEGIES), self.REPEATS, graph.n_atoms)
+                want = expected.setdefault(g, got)
+                assert np.array_equal(got, want), (budget, graph.source_smiles)
+
+    def test_transient_does_not_grow_with_repeats(self):
+        # 242 atoms: one repeat draws more doubles than a block holds.
+        graph = parse_smiles("C" + "c1ccc(cc1)CC" * 30 + "O")
+        bound = [bound_for(strategy, graph) for strategy in STRATEGIES]
+        labels = np.arange(graph.n_atoms) % 7
+        assert self.doubles_per_repeat(bound, graph) > infotheory.SAMPLE_BLOCK_DOUBLES
+
+        def transient(repeats):
+            tracemalloc.start()
+            try:
+                samples = sample_pairs_for_graph(graph, 0, labels, bound, repeats, 3)
+                current, peak = tracemalloc.get_traced_memory()  # current holds the samples
+            finally:
+                tracemalloc.stop()
+            assert samples.shape == (len(STRATEGIES), repeats, graph.n_atoms)
+            return peak - current
+
+        small, large = transient(4), transient(32)
+        assert large <= small + 64 * 1024, (small, large)
 
 
 class TestSubstream:

@@ -1,12 +1,15 @@
 """Corpus ingestion, exact counting, analysis runners, report files."""
 
+import codecs
 import fcntl
 import gc
+import hashlib
 import math
 import os
 import signal
 import stat
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,7 +44,7 @@ from molmask import (
 )
 from molmask import masking
 from molmask.cli import main
-from molmask.workbench import JSD_COLUMNS, MI_COLUMNS
+from molmask.workbench import JSD_COLUMNS, MI_COLUMNS, _file_sha256
 
 from conftest import (
     counted_column,
@@ -73,6 +76,27 @@ class TestConfigHash:
         h = config_hash({"analysis": "mi"})
         assert len(h) == 12
         int(h, 16)
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+    def test_file_digest_is_sha256_less_a_leading_bom(self, bom, tmp_path):
+        # The second 64 KiB read starts with a byte-order mark, which is
+        # content, not a mark, and stays in the digest.
+        body = b"x" * ((1 << 16) - len(bom)) + codecs.BOM_UTF8 + bytes(range(256)) * 300
+        path = tmp_path / "input.csv"
+        path.write_bytes(bom + body)
+        assert _file_sha256(path) == hashlib.sha256(body).hexdigest()
+        assert _file_sha256(str(path)) == hashlib.sha256(body).hexdigest()
+
+    def test_file_digest_memory_does_not_grow_with_the_file(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_bytes(bytes(range(256)) * (16 << 10))  # 4 MiB
+        tracemalloc.start()
+        try:
+            config_hash({"analysis": "mi"}, {"input": path})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, peak
 
 
 class _ExitWhenPickled:
