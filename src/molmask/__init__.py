@@ -20,7 +20,7 @@ from ._version import __version__
 _EXPORTS = {
     "errors": (
         "DataError", "DimMismatch", "DisconnectedMotif", "EmptyCounts",
-        "EmptySupport", "MissingColumn", "MolmaskError", "MultiFragment",
+        "MissingColumn", "MolmaskError", "MultiFragment",
         "NonFiniteScore", "OutOfRangeIndex", "ParseError", "ShapeMismatch",
         "UnbalancedParen", "UnclosedRing", "UnknownToken",
     ),
@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "infotheory": (
         "JointCounts", "JsdCurve", "SampledMi", "entropy_y",
-        "jsd", "jsd_curve", "low_freq_conditionals", "mutual_information",
+        "jsd", "jsd_curve", "mutual_information",
         "relative_gain", "sample_pairs_for_graph", "shuffle_control",
     ),
     "report": ("AnalysisReport", "read_report_csv", "write_report_csv"),

@@ -67,10 +67,6 @@ class EmptyCounts(DataError):
     """An information-theoretic quantity was requested from zero observations."""
 
 
-class EmptySupport(DataError):
-    """A low-frequency label set is empty for at least one class."""
-
-
 class MissingColumn(DataError):
     """A dataset file lacks a required column."""
 

@@ -12,14 +12,15 @@ out in bits.  The 0 * log 0 convention is 0 throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .choices import DEFAULT_TAUS
-from .errors import EmptyCounts, EmptySupport
+from .errors import EmptyCounts
 from .molgraph import MolGraph
 
 if TYPE_CHECKING:
@@ -95,7 +96,7 @@ def relative_gain(mi: float, h_y: float) -> float:
 class SampledMi:
     """MI estimated over several seeded repeats: their mean and sample
     standard deviation (0 for one repeat), and the pair count and label
-    entropy of the tables they share."""
+    entropy of the first repeat's table."""
 
     mean: float
     std: float
@@ -103,16 +104,22 @@ class SampledMi:
     n_pairs: int
     h_y: float
 
-    @classmethod
-    def from_estimates(cls, estimates: Sequence[float], joint: JointCounts) -> "SampledMi":
-        """Summarize the estimates; n_pairs and h_y are ``joint``'s."""
-        return cls(
-            mean=float(np.mean(estimates)),
-            std=float(np.std(estimates, ddof=1)) if len(estimates) > 1 else 0.0,
-            per_repeat=tuple(estimates),
-            n_pairs=joint.total,
-            h_y=entropy_y(joint),
-        )
+
+def sampled_mi(xs: Iterable[np.ndarray], y: np.ndarray) -> SampledMi:
+    """Count each row of ``xs`` against ``y``, one repeat per row, and
+    summarize the rows' MI.  Raises ValueError when ``xs`` has no rows."""
+    tables = (JointCounts.from_arrays(x, y) for x in xs)
+    first = next(tables, None)
+    if first is None:
+        raise ValueError("sampled MI needs at least one repeat")
+    estimates = [mutual_information(joint) for joint in itertools.chain([first], tables)]
+    return SampledMi(
+        mean=float(np.mean(estimates)),
+        std=float(np.std(estimates, ddof=1)) if len(estimates) > 1 else 0.0,
+        per_repeat=tuple(estimates),
+        n_pairs=first.total,
+        h_y=entropy_y(first),
+    )
 
 
 SAMPLE_BLOCK_DOUBLES = 16384
@@ -178,48 +185,6 @@ def sample_pairs_for_graph(
     return out
 
 
-def repeat_mi(
-    per_graph: Sequence[np.ndarray], graph_labels: Sequence[int], repeats: int
-) -> SampledMi:
-    """Pool sampled labels into one joint table per repeat and summarize.
-
-    ``per_graph[g]`` is graph g's (repeats, samples) label array (what
-    sample_pairs_for_graph returns) and ``graph_labels[g]`` is graph
-    g's label.  The spread over repeats is the sample standard
-    deviation; n_pairs and h_y describe repeat 0.
-    """
-    if repeats < 1:
-        raise ValueError("sampled MI needs at least one repeat")
-    sizes = [samples.shape[1] for samples in per_graph]
-    x = np.concatenate(per_graph, axis=1) if per_graph else np.empty((repeats, 0), dtype=np.int64)
-    y = np.repeat(np.asarray(graph_labels, dtype=np.int64), sizes)
-    per_repeat = [JointCounts.from_arrays(x[r], y) for r in range(repeats)]
-    estimates = [mutual_information(joint) for joint in per_repeat]
-    return SampledMi.from_estimates(estimates, per_repeat[0])
-
-
-def low_freq_conditionals(
-    counts: JointCounts, tau: float
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Class conditionals restricted to labels with marginal P(x) < tau.
-
-    Returns (p for y=0, p for y=1, kept labels sorted).  Raises
-    EmptySupport when no label qualifies or either class has zero mass
-    on the qualifying set.
-    """
-    total = counts.total
-    if total == 0:
-        raise EmptyCounts("conditionals of zero observations")
-    keep = counts.table.sum(axis=1) / total < tau
-    if not keep.any():
-        raise EmptySupport(f"no label has marginal below {tau}")
-    sub = counts.table[keep]
-    mass = sub.sum(axis=0)
-    if mass[0] == 0 or mass[1] == 0:
-        raise EmptySupport(f"a class has no mass on labels below {tau}")
-    return sub[:, 0] / mass[0], sub[:, 1] / mass[1], counts.labels[keep].tolist()
-
-
 def jsd(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon divergence in bits; 0 for identical distributions,
     1 for disjoint supports."""
@@ -252,32 +217,34 @@ class JsdCurve:
 
 
 def jsd_curve(counts: JointCounts, taus: Sequence[float] = DEFAULT_TAUS) -> JsdCurve:
-    """Evaluate the low-frequency JSD at each threshold, largest first."""
+    """Evaluate the low-frequency JSD at each threshold, largest first.
+
+    At tau the kept labels are those with marginal P(x) strictly below
+    tau; each class's counts on them, normalized, give its conditional.
+    A point is defined when at least one label is kept and both classes
+    have mass on the kept labels.  Raises EmptyCounts on an empty table.
+    """
+    total = counts.total
+    if total == 0:
+        raise EmptyCounts("JSD curve of zero observations")
+    marginal = counts.table.sum(axis=1) / total
     ordered = sorted(taus, reverse=True)
     values: list[float] = []
     kept: list[int] = []
     defined: list[bool] = []
     for tau in ordered:
-        try:
-            p0, p1, labels = low_freq_conditionals(counts, tau)
-        except EmptySupport:
-            values.append(float("nan"))
-            kept.append(_count_below(counts, tau))
-            defined.append(False)
-            continue
-        values.append(jsd(p0, p1))
-        kept.append(len(labels))
-        defined.append(True)
+        sub = counts.table[marginal < tau]
+        mass = sub.sum(axis=0)
+        ok = bool(mass.all())  # mass in both classes implies a kept label
+        values.append(jsd(sub[:, 0] / mass[0], sub[:, 1] / mass[1]) if ok else float("nan"))
+        kept.append(len(sub))
+        defined.append(ok)
     return JsdCurve(
         taus=tuple(ordered),
         values=tuple(values),
         labels_kept=tuple(kept),
         defined=tuple(defined),
     )
-
-
-def _count_below(counts: JointCounts, tau: float) -> int:
-    return int(np.sum(counts.table.sum(axis=1) / counts.total < tau))
 
 
 def shuffle_control(counts: JointCounts, repeats: int = 5, seed: int = 0) -> SampledMi:
@@ -296,9 +263,5 @@ def shuffle_control(counts: JointCounts, repeats: int = 5, seed: int = 0) -> Sam
     cells = counts.table.ravel()
     x = np.repeat(np.repeat(counts.labels, 2), cells)
     y = np.repeat(np.tile([0, 1], len(counts.labels)), cells)
-    estimates = []
-    for r in range(repeats):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        shuffled = JointCounts.from_arrays(x[rng.permutation(len(x))], y)
-        estimates.append(mutual_information(shuffled))
-    return SampledMi.from_estimates(estimates, counts)
+    keys = (np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(repeats))
+    return sampled_mi((x[np.random.default_rng(key).permutation(len(x))] for key in keys), y)

@@ -31,22 +31,13 @@ from .infotheory import (
     jsd_curve,
     mutual_information,
     relative_gain,
-    repeat_mi,
     sample_pairs_for_graph,
+    sampled_mi,
     shuffle_control,
 )
 from .molgraph import LabeledRecord, parse_smiles
 from .motif import MotifVocab, coverage
-# read_report_csv and write_report_csv stay importable from here, where
-# perfbench/spans.py looks them up.
-from .report import (
-    COVERAGE_COLUMNS,
-    JSD_COLUMNS,
-    MI_COLUMNS,
-    AnalysisReport,
-    read_report_csv,
-    write_report_csv,
-)
+from .report import COVERAGE_COLUMNS, JSD_COLUMNS, MI_COLUMNS, AnalysisReport
 from .targets import TargetColumn, target_column
 
 if TYPE_CHECKING:
@@ -380,10 +371,10 @@ def run_mask_sim(
             graphs[g], g, atom_types.graph_labels(g), bind(g), repeats, seed),
         range(len(graphs)), workers,
     )
-    graph_labels = [records[pos].label for pos in positions]
+    y = np.repeat([records[pos].label for pos in positions], [graph.n_atoms for graph in graphs])
     report = AnalysisReport(kind="mi", columns=MI_COLUMNS)
     for s, strategy in enumerate(strategies):
-        sampled = repeat_mi([samples[s] for samples in per_graph], graph_labels, repeats)
+        sampled = sampled_mi(np.concatenate([samples[s] for samples in per_graph], axis=1), y)
         report.rows.append(_mi_row(dataset_name, "atom_type", strategy, sampled.mean, sampled.h_y,
                                    sampled.n_pairs, seed, chash, (sampled.mean, sampled.std)))
     return report

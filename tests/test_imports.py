@@ -25,10 +25,12 @@ DEMO_CORPUS = ROOT / "demos" / "data" / "demo_corpus.csv"
 # moved to the tests since, with bind_strategy and strategy_scores
 # folded into bind_corpus, with the target-column names added, and with
 # canonical_signature and analysis_records deleted and graph_motifs, the
-# one motif pass, added, and with the NodeScores, DatasetManifest and
-# ShuffleResult wrappers deleted.
+# one motif pass, added, with the NodeScores, DatasetManifest and
+# ShuffleResult wrappers deleted, with low_freq_conditionals and
+# EmptySupport folded into jsd_curve, and with the report CSV functions
+# looked up in report, which defines them, not in workbench.
 PUBLIC_NAMES = {
-    "errors": "DataError DimMismatch DisconnectedMotif EmptyCounts EmptySupport MissingColumn "
+    "errors": "DataError DimMismatch DisconnectedMotif EmptyCounts MissingColumn "
               "MolmaskError MultiFragment NonFiniteScore OutOfRangeIndex ParseError "
               "ShapeMismatch UnbalancedParen UnclosedRing UnknownToken",
     "molgraph": "LabeledRecord MASK_SENTINEL MolGraph parse_smiles write_smiles",
@@ -38,12 +40,13 @@ PUBLIC_NAMES = {
     "masking": "MaskConfig STRATEGIES bind_corpus export_views mask_count substream",
     "targets": "TargetColumn load_codebook load_embeddings target_column target_columns",
     "infotheory": "DEFAULT_TAUS JointCounts JsdCurve SampledMi entropy_y jsd "
-                  "jsd_curve low_freq_conditionals mutual_information relative_gain "
+                  "jsd_curve mutual_information relative_gain "
                   "sample_pairs_for_graph shuffle_control",
     "workbench": "AnalysisReport IngestStats build_vocab_tsv "
                  "config_hash exact_joint_counts ingest load_vocab_tsv parallel_map "
-                 "read_report_csv run_coverage run_jsd_analysis run_mask_sim run_mi_analysis "
-                 "run_shuffle_control usable_positions write_report_csv",
+                 "run_coverage run_jsd_analysis run_mask_sim run_mi_analysis "
+                 "run_shuffle_control usable_positions",
+    "report": "read_report_csv write_report_csv",
     "svg": "render_svg",
     "_version": "__version__",
 }
@@ -96,7 +99,7 @@ def test_unknown_name_is_attribute_error():
 @pytest.mark.parametrize("name", [
     "MaskPlan", "read_views", "ring_membership", "bind_strategy", "strategy_scores",
     "analysis_records", "canonical_signature", "vocab_from_signatures",
-    "NodeScores", "DatasetManifest", "ShuffleResult",
+    "NodeScores", "DatasetManifest", "ShuffleResult", "low_freq_conditionals", "EmptySupport",
 ])
 def test_removed_names_are_attribute_errors(name):
     # A mask is its sorted atom tuple, views are plain JSON lines, the
@@ -105,7 +108,8 @@ def test_removed_names_are_attribute_errors(name):
     # signed only by graph_motifs and counted by build_vocab, and the
     # usable records are read by position (usable_positions).  Scores
     # are float64 arrays, ingest takes the corpus path and columns, and
-    # shuffle_control returns a SampledMi.
+    # shuffle_control returns a SampledMi.  jsd_curve keeps a
+    # threshold's labels and flags an undefined point itself.
     with pytest.raises(AttributeError, match=name):
         getattr(molmask, name)
 

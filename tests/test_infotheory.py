@@ -5,24 +5,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molmask import (
     DEFAULT_TAUS,
     EmptyCounts,
-    EmptySupport,
     JointCounts,
     MaskConfig,
     entropy_y,
     exact_joint_counts,
     jsd,
     jsd_curve,
-    low_freq_conditionals,
     mutual_information,
     parse_smiles,
     relative_gain,
     run_mask_sim,
+    run_shuffle_control,
     shuffle_control,
 )
+from molmask.infotheory import sampled_mi
 from molmask.molgraph import LabeledRecord
 
 from conftest import counted_column, usable_records, vocab_of
@@ -97,6 +99,26 @@ def reference_shuffle(pairs, repeats, seed):
         perm = rng.permutation(len(xs))
         estimates.append(reference_mi(brute_force_cells([xs[int(i)] for i in perm], ys)))
     return tuple(estimates)
+
+
+def reference_jsd_point(matrix, tau):
+    """(labels kept, JSD or None when undefined) at one threshold, as
+    dense loops over the nonzero rows of a count matrix."""
+    total = sum(a + b for a, b in matrix)
+    kept = [(a, b) for a, b in matrix if a + b and (a + b) / total < tau]
+    mass0, mass1 = sum(a for a, _ in kept), sum(b for _, b in kept)
+    if not kept or not mass0 or not mass1:
+        return len(kept), None
+    p0 = [a / mass0 for a, _ in kept]
+    p1 = [b / mass1 for _, b in kept]
+    return len(kept), jsd(np.array(p0), np.array(p1))
+
+
+def strict_curve(joint, taus):
+    """jsd_curve with numpy floating-point errors raised: a point
+    decided after a division by a massless class fails."""
+    with np.errstate(all="raise"):
+        return jsd_curve(joint, taus)
 
 
 def sorted_pairs(joint):
@@ -237,7 +259,18 @@ class TestJointCounts:
 
 
 class TestSampledMi:
-    """Sampled MI through run_mask_sim, the one sampled-MI driver."""
+    """sampled_mi, and sampled MI through run_mask_sim."""
+
+    def test_summarizes_one_table_per_row(self):
+        y = np.array([0, 0, 1, 1, 1])
+        xs = np.array([[1, 1, 2, 2, 2], [1, 2, 1, 2, 1], [3, 3, 3, 4, 4]])
+        result = sampled_mi(xs, y)
+        tables = [JointCounts.from_arrays(x, y) for x in xs]
+        assert result.per_repeat == tuple(mutual_information(t) for t in tables)
+        assert result.mean == np.mean(result.per_repeat)
+        assert result.std == np.std(result.per_repeat, ddof=1)
+        assert (result.n_pairs, result.h_y) == (5, entropy_y(tables[0]))
+        assert sampled_mi(iter(xs[:1]), y).std == 0.0
 
     @staticmethod
     def _sim(smiles, ys, ratio, **kwargs):
@@ -329,6 +362,16 @@ class TestShuffleControl:
         with pytest.raises(EmptyCounts):
             shuffle_control(JointCounts.from_arrays([], []))
 
+    def test_zero_repeats_rejected(self, ring_marker_records):
+        # As sampled MI under masks rejects them.
+        with pytest.raises(ValueError, match="at least one repeat"):
+            shuffle_control(counts_from_matrix([[5, 1], [1, 5]]), repeats=0)
+        column = counted_column(ring_marker_records, "atom_type")
+        with pytest.raises(ValueError, match="at least one repeat"):
+            run_shuffle_control(ring_marker_records, column, dataset_name="t", repeats=0)
+        with pytest.raises(ValueError, match="at least one repeat"):
+            run_mask_sim(ring_marker_records, ["uniform"], MaskConfig(), dataset_name="t", repeats=0)
+
     def test_matches_pair_list_reference_on_random_tables(self):
         rng = np.random.default_rng(5)
         for trial in range(25):
@@ -349,37 +392,6 @@ class TestShuffleControl:
             ring_marker_records, counted_column(ring_marker_records, kind, vocab))
         result = shuffle_control(joint, repeats=5, seed=3)
         assert result.per_repeat == reference_shuffle(sorted_pairs(joint), 5, 3)
-
-
-class TestLowFreqConditionals:
-    def _table(self):
-        # One dominant neutral label, two rare skewed ones.
-        return counts_from_matrix([[50, 50], [9, 1], [1, 9]])
-
-    def test_strict_threshold(self):
-        joint = self._table()
-        p0, p1, kept = low_freq_conditionals(joint, 0.5)
-        assert kept == [1, 2]
-        np.testing.assert_allclose(p0, [0.9, 0.1])
-        np.testing.assert_allclose(p1, [0.1, 0.9])
-        # Marginal of the rare labels is exactly 10/120; a threshold at
-        # that value excludes them (strict less-than).
-        with pytest.raises(EmptySupport):
-            low_freq_conditionals(joint, 10 / 120)
-
-    def test_massless_class(self):
-        joint = counts_from_matrix([[50, 50], [5, 0]])
-        with pytest.raises(EmptySupport):
-            low_freq_conditionals(joint, 0.2)
-
-    def test_single_label_never_qualifies(self):
-        joint = counts_from_matrix([[30, 20]])
-        with pytest.raises(EmptySupport):
-            low_freq_conditionals(joint, 1.0)
-
-    def test_empty_counts(self):
-        with pytest.raises(EmptyCounts):
-            low_freq_conditionals(JointCounts.from_arrays([], []), 0.5)
 
 
 class TestJsd:
@@ -451,3 +463,47 @@ class TestJsdCurve:
         curve = jsd_curve(joint)
         for value, flag in zip(curve.values, curve.defined):
             assert flag == (not math.isnan(value))
+
+    def test_threshold_at_a_marginal_keeps_no_label(self):
+        # The rare labels' marginal is exactly 10/120, and the common
+        # one's is above it: a strict < keeps none of them.
+        curve = strict_curve(counts_from_matrix([[50, 50], [9, 1], [1, 9]]), taus=(10 / 120,))
+        assert (curve.labels_kept, curve.defined) == ((0,), (False,))
+        assert math.isnan(curve.values[0])
+
+    def test_massless_class_keeps_its_labels(self):
+        curve = strict_curve(counts_from_matrix([[50, 50], [5, 0]]), taus=(0.2,))
+        assert (curve.labels_kept, curve.defined) == ((1,), (False,))
+        assert math.isnan(curve.values[0])
+
+    def test_single_label_is_undefined_at_one(self):
+        curve = strict_curve(counts_from_matrix([[30, 20]]), taus=(1.0,))
+        assert (curve.labels_kept, curve.defined) == ((0,), (False,))
+        assert math.isnan(curve.values[0])
+
+    def test_empty_counts(self):
+        with pytest.raises(EmptyCounts):
+            jsd_curve(JointCounts.from_arrays([], []), taus=(0.5,))
+
+    def test_empty_grid(self):
+        curve = strict_curve(counts_from_matrix([[3, 1], [1, 3]]), taus=())
+        assert curve.taus == curve.values == curve.labels_kept == curve.defined == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=8)
+        .filter(lambda matrix: any(a + b for a, b in matrix)),
+        st.data(),
+    )
+    def test_matches_dense_loop_reference(self, matrix, data):
+        total = sum(a + b for a, b in matrix)
+        # Thresholds anywhere, and exactly at a row's marginal.
+        marginals = [(a + b) / total for a, b in matrix]
+        taus = data.draw(st.lists(
+            st.one_of(st.floats(0.001, 1.0), st.sampled_from(marginals)), max_size=6))
+        curve = strict_curve(counts_from_matrix(matrix), taus)
+        assert curve.taus == tuple(sorted(taus, reverse=True))
+        for tau, value, kept, ok in zip(curve.taus, curve.values, curve.labels_kept, curve.defined):
+            expected_kept, expected = reference_jsd_point(matrix, tau)
+            assert (kept, ok) == (expected_kept, expected is not None)
+            assert value == expected if ok else math.isnan(value)
