@@ -20,6 +20,9 @@ TARGET_INPUTS = {
     "vq_code": {"embeddings": True, "codebook": True, "vq_normalize": False},
 }
 
+# The candidate bonus of each scored strategy when none is given.
+DEFAULT_BETA = {"pagerank": 0.25, "external": 0.5}
+
 STRATEGIES = tuple(STRATEGY_INPUTS)
 TARGET_KINDS = tuple(TARGET_INPUTS)
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 # Only what the parser needs is imported here.  Each command imports the
 # layers it runs, so start-up, --help, --version and plot load no numpy.
 from ._version import __version__
-from .choices import DEFAULT_TAUS, STRATEGY_INPUTS, TARGET_INPUTS
+from .choices import DEFAULT_BETA, DEFAULT_TAUS, STRATEGY_INPUTS, TARGET_INPUTS
 from .errors import DataError
 
 
@@ -82,9 +82,9 @@ def _read_by(name: str, table: dict) -> str:
 def _add_mask_flags(sub: argparse.ArgumentParser, flag: str, output: str, several: bool) -> None:
     _add_choice_flags(sub, flag, STRATEGY_INPUTS, "uniform", output, several)
     sub.add_argument("--ratio", type=float, default=0.15, help="mask ratio gamma")
+    defaults = ", ".join(f"{b} for {s}" for s, b in DEFAULT_BETA.items())
     sub.add_argument("--beta", type=float, default=None,
-                     help="candidate bonus of the scored strategies "
-                          "(default 0.25 for pagerank, 0.5 for external)")
+                     help=f"candidate bonus of the scored strategies (default {defaults})")
     sub.add_argument("--epoch", type=int, default=None, help="annealing epoch i (default: final)")
     sub.add_argument("--max-epoch", type=int, default=100, help="annealing horizon E")
     sub.add_argument("--intra-frac", type=float, default=0.5,

@@ -153,11 +153,11 @@ def sample_pairs_for_graph(
 
     Every strategy reads the same stream: a cell's generator is built
     once and draws one buffer of doubles, as long as the hungriest
-    strategy needs.  Each strategy decodes its masks (``members``) from
-    the buffer's prefix and takes its picks from the doubles after
-    them: the doubles its ``draw`` and then one pick per mask would
-    read from a fresh generator.  The masks of consecutive repeats
-    decode as one stack, in blocks of at most SAMPLE_BLOCK_DOUBLES
+    strategy needs.  A strategy's n masks read the buffer's prefix:
+    its block b is the next n * widths[b] doubles, an n-row matrix
+    whose row i is mask i's, and the next n doubles pick one masked
+    atom per mask.  The masks of consecutive repeats decode as one
+    stack (``members``), in blocks of at most SAMPLE_BLOCK_DOUBLES
     drawn doubles, so memory does not grow with the repeat count; the
     block size changes no sample.  Returns a (strategies, repeats,
     n_atoms) array of ``labels``' dtype: [s, r] holds the labels of the

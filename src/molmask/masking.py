@@ -1,21 +1,19 @@
 """Masking strategies: which atoms get hidden, and how views are exported.
 
-All strategies draw from numpy Generators handed in by the caller; the
-``substream`` helper derives a per-(graph, draw) generator from one base
-seed so results never depend on scheduling or worker count.
-
-Each strategy has one batch draw: it returns m independent masks of a
-graph and takes its randomness in a fixed number of Generator calls,
-whatever m is.  bind_corpus binds each strategy of a run to one graph
-at a time; the binding's plan(rng) is that draw at m = 1.
-
-Each strategy also decodes the same masks as arrays (the binding's
-``members``): from the uniform doubles its draw would read, one
-(masks, atoms) boolean membership matrix.  The fixed-k strategies take
-the top k of each row of noise plus bonus; the motif strategies walk
-their pools one step at a time for every row at once.  Sampled MI
-decodes a graph's masks this way, a block of repeats at a time; views
-and plans use the draw, which is faster for one mask.
+A strategy bound to one graph (bind_corpus) is a function of uniform
+noise: a mask reads one row of doubles from each of a fixed number of
+blocks, of fixed widths, and every strategy reads the same noise.  Each
+strategy has two decoders of those doubles, and neither touches a
+Generator: ``mask`` turns one row per block into one mask, its sorted
+atom tuple, and ``members`` turns a stack of rows per block into one
+(masks, atoms) boolean membership matrix.  Row i of ``members(*blocks)``
+marks exactly the atoms of ``mask(*(b[i] for b in blocks))``.  The
+fixed-k strategies take the top k of noise plus bonus; the motif
+strategies walk their pools one step at a time, in ``members`` for
+every row at once.  Views draw one mask's rows (the binding's plan);
+sampled MI draws a block of repeats and decodes it with ``members``.
+The ``substream`` helper derives a per-(graph, draw) generator from one
+base seed, so results never depend on scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequ
 
 import numpy as np
 
-from .choices import STRATEGIES
+from .choices import DEFAULT_BETA, STRATEGIES
 from .errors import OutOfRangeIndex
 from .molgraph import MolGraph
 from .motif import MotifPartition, decompose, motif_adjacency
@@ -73,10 +71,7 @@ class MaskConfig:
     def annealed_ratio(self) -> float:
         """Candidate-pool ratio gamma_i = gamma * sqrt(i / E); equals the
         target ratio exactly at the final epoch."""
-        i = self.effective_epoch
-        if i == self.max_epoch:
-            return self.ratio
-        return self.ratio * math.sqrt(i / self.max_epoch)
+        return self.ratio * math.sqrt(self.effective_epoch / self.max_epoch)
 
 
 def mask_count(ratio: float, n_atoms: int) -> int:
@@ -95,24 +90,24 @@ def substream(seed: int, graph_index: int, draw_index: int = 0) -> np.random.Gen
     )
 
 
-BatchDraw = Callable[[np.random.Generator, int], list[list[int]]]
-"""(rng, m) -> m independent masks of one graph, each a sorted list of
-distinct atom indices."""
+Mask = Callable[..., tuple[int, ...]]
+"""(*rows) -> one mask, the sorted tuple of its distinct atom indices,
+decoded from one row of uniform doubles per width block."""
 
 Members = Callable[..., np.ndarray]
-"""(*blocks) -> the (rows, n_atoms) boolean membership matrix of one mask
-per row: the batch draw's masks, decoded from its uniform doubles."""
+"""(*blocks) -> the (rows, n_atoms) boolean membership matrix whose row
+i marks the atoms that the strategy's Mask decodes from row i of every
+block."""
 
 
-def _top_rows(keys: np.ndarray, k: int) -> list[list[int]]:
-    """The k largest keys of each row, as sorted atom lists; ties go to
-    the lower atom index."""
-    order = (-keys).argsort(axis=1, kind="stable")
-    return [sorted(row) for row in order[:, :k].tolist()]
+def _top_k(keys: np.ndarray, k: int) -> tuple[int, ...]:
+    """The k largest keys, as a sorted atom tuple; ties go to the lower
+    atom index."""
+    return tuple(sorted((-keys).argsort(kind="stable")[:k].tolist()))
 
 
 def _top_members(keys: np.ndarray, k: int) -> np.ndarray:
-    """_top_rows as a membership matrix."""
+    """_top_k of each row, as a membership matrix."""
     n = keys.shape[1]
     members = keys >= np.partition(keys, n - k, axis=1)[:, n - k, None]
     # Keys tied with a row's k-th largest can overfill it; those rows
@@ -133,12 +128,12 @@ def nth_member(members: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.flatnonzero(members)[starts + (u * counts).astype(np.int64)] % members.shape[1]
 
 
-def _uniform_draw(graph: MolGraph, config: MaskConfig) -> tuple[BatchDraw, Members, tuple[int, ...]]:
+def _uniform_draw(graph: MolGraph, config: MaskConfig) -> tuple[Mask, Members, tuple[int, ...]]:
     """k(gamma, n) atoms chosen uniformly without replacement."""
     n = graph.n_atoms
     k = mask_count(config.ratio, n)
     return (
-        lambda rng, m: _top_rows(rng.random((m, n)), k),
+        lambda noise: _top_k(noise, k),
         lambda noise: _top_members(noise, k),
         (n,),
     )
@@ -146,7 +141,7 @@ def _uniform_draw(graph: MolGraph, config: MaskConfig) -> tuple[BatchDraw, Membe
 
 def _perturbed_topk_draw(
     graph: MolGraph, scores: np.ndarray, config: MaskConfig
-) -> tuple[BatchDraw, Members, tuple[int, ...]]:
+) -> tuple[Mask, Members, tuple[int, ...]]:
     """Score-guided masking via noisy top-k selection.
 
     An annealed candidate pool (the top k(gamma_i, n) scored atoms) gets
@@ -164,7 +159,7 @@ def _perturbed_topk_draw(
     bonus = np.zeros(n)
     bonus[order[: mask_count(config.annealed_ratio, n)]] = config.beta
     return (
-        lambda rng, m: _top_rows(rng.random((m, n)) + bonus, k_final),
+        lambda noise: _top_k(noise + bonus, k_final),
         lambda noise: _top_members(noise + bonus, k_final),
         (n,),
     )
@@ -175,7 +170,7 @@ def _moama_draw(
     partition: MotifPartition,
     adjacency: Sequence[Sequence[int]],
     config: MaskConfig,
-) -> tuple[BatchDraw, Members, tuple[int, ...]]:
+) -> tuple[Mask, Members, tuple[int, ...]]:
     """Whole-motif masking with a non-adjacency constraint.
 
     Draws motifs uniformly; each accepted motif evicts itself and its
@@ -188,25 +183,21 @@ def _moama_draw(
     n_motifs = partition.n_motifs
     motifs = partition.motifs
 
-    def draw(rng: np.random.Generator, m: int) -> list[list[int]]:
+    def mask(picks: np.ndarray) -> tuple[int, ...]:
         # Each step evicts the picked motif from the pool, so a mask
         # takes at most n_motifs numbers.
-        masks = []
-        for picks in rng.random((m, n_motifs)).tolist():
-            pool = list(range(n_motifs))
-            atoms: list[int] = []
-            for u in picks:
-                motif = pool[int(u * len(pool))]
-                if atoms and len(atoms) + len(motifs[motif]) > k:
-                    break
-                atoms += motifs[motif]
-                near = adjacency[motif]
-                pool = [p for p in pool if p != motif and p not in near]
-                if not pool:
-                    break
-            atoms.sort()
-            masks.append(atoms)
-        return masks
+        pool = list(range(n_motifs))
+        atoms: list[int] = []
+        for u in picks.tolist():
+            motif = pool[int(u * len(pool))]
+            if atoms and len(atoms) + len(motifs[motif]) > k:
+                break
+            atoms += motifs[motif]
+            near = adjacency[motif]
+            pool = [p for p in pool if p != motif and p not in near]
+            if not pool:
+                break
+        return tuple(sorted(atoms))
 
     def members(picks: np.ndarray) -> np.ndarray:
         sizes = np.array([len(atoms) for atoms in motifs])
@@ -214,7 +205,7 @@ def _moama_draw(
         evicts = np.eye(n_motifs, dtype=bool)
         for motif, near in enumerate(adjacency):
             evicts[motif, list(near)] = True
-        # Step j runs draw's loop body once for every row still drawing.
+        # Step j runs mask's loop body once for every row still drawing.
         pool = np.ones(picks.shape, dtype=bool)
         chosen = np.zeros(picks.shape, dtype=bool)
         total = np.zeros(len(picks), dtype=np.int64)
@@ -231,12 +222,12 @@ def _moama_draw(
                 break
         return chosen[:, partition.motif_of]
 
-    return draw, members, (n_motifs,)
+    return mask, members, (n_motifs,)
 
 
 def _motifpred_draw(
     graph: MolGraph, partition: MotifPartition, config: MaskConfig
-) -> tuple[BatchDraw, Members, tuple[int, ...]]:
+) -> tuple[Mask, Members, tuple[int, ...]]:
     """Motif-prediction masking: partial atom masking inside sampled motifs.
 
     Motifs are drawn uniformly without replacement until the masked-atom
@@ -250,23 +241,18 @@ def _motifpred_draw(
     motifs = partition.motifs
     hidden = [math.ceil(config.intra_motif_fraction * len(atoms)) for atoms in motifs]
 
-    def draw(rng: np.random.Generator, m: int) -> list[list[int]]:
+    def mask(picks: np.ndarray, keys: np.ndarray) -> tuple[int, ...]:
         # One number per motif orders the pool; one key per atom picks
         # the lowest-keyed atoms inside each selected motif.
-        masks = []
-        picks_by_mask = rng.random((m, n_motifs)).tolist()
-        keys_by_mask = rng.random((m, n)).tolist()
-        for picks, keys in zip(picks_by_mask, keys_by_mask):
-            pool = list(range(n_motifs))
-            atoms: list[int] = []
-            for u in picks:
-                motif = pool.pop(int(u * len(pool)))
-                atoms += sorted(motifs[motif], key=keys.__getitem__)[: hidden[motif]]
-                if len(atoms) >= k:
-                    break
-            atoms.sort()
-            masks.append(atoms)
-        return masks
+        keys = keys.tolist()
+        pool = list(range(n_motifs))
+        atoms: list[int] = []
+        for u in picks.tolist():
+            motif = pool.pop(int(u * len(pool)))
+            atoms += sorted(motifs[motif], key=keys.__getitem__)[: hidden[motif]]
+            if len(atoms) >= k:
+                break
+        return tuple(sorted(atoms))
 
     def members(picks: np.ndarray, keys: np.ndarray) -> np.ndarray:
         hidden_of = np.array(hidden)
@@ -293,31 +279,28 @@ def _motifpred_draw(
                 lowest[rows, atoms[keys[:, atoms].argsort(axis=1, kind="stable")[:, :h]]] = True
         return lowest & ~pool[:, partition.motif_of]
 
-    return draw, members, (n_motifs, n)
+    return mask, members, (n_motifs, n)
 
 
 class BoundStrategy(NamedTuple):
-    """One strategy bound to one graph's inputs: its batch draw and array decode.
+    """One strategy bound to one graph's inputs: two decoders of the same
+    uniform doubles.
 
-    ``draw(rng, m)`` returns m independent masks, each a sorted list of
-    atom indices; ``plan(rng)`` is that draw at m = 1, as a tuple.
-
-    ``members`` decodes the same masks as arrays.  Each mask reads
-    ``sum(widths)`` uniform doubles in ``widths``-wide blocks: of the
-    doubles ``draw(rng, m)`` reads, block b of all m masks is the next
-    m * widths[b], as an (m, widths[b]) matrix.  ``members(*blocks)``
-    returns the (m, n_atoms) boolean matrix whose row i marks mask i's
-    atoms; rows of several draws may be stacked.
+    A mask reads one row of uniform doubles per block, of ``widths[b]``
+    doubles for block b.  ``mask(*rows)`` decodes one mask, its sorted
+    atom tuple.  ``members(*blocks)`` decodes m masks at once, block b
+    an (m, widths[b]) matrix, into an (m, n_atoms) boolean matrix: row i
+    marks exactly the atoms of ``mask(*(b[i] for b in blocks))``.
+    ``plan(rng)`` draws one row per block, in block order, and decodes it.
     """
 
-    draw: BatchDraw
+    mask: Mask
     members: Members
     widths: tuple[int, ...]
     strategy: str
 
     def plan(self, rng: np.random.Generator) -> tuple[int, ...]:
-        (atoms,) = self.draw(rng, 1)
-        return tuple(atoms)
+        return self.mask(*(rng.random(w) for w in self.widths))
 
 
 def bind_corpus(
@@ -335,11 +318,11 @@ def bind_corpus(
     here, once: 'pagerank' gets one pagerank_all over ``graphs`` (when
     some graphs do not converge, one line on stderr says how many), and
     'external' reads ``external``, one score array per graph, aligned
-    with ``graphs``.  Without an explicit beta, pagerank uses 0.25 and
-    external 0.5.  The motif strategies share one partition per graph:
-    ``partitions[g]`` if given, else one decompose at bind time.  An
-    unknown name, or 'external' without scores, raises ValueError
-    before any of that.  This is the one place where strategy names are
+    with ``graphs``.  Without an explicit beta, each scored strategy
+    takes its DEFAULT_BETA.  The motif strategies share one partition
+    per graph: ``partitions[g]`` if given, else one decompose at bind
+    time.  An unknown name, or 'external' without scores, raises
+    ValueError before any of that.  This is the one place where strategy names are
     told apart.
     """
     for strategy in strategies:
@@ -357,14 +340,15 @@ def bind_corpus(
                 file=sys.stderr,
             )
 
-    def scored(strategy: str, beta: float):
-        beta_config = config if config.beta is not None else replace(config, beta=beta)
+    def scored(strategy: str):
+        beta = DEFAULT_BETA[strategy] if config.beta is None else config.beta
+        beta_config = replace(config, beta=beta)
         return lambda g, partition: _perturbed_topk_draw(graphs[g], scores[strategy][g], beta_config)
 
     draws = {
         "uniform": lambda g, partition: _uniform_draw(graphs[g], config),
-        "pagerank": scored("pagerank", 0.25),
-        "external": scored("external", 0.5),
+        "pagerank": scored("pagerank"),
+        "external": scored("external"),
         "moama": lambda g, partition: _moama_draw(
             graphs[g], partition, motif_adjacency(graphs[g], partition), config
         ),

@@ -1,8 +1,10 @@
 """Masking strategies: budgets, guided selection, motif masking, views."""
 
+import csv
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +36,8 @@ def masked_motifs(partition, atoms):
 
 
 # Reference samplers: one mask per call, one Generator call per choice.
-# They are the per-draw implementations the batched draws replaced, kept
-# as oracles for the batched draws' distributions.
+# They are the per-draw implementations that decoding uniform doubles
+# replaced, kept as oracles for the decoders' distributions.
 
 def ref_uniform(graph, config, rng):
     n = graph.n_atoms
@@ -124,8 +126,19 @@ def bound_for(strategy, graph, config=BATCH_CONFIG):
     return bind_one(strategy, config, graph, tied_scores(graph))
 
 
-def batch_draw(strategy, graph):
-    return bound_for(strategy, graph).draw
+def random_blocks(bound, rng, m):
+    """Uniform doubles for m masks of ``bound``: one (m, width) block per width."""
+    return [rng.random((m, width)) for width in bound.widths]
+
+
+def decoded_masks(bound, blocks):
+    """bound.mask on each row of ``blocks``: row i of every block decodes mask i."""
+    return [bound.mask(*rows) for rows in zip(*blocks)]
+
+
+def member_masks(bound, blocks):
+    """Each row of bound.members(*blocks), as a sorted atom tuple."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in bound.members(*blocks)]
 
 
 class CountingRng:
@@ -145,27 +158,10 @@ class CountingRng:
         return counted
 
 
-class ConstantRng:
-    """Every uniform number is the same, so every key ties."""
-
-    def random(self, size):
-        return np.full(size, 0.5)
-
-
 def quarters(u):
-    """Uniform numbers rounded down to a multiple of 1/4."""
+    """Uniform numbers rounded down to a multiple of 1/4: four values, so
+    some keys tie and others do not."""
     return np.floor(4 * u) / 4
-
-
-class QuarterRng:
-    """A seeded generator's uniform numbers rounded down to quarters:
-    four values, so some keys tie and others do not."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def random(self, size):
-        return quarters(self._rng.random(size))
 
 
 class TestMaskCount:
@@ -197,6 +193,11 @@ class TestAnnealing:
         assert config.annealed_ratio == 0.15
         config = MaskConfig(ratio=0.15, epoch=100, max_epoch=100)
         assert config.annealed_ratio == 0.15
+
+    @given(ratio=st.floats(0.0, 1.0, exclude_min=True), max_epoch=st.integers(1, 10**9))
+    def test_final_epoch_is_exact_for_any_ratio(self, ratio, max_epoch):
+        # ratio * sqrt(E / E) is ratio * 1.0, the ratio bit for bit.
+        assert MaskConfig(ratio=ratio, max_epoch=max_epoch).annealed_ratio == ratio
 
     def test_schedule_value(self):
         config = MaskConfig(ratio=0.15, epoch=25, max_epoch=100)
@@ -421,53 +422,66 @@ class TestMotifpredMask:
 
 
 class TestBatchDraw:
+    """Masks decoded in batches: ``members`` on blocks of many rows, the
+    path that sampled MI takes."""
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_pick_frequencies_match_reference(self, strategy, fixture_graphs):
         # Per-atom frequency of the sampled atom (one atom of one mask),
-        # batched sampler against the per-draw reference, within four
-        # binomial standard errors of the difference.  The sampler's
-        # ~30k picks come from repeats of n picks each.  With 3,000
-        # reference draws, the reference frequency of one moama atom sat
-        # 3.8 standard errors from its long-run value (0.064 vs 0.083).
-        n_ref = 10000
+        # as sample_pairs_for_graph decodes it, and per-atom inclusion
+        # frequency, from one membership matrix of 20,000 masks, each
+        # against the per-draw reference, within four binomial standard
+        # errors of the difference.  The sampler's ~30k picks come from
+        # repeats of n picks each.  With 3,000 reference draws, the
+        # reference frequency of one moama atom sat 3.8 standard errors
+        # from its long-run value (0.064 vs 0.083).
+        n_ref, n_members = 10000, 20000
         graphs = [g for g in fixture_graphs if decompose(g).n_motifs >= 2]
         assert len(graphs) >= 5
         for gi, graph in enumerate(graphs):
             n = graph.n_atoms
+            bound = bound_for(strategy, graph)
             (picked,) = sample_pairs_for_graph(
-                graph, gi, list(range(n)), [bound_for(strategy, graph)],
-                repeats=-(-30000 // n), seed=11,
+                graph, gi, list(range(n)), [bound], repeats=-(-30000 // n), seed=11,
             )
             n_batch = picked.size
             batch = np.bincount(picked.ravel(), minlength=n) / n_batch
+            included = bound.members(*random_blocks(bound, np.random.default_rng(gi), n_members))
+            inclusion = included.mean(axis=0)
             reference = reference_fn(strategy, graph)
             rng = np.random.default_rng(gi)
-            hits = np.zeros(n)
+            hits, ref_inclusion = np.zeros(n), np.zeros(n)
             for _ in range(n_ref):
                 atoms = reference(rng)
+                ref_inclusion[atoms] += 1
                 hits[atoms[int(rng.integers(len(atoms)))]] += 1
-            ref = hits / n_ref
-            p = (batch + ref) / 2
-            se = np.sqrt(p * (1 - p) * (1 / n_ref + 1 / n_batch))
-            assert np.all(np.abs(batch - ref) <= 4 * se + 1e-12), (
-                strategy, graph.source_smiles, batch, ref,
-            )
+            for got, n_got, ref in ((batch, n_batch, hits / n_ref),
+                                    (inclusion, n_members, ref_inclusion / n_ref)):
+                p = (got + ref) / 2
+                se = np.sqrt(p * (1 - p) * (1 / n_ref + 1 / n_got))
+                assert np.all(np.abs(got - ref) <= 4 * se + 1e-12), (
+                    strategy, graph.source_smiles, got, ref,
+                )
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rows_sorted_unique_in_range(self, strategy, fixture_graphs):
         for gi, graph in enumerate(fixture_graphs):
-            masks = batch_draw(strategy, graph)(np.random.default_rng(gi), 40)
+            bound = bound_for(strategy, graph)
+            blocks = random_blocks(bound, np.random.default_rng(gi), 40)
+            masks = decoded_masks(bound, blocks)
+            assert masks == member_masks(bound, blocks)
             assert len(masks) == 40
             for atoms in masks:
-                assert atoms and atoms == sorted(set(atoms))
+                assert atoms and atoms == tuple(sorted(set(atoms)))
                 assert 0 <= atoms[0] and atoms[-1] < graph.n_atoms
 
     @pytest.mark.parametrize("strategy", ["uniform", "pagerank", "external"])
     def test_node_level_rows_have_exactly_k(self, strategy, fixture_graphs):
         for gi, graph in enumerate(fixture_graphs):
             k = mask_count(BATCH_CONFIG.ratio, graph.n_atoms)
-            masks = batch_draw(strategy, graph)(np.random.default_rng(gi), 40)
-            assert all(len(atoms) == k for atoms in masks)
+            bound = bound_for(strategy, graph)
+            members = bound.members(*random_blocks(bound, np.random.default_rng(gi), 2000))
+            assert np.all(np.count_nonzero(members, axis=1) == k)
 
     def test_moama_rows_are_spaced_whole_motifs(self, fixture_graphs):
         # The cyclopropane chain at ratio 0.6 fits several motifs per
@@ -479,10 +493,10 @@ class TestBatchDraw:
             partition = decompose(graph)
             adjacency = motif_adjacency(graph, partition)
             k = mask_count(config.ratio, graph.n_atoms)
-            draw = bind_one("moama", config, graph).draw
-            for atoms in draw(np.random.default_rng(gi), 40):
+            bound = bind_one("moama", config, graph)
+            for atoms in member_masks(bound, random_blocks(bound, np.random.default_rng(gi), 40)):
                 chosen = {partition.motif_of[a] for a in atoms}
-                assert atoms == sorted(a for m in chosen for a in partition.motifs[m])
+                assert list(atoms) == sorted(a for m in chosen for a in partition.motifs[m])
                 for m in chosen:
                     assert not (chosen - {m}) & set(adjacency[m])
                 if len(chosen) > 1:
@@ -495,7 +509,8 @@ class TestBatchDraw:
             partition = decompose(graph)
             k = mask_count(BATCH_CONFIG.ratio, graph.n_atoms)
             hidden = [math.ceil(0.4 * len(atoms)) for atoms in partition.motifs]
-            for atoms in batch_draw("motifpred", graph)(np.random.default_rng(gi), 40):
+            bound = bound_for("motifpred", graph)
+            for atoms in member_masks(bound, random_blocks(bound, np.random.default_rng(gi), 40)):
                 per_motif = {}
                 for a in atoms:
                     m = partition.motif_of[a]
@@ -508,53 +523,57 @@ class TestBatchDraw:
     def test_tied_scores_prefer_low_index_in_every_row(self):
         g = parse_smiles("CCCCCCCCCC")
         equal = np.ones(10)
-        masks = bind_one("external", MaskConfig(ratio=0.3, beta=10.0), g, equal).draw(
-            np.random.default_rng(0), 50)
-        assert all(atoms == [0, 1, 2] for atoms in masks)
+        bound = bind_one("external", MaskConfig(ratio=0.3, beta=10.0), g, equal)
+        blocks = random_blocks(bound, np.random.default_rng(0), 50)
+        assert member_masks(bound, blocks) == [(0, 1, 2)] * 50
         # Tied noise as well: every key equal.
         for strategy in ("uniform", "external"):
-            masks = bind_one(strategy, MaskConfig(ratio=0.3), g, equal).draw(ConstantRng(), 5)
-            assert all(atoms == [0, 1, 2] for atoms in masks), strategy
+            bound = bind_one(strategy, MaskConfig(ratio=0.3), g, equal)
+            assert member_masks(bound, [np.full((5, 10), 0.5)]) == [(0, 1, 2)] * 5, strategy
+            assert bound.mask(np.full(10, 0.5)) == (0, 1, 2), strategy
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_generator_calls_do_not_grow_with_batch(self, strategy, fixture_graphs):
+    def test_plan_draws_once_per_width_block(self, strategy, fixture_graphs):
         graph = fixture_graphs[-6]  # CC(C)CC1=CC=C(C=C1)C(C)C(=O)O, four motifs
-        draw = batch_draw(strategy, graph)
-        calls = []
-        for m in (1, 7, 60):
-            rng = CountingRng(m)
-            draw(rng, m)
-            calls.append(rng.calls)
-        assert calls[0] == calls[1] == calls[2], calls
+        bound = bound_for(strategy, graph)
+        rng = CountingRng(0)
+        bound.plan(rng)
+        assert rng.calls == len(bound.widths)
 
     def test_plan_is_the_first_batch_row(self, fixture_graphs):
-        # A binding's plan draws through its batch draw at m = 1: same
-        # stream, same mask.
+        # A binding's plan decodes the rows its generator draws, one per
+        # width block: stacked above other rows, they decode to the same
+        # mask as the batch's first row.
         for strategy in STRATEGIES:
             for gi, graph in enumerate(fixture_graphs):
                 bound = bound_for(strategy, graph)
                 plan = bound.plan(substream(3, gi, 0))
-                (atoms,) = bound.draw(substream(3, gi, 0), 1)
-                assert plan == tuple(atoms)
+                rng = substream(3, gi, 0)
+                first = [rng.random(w) for w in bound.widths]
+                more = random_blocks(bound, rng, 4)
+                blocks = [np.vstack([row, rows]) for row, rows in zip(first, more)]
+                assert member_masks(bound, blocks)[0] == plan
 
 
-def member_blocks(bound, doubles, m):
-    """Split the doubles that bound.draw(rng, m) reads into the blocks
-    that bound.members takes."""
-    blocks, start = [], 0
-    for width in bound.widths:
-        blocks.append(doubles[start:start + m * width].reshape(m, width))
-        start += m * width
-    assert start == len(doubles)
-    return blocks
-
-
-def member_lists(members):
-    return [np.flatnonzero(row).tolist() for row in members]
+LARGE_CORPUS = Path(__file__).resolve().parent / "data" / "large_corpus.csv"
 
 
 class TestMembers:
-    """The array decode of each strategy against its per-mask draw."""
+    """The array decode of each strategy against its one-mask decode."""
+
+    @staticmethod
+    def assert_row_identity(graph, config, seed, m):
+        # Same doubles, same masks: row i of members marks the atoms of
+        # mask on row i of every block.  With every key equal, and with
+        # keys of four values (ties among some atoms only, which the
+        # default argsort breaks differently from the stable one), ties
+        # go to the lower index on both paths.
+        for strategy in STRATEGIES:
+            bound = bound_for(strategy, graph, config)
+            noise = random_blocks(bound, np.random.default_rng(seed), m)
+            for blocks in (noise, [np.full(b.shape, 0.5) for b in noise],
+                           [quarters(b) for b in noise]):
+                assert member_masks(bound, blocks) == decoded_masks(bound, blocks), strategy
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -565,33 +584,29 @@ class TestMembers:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_rows_are_the_draws_masks(self, smiles, ratio, epoch, intra, seed):
-        # Same doubles, same masks: each membership row lists the atoms
-        # of the matching per-mask draw.  With every key equal, and with
-        # keys of four values (ties among some atoms only, which the
-        # default argsort breaks differently from the stable one), ties
-        # go to the lower index on both paths.
-        graph = parse_smiles(smiles)
         config = MaskConfig(ratio=ratio, epoch=epoch, intra_motif_fraction=intra)
-        m = 6
-        for strategy in STRATEGIES:
-            bound = bound_for(strategy, graph, config)
-            masks = bound.draw(np.random.default_rng(seed), m)
-            doubles = np.random.default_rng(seed).random(m * sum(bound.widths))
-            assert member_lists(bound.members(*member_blocks(bound, doubles, m))) == masks, strategy
-            masks = bound.draw(ConstantRng(), m)
-            doubles = np.full(m * sum(bound.widths), 0.5)
-            assert member_lists(bound.members(*member_blocks(bound, doubles, m))) == masks, strategy
-            masks = bound.draw(QuarterRng(seed), m)
-            doubles = quarters(np.random.default_rng(seed).random(m * sum(bound.widths)))
-            assert member_lists(bound.members(*member_blocks(bound, doubles, m))) == masks, strategy
+        self.assert_row_identity(parse_smiles(smiles), config, seed, 6)
+
+    @pytest.mark.parametrize("config", [
+        BATCH_CONFIG, MaskConfig(ratio=0.6, epoch=1, intra_motif_fraction=1.0),
+    ])
+    def test_rows_are_the_masks_on_large_chains(self, config):
+        # The two 242-atom chains, whose repeats sample_pairs_for_graph
+        # decodes in blocks of one repeat each.
+        with open(LARGE_CORPUS, encoding="utf-8", newline="") as handle:
+            graphs = [parse_smiles(row["smiles"]) for row in csv.DictReader(handle)]
+        chains = [g for g in graphs if g.n_atoms == 242]
+        assert len(chains) == 2
+        for seed, graph in enumerate(chains):
+            self.assert_row_identity(graph, config, seed, 12)
 
     @pytest.mark.parametrize("config", [
         BATCH_CONFIG, MaskConfig(ratio=0.6, epoch=1, intra_motif_fraction=1.0),
     ])
     def test_samples_are_the_per_strategy_draws(self, config, fixture_graphs):
         # The reference builds each strategy's own generator per
-        # (repeat, graph) cell, draws the cell's masks from it and then
-        # one pick per mask.
+        # (repeat, graph) cell, draws an (n, width) block per width and
+        # then one pick per mask, and decodes each mask on its own.
         repeats, seed = 3, 17
         for gi, graph in enumerate(fixture_graphs):
             n = graph.n_atoms
@@ -602,8 +617,9 @@ class TestMembers:
             for s, strategy in enumerate(bound):
                 for r in range(repeats):
                     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r, gi)))
-                    masks = strategy.draw(rng, n)
+                    blocks = random_blocks(strategy, rng, n)
                     picks = rng.random(n)
+                    masks = decoded_masks(strategy, blocks)
                     expected = [labels[mask[int(u * len(mask))]] for mask, u in zip(masks, picks)]
                     assert sampled[s, r].tolist() == expected, (strategy.strategy, graph.source_smiles)
 
@@ -692,7 +708,9 @@ class TestPlanFn:
         external = bind_corpus(["external"], config, fixture_graphs, pagerank_all(fixture_graphs)[0])
         for g in range(len(fixture_graphs)):
             (by_pagerank,), (by_external,) = pagerank(g), external(g)
-            assert by_pagerank.draw(substream(1, g), 20) == by_external.draw(substream(1, g), 20)
+            assert by_pagerank.plan(substream(1, g)) == by_external.plan(substream(1, g))
+            blocks = random_blocks(by_pagerank, substream(1, g), 20)
+            assert np.array_equal(by_pagerank.members(*blocks), by_external.members(*blocks))
 
     def test_all_strategies_produce_plans(self, fixture_graphs):
         external = [np.arange(float(g.n_atoms)) for g in fixture_graphs]
@@ -705,7 +723,7 @@ class TestPlanFn:
                 assert atoms, (b.strategy, g.source_smiles)
                 assert list(atoms) == sorted(set(atoms))
                 assert all(0 <= a < g.n_atoms for a in atoms)
-                assert b._fields == ("draw", "members", "widths", "strategy")
+                assert b._fields == ("mask", "members", "widths", "strategy")
 
     def test_replay_reproduces(self, fixture_graphs):
         bind = bind_corpus(["moama"], MaskConfig(ratio=0.25), fixture_graphs)
